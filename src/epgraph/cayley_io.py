@@ -3,19 +3,25 @@
 Format: the first data line holds the order n, the next n lines hold n
 whitespace-separated 0-based element indices each. ``#`` starts a comment
 that runs to the end of the line. The identity may sit at any index; it is
-located and renumbered to index 0 before validation.
+located and renumbered to index 0 before validation. A file's table is
+untrusted: an order above the cap is rejected at the order line, and every
+group law is checked exactly before the table is used.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import CayleyParseError, CayleyValidationError
+from .errors import CayleyParseError, CayleyValidationError, GroupSizeError
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup
 
 
-def parse_cayley_text(text: str) -> list[list[int]]:
-    """Parse the raw file into an n x n list of ints (no group laws checked)."""
+def parse_cayley_text(text: str, max_order: int = DEFAULT_MAX_ORDER) -> list[list[int]]:
+    """Parse the raw file into an n x n list of ints (no group laws checked).
+
+    Raises GroupSizeError at the order line when n exceeds ``max_order``,
+    before any table row is read.
+    """
     rows: list[list[int]] = []
     n: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -32,6 +38,8 @@ def parse_cayley_text(text: str) -> list[list[int]]:
             n = values[0]
             if n < 1:
                 raise CayleyParseError(f"line {lineno}: order must be >= 1, got {n}")
+            if n > max_order:
+                raise GroupSizeError(f"group order {n} exceeds the cap of {max_order}")
             continue
         if len(values) != n:
             raise CayleyParseError(
@@ -55,15 +63,9 @@ def _find_identity(rows: list[list[int]]) -> int | None:
     return None
 
 
-def ingest_cayley(
-    text: str,
-    *,
-    spec=None,
-    validate: str = "auto",
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> FiniteGroup:
+def ingest_cayley(text: str, *, spec=None, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Parse, locate the identity, renumber it to 0, and validate."""
-    rows = parse_cayley_text(text)
+    rows = parse_cayley_text(text, max_order)
     n = len(rows)
     arr = np.array(rows, dtype=np.int64)
     if arr.min() < 0 or arr.max() >= n:
@@ -75,4 +77,4 @@ def ingest_cayley(
         sigma = np.arange(n)
         sigma[[0, e]] = [e, 0]
         arr = sigma[arr[np.ix_(sigma, sigma)]]
-    return FiniteGroup.from_table(arr, spec=spec, validate=validate, max_order=max_order)
+    return FiniteGroup.from_table(arr, spec=spec, max_order=max_order)

@@ -21,7 +21,7 @@ from .errors import GroupError
 from .groups import DEFAULT_MAX_ORDER
 from .simplegraph import SimpleGraph, to_dot, to_edgelist_lines, to_json
 from .specs import parse_spec
-from .theorems import CHECKS, CHECKS_BY_ID, BundleCache, roster_generate, run_check
+from .theorems import CHECKS, CHECKS_BY_ID, BundleCache, run_all
 
 ENV_MAX_ORDER = "EPG_MAX_ORDER"
 FORMATS = ("json", "dot", "edgelist", "text")
@@ -47,8 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--max-order", type=int, default=None,
                        help="cap on group order (default: EPG_MAX_ORDER or 512)")
-        p.add_argument("--validate", choices=("full", "sampled", "off"), default=None,
-                       help="group-law validation level (default: auto)")
         p.add_argument("--output", type=Path, default=None,
                        help="write output to this file instead of stdout")
 
@@ -72,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="check id like T2.4, a comma-separated list, or 'all'")
     p_verify.add_argument("--max-order", type=int, default=32, dest="roster_max",
                           help="roster order bound (default 32)")
-    p_verify.add_argument("--validate", choices=("full", "sampled", "off"), default=None)
     p_verify.add_argument("--output", type=Path, default=None)
 
     p_ingest = sub.add_parser("ingest", help="validate a Cayley file and report properties")
@@ -133,7 +130,7 @@ def _report_json(bundle, deleted: bool, props: Optional[str]) -> str:
 def _cmd_build(args) -> int:
     cap = args.max_order if args.max_order is not None else _default_cap()
     spec = parse_spec(args.group)
-    group = spec.realize(validate=args.validate or "auto", max_order=cap)
+    group = spec.realize(max_order=cap)
     bundle = build_bundle(group)
     graph = bundle.deleted if args.deleted else bundle.epg
     _emit(_render_graph(graph, args.format), args.output)
@@ -143,16 +140,16 @@ def _cmd_build(args) -> int:
 def _cmd_check(args) -> int:
     cap = args.max_order if args.max_order is not None else _default_cap()
     spec = parse_spec(args.group)
-    group = spec.realize(validate=args.validate or "auto", max_order=cap)
+    group = spec.realize(max_order=cap)
     bundle = build_bundle(group)
     _emit(_report_json(bundle, args.deleted, args.props), args.output)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    ids = [t.strip() for t in args.theorem.split(",") if t.strip()]
+    ids: Optional[list[str]] = [t.strip() for t in args.theorem.split(",") if t.strip()]
     if ids == ["all"]:
-        checks = list(CHECKS)
+        ids = None
     else:
         unknown = [i for i in ids if i not in CHECKS_BY_ID]
         if unknown:
@@ -160,21 +157,13 @@ def _cmd_verify(args) -> int:
                 f"unknown theorem ids: {', '.join(unknown)}; "
                 f"known: {', '.join(c.check_id for c in CHECKS)} or 'all'"
             )
-        checks = [CHECKS_BY_ID[i] for i in ids]
     cap = max(args.roster_max, _default_cap())
-    cache = BundleCache(max_order=cap, validate=args.validate or "auto")
-    standard = roster_generate(args.roster_max)
-    lines = []
-    failed = False
-    for check in checks:
-        roster = check.roster(args.roster_max) if check.roster is not None else standard
-        report = run_check(check, roster, cache=cache, max_order=cap)
-        if report.counterexamples:
-            failed = True
-        if report.vacuous and check.direction == "iff":
-            failed = True
-        lines.append(json.dumps(report.to_dict()))
-    _emit("\n".join(lines) + "\n", args.output)
+    reports = run_all(args.roster_max, check_ids=ids, cache=BundleCache(max_order=cap))
+    failed = any(
+        r.counterexamples or (r.vacuous and CHECKS_BY_ID[r.theorem].direction == "iff")
+        for r in reports
+    )
+    _emit("\n".join(json.dumps(r.to_dict()) for r in reports) + "\n", args.output)
     return 1 if failed else 0
 
 
@@ -184,7 +173,7 @@ def _cmd_ingest(args) -> int:
         text = args.path.read_text(encoding="utf-8")
     except OSError as exc:
         raise GroupError(f"cannot read {args.path}: {exc}") from None
-    group = ingest_cayley(text, validate=args.validate or "full", max_order=cap)
+    group = ingest_cayley(text, max_order=cap)
     bundle = build_bundle(group)
     _emit(_report_json(bundle, args.deleted, args.props), args.output)
     return 0

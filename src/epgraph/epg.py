@@ -28,7 +28,6 @@ class EpgBundle:
     lattice: CyclicLattice
     epg: SimpleGraph
     deleted: SimpleGraph
-    deleted_elements: tuple[int, ...]
 
 
 def build_epg(group: FiniteGroup, lattice: CyclicLattice) -> SimpleGraph:
@@ -55,7 +54,7 @@ def build_bundle(group: FiniteGroup) -> EpgBundle:
     lattice = build_lattice(group)
     epg = build_epg(group, lattice)
     deleted = build_deleted(epg)
-    return EpgBundle(group, lattice, epg, deleted, tuple(range(1, group.order)))
+    return EpgBundle(group, lattice, epg, deleted)
 
 
 def adjacent_oracle(group: FiniteGroup, x: int, y: int) -> bool:

@@ -1,9 +1,12 @@
 """Finite groups as explicit multiplication tables over element indices 0..n-1.
 
 The identity element is always index 0; constructors guarantee it and the
-Cayley-file reader renumbers to it. Tables are dense numpy arrays so the
-group-law validation (Latin square, identity, associativity) stays
-vectorized and cheap at the supported scales.
+Cayley-file reader renumbers to it. The closed-form constructors and the
+permutation closure are groups by construction, so their tables are wrapped
+as they are. Only ``FiniteGroup.from_table``, the entry point for untrusted
+tables, checks the group laws: closure, the Latin-square property, the
+identity, and associativity by Light's test, exactly and in O(n^2 log n)
+for a group.
 """
 
 from __future__ import annotations
@@ -17,12 +20,6 @@ import numpy as np
 from .errors import CayleyValidationError, GroupParameterError, GroupSizeError
 
 DEFAULT_MAX_ORDER = 512
-# Exhaustive O(n^3) associativity checking is default up to this order;
-# beyond it a fixed-seed sample of triples is used instead.
-FULL_VALIDATION_CUTOFF = 256
-_SAMPLED_TRIPLES = 32768
-
-VALIDATION_LEVELS = ("auto", "full", "sampled", "off")
 
 
 def prime_factors(n: int) -> dict[int, int]:
@@ -59,35 +56,29 @@ class FiniteGroup:
     """An immutable finite group on element indices 0..order-1.
 
     ``table[i, j]`` is the index of the product i*j and element 0 is the
-    identity. ``orders[i]`` caches the order of element i.
+    identity. ``orders[i]`` caches the order of element i. The constructor
+    trusts ``table`` to be a group; ``from_table`` checks it first.
     """
 
     __slots__ = ("order", "table", "orders", "spec", "_rows", "_invs", "_center", "_abelian")
 
-    def __init__(self, table: np.ndarray, orders: tuple[int, ...], spec=None):
+    def __init__(self, table: np.ndarray, spec=None):
         self.order = int(table.shape[0])
         table.setflags(write=False)
         self.table = table
-        self.orders = orders
+        self._rows: list[list[int]] = table.tolist()
+        self.orders = _element_orders(self._rows)
         self.spec = spec
-        self._rows: Optional[list[list[int]]] = None
         self._invs: Optional[list[int]] = None
         self._center: Optional[tuple[int, ...]] = None
         self._abelian: Optional[bool] = None
 
     @classmethod
-    def from_table(
-        cls,
-        table,
-        spec=None,
-        validate: str = "auto",
-        max_order: int = DEFAULT_MAX_ORDER,
-    ) -> "FiniteGroup":
-        """Validate a multiplication table and wrap it as a group.
+    def from_table(cls, table, spec=None, max_order: int = DEFAULT_MAX_ORDER) -> "FiniteGroup":
+        """Check that an untrusted multiplication table is a group and wrap it.
 
-        The identity must already sit at index 0. ``validate`` picks the
-        associativity check: ``full``, ``sampled``, ``off``, or ``auto``
-        (full up to the cutoff order, sampled above it).
+        The identity must already sit at index 0. Every group law is checked
+        exactly; a violation raises CayleyValidationError naming the law.
         """
         arr = np.array(table, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -97,9 +88,8 @@ class FiniteGroup:
             raise GroupParameterError("a group needs at least one element")
         if n > max_order:
             raise GroupSizeError(f"group order {n} exceeds the cap of {max_order}")
-        _validate_table(arr, validate)
-        orders = _element_orders(arr)
-        return cls(arr, orders, spec)
+        _validate_table(arr)
+        return cls(arr, spec)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -116,8 +106,6 @@ class FiniteGroup:
 
     def rows(self) -> list[list[int]]:
         """The table as plain Python lists; fast for scalar-heavy loops."""
-        if self._rows is None:
-            self._rows = self.table.tolist()
         return self._rows
 
     def _check_index(self, x: int) -> None:
@@ -188,9 +176,7 @@ class FiniteGroup:
         return None
 
 
-def _validate_table(arr: np.ndarray, level: str) -> None:
-    if level not in VALIDATION_LEVELS:
-        raise GroupParameterError(f"unknown validation level {level!r}")
+def _validate_table(arr: np.ndarray) -> None:
     n = arr.shape[0]
     if arr.min() < 0 or arr.max() >= n:
         bad = np.argwhere((arr < 0) | (arr >= n))[0]
@@ -206,38 +192,46 @@ def _validate_table(arr: np.ndarray, level: str) -> None:
         raise CayleyValidationError("latin-square", f"column {col} repeats an entry")
     if not (np.array_equal(arr[0], expect) and np.array_equal(arr[:, 0], expect)):
         raise CayleyValidationError("identity", "element 0 is not a two-sided identity")
+    _check_associative(arr)
 
-    if level == "auto":
-        level = "full" if n <= FULL_VALIDATION_CUTOFF else "sampled"
-    if level == "off":
-        return
-    if level == "full":
-        for k in range(n):
-            col = arr[:, k]
-            lhs = col[arr]          # lhs[i, j] = table[table[i, j], k]
-            rhs = arr[:, col]       # rhs[i, j] = table[i, table[j, k]]
-            if not np.array_equal(lhs, rhs):
-                i, j = np.argwhere(lhs != rhs)[0]
-                raise CayleyValidationError(
-                    "associativity", f"({i}*{j})*{k} != {i}*({j}*{k})"
-                )
-    else:
-        rng = np.random.default_rng(0)
-        m = min(_SAMPLED_TRIPLES, n**3)
-        i = rng.integers(0, n, m)
-        j = rng.integers(0, n, m)
-        k = rng.integers(0, n, m)
-        lhs = arr[arr[i, j], k]
-        rhs = arr[i, arr[j, k]]
+
+def _check_associative(arr: np.ndarray) -> None:
+    """Light's associativity test over a greedily chosen generating set S.
+
+    The elements s with (x*s)*y == x*(s*y) for all x, y are closed under
+    products, so checking each s in S covers every element S generates.
+    S grows by the first element not yet reached, and the reached set is
+    closed under right multiplication by S; for a group each new generator
+    at least doubles it, so |S| <= log2 n and the test costs O(n^2 log n).
+    """
+    n = arr.shape[0]
+    reached = [True] + [False] * (n - 1)
+    members = [0]
+    cols: list[list[int]] = []
+    while len(members) < n:
+        s = reached.index(False)
+        col = arr[:, s]
+        lhs = arr[col]          # lhs[x, y] = (x*s)*y
+        rhs = arr[:, arr[s]]    # rhs[x, y] = x*(s*y)
         if not np.array_equal(lhs, rhs):
-            t = int(np.nonzero(lhs != rhs)[0][0])
+            x, y = np.argwhere(lhs != rhs)[0]
             raise CayleyValidationError(
-                "associativity", f"({i[t]}*{j[t]})*{k[t]} != {i[t]}*({j[t]}*{k[t]})"
+                "associativity", f"({x}*{s})*{y} != {x}*({s}*{y})"
             )
+        cols.append(col.tolist())
+        # members reached before s still need s; later ones need every generator
+        old = len(members)
+        i = 0
+        while i < len(members):
+            for col in cols[-1:] if i < old else cols:
+                y = col[members[i]]
+                if not reached[y]:
+                    reached[y] = True
+                    members.append(y)
+            i += 1
 
 
-def _element_orders(arr: np.ndarray) -> tuple[int, ...]:
-    rows = arr.tolist()
+def _element_orders(rows: list[list[int]]) -> tuple[int, ...]:
     n = len(rows)
     orders = []
     for x in range(n):
@@ -256,8 +250,7 @@ def _element_orders(arr: np.ndarray) -> tuple[int, ...]:
 # -- constructors -----------------------------------------------------------
 
 
-def make_cyclic(n: int, *, spec=None, validate: str = "auto",
-                max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def make_cyclic(n: int, *, spec=None, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """The cyclic group Z_n under addition modulo n."""
     if n < 1:
         raise GroupParameterError(f"cyclic group order must be >= 1, got {n}")
@@ -265,11 +258,10 @@ def make_cyclic(n: int, *, spec=None, validate: str = "auto",
         raise GroupSizeError(f"group order {n} exceeds the cap of {max_order}")
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup.from_table(table, spec=spec, validate=validate, max_order=max_order)
+    return FiniteGroup(table, spec)
 
 
 def make_direct_product(parts: Sequence[FiniteGroup], *, spec=None,
-                        validate: str = "auto",
                         max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Componentwise product; pair (a, b) gets index a*|H| + b, folded left."""
     if not parts:
@@ -280,7 +272,7 @@ def make_direct_product(parts: Sequence[FiniteGroup], *, spec=None,
     table = parts[0].table
     for g in parts[1:]:
         table = _product2(table, g.table)
-    return FiniteGroup.from_table(table, spec=spec, validate=validate, max_order=max_order)
+    return FiniteGroup(table, spec)
 
 
 def _product2(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
@@ -290,8 +282,7 @@ def _product2(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return t1[np.ix_(a, a)] * n2 + t2[np.ix_(b, b)]
 
 
-def make_dicyclic(m: int, *, spec=None, validate: str = "auto",
-                  max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def make_dicyclic(m: int, *, spec=None, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """The dicyclic group of order 4m on pairs (i, j), i in Z_{2m}, j in {0, 1}.
 
     Products: (i1,0)(i2,j2) = (i1+i2, j2); (i1,1)(i2,0) = (i1-i2, 1);
@@ -312,10 +303,10 @@ def make_dicyclic(m: int, *, spec=None, validate: str = "auto",
     res_i = np.where(j1 == 0, plain, flip)
     res_j = (j1 + j2) % 2
     table = res_j * two_m + res_i
-    return FiniteGroup.from_table(table, spec=spec, validate=validate, max_order=max_order)
+    return FiniteGroup(table, spec)
 
 
-def make_metacyclic(m: int, n: int, k: int, *, spec=None, validate: str = "auto",
+def make_metacyclic(m: int, n: int, k: int, *, spec=None,
                     max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """The metacyclic group Z_m x| Z_n with (i1,j1)(i2,j2) = (i1 + k^j1*i2, j1+j2).
 
@@ -338,20 +329,18 @@ def make_metacyclic(m: int, n: int, k: int, *, spec=None, validate: str = "auto"
     res_i = (i1 + kpow[j1] * i2) % m
     res_j = (j1 + j2) % n
     table = res_j * m + res_i
-    return FiniteGroup.from_table(table, spec=spec, validate=validate, max_order=max_order)
+    return FiniteGroup(table, spec)
 
 
-def make_dihedral(m: int, *, spec=None, validate: str = "auto",
-                  max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def make_dihedral(m: int, *, spec=None, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """The dihedral group of order 2m, realized as Metacyclic(m, 2, m-1)."""
     if m < 2:
         raise GroupParameterError(f"dihedral parameter must be >= 2, got {m}")
-    return make_metacyclic(m, 2, m - 1, spec=spec, validate=validate, max_order=max_order)
+    return make_metacyclic(m, 2, m - 1, spec=spec, max_order=max_order)
 
 
 def closure_from_generators(degree: int, generators: Iterable[Sequence[int]], *,
-                            spec=None, validate: str = "auto",
-                            max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+                            spec=None, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Breadth-first closure of permutations of {0..degree-1} under composition.
 
     Permutations are one-line images; composition is (p*q)(x) = p[q[x]].
@@ -384,7 +373,7 @@ def closure_from_generators(degree: int, generators: Iterable[Sequence[int]], *,
     for i, p in enumerate(elems):
         for j, q in enumerate(elems):
             table[i, j] = index[tuple(p[v] for v in q)]
-    return FiniteGroup.from_table(table, spec=spec, validate=validate, max_order=max_order)
+    return FiniteGroup(table, spec)
 
 
 # -- derived structure ------------------------------------------------------

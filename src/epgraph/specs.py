@@ -188,15 +188,14 @@ class GroupSpec:
             return f"Perm{degree}:" + ",".join(cycle_notation(g) for g in gens)
         return Path(self.params[0]).name
 
-    def realize(self, *, validate: str = "auto",
-                max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
-        """Construct the described group."""
+    def realize(self, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+        """Construct the described group; only a ``file:`` table is validated."""
         f = self.family
-        kwargs = {"spec": self, "validate": validate, "max_order": max_order}
+        kwargs = {"spec": self, "max_order": max_order}
         if f == "cyclic":
             return make_cyclic(self.params[0], **kwargs)
         if f == "product":
-            parts = [c.realize(validate=validate, max_order=max_order) for c in self.params]
+            parts = [c.realize(max_order=max_order) for c in self.params]
             return make_direct_product(parts, **kwargs)
         if f == "dihedral":
             return make_dihedral(self.params[0], **kwargs)

@@ -165,7 +165,30 @@ def tiny_planarity_oracle(graph: SimpleGraph) -> bool:
     )
 
 
-# -- non-associative loop search ------------------------------------------------
+# -- associativity oracle and non-associative loop search ------------------------
+
+
+def associative(table: list[list[int]]) -> bool:
+    """(i*j)*k == i*(j*k) for every triple i, j, k: the O(n^3) definition."""
+    return all(
+        table[table[i][j]] == [row_i[x] for x in table[j]]
+        for i, row_i in enumerate(table)
+        for j in range(len(table))
+    )
+
+
+def swap_intercalate(table: list[list[int]], r: int, c: int, t: int) -> list[list[int]]:
+    """Swap the two symbols of a 2x2 Latin subsquare of a group table.
+
+    With t an involution, rows r and r*t meet columns c and t*c in the
+    entries a, b / b, a; exchanging a and b keeps every row and column a
+    permutation. Pick r and c outside {0, t} to leave the identity intact.
+    """
+    r2, c2 = table[r][t], table[t][c]
+    out = [row[:] for row in table]
+    for i, j in ((r, c), (r, c2), (r2, c), (r2, c2)):
+        out[i][j] = table[r][c2] if out[i][j] == table[r][c] else table[r][c]
+    return out
 
 
 def find_nonassociative_loop(order: int = 5) -> list[list[int]]:
@@ -177,15 +200,6 @@ def find_nonassociative_loop(order: int = 5) -> list[list[int]]:
     def columns_ok(candidate: list[int]) -> bool:
         i = len(rows)
         return all(candidate[j] != rows[r][j] for r in range(i) for j in range(n))
-
-    def associative(table: list[list[int]]) -> bool:
-        rng = range(n)
-        return all(
-            table[table[i][j]][k] == table[i][table[j][k]]
-            for i in rng
-            for j in rng
-            for k in rng
-        )
 
     def search() -> list[list[int]] | None:
         if len(rows) == n:

@@ -7,6 +7,7 @@ import pytest
 from epgraph import (
     CayleyParseError,
     CayleyValidationError,
+    GroupSizeError,
     ingest_cayley,
     make_cyclic,
     parse_cayley_text,
@@ -68,6 +69,14 @@ def test_parse_errors():
         parse_cayley_text("2\n0 1 0\n1 0\n")  # wrong row length
     with pytest.raises(CayleyParseError):
         parse_cayley_text("2\n0 1\n1 0\n0 1\n")  # extra row
+
+
+def test_oversize_order_rejected_at_order_line():
+    # no table rows follow: the cap is applied before any row is read
+    with pytest.raises(GroupSizeError, match="exceeds the cap of 512"):
+        ingest_cayley("100000\n")
+    with pytest.raises(GroupSizeError, match="cap of 2"):
+        parse_cayley_text("3\n0 1 2\n", max_order=2)
 
 
 def test_out_of_range_entry():

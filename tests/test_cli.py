@@ -206,6 +206,14 @@ def test_ingest_nonassociative_rejected(tmp_path, capsys):
     assert "associativity" in err
 
 
+def test_ingest_oversize_rejected(tmp_path, capsys):
+    path = tmp_path / "huge.cayley"
+    path.write_text("100000\n")
+    code, _, err = run_cli(["ingest", str(path), "--max-order", "64"], capsys)
+    assert code == 2
+    assert "cap of 64" in err
+
+
 def test_ingest_identity_renumbered(capsys):
     code, out, _ = run_cli(
         ["ingest", "tests/data/z6_identity_at_3.cayley", "--props", "complete"], capsys
@@ -238,14 +246,6 @@ def test_flag_overrides_env(monkeypatch, capsys):
     )
     assert code == 0
     assert len(out.strip().splitlines()) == 190
-
-
-def test_validate_flag(capsys):
-    code, _, _ = run_cli(
-        ["check", "--group", "cyclic:12", "--validate", "off", "--props", "complete"],
-        capsys,
-    )
-    assert code == 0
 
 
 def test_usage_error_exit_code(capsys):

@@ -108,7 +108,6 @@ def test_deleted_matches_epg_edge_for_edge(roster_bundles_48):
     for b in roster_bundles_48:
         expected = {(u - 1, v - 1) for u, v in b.epg.edges() if u != 0}
         assert set(b.deleted.edges()) == expected
-        assert b.deleted_elements == tuple(range(1, b.group.order))
 
 
 def test_identity_universal(roster_bundles_48):

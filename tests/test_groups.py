@@ -1,10 +1,11 @@
 """Group constructors, predicates, and validation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from epgraph import (
     CayleyValidationError,
@@ -24,14 +25,18 @@ from epgraph import (
     make_metacyclic,
     normal_closure,
     prime_order_subgroup_count,
+    roster_generate,
     totient,
 )
 from helpers import (
+    associative,
     brute_center,
     brute_prime_order_subgroups,
     brute_totient,
+    find_nonassociative_loop,
     fixed_point_closure,
     orders_multiset,
+    swap_intercalate,
     table_of,
 )
 
@@ -380,9 +385,9 @@ def test_generalized_quaternion_across_families(roster_groups_48):
 
 
 def test_constructed_roster_groups_validate(roster_groups_48):
-    # construction already validates; re-validate explicitly and check Lagrange
+    # constructors are trusted; validate their tables as untrusted input and check Lagrange
     for group in roster_groups_48:
-        FiniteGroup.from_table(group.table, validate="full", max_order=512)
+        FiniteGroup.from_table(group.table, max_order=512)
         assert all(group.order % o == 0 for o in group.orders)
 
 
@@ -398,15 +403,59 @@ def test_validation_catches_broken_tables():
     assert exc.value.law == "closure"
 
 
-def test_sampled_validation_above_cutoff():
-    g = make_cyclic(300)  # above the full-validation cutoff, auto -> sampled
-    assert g.order == 300
-    bad = np.array(make_cyclic(300).table)
-    # breaking one entry keeps rows/columns Latin only if we swap a pair
-    bad[1, [2, 3]] = bad[1, [3, 2]]
-    bad[[2, 3], 1] = bad[[3, 2], 1]
-    with pytest.raises(CayleyValidationError):
-        FiniteGroup.from_table(bad, validate="full")
+def _assert_witness_fails(table, message: str) -> None:
+    """The (x*s)*y != x*(s*y) triple named in the message really fails."""
+    x, s, y = map(int, re.match(r"\((\d+)\*(\d+)\)\*(\d+) != ", message).groups())
+    assert table[table[x][s]][y] != table[x][table[s][y]]
+
+
+def test_swapped_intercalate_rejected_exactly():
+    table = table_of(make_cyclic(300))
+    assert FiniteGroup.from_table(table).order == 300
+    bad = swap_intercalate(table, 1, 2, 150)  # still a Latin square with identity 0
+    with pytest.raises(CayleyValidationError) as exc:
+        FiniteGroup.from_table(bad)
+    assert exc.value.law == "associativity"
+    _assert_witness_fails(bad, str(exc.value))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_every_generator_is_checked(k):
+    # loop x Z_k with the Z_k coordinate varying fastest: the first generator,
+    # index 1 = (e, 1), lies in the associative part Z_k, so only a later
+    # generator from the non-associative loop can expose the table
+    loop = find_nonassociative_loop(5)
+    n = 5 * k
+    table = [
+        [loop[i // k][j // k] * k + (i + j) % k for j in range(n)] for i in range(n)
+    ]
+    with pytest.raises(CayleyValidationError) as exc:
+        FiniteGroup.from_table(table)
+    assert exc.value.law == "associativity"
+    _assert_witness_fails(table, str(exc.value))
+
+
+_ROSTER_64 = roster_generate(64)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_validation_matches_associativity_oracle(data):
+    table = table_of(data.draw(st.sampled_from(_ROSTER_64)).realize())
+    n = len(table)
+    involutions = [t for t in range(1, n) if table[t][t] == 0]
+    if n > 2 and involutions and data.draw(st.booleans()):
+        t = data.draw(st.sampled_from(involutions))
+        away = st.sampled_from([x for x in range(1, n) if x != t])
+        table = swap_intercalate(table, data.draw(away), data.draw(away), t)
+    try:
+        FiniteGroup.from_table(table)
+    except CayleyValidationError as exc:
+        assert exc.law == "associativity"
+        assert not associative(table)
+        _assert_witness_fails(table, str(exc))
+    else:
+        assert associative(table)
 
 
 def test_metacyclic_matches_permutation_dihedral():

@@ -1,6 +1,7 @@
 """Roster generation and the theorem-check harness."""
 
 import json
+import time
 
 import pytest
 
@@ -96,6 +97,18 @@ def test_run_check_t24(bundle_cache):
 def test_run_check_vacuous_flag(bundle_cache):
     report = run_check(CHECKS_BY_ID["T3.2"], roster_generate(1), cache=bundle_cache)
     assert report.vacuous and report.tested == 0
+
+
+def test_run_check_ms_excludes_bundle_building(bundle_cache):
+    class SlowCache(BundleCache):
+        def get(self, spec):
+            time.sleep(0.05)
+            return bundle_cache.get(spec)
+
+    roster = roster_generate(4)
+    report = run_check(CHECKS_BY_ID["T2.4"], roster, cache=SlowCache())
+    assert report.tested == len(roster)
+    assert report.ms < 50
 
 
 def test_t33_positive_set_is_generalized_quaternion(bundle_cache):
