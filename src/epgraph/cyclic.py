@@ -1,5 +1,9 @@
 """Cyclic-subgroup structure: distinct cyclic subgroups, generator classes,
-the element-order spectrum, and its divisibility-maximal members."""
+the element-order spectrum, and its divisibility-maximal members.
+
+Everything here is derived from the power walks that ``FiniteGroup``
+makes once per distinct cyclic subgroup; no powers are walked again.
+"""
 
 from __future__ import annotations
 
@@ -41,35 +45,30 @@ class CyclicLattice:
 
 
 def build_lattice(group: FiniteGroup) -> CyclicLattice:
-    """Enumerate <x> for every x, deduplicate, and derive the class data."""
-    n = group.order
-    key_to_idx: dict[tuple[int, ...], int] = {}
-    subs: list[tuple[int, ...]] = []
-    raw_class: list[int] = []
-    for x in range(n):
-        key = tuple(sorted(group.powers_of(x)))
-        idx = key_to_idx.get(key)
-        if idx is None:
-            idx = len(subs)
-            key_to_idx[key] = idx
-            subs.append(key)
-        raw_class.append(idx)
+    """Sort and rank the group's walked cyclic subgroups and derive the class data.
 
+    A subgroup C is properly contained in a cyclic subgroup D exactly when
+    D holds a generator of C, so one pass over the members of every D
+    clears the maximal flag of each class met that is not D itself.
+    """
+    n = group.order
+    subs = [tuple(sorted(walk)) for walk in group.walks]
     rank = sorted(range(len(subs)), key=lambda i: (len(subs[i]), subs[i]))
     remap = {old: new for new, old in enumerate(rank)}
     subgroups = tuple(subs[old] for old in rank)
-    class_of = tuple(remap[c] for c in raw_class)
+    class_of = tuple(remap[c] for c in group.walk_of)
 
     gen_sets: list[list[int]] = [[] for _ in subgroups]
     for x in range(n):
         gen_sets[class_of[x]].append(x)
     generator_sets = tuple(tuple(g) for g in gen_sets)
 
-    member_sets = [frozenset(s) for s in subgroups]
-    maximal_flags = tuple(
-        not any(i != j and si < sj for j, sj in enumerate(member_sets))
-        for i, si in enumerate(member_sets)
-    )
+    flags = [True] * len(subgroups)
+    for d, members in enumerate(subgroups):
+        for y in members:
+            if class_of[y] != d:
+                flags[class_of[y]] = False
+    maximal_flags = tuple(flags)
 
     pi_e = frozenset(group.orders)
     mu = frozenset(o for o in pi_e if not any(o != m and m % o == 0 for m in pi_e))

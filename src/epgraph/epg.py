@@ -1,10 +1,12 @@
 """Enhanced power graph construction plus a brute-force adjacency oracle.
 
 Vertices are element indices; two distinct elements are adjacent iff some
-cyclic subgroup contains both, so the graph is the union of cliques over
-the distinct cyclic subgroups. The pairwise oracle re-derives adjacency
-straight from the definition (some z has both x and y among its powers)
-and exists purely to cross-check the clique-union construction.
+cyclic subgroup contains both. Every cyclic subgroup lies in a maximal one,
+so the graph is the union of cliques over the maximal cyclic subgroups,
+read off the lattice that the group's power walks feed. The pairwise
+oracle re-derives adjacency straight from the definition (some z has both
+x and y among its powers) and exists purely to cross-check the
+clique-union construction.
 """
 
 from __future__ import annotations
@@ -31,14 +33,14 @@ class EpgBundle:
 
 
 def build_epg(group: FiniteGroup, lattice: CyclicLattice) -> SimpleGraph:
-    """Union of cliques over the distinct cyclic subgroups."""
+    """Union of cliques over the maximal cyclic subgroups."""
     name = group.spec.display() if group.spec is not None else f"order-{group.order}"
     graph = SimpleGraph(
         group.order,
         labels=[(x, group.orders[x]) for x in range(group.order)],
         name=name,
     )
-    for members in lattice.subgroups:
+    for members in lattice.maximal_subgroups:
         graph.add_clique(members)
     return graph
 

@@ -56,20 +56,25 @@ class FiniteGroup:
     """An immutable finite group on element indices 0..order-1.
 
     ``table[i, j]`` is the index of the product i*j and element 0 is the
-    identity. ``orders[i]`` caches the order of element i. The constructor
-    trusts ``table`` to be a group; ``from_table`` checks it first.
+    identity. The constructor walks the powers of one generator of each
+    distinct cyclic subgroup once: ``walks[c]`` is that subgroup in
+    generation order g, g^2, ..., identity, ``walk_of[x]`` is the c with
+    <x> = <g>, and ``orders[x]`` is the order of x. ``rows()`` converts the
+    table to Python lists only when first asked. The constructor trusts
+    ``table`` to be a group; ``from_table`` checks it first.
     """
 
-    __slots__ = ("order", "table", "orders", "spec", "_rows", "_invs", "_center", "_abelian")
+    __slots__ = ("order", "table", "orders", "walks", "walk_of", "spec",
+                 "_rows", "_invs", "_center", "_abelian")
 
     def __init__(self, table: np.ndarray, spec=None):
         self.order = int(table.shape[0])
         table.setflags(write=False)
         self.table = table
-        self._rows: list[list[int]] = table.tolist()
-        self.orders = _element_orders(self._rows)
+        self.orders, self.walks, self.walk_of = _walk_cyclic_subgroups(table)
         self.spec = spec
-        self._invs: Optional[list[int]] = None
+        self._rows: Optional[list[list[int]]] = None
+        self._invs: Optional[tuple[int, ...]] = None
         self._center: Optional[tuple[int, ...]] = None
         self._abelian: Optional[bool] = None
 
@@ -105,7 +110,10 @@ class FiniteGroup:
         return f"<{name} of order {self.order}>"
 
     def rows(self) -> list[list[int]]:
-        """The table as plain Python lists; fast for scalar-heavy loops."""
+        """The table as plain Python lists, built on first use; fast for
+        scalar-heavy loops."""
+        if self._rows is None:
+            self._rows = self.table.tolist()
         return self._rows
 
     def _check_index(self, x: int) -> None:
@@ -119,10 +127,13 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         self._check_index(a)
+        return self.inverses()[a]
+
+    def inverses(self) -> tuple[int, ...]:
+        """The inverse of every element, indexed by element (cached)."""
         if self._invs is None:
-            rows = self.rows()
-            self._invs = [row.index(0) for row in rows]
-        return self._invs[a]
+            self._invs = tuple(np.nonzero(self.table == 0)[1].tolist())
+        return self._invs
 
     def power(self, x: int, k: int) -> int:
         """x**k for any integer k (negative exponents via the inverse)."""
@@ -183,13 +194,15 @@ def _validate_table(arr: np.ndarray) -> None:
         raise CayleyValidationError(
             "closure", f"entry at ({bad[0]}, {bad[1]}) is outside [0, {n})"
         )
+    line = np.arange(n)[:, None]
+    for axis, lines in (("row", arr), ("column", arr.T)):
+        seen = np.zeros((n, n), dtype=bool)
+        seen[line, lines] = True  # seen[i, v]: value v occurs in line i
+        full = seen.all(axis=1)
+        if not full.all():
+            bad = int(np.argmin(full))
+            raise CayleyValidationError("latin-square", f"{axis} {bad} repeats an entry")
     expect = np.arange(n)
-    if not np.array_equal(np.sort(arr, axis=1), np.broadcast_to(expect, arr.shape)):
-        row = next(i for i in range(n) if len(set(arr[i].tolist())) != n)
-        raise CayleyValidationError("latin-square", f"row {row} repeats an entry")
-    if not np.array_equal(np.sort(arr, axis=0), np.broadcast_to(expect[:, None], arr.shape)):
-        col = next(j for j in range(n) if len(set(arr[:, j].tolist())) != n)
-        raise CayleyValidationError("latin-square", f"column {col} repeats an entry")
     if not (np.array_equal(arr[0], expect) and np.array_equal(arr[:, 0], expect)):
         raise CayleyValidationError("identity", "element 0 is not a two-sided identity")
     _check_associative(arr)
@@ -231,20 +244,38 @@ def _check_associative(arr: np.ndarray) -> None:
             i += 1
 
 
-def _element_orders(rows: list[list[int]]) -> tuple[int, ...]:
-    n = len(rows)
-    orders = []
+def _walk_cyclic_subgroups(table: np.ndarray):
+    """Element orders plus one power walk per distinct cyclic subgroup.
+
+    Walking x gives x^1, ..., x^k = identity; each x^j with gcd(j, k) = 1
+    generates the same subgroup, so it takes order k and the walk's index
+    and is never walked itself. The cost is the sum of |<x>| over distinct
+    cyclic subgroups, one scalar table read per step.
+    """
+    n = table.shape[0]
+    item = table.item
+    orders = [0] * n
+    walk_of = [0] * n
+    walks: list[tuple[int, ...]] = []
     for x in range(n):
-        k, y = 1, x
+        if orders[x]:
+            continue
+        walk = [x]
+        y = x
         while y != 0:
-            y = rows[y][x]
-            k += 1
-            if k > n:
+            y = item(y, x)
+            walk.append(y)
+            if len(walk) > n:
                 raise CayleyValidationError(
                     "order", f"powers of element {x} never reach the identity"
                 )
-        orders.append(k)
-    return tuple(orders)
+        k = len(walk)
+        for j in range(1, k + 1):
+            if math.gcd(j, k) == 1:
+                orders[walk[j - 1]] = k
+                walk_of[walk[j - 1]] = len(walks)
+        walks.append(tuple(walk))
+    return tuple(orders), tuple(walks), tuple(walk_of)
 
 
 # -- constructors -----------------------------------------------------------
@@ -382,23 +413,23 @@ def closure_from_generators(degree: int, generators: Iterable[Sequence[int]], *,
 def normal_closure(group: FiniteGroup, x: int) -> frozenset[int]:
     """The smallest normal subgroup containing x.
 
-    Conjugates of x are closed under multiplication; the closure of the
-    conjugate set is normal because conjugation permutes it.
+    It is the subgroup generated by the conjugacy class of x, found as the
+    closure of the identity under right multiplication by the conjugates;
+    in a finite group that closure is a subgroup. Costs O(|N| * |class|).
     """
     group._check_index(x)
-    rows = group.rows()
-    n = group.order
-    invs = [rows[g].index(0) for g in range(n)]
-    members = {rows[rows[g][x]][invs[g]] for g in range(n)}
-    work = list(members)
+    table = group.table
+    conjugates = np.unique(table[table[:, x], group.inverses()])  # g*x*g^-1
+    cols = [table[:, c].tolist() for c in conjugates.tolist()]
+    members = {0}
+    work = [0]
     while work:
         a = work.pop()
-        ra = rows[a]
-        for b in tuple(members):
-            for c in (ra[b], rows[b][a]):
-                if c not in members:
-                    members.add(c)
-                    work.append(c)
+        for col in cols:
+            b = col[a]
+            if b not in members:
+                members.add(b)
+                work.append(b)
     return frozenset(members)
 
 
@@ -413,15 +444,13 @@ def is_simple(group: FiniteGroup) -> bool:
 
 
 def prime_order_subgroup_count(group: FiniteGroup) -> int:
-    """Number of distinct subgroups of prime order."""
+    """Number of distinct subgroups of prime order.
+
+    Each one is cyclic and walked exactly once, so count prime-length walks.
+    """
     if group.order < 2:
         raise GroupParameterError("the trivial group has no prime-order subgroups")
-    subs = {
-        frozenset(group.powers_of(x))
-        for x in range(1, group.order)
-        if is_prime(group.orders[x])
-    }
-    return len(subs)
+    return sum(1 for walk in group.walks if is_prime(len(walk)))
 
 
 def has_unique_minimal_subgroup(group: FiniteGroup) -> bool:

@@ -44,6 +44,60 @@ def brute_cyclic_subgroups(group) -> set[frozenset[int]]:
     return subs
 
 
+def brute_lattice(group) -> dict:
+    """The cyclic lattice's fields by walking every element's powers.
+
+    Subgroups are sorted element tuples ranked by (size, elements); a
+    subgroup is maximal when no other one strictly contains it, tested over
+    all pairs. Orders come from ``order_by_table_scan``.
+    """
+    table = table_of(group)
+    n = len(table)
+    keys = []
+    for x in range(n):
+        members = {x}
+        y = x
+        while y != 0:
+            y = table[y][x]
+            members.add(y)
+        keys.append(tuple(sorted(members)))
+    subgroups = tuple(sorted(set(keys), key=lambda s: (len(s), s)))
+    index = {s: i for i, s in enumerate(subgroups)}
+    class_of = tuple(index[k] for k in keys)
+    generator_sets = tuple(
+        tuple(x for x in range(n) if class_of[x] == c) for c in range(len(subgroups))
+    )
+    sets = [frozenset(s) for s in subgroups]
+    maximal_flags = tuple(not any(a < b for b in sets) for a in sets)
+    pi_e = frozenset(order_by_table_scan(table, x) for x in range(n))
+    mu = frozenset(o for o in pi_e if not any(m != o and m % o == 0 for m in pi_e))
+    return {
+        "subgroups": subgroups,
+        "generator_sets": generator_sets,
+        "class_of": class_of,
+        "maximal_flags": maximal_flags,
+        "pi_e": pi_e,
+        "mu": mu,
+    }
+
+
+def brute_normal_closure(group, x: int) -> frozenset[int]:
+    """Normal closure of x: the conjugates of x closed under all pairwise products."""
+    table = table_of(group)
+    n = len(table)
+    invs = [table[g].index(0) for g in range(n)]
+    members = {table[table[g][x]][invs[g]] for g in range(n)}
+    work = list(members)
+    while work:
+        a = work.pop()
+        for b in tuple(members):
+            for c in (table[a][b], table[b][a]):
+                if c not in members:
+                    members.add(c)
+                    work.append(c)
+    return frozenset(members)
+
+
 def brute_center(group) -> set[int]:
     table = table_of(group)
     n = len(table)

@@ -1,8 +1,30 @@
 """Cyclic-subgroup lattice structure."""
 
-from epgraph import build_lattice, make_cyclic, make_dicyclic, make_metacyclic, totient
+import numpy as np
+from hypothesis import given, settings, strategies as st
 
-from helpers import brute_cyclic_subgroups
+from epgraph import (
+    FiniteGroup,
+    build_lattice,
+    make_cyclic,
+    make_dicyclic,
+    make_metacyclic,
+    roster_generate,
+    totient,
+)
+
+from helpers import brute_cyclic_subgroups, brute_lattice, order_by_table_scan, table_of
+
+LATTICE_FIELDS = ("subgroups", "generator_sets", "class_of", "maximal_flags", "pi_e", "mu")
+
+
+def assert_lattice_matches_brute_force(group):
+    lattice = build_lattice(group)
+    want = brute_lattice(group)
+    for name in LATTICE_FIELDS:
+        assert getattr(lattice, name) == want[name], name
+    table = table_of(group)
+    assert group.orders == tuple(order_by_table_scan(table, x) for x in range(group.order))
 
 
 def test_z6_subgroups():
@@ -89,3 +111,24 @@ def test_equal_order_subgroups_intersect_properly(roster_bundles_48):
                 for b in group_list[i + 1:]:
                     meet = a & b
                     assert len(meet) < size
+
+
+def test_lattice_matches_brute_force_over_roster(roster_bundles_64):
+    for bundle in roster_bundles_64:
+        assert_lattice_matches_brute_force(bundle.group)
+
+
+_ROSTER_64 = roster_generate(64)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_lattice_matches_brute_force_on_relabelled_tables(data):
+    # a relabelling fixing the identity makes index order differ from
+    # construction order, so walks start from other generators
+    table = data.draw(st.sampled_from(_ROSTER_64)).realize().table
+    n = table.shape[0]
+    perm = np.array([0] + data.draw(st.permutations(range(1, n))), dtype=np.int64)
+    relabelled = np.empty_like(table)
+    relabelled[np.ix_(perm, perm)] = perm[table]
+    assert_lattice_matches_brute_force(FiniteGroup.from_table(relabelled))

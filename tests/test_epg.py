@@ -4,7 +4,9 @@ and exports."""
 import pytest
 
 from epgraph import (
+    SimpleGraph,
     adjacent_oracle,
+    analyze,
     build_bundle,
     make_cyclic,
     make_dihedral,
@@ -14,6 +16,8 @@ from epgraph import (
     to_dot,
     to_edgelist_lines,
 )
+
+from helpers import brute_cyclic_subgroups
 
 
 def bundle_for(spec_text):
@@ -77,6 +81,23 @@ def test_clique_union_matches_oracle(spec_text):
     for x in range(g.order):
         for y in range(x + 1, g.order):
             assert b.epg.has_edge(x, y) == adjacent_oracle(g, x, y)
+
+
+def test_maximal_cliques_give_every_subgroup_clique(roster_bundles_48):
+    # cliques over the maximal subgroups only: same edges as over all of them
+    for bundle in roster_bundles_48:
+        full = SimpleGraph(bundle.group.order)
+        for members in brute_cyclic_subgroups(bundle.group):
+            full.add_clique(sorted(members))
+        assert bundle.epg.rows == full.rows
+
+
+@pytest.mark.parametrize("spec_text", ["cyclic:512", "dihedral:256", "dicyclic:128"])
+def test_bundle_and_reports_leave_row_lists_unbuilt(spec_text):
+    b = bundle_for(spec_text)
+    analyze(b)
+    analyze(b, deleted=True)
+    assert b.group._rows is None
 
 
 def test_deleted_s3():

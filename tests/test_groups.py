@@ -31,6 +31,7 @@ from epgraph import (
 from helpers import (
     associative,
     brute_center,
+    brute_normal_closure,
     brute_prime_order_subgroups,
     brute_totient,
     find_nonassociative_loop,
@@ -268,6 +269,12 @@ def test_normal_closure_a5_exhausts():
         assert len(normal_closure(a5, x)) == 60
 
 
+def test_normal_closure_matches_all_pairs_oracle(roster_groups_48):
+    for group in roster_groups_48:
+        for x in range(group.order):
+            assert normal_closure(group, x) == brute_normal_closure(group, x)
+
+
 def test_is_simple_examples():
     assert is_simple(make_cyclic(5)) is True
     s4 = closure_from_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
@@ -403,6 +410,19 @@ def test_validation_catches_broken_tables():
     assert exc.value.law == "closure"
 
 
+def test_latin_square_names_first_offending_line():
+    # every row is a permutation, but columns 0 and 2 repeat: name column 0
+    with pytest.raises(CayleyValidationError) as exc:
+        FiniteGroup.from_table([[0, 1, 2], [1, 2, 0], [1, 0, 2]])
+    assert exc.value.law == "latin-square"
+    assert "column 0 " in str(exc.value)
+    # row 1 and column 1 both repeat: rows are checked first
+    with pytest.raises(CayleyValidationError) as exc:
+        FiniteGroup.from_table([[0, 1, 2], [1, 1, 0], [2, 0, 1]])
+    assert exc.value.law == "latin-square"
+    assert "row 1 " in str(exc.value)
+
+
 def _assert_witness_fails(table, message: str) -> None:
     """The (x*s)*y != x*(s*y) triple named in the message really fails."""
     x, s, y = map(int, re.match(r"\((\d+)\*(\d+)\)\*(\d+) != ", message).groups())
@@ -466,6 +486,18 @@ def test_metacyclic_matches_permutation_dihedral():
         ref = tuple((m - i) % m for i in range(m))
         perm = closure_from_generators(m, [rot, ref])
         assert orders_multiset(meta) == orders_multiset(perm)
+
+
+def test_one_walk_per_cyclic_subgroup():
+    z512 = make_cyclic(512)
+    assert len(z512.walks) == 10  # one cyclic subgroup per divisor of 512
+    z2_9 = make_direct_product([make_cyclic(2)] * 9)
+    assert len(z2_9.walks) == 512  # the identity plus 511 subgroups of order 2
+    for g in (z512, z2_9, make_dihedral(12)):
+        for x in range(g.order):
+            walk = g.walks[g.walk_of[x]]
+            assert x in walk and len(walk) == g.orders[x]
+            assert walk == g.powers_of(walk[0])
 
 
 def test_power_method():
