@@ -1,19 +1,69 @@
 """Reading Cayley-table files.
 
 Format: the first data line holds the order n, the next n lines hold n
-whitespace-separated 0-based element indices each. ``#`` starts a comment
-that runs to the end of the line. The identity may sit at any index; it is
+entries each: ASCII decimal integers with an optional sign, separated by
+ASCII whitespace. ``#`` starts a comment that runs to the end of the line
+and blank lines are skipped; any other text, non-ASCII digits or spaces
+included, is a parse error. The identity may sit at any index; it is
 located and renumbered to index 0 before validation. A file's table is
 untrusted: an order above the cap is rejected at the order line, and every
-group law is checked exactly before the table is used.
+group law is checked exactly before the table is used; an entry outside
+[0, n), negative or of any size, breaks closure.
 """
 
 from __future__ import annotations
 
+import re
+import warnings
+
 import numpy as np
 
 from .errors import CayleyParseError, CayleyValidationError, GroupSizeError
-from .groups import DEFAULT_MAX_ORDER, FiniteGroup
+from .groups import DEFAULT_MAX_ORDER, FiniteGroup, check_closure
+
+# np.fromstring reads a lone sign as a number ("- 1" -> [-1]), so a line
+# holding a sign must also match the grammar
+_SIGNED_LINE = re.compile(r"\s*[+-]?[0-9]+(?:\s+[+-]?[0-9]+)*\s*", re.ASCII)
+
+
+def _read_table(text: str, max_order: int) -> np.ndarray:
+    """The raw n x n int64 table (see ``parse_cayley_text``). np.fromstring
+    saturates a token beyond int64 to the int64 maximum; closure rejects it."""
+    table, n, filled = None, 0, 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # numpy < 2 warns on bad text
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0]
+            if not line.strip(" \t"):
+                continue
+            try:
+                if ("+" in line or "-" in line) and not _SIGNED_LINE.fullmatch(line):
+                    raise ValueError
+                values = np.fromstring(line, dtype=np.int64, sep=" ")
+            except (ValueError, DeprecationWarning):
+                raise CayleyParseError(f"line {lineno}: non-integer token") from None
+            if table is None:
+                if len(values) != 1:
+                    raise CayleyParseError(
+                        f"line {lineno}: expected a single order, got {values.tolist()}")
+                n = int(values[0])
+                if n < 1:
+                    raise CayleyParseError(f"line {lineno}: order must be >= 1, got {n}")
+                if n > max_order:
+                    raise GroupSizeError(f"group order {n} exceeds the cap of {max_order}")
+                table = np.empty((n, n), dtype=np.int64)
+                continue
+            if len(values) != n:
+                raise CayleyParseError(f"line {lineno}: expected {n} entries, got {len(values)}")
+            if filled == n:
+                raise CayleyParseError(f"line {lineno}: more than {n} table rows")
+            table[filled] = values
+            filled += 1
+    if table is None:
+        raise CayleyParseError("empty file: no order line found")
+    if filled != n:
+        raise CayleyParseError(f"expected {n} table rows, found {filled}")
+    return table
 
 
 def parse_cayley_text(text: str, max_order: int = DEFAULT_MAX_ORDER) -> list[list[int]]:
@@ -22,59 +72,21 @@ def parse_cayley_text(text: str, max_order: int = DEFAULT_MAX_ORDER) -> list[lis
     Raises GroupSizeError at the order line when n exceeds ``max_order``,
     before any table row is read.
     """
-    rows: list[list[int]] = []
-    n: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            values = [int(tok) for tok in line.split()]
-        except ValueError as exc:
-            raise CayleyParseError(f"line {lineno}: non-integer token ({exc})") from None
-        if n is None:
-            if len(values) != 1:
-                raise CayleyParseError(f"line {lineno}: expected a single order, got {values}")
-            n = values[0]
-            if n < 1:
-                raise CayleyParseError(f"line {lineno}: order must be >= 1, got {n}")
-            if n > max_order:
-                raise GroupSizeError(f"group order {n} exceeds the cap of {max_order}")
-            continue
-        if len(values) != n:
-            raise CayleyParseError(
-                f"line {lineno}: expected {n} entries, got {len(values)}"
-            )
-        rows.append(values)
-        if len(rows) > n:
-            raise CayleyParseError(f"line {lineno}: more than {n} table rows")
-    if n is None:
-        raise CayleyParseError("empty file: no order line found")
-    if len(rows) != n:
-        raise CayleyParseError(f"expected {n} table rows, found {len(rows)}")
-    return rows
-
-
-def _find_identity(rows: list[list[int]]) -> int | None:
-    n = len(rows)
-    for e in range(n):
-        if all(rows[e][j] == j for j in range(n)) and all(rows[i][e] == i for i in range(n)):
-            return e
-    return None
+    return _read_table(text, max_order).tolist()
 
 
 def ingest_cayley(text: str, *, spec=None, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
-    """Parse, locate the identity, renumber it to 0, and validate."""
-    rows = parse_cayley_text(text, max_order)
-    n = len(rows)
-    arr = np.array(rows, dtype=np.int64)
-    if arr.min() < 0 or arr.max() >= n:
-        raise CayleyValidationError("closure", f"table entries must lie in [0, {n})")
-    e = _find_identity(rows)
-    if e is None:
+    """Parse, check closure in file coordinates, locate the identity,
+    renumber it to 0, and validate."""
+    arr = _read_table(text, max_order)
+    check_closure(arr)
+    expect = np.arange(len(arr))
+    found = np.flatnonzero((arr == expect).all(axis=1) & (arr.T == expect).all(axis=1))
+    if not found.size:
         raise CayleyValidationError("identity", "no two-sided identity element found")
+    e = int(found[0])
     if e != 0:
-        sigma = np.arange(n)
+        sigma = expect.copy()
         sigma[[0, e]] = [e, 0]
         arr = sigma[arr[np.ix_(sigma, sigma)]]
     return FiniteGroup.from_table(arr, spec=spec, max_order=max_order)

@@ -187,13 +187,19 @@ class FiniteGroup:
         return None
 
 
-def _validate_table(arr: np.ndarray) -> None:
+def check_closure(arr: np.ndarray) -> None:
+    """Raise CayleyValidationError naming the first entry outside [0, n)."""
     n = arr.shape[0]
     if arr.min() < 0 or arr.max() >= n:
         bad = np.argwhere((arr < 0) | (arr >= n))[0]
         raise CayleyValidationError(
             "closure", f"entry at ({bad[0]}, {bad[1]}) is outside [0, {n})"
         )
+
+
+def _validate_table(arr: np.ndarray) -> None:
+    n = arr.shape[0]
+    check_closure(arr)
     line = np.arange(n)[:, None]
     for axis, lines in (("row", arr), ("column", arr.T)):
         seen = np.zeros((n, n), dtype=bool)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from epgraph import SimpleGraph
+from epgraph import CayleyParseError, GroupSizeError, SimpleGraph
 
 
 def table_of(group) -> list[list[int]]:
@@ -285,3 +285,39 @@ def cayley_file_text(table: list[list[int]], comment: str = "") -> str:
     lines.append(str(len(table)))
     lines.extend(" ".join(str(v) for v in row) for row in table)
     return "\n".join(lines) + "\n"
+
+
+def parse_cayley_reference(text: str, max_order: int = 512) -> list[list[int]]:
+    """A reference Cayley-file reader: Python ``int()`` on every
+    whitespace-split token, with the package reader's errors. It accepts any
+    digits and whitespace that ``int()`` and ``str.split`` accept, non-ASCII
+    ones and ``1_0`` included."""
+    rows: list[list[int]] = []
+    n: int | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            values = [int(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise CayleyParseError(f"line {lineno}: non-integer token ({exc})") from None
+        if n is None:
+            if len(values) != 1:
+                raise CayleyParseError(f"line {lineno}: expected a single order, got {values}")
+            n = values[0]
+            if n < 1:
+                raise CayleyParseError(f"line {lineno}: order must be >= 1, got {n}")
+            if n > max_order:
+                raise GroupSizeError(f"group order {n} exceeds the cap of {max_order}")
+            continue
+        if len(values) != n:
+            raise CayleyParseError(f"line {lineno}: expected {n} entries, got {len(values)}")
+        rows.append(values)
+        if len(rows) > n:
+            raise CayleyParseError(f"line {lineno}: more than {n} table rows")
+    if n is None:
+        raise CayleyParseError("empty file: no order line found")
+    if len(rows) != n:
+        raise CayleyParseError(f"expected {n} table rows, found {len(rows)}")
+    return rows

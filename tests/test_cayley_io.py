@@ -1,8 +1,13 @@
 """Cayley file parsing, identity renumbering, and law validation."""
 
+import random
+import re
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epgraph import (
     CayleyParseError,
@@ -11,9 +16,16 @@ from epgraph import (
     ingest_cayley,
     make_cyclic,
     parse_cayley_text,
+    roster_generate,
 )
+from epgraph.cayley_io import _read_table
 
-from helpers import cayley_file_text, find_nonassociative_loop
+from helpers import (
+    cayley_file_text,
+    find_nonassociative_loop,
+    parse_cayley_reference,
+    table_of,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -25,8 +37,10 @@ def test_ingest_z2():
 
 
 def test_comments_and_blank_lines():
-    text = "# tiny group\n\n2\n0 1  # row for identity\n1 0\n"
+    # np.fromstring reads a whitespace-only line as [0]; it must stay blank
+    text = "# tiny group\n\n2\n0 1  # row for identity\n \t \n1 0\n"
     assert ingest_cayley(text).order == 2
+    assert parse_cayley_text(text) == parse_cayley_reference(text) == [[0, 1], [1, 0]]
 
 
 def test_latin_violation_rejected():
@@ -59,16 +73,19 @@ def test_nonassociative_loop_rejected():
 
 
 def test_parse_errors():
-    with pytest.raises(CayleyParseError):
-        parse_cayley_text("")
-    with pytest.raises(CayleyParseError):
-        parse_cayley_text("2\n0 1\n")  # missing a row
-    with pytest.raises(CayleyParseError):
-        parse_cayley_text("2\n0 x\n1 0\n")  # non-integer
-    with pytest.raises(CayleyParseError):
-        parse_cayley_text("2\n0 1 0\n1 0\n")  # wrong row length
-    with pytest.raises(CayleyParseError):
-        parse_cayley_text("2\n0 1\n1 0\n0 1\n")  # extra row
+    cases = {
+        "": "empty file: no order line found",
+        "# only a comment\n\n": "empty file: no order line found",
+        "2\n0 1\n": "expected 2 table rows, found 1",  # missing a row
+        "2\n0 1\n1 x\n": "line 3: non-integer token",
+        "2\n0 1 0\n1 0\n": "line 2: expected 2 entries, got 3",  # wrong row length
+        "2\n0 1\n1 0\n0 1\n": "line 4: more than 2 table rows",
+        "2 3\n": "line 1: expected a single order, got [2, 3]",
+        "0\n": "line 1: order must be >= 1, got 0",
+    }
+    for text, message in cases.items():
+        with pytest.raises(CayleyParseError, match=re.escape(message)):
+            parse_cayley_text(text)
 
 
 def test_oversize_order_rejected_at_order_line():
@@ -90,3 +107,167 @@ def test_round_trip_random_roster_member():
     text = cayley_file_text([list(r) for r in g.table.tolist()])
     h = ingest_cayley(text)
     assert h.orders == g.orders
+
+
+def test_parse_returns_python_int_lists():
+    rows = parse_cayley_text("2\n0 1\n1 0\n")
+    assert type(rows) is list
+    assert all(type(row) is list for row in rows)
+    assert all(type(v) is int for row in rows for v in row)
+    assert rows == [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["99999999999999999999", "-99999999999999999999",
+     "18446744073709551616", "18446744073709551617"],  # 2**64 and 2**64 + 1
+)
+def test_huge_entry_breaks_closure(token):
+    text = f"2\n0 {token}\n1 0\n"
+    # np.fromstring saturates a token beyond int64 instead of wrapping it
+    # (2**64 would wrap to 0); the closure check relies on it
+    assert _read_table(text, 512)[0, 1] not in (0, 1)
+    if not token.startswith("-"):
+        assert _read_table(text, 512)[0, 1] == np.iinfo(np.int64).max
+    with pytest.raises(CayleyValidationError) as exc:
+        ingest_cayley(text)
+    assert exc.value.law == "closure"
+    assert "entry at (0, 1)" in str(exc.value)
+
+
+def test_closure_violation_named_in_file_coordinates():
+    table = parse_cayley_reference((DATA / "z6_identity_at_3.cayley").read_text())
+    table[4][1] = 6
+    table[5][0] = -1
+    with pytest.raises(CayleyValidationError) as exc:
+        ingest_cayley(cayley_file_text(table))
+    assert exc.value.law == "closure"
+    assert "entry at (4, 1) is outside [0, 6)" in str(exc.value)
+
+
+# -- the reader against the int()-per-token reference ---------------------------
+
+_ROSTER_48 = roster_generate(48)
+
+
+def _render(table: list[list[int]], rng: random.Random) -> str:
+    """A Cayley file for ``table`` in every form the grammar allows: runs of
+    spaces and tabs, leading zeros, signs on zeros and positives, comments,
+    blank and whitespace-only lines, and LF or CRLF line ends."""
+    def gap(least: int) -> str:
+        return "".join(rng.choice(" \t") for _ in range(rng.randint(least, 3)))
+
+    def entry(v: int) -> str:
+        sign = rng.choice(["", "", "+", "-"] if v == 0 else ["", "", "+"])
+        return sign + "0" * rng.choice([0, 0, 1, 3]) + str(v)
+
+    def decorate(line: str) -> str:
+        if rng.random() < 0.3:
+            line += gap(0) + "# " + rng.choice(["", "row", "x -1 + 2.5", "０ -"])
+        return gap(0) + line
+
+    lines = []
+    for body in [str(len(table))] + [
+        gap(1).join(entry(v) for v in row) for row in table
+    ]:
+        while rng.random() < 0.15:
+            lines.append(rng.choice(["", gap(1), "# comment", gap(0) + "#"]))
+        lines.append(decorate(body))
+    return rng.choice(["\n", "\r\n"]).join(lines) + "\n"
+
+
+@given(st.sampled_from(_ROSTER_48), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_reader_matches_reference_on_valid_texts(spec, seed):
+    table = table_of(spec.realize())
+    text = _render(table, random.Random(seed))
+    assert parse_cayley_text(text) == parse_cayley_reference(text) == table
+
+
+_BAD_TOKENS = ["1.5", "0x1", "1_0", "5-3"]
+
+
+def _mutate(text: str, rng: random.Random, mutation: str) -> str:
+    lines = text.split("\n")
+    row = rng.randrange(2, len(lines) - 1)  # a table row; lines[-1] is empty
+    tokens = lines[row].split(" ")
+    if mutation == "extra token":
+        tokens.insert(rng.randint(0, len(tokens)), "0")
+    elif mutation == "missing token":
+        del tokens[rng.randrange(len(tokens))]
+    elif mutation == "extra row":
+        lines.insert(row, lines[rng.randrange(2, len(lines) - 1)])
+    elif mutation == "missing row":
+        del lines[row]
+    else:
+        tokens[rng.randrange(len(tokens))] = mutation
+    if mutation not in ("extra row", "missing row"):
+        lines[row] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+@given(
+    st.sampled_from(_ROSTER_48),
+    st.sampled_from(["extra token", "missing token", "extra row", "missing row"]
+                    + _BAD_TOKENS),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=80, deadline=None)
+def test_reader_rejects_mutated_texts(spec, mutation, seed):
+    table = table_of(spec.realize())
+    text = _mutate(cayley_file_text(table, comment="roster"), random.Random(seed), mutation)
+    with pytest.raises(CayleyParseError):
+        parse_cayley_text(text)
+    if mutation == "1_0":
+        # int() reads digit-grouping underscores, so the reference takes it
+        # as 10; the grammar allows decimal digits only
+        return
+    with pytest.raises(CayleyParseError):
+        parse_cayley_reference(text)
+
+
+def test_numpy_deprecation_warning_is_a_parse_error(monkeypatch):
+    # numpy < 2 warns on unmatched text and returns the row read so far
+    fromstring = np.fromstring
+
+    def warning_fromstring(line, dtype, sep):
+        if "x" not in line:
+            return fromstring(line, dtype=dtype, sep=sep)
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return np.array([0, 1], dtype=dtype)
+
+    monkeypatch.setattr(np, "fromstring", warning_fromstring)
+    with pytest.raises(CayleyParseError, match="line 3: non-integer token"):
+        parse_cayley_text("2\n0 1\n1 0 x\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1\n-\n",  # np.fromstring reads a lone sign as 0
+        "2\n- 1 0\n1 0\n",  # ... and "- 1" as -1
+        "2\n0 + 1\n1 0\n",  # ... and "+ 1" as 1
+        "2\n0 1\n1 0 -\n",
+        "2\n0 1\n1 +0 +\n",
+    ],
+)
+def test_lone_signs_rejected(text):
+    with pytest.raises(CayleyParseError, match="non-integer token"):
+        parse_cayley_text(text)
+    with pytest.raises(CayleyParseError):
+        parse_cayley_reference(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2\n0 1\n1 \uff10\n",  # fullwidth digit zero
+        "2\n0\u00a01\n1 0\n",  # no-break space
+        "2\n0 1\n\u00a0\n1 0\n",  # a line of one no-break space is not blank
+    ],
+)
+def test_non_ascii_digits_and_spaces_rejected(text):
+    # the int()-per-token reader accepted these; the grammar is ASCII only
+    assert parse_cayley_reference(text) == [[0, 1], [1, 0]]
+    with pytest.raises(CayleyParseError, match="line"):
+        parse_cayley_text(text)

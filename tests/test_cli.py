@@ -1,6 +1,10 @@
 """End-to-end CLI behavior: formats, exit codes, environment cap."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from epgraph import cli
 from epgraph.analysis import REPORT_FIELDS
@@ -212,6 +216,20 @@ def test_ingest_oversize_rejected(tmp_path, capsys):
     code, _, err = run_cli(["ingest", str(path), "--max-order", "64"], capsys)
     assert code == 2
     assert "cap of 64" in err
+
+
+def test_ingest_huge_entry_is_closure_violation(tmp_path):
+    # run as a process: an uncaught error would print a traceback and exit 1
+    path = tmp_path / "huge.cayley"
+    path.write_text("2\n0 99999999999999999999\n1 0\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "epgraph", "ingest", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "closure violation: entry at (0, 1)" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_ingest_identity_renumbered(capsys):
