@@ -1,21 +1,23 @@
 """Finite groups as explicit multiplication tables over element indices 0..n-1.
 
 The identity element is always index 0; constructors guarantee it and the
-Cayley-file reader renumbers to it. The closed-form constructors and the
-permutation closure are groups by construction, so their tables are wrapped
-as they are. Only ``FiniteGroup.from_table``, the entry point for untrusted
-tables, checks the group laws: closure, the Latin-square property, the
-identity, and associativity by Light's test, exactly and in O(n^2 log n)
-for a group.
+Cayley-file reader renumbers to it. Constructor tables are groups by
+construction and are wrapped as they are; closed forms are block copies of
+Z_n's table with no modular arithmetic per entry, and the permutation
+closure gathers its columns from recorded right multiplications. Only
+``FiniteGroup.from_table``, the entry point for untrusted tables, checks the
+group laws: closure, the Latin-square property, the identity, and
+associativity by Light's test, exactly and in O(n^2 log n) for a group.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CayleyValidationError, GroupParameterError, GroupSizeError
 
@@ -293,9 +295,12 @@ def make_cyclic(n: int, *, spec=None, max_order: int = DEFAULT_MAX_ORDER) -> Fin
         raise GroupParameterError(f"cyclic group order must be >= 1, got {n}")
     if n > max_order:
         raise GroupSizeError(f"group order {n} exceeds the cap of {max_order}")
-    idx = np.arange(n)
-    table = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup(table, spec)
+    return FiniteGroup(_cyclic_table(n), spec)
+
+
+def _cyclic_table(n: int) -> np.ndarray:
+    """Z_n's table: row i is 0..n-1 rotated left by i, a window over it written twice."""
+    return sliding_window_view(np.tile(np.arange(n, dtype=np.int64), 2), n)[:n].copy()
 
 
 def make_direct_product(parts: Sequence[FiniteGroup], *, spec=None,
@@ -314,9 +319,9 @@ def make_direct_product(parts: Sequence[FiniteGroup], *, spec=None,
 
 def _product2(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     n1, n2 = t1.shape[0], t2.shape[0]
-    a = np.repeat(np.arange(n1), n2)
-    b = np.tile(np.arange(n2), n1)
-    return t1[np.ix_(a, a)] * n2 + t2[np.ix_(b, b)]
+    out = np.empty((n1, n2, n1 * n2), dtype=np.int64)  # [a, b, (c, d)]: long inner rows
+    np.add(np.repeat(t1 * n2, n2, axis=1)[:, None, :], np.tile(t2, n1)[None, :, :], out=out)
+    return out.reshape(n1 * n2, n1 * n2)
 
 
 def make_dicyclic(m: int, *, spec=None, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
@@ -332,15 +337,12 @@ def make_dicyclic(m: int, *, spec=None, max_order: int = DEFAULT_MAX_ORDER) -> F
     if n > max_order:
         raise GroupSizeError(f"group order {n} exceeds the cap of {max_order}")
     two_m = 2 * m
-    idx = np.arange(n)
-    i1, j1 = (idx % two_m)[:, None], (idx // two_m)[:, None]
-    i2, j2 = (idx % two_m)[None, :], (idx // two_m)[None, :]
-    plain = (i1 + i2) % two_m
-    flip = (i1 - i2 + m * j2) % two_m
-    res_i = np.where(j1 == 0, plain, flip)
-    res_j = (j1 + j2) % 2
-    table = res_j * two_m + res_i
-    return FiniteGroup(table, spec)
+    z, i = _cyclic_table(two_m), np.arange(two_m)
+    out = np.empty((2, two_m, 2, two_m), dtype=np.int64)  # [j1, i1, j2, i2]
+    out[0, :, 0], out[1, :, 1] = z, z[:, m - i]
+    np.add(z, two_m, out=out[0, :, 1])
+    np.add(z[:, -i], two_m, out=out[1, :, 0])
+    return FiniteGroup(out.reshape(n, n), spec)
 
 
 def make_metacyclic(m: int, n: int, k: int, *, spec=None,
@@ -359,14 +361,12 @@ def make_metacyclic(m: int, n: int, k: int, *, spec=None,
     order = m * n
     if order > max_order:
         raise GroupSizeError(f"group order {order} exceeds the cap of {max_order}")
-    kpow = np.array([pow(k, j, m) for j in range(n)])
-    idx = np.arange(order)
-    i1, j1 = (idx % m)[:, None], (idx // m)[:, None]
-    i2, j2 = (idx % m)[None, :], (idx // m)[None, :]
-    res_i = (i1 + kpow[j1] * i2) % m
-    res_j = (j1 + j2) % n
-    table = res_j * m + res_i
-    return FiniteGroup(table, spec)
+    # block (j1, j2) is Z_m with column i2 taken from k^j1*i2, plus m*(j1+j2 mod n)
+    cols = np.array([pow(k, j, m) for j in range(n)], dtype=np.int64)[:, None] * np.arange(m) % m
+    blocks = _cyclic_table(m)[np.arange(m)[None, :, None], cols[:, None, :]]  # [j1, i1, i2]
+    out = np.empty((n, m, n, m), dtype=np.int64)  # [j1, i1, j2, i2]
+    np.add(blocks[:, :, None, :], m * _cyclic_table(n)[:, None, :, None], out=out)
+    return FiniteGroup(out.reshape(order, order), spec)
 
 
 def make_dihedral(m: int, *, spec=None, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
@@ -392,10 +392,10 @@ def closure_from_generators(degree: int, generators: Iterable[Sequence[int]], *,
     ident = tuple(range(degree))
     elems = [ident]
     index = {ident: 0}
-    queue = deque([ident])
-    while queue:
-        p = queue.popleft()
-        for g in gens:
+    parent = [(0, 0)]  # elems[q] == elems[p] * gens[k] for (p, k) = parent[q]
+    right: list[list[int]] = [[] for _ in gens]  # right[k][i]: index of elems[i] * gens[k]
+    for i, p in enumerate(elems):  # elems grows while it is read: breadth-first
+        for k, g in enumerate(gens):
             q = tuple(p[v] for v in g)
             if q not in index:
                 if len(elems) >= max_order:
@@ -404,13 +404,14 @@ def closure_from_generators(degree: int, generators: Iterable[Sequence[int]], *,
                     )
                 index[q] = len(elems)
                 elems.append(q)
-                queue.append(q)
-    n = len(elems)
-    table = np.empty((n, n), dtype=np.int64)
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            table[i, j] = index[tuple(p[v] for v in q)]
-    return FiniteGroup(table, spec)
+                parent.append((i, k))
+            right[k].append(index[q])
+    rmul = np.array(right, dtype=np.int64)
+    cols = np.empty((len(elems), len(elems)), dtype=np.int64)  # cols[q, x]: elems[x] * elems[q]
+    cols[0] = np.arange(len(elems))
+    for q, (p, k) in enumerate(parent[1:], start=1):
+        cols[q] = rmul[k][cols[p]]  # x * (p * g) = (x * p) * g
+    return FiniteGroup(cols.T.copy(), spec)
 
 
 # -- derived structure ------------------------------------------------------

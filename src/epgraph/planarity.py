@@ -74,25 +74,26 @@ class _LRState:
         self.lowpt_edge: dict = {}
 
     def run(self) -> bool:
+        # one DFS state per phase, shared by the roots' disjoint trees: O(n), not O(n) per root
+        ind, skip_init = [0] * self.n, set()
         for s in range(self.n):
             if self.height[s] is None:
                 self.height[s] = 0
                 self.roots.append(s)
-                self._dfs_orient(s)
+                self._dfs_orient(s, ind, skip_init)
         for v in range(self.n):
             self.ordered_adjs[v] = sorted(
                 self.out[v], key=lambda w: self.nesting_depth[(v, w)]
             )
+        ind, skip_init = [0] * self.n, set()
         for s in self.roots:
-            if not self._dfs_test(s):
+            if not self._dfs_test(s, ind, skip_init):
                 return False
         return True
 
-    def _dfs_orient(self, start: int) -> None:
+    def _dfs_orient(self, start: int, ind: list[int], skip_init: set) -> None:
         """Iterative DFS computing lowpoints and the nesting order."""
         stack = [start]
-        ind = {v: 0 for v in range(self.n)}
-        skip_init: set = set()
         while stack:
             v = stack.pop()
             e = self.parent_edge[v]
@@ -131,11 +132,9 @@ class _LRState:
                         self.lowpt2[e] = min(self.lowpt2[e], self.lowpt2[vw])
                 ind[v] += 1
 
-    def _dfs_test(self, start: int) -> bool:
+    def _dfs_test(self, start: int, ind: list[int], skip_init: set) -> bool:
         """Iterative LR partition test over the nesting-ordered adjacencies."""
         stack = [start]
-        ind = {v: 0 for v in range(self.n)}
-        skip_init: set = set()
         while stack:
             v = stack.pop()
             e = self.parent_edge[v]

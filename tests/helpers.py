@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
+
+import numpy as np
 
 from epgraph import CayleyParseError, GroupSizeError, SimpleGraph
 
@@ -96,6 +99,74 @@ def brute_normal_closure(group, x: int) -> frozenset[int]:
                     members.add(c)
                     work.append(c)
     return frozenset(members)
+
+
+def reference_table(family: str, params: tuple) -> np.ndarray:
+    """The constructors' tables from their defining formulas, entry by entry.
+
+    Closed forms are evaluated with modular arithmetic over the whole n x n
+    index grid, products by gathering both factors' tables, permutation
+    closures by composing every pair of elements and looking the result up.
+    Indices follow the constructors: pair (a, b) of a product is a*|H| + b,
+    metacyclic (i, j) is j*m + i and dicyclic (i, j) is j*2m + i.
+    """
+    if family == "cyclic":
+        (n,) = params
+        idx = np.arange(n)
+        return (idx[:, None] + idx[None, :]) % n
+    if family == "product":
+        table = reference_table(params[0].family, params[0].params)
+        for child in params[1:]:
+            t2 = reference_table(child.family, child.params)
+            n1, n2 = table.shape[0], t2.shape[0]
+            a = np.repeat(np.arange(n1), n2)
+            b = np.tile(np.arange(n2), n1)
+            table = table[np.ix_(a, a)] * n2 + t2[np.ix_(b, b)]
+        return table
+    if family == "dihedral":
+        (m,) = params
+        return reference_table("metacyclic", (m, 2, m - 1))
+    if family == "dicyclic":
+        (m,) = params
+        two_m = 2 * m
+        idx = np.arange(4 * m)
+        i1, j1 = (idx % two_m)[:, None], (idx // two_m)[:, None]
+        i2, j2 = (idx % two_m)[None, :], (idx // two_m)[None, :]
+        plain = (i1 + i2) % two_m
+        flip = (i1 - i2 + m * j2) % two_m
+        res_i = np.where(j1 == 0, plain, flip)
+        res_j = (j1 + j2) % 2
+        return res_j * two_m + res_i
+    if family == "metacyclic":
+        m, n, k = params
+        kpow = np.array([pow(k, j, m) for j in range(n)])
+        idx = np.arange(m * n)
+        i1, j1 = (idx % m)[:, None], (idx // m)[:, None]
+        i2, j2 = (idx % m)[None, :], (idx // m)[None, :]
+        res_i = (i1 + kpow[j1] * i2) % m
+        res_j = (j1 + j2) % n
+        return res_j * m + res_i
+    if family == "perm":
+        degree, gens = params
+        ident = tuple(range(degree))
+        elems = [ident]
+        index = {ident: 0}
+        queue = deque([ident])
+        while queue:
+            p = queue.popleft()
+            for g in gens:
+                q = tuple(p[v] for v in g)
+                if q not in index:
+                    index[q] = len(elems)
+                    elems.append(q)
+                    queue.append(q)
+        n = len(elems)
+        table = np.empty((n, n), dtype=np.int64)
+        for i, p in enumerate(elems):
+            for j, q in enumerate(elems):
+                table[i, j] = index[tuple(p[v] for v in q)]
+        return table
+    raise ValueError(f"no reference table for family {family!r}")
 
 
 def brute_center(group) -> set[int]:

@@ -12,6 +12,7 @@ from epgraph import (
     FiniteGroup,
     GroupParameterError,
     GroupSizeError,
+    GroupSpec,
     abelian_shape,
     closure_from_generators,
     has_cyclic_sylow,
@@ -28,6 +29,7 @@ from epgraph import (
     roster_generate,
     totient,
 )
+from epgraph.theorems import CHECKS_BY_ID
 from helpers import (
     associative,
     brute_center,
@@ -37,6 +39,7 @@ from helpers import (
     find_nonassociative_loop,
     fixed_point_closure,
     orders_multiset,
+    reference_table,
     swap_intercalate,
     table_of,
 )
@@ -199,6 +202,62 @@ def test_closure_rejects_non_permutation():
 def test_closure_size_cap():
     with pytest.raises(GroupSizeError):
         closure_from_generators(5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)], max_order=30)
+
+
+# -- constructor tables against the entry-by-entry reference -------------------------
+
+
+def _assert_reference_table(spec):
+    table = spec.realize().table
+    assert table.dtype == np.int64 and table.flags.c_contiguous, spec.serialize()
+    assert not table.flags.writeable, spec.serialize()
+    assert np.array_equal(table, reference_table(spec.family, spec.params)), spec.serialize()
+
+
+def test_roster_tables_match_reference():
+    for spec in roster_generate(512) + CHECKS_BY_ID["T3.1"].roster(512):
+        _assert_reference_table(spec)
+
+
+@st.composite
+def _metacyclic_params(draw, max_order=512):
+    m = draw(st.integers(1, min(64, max_order)))
+    n = draw(st.integers(1, max(1, min(16, max_order // m))))
+    valid = [k for k in range(1, 2 * m + 1) if math.gcd(k, m) == 1 and pow(k, n, m) == 1 % m]
+    return m, n, draw(st.sampled_from(valid))  # k = 1 is always valid
+
+
+@settings(max_examples=80, deadline=None)
+@given(_metacyclic_params())
+def test_metacyclic_tables_match_reference(params):
+    _assert_reference_table(GroupSpec.metacyclic(*params))
+
+
+def _factor_specs(cap: int):
+    """Specs from every family whose order is at most cap."""
+    options = [st.integers(1, min(cap, 16)).map(GroupSpec.cyclic)]
+    if cap >= 4:
+        options.append(st.integers(2, min(cap // 2, 8)).map(GroupSpec.dihedral))
+    if cap >= 8:
+        options.append(st.integers(2, min(cap // 4, 6)).map(GroupSpec.dicyclic))
+    options.append(_metacyclic_params(max_order=min(cap, 40)).map(
+        lambda p: GroupSpec.metacyclic(*p)))
+    degrees = [d for d in range(1, 6) if math.factorial(d) <= cap]
+    options.append(st.sampled_from(degrees).flatmap(lambda d: st.lists(
+        st.permutations(range(d)), min_size=1, max_size=3,
+    ).map(lambda gens: GroupSpec.perm(d, gens))))
+    return st.one_of(options)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_product_tables_match_reference(data):
+    factors, order = [], 1
+    for _ in range(data.draw(st.integers(1, 4))):
+        factor = data.draw(_factor_specs(512 // order))
+        factors.append(factor)
+        order *= factor.realize().order
+    _assert_reference_table(GroupSpec.product(factors))
 
 
 # -- element orders and totient ------------------------------------------------------

@@ -4,9 +4,17 @@ differentials against an independent Kuratowski-pattern oracle."""
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from epgraph import SimpleGraph, is_planar, planarity_verdict
+from epgraph import (
+    SimpleGraph,
+    build_bundle,
+    is_planar,
+    make_cyclic,
+    make_direct_product,
+    planarity_verdict,
+)
 
 from helpers import (
     complete_bipartite,
@@ -125,6 +133,48 @@ def test_randomized_six_vertices_against_pattern_oracle():
     for mask in masks:
         g = graph_from_edges(6, [pairs[i] for i in range(15) if mask >> i & 1])
         assert is_planar(g) == tiny_planarity_oracle(g), f"mask {mask}"
+
+
+# one component after hundreds of isolated vertices: every isolated vertex
+# is a DFS root of its own, and the component's root comes last
+_LAST_COMPONENTS = {
+    "K5": (5, list(itertools.combinations(range(5), 2))),
+    "K33": (6, [(u, v) for u in range(3) for v in range(3, 6)]),
+    "octahedron": (6, [
+        e for e in itertools.combinations(range(6), 2) if e not in ((0, 1), (2, 3), (4, 5))
+    ]),
+}
+
+
+def _after_isolated(isolated, name):
+    k, edges = _LAST_COMPONENTS[name]
+    shifted = [(isolated + u, isolated + v) for u, v in edges]
+    return graph_from_edges(isolated + k, shifted), graph_from_edges(k, edges)
+
+
+@pytest.mark.parametrize("isolated", [300, 700])
+@pytest.mark.parametrize("name", sorted(_LAST_COMPONENTS))
+def test_many_roots_match_pattern_oracle(name, isolated):
+    graph, component = _after_isolated(isolated, name)
+    assert is_planar(graph) == tiny_planarity_oracle(component)
+    assert is_planar(graph) == (name == "octahedron")
+
+
+@pytest.mark.parametrize("isolated", [300, 700])
+@pytest.mark.parametrize("name", sorted(_LAST_COMPONENTS))
+def test_many_roots_match_networkx(name, isolated):
+    nx = pytest.importorskip("networkx")
+    graph, _ = _after_isolated(isolated, name)
+    reference = nx.Graph()
+    reference.add_nodes_from(range(graph.n))
+    reference.add_edges_from(graph.edges())
+    assert is_planar(graph) == nx.check_planarity(reference)[0]
+
+
+def test_deleted_graph_of_elementary_abelian_is_planar():
+    # Z_2^9 without its identity: 511 isolated vertices, each a DFS root
+    group = make_direct_product([make_cyclic(2)] * 9)
+    assert planarity_verdict(build_bundle(group).deleted) == (True, "")
 
 
 @st.composite
