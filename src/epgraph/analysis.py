@@ -1,5 +1,12 @@
 """Graph-property deciders and the per-graph property report.
 
+Each decider asks only what its property needs. Connectivity is one
+frontier expansion over the bitmask rows that stops as soon as the
+component covers every vertex: ``is_connected`` expands from vertex 0
+alone, and ``connected_components`` repeats the expansion from each
+vertex not yet reached. ``find_cycle`` is the one cycle decider behind
+``has_cycle``, ``is_forest``, ``is_tree`` and ``is_star``.
+
 Conventions for degenerate graphs: the empty graph counts as connected,
 a forest, Eulerian, and not a star; a single vertex counts as complete,
 a tree, a star, and Eulerian. These keep the characterization checks
@@ -31,6 +38,27 @@ REPORT_FIELDS = (
 )
 
 
+def _component(graph: SimpleGraph, s: int) -> int:
+    """Bitmask of the component of vertex s.
+
+    The frontier grows by the union of its members' rows; the expansion
+    stops once the component covers ``graph.universe``, so a connected
+    graph costs no more than reaching every vertex once.
+    """
+    rows, universe = graph.rows, graph.universe
+    comp = frontier = 1 << s
+    while frontier and comp != universe:
+        grown = 0
+        m = frontier
+        while m:
+            b = m & -m
+            grown |= rows[b.bit_length() - 1]
+            m ^= b
+        frontier = grown & ~comp
+        comp |= frontier
+    return comp
+
+
 def connected_components(graph: SimpleGraph) -> list[list[int]]:
     """Vertex partition into components, ordered by smallest member."""
     seen = 0
@@ -38,17 +66,7 @@ def connected_components(graph: SimpleGraph) -> list[list[int]]:
     for s in range(graph.n):
         if seen >> s & 1:
             continue
-        comp = 1 << s
-        frontier = 1 << s
-        while frontier:
-            grown = 0
-            m = frontier
-            while m:
-                b = m & -m
-                grown |= graph.rows[b.bit_length() - 1]
-                m ^= b
-            frontier = grown & ~comp
-            comp |= frontier
+        comp = _component(graph, s)
         seen |= comp
         members = []
         while comp:
@@ -60,7 +78,8 @@ def connected_components(graph: SimpleGraph) -> list[list[int]]:
 
 
 def is_connected(graph: SimpleGraph) -> bool:
-    return graph.n == 0 or len(connected_components(graph)) == 1
+    """One expansion from vertex 0; the partition is never built."""
+    return graph.n == 0 or _component(graph, 0) == graph.universe
 
 
 def is_complete(graph: SimpleGraph) -> bool:
@@ -78,25 +97,39 @@ def find_missing_edge(graph: SimpleGraph) -> Optional[tuple[int, int]]:
 
 
 def find_cycle(graph: SimpleGraph) -> Optional[list[int]]:
-    """Some cycle as a vertex list, via a DFS back/cross edge, else None."""
-    visited = [False] * graph.n
+    """Some cycle as a vertex list, via a DFS back/cross edge, else None.
+
+    A popped vertex's row is split by bitmask: a neighbor reached before,
+    other than its parent, closes a cycle (the lowest such one is taken);
+    the rest are pushed in ascending order.
+    """
+    rows = graph.rows
     parent = [-1] * graph.n
     depth = [0] * graph.n
+    visited = 0
     for s in range(graph.n):
-        if visited[s]:
+        if visited >> s & 1:
             continue
-        visited[s] = True
+        visited |= 1 << s
         stack = [s]
         while stack:
             u = stack.pop()
-            for w in graph.neighbors(u):
-                if not visited[w]:
-                    visited[w] = True
-                    parent[w] = u
-                    depth[w] = depth[u] + 1
-                    stack.append(w)
-                elif w != parent[u]:
-                    return _join_tree_paths(u, w, parent, depth)
+            back = rows[u] & visited
+            if parent[u] >= 0:
+                back &= ~(1 << parent[u])
+            if back:
+                w = (back & -back).bit_length() - 1
+                return _join_tree_paths(u, w, parent, depth)
+            new = rows[u] & ~visited
+            visited |= new
+            d = depth[u] + 1
+            while new:
+                b = new & -new
+                w = b.bit_length() - 1
+                parent[w] = u
+                depth[w] = d
+                stack.append(w)
+                new ^= b
     return None
 
 
@@ -139,25 +172,41 @@ def is_star(graph: SimpleGraph) -> bool:
 
 
 def bipartite_coloring(graph: SimpleGraph) -> tuple[bool, Optional[list[int]]]:
-    """(bipartite, odd cycle witness when not)."""
+    """(bipartite, odd cycle witness when not).
+
+    Breadth-first 2-coloring with one bitmask per color: a dequeued
+    vertex clashes with its lowest neighbor of its own color, and its
+    uncolored neighbors take the other color in ascending order.
+    """
+    rows = graph.rows
     color = [-1] * graph.n
     parent = [-1] * graph.n
     depth = [0] * graph.n
+    sides = [0, 0]
     for s in range(graph.n):
         if color[s] != -1:
             continue
         color[s] = 0
+        sides[0] |= 1 << s
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            for w in graph.neighbors(u):
-                if color[w] == -1:
-                    color[w] = color[u] ^ 1
-                    parent[w] = u
-                    depth[w] = depth[u] + 1
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return False, _join_tree_paths(u, w, parent, depth)
+            c = color[u]
+            clash = rows[u] & sides[c]
+            if clash:
+                w = (clash & -clash).bit_length() - 1
+                return False, _join_tree_paths(u, w, parent, depth)
+            new = rows[u] & ~(sides[0] | sides[1])
+            sides[c ^ 1] |= new
+            d = depth[u] + 1
+            while new:
+                b = new & -new
+                w = b.bit_length() - 1
+                color[w] = c ^ 1
+                parent[w] = u
+                depth[w] = d
+                queue.append(w)
+                new ^= b
     return True, None
 
 
@@ -167,7 +216,7 @@ def is_bipartite(graph: SimpleGraph) -> bool:
 
 def is_eulerian(graph: SimpleGraph) -> bool:
     """Connected with every degree even; the one-vertex graph qualifies."""
-    return is_connected(graph) and all(d % 2 == 0 for d in graph.degrees())
+    return all(d % 2 == 0 for d in graph.degrees()) and is_connected(graph)
 
 
 def degree_sequence(graph: SimpleGraph) -> list[int]:

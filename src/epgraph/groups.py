@@ -67,7 +67,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("order", "table", "orders", "walks", "walk_of", "spec",
-                 "_rows", "_invs", "_center", "_abelian")
+                 "_rows", "_invs", "_center")
 
     def __init__(self, table: np.ndarray, spec=None):
         self.order = int(table.shape[0])
@@ -78,7 +78,6 @@ class FiniteGroup:
         self._rows: Optional[list[list[int]]] = None
         self._invs: Optional[tuple[int, ...]] = None
         self._center: Optional[tuple[int, ...]] = None
-        self._abelian: Optional[bool] = None
 
     @classmethod
     def from_table(cls, table, spec=None, max_order: int = DEFAULT_MAX_ORDER) -> "FiniteGroup":
@@ -170,15 +169,13 @@ class FiniteGroup:
     # -- structure predicates ----------------------------------------------
 
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            self._abelian = bool(np.array_equal(self.table, self.table.T))
-        return self._abelian
+        return len(self.center()) == self.order
 
     def center(self) -> tuple[int, ...]:
-        """All z commuting with every element (row z equals column z)."""
+        """All z commuting with every element (row z equals column z), cached."""
         if self._center is None:
             sym = (self.table == self.table.T).all(axis=1)
-            self._center = tuple(int(z) for z in np.nonzero(sym)[0])
+            self._center = tuple(np.flatnonzero(sym).tolist())
         return self._center
 
     def is_p_group(self) -> Optional[int]:
@@ -426,8 +423,7 @@ def normal_closure(group: FiniteGroup, x: int) -> frozenset[int]:
     """
     group._check_index(x)
     table = group.table
-    conjugates = np.unique(table[table[:, x], group.inverses()])  # g*x*g^-1
-    cols = [table[:, c].tolist() for c in conjugates.tolist()]
+    cols = [table[:, c].tolist() for c in np.unique(_conjugates(group, x)).tolist()]
     members = {0}
     work = [0]
     while work:
@@ -440,11 +436,26 @@ def normal_closure(group: FiniteGroup, x: int) -> frozenset[int]:
     return frozenset(members)
 
 
+def _conjugates(group: FiniteGroup, x: int) -> np.ndarray:
+    """g*x*g^-1 for every g, repeats included: the conjugacy class of x."""
+    table = group.table
+    return table[table[:, x], group.inverses()]
+
+
 def is_simple(group: FiniteGroup) -> bool:
-    """True iff every non-identity element normally generates the whole group."""
+    """True iff every non-identity element normally generates the whole group.
+
+    Conjugate elements have the same normal closure, so one closure per
+    conjugacy class decides it: each class is marked seen when its first
+    member is closed over.
+    """
     if group.order < 2:
         raise GroupParameterError("simplicity is undefined for the trivial group")
+    seen = np.zeros(group.order, dtype=bool)
     for x in range(1, group.order):
+        if seen[x]:
+            continue
+        seen[_conjugates(group, x)] = True
         if len(normal_closure(group, x)) != group.order:
             return False
     return True
@@ -496,18 +507,20 @@ def abelian_shape(group: FiniteGroup) -> AbelianShape:
 
     For each prime p and abelian group with p-part Z_{p^t1} x ... x Z_{p^tk},
     the count of elements whose order divides p^j equals p^(sum min(ti, j)).
+    Those counts are running sums over one histogram of the element orders.
     Differencing the exponents of those counts recovers the multiset {ti}.
     """
     if not group.is_abelian():
         raise GroupParameterError("abelian_shape requires an abelian group")
     n = group.order
+    by_order = np.bincount(group.orders, minlength=n + 1).tolist()
     factors: list[int] = []
     for p, e in sorted(prime_factors(n).items()):
         d = []
         prev = 0
+        count = by_order[1]
         for j in range(1, e + 1):
-            pj = p**j
-            count = sum(1 for o in group.orders if pj % o == 0)
+            count += by_order[p**j]
             f, c = 0, count
             while c > 1:
                 c //= p

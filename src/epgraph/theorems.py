@@ -6,6 +6,13 @@ the multiplication table), and asserts either their equivalence or a
 one-way implication for every roster group passing the check's filter.
 A counterexample on any roster group signals an implementation bug, never
 new mathematics: each check encodes a proved statement.
+
+Each predicate computes only what its check needs. T2.1 still reads the
+graph, but by bitmasks: one mask per generator class and one union per
+subgroup size, so each generator's row is tested once. Connectivity
+questions stop expanding once the component covers every vertex, C2.3
+asks for a star only of a tree, T4.2 asks for connectivity only when
+every degree is even, and abelian-ness is read off the cached center.
 """
 
 from __future__ import annotations
@@ -234,19 +241,26 @@ def _primes_of(n: int) -> set[int]:
 
 
 def _no_cross_edges_between_equal_order_classes(bundle: EpgBundle) -> bool:
-    """No adjacency between generator classes of equal order but distinct subgroups."""
-    lattice, epg = bundle.lattice, bundle.epg
-    sizes = [len(s) for s in lattice.subgroups]
-    by_size: dict[int, list[int]] = {}
-    for c, size in enumerate(sizes):
-        by_size.setdefault(size, []).append(c)
+    """No adjacency between generator classes of equal order but distinct subgroups.
+
+    Each generator class is one bitmask, and the classes of one subgroup
+    size are OR-ed into one union; a generator's row may meet that union
+    only inside its own class. A size with a single class has nothing to
+    cross.
+    """
+    lattice, rows = bundle.lattice, bundle.epg.rows
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for members, gens in zip(lattice.subgroups, lattice.generator_sets):
+        by_size.setdefault(len(members), []).append(gens)
     for classes in by_size.values():
-        for i, c1 in enumerate(classes):
-            for c2 in classes[i + 1:]:
-                for x in lattice.generator_sets[c1]:
-                    for y in lattice.generator_sets[c2]:
-                        if epg.has_edge(x, y):
-                            return False
+        if len(classes) < 2:
+            continue
+        masks = [sum(1 << x for x in gens) for gens in classes]
+        union = sum(masks)  # the classes are disjoint
+        for gens, mask in zip(classes, masks):
+            others = union & ~mask
+            if any(rows[x] & others for x in gens):
+                return False
     return True
 
 
@@ -306,10 +320,10 @@ def _t31_graph_side(bundle: EpgBundle) -> bool:
 
 
 def _t42_graph_side(bundle: EpgBundle) -> dict:
-    degrees = bundle.epg.degrees()
+    even = all(d % 2 == 0 for d in bundle.epg.degrees())
     return {
-        "eulerian": analysis.is_eulerian(bundle.epg),
-        "all_degrees_even": all(d % 2 == 0 for d in degrees),
+        "eulerian": even and analysis.is_connected(bundle.epg),
+        "all_degrees_even": even,
     }
 
 
@@ -320,12 +334,9 @@ def _t42_agrees(graph_value: dict, group_value: bool) -> bool:
 
 
 def _c23_graph_side(bundle: EpgBundle) -> list[bool]:
-    report_graph = bundle.epg
-    return [
-        analysis.is_bipartite(report_graph),
-        analysis.is_tree(report_graph),
-        analysis.is_star(report_graph),
-    ]
+    graph = bundle.epg
+    tree = analysis.is_tree(graph)
+    return [analysis.is_bipartite(graph), tree, tree and analysis.is_star(graph)]
 
 
 def _c23_agrees(graph_value: list[bool], group_value: bool) -> bool:

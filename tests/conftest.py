@@ -32,3 +32,8 @@ def roster_bundles_64(bundle_cache, roster_specs_64):
 @pytest.fixture(scope="session")
 def roster_groups_48(roster_bundles_48):
     return [bundle.group for bundle in roster_bundles_48]
+
+
+@pytest.fixture(scope="session")
+def roster_groups_64(roster_bundles_64):
+    return [bundle.group for bundle in roster_bundles_64]

@@ -13,6 +13,9 @@ from collections import deque
 import numpy as np
 
 from epgraph import CayleyParseError, GroupSizeError, SimpleGraph
+from epgraph.analysis import _join_tree_paths
+from epgraph.groups import AbelianShape, has_cyclic_sylow
+from epgraph.planarity import planarity_verdict
 
 
 def table_of(group) -> list[list[int]]:
@@ -91,7 +94,7 @@ def brute_normal_closure(group, x: int) -> frozenset[int]:
     invs = [table[g].index(0) for g in range(n)]
     members = {table[table[g][x]][invs[g]] for g in range(n)}
     work = list(members)
-    while work:
+    while work and len(members) < n:  # once every element is in, none can be added
         a = work.pop()
         for b in tuple(members):
             for c in (table[a][b], table[b][a]):
@@ -392,3 +395,239 @@ def parse_cayley_reference(text: str, max_order: int = 512) -> list[list[int]]:
     if len(rows) != n:
         raise CayleyParseError(f"expected {n} table rows, found {len(rows)}")
     return rows
+
+
+# -- reference formulations of the theorem predicates -----------------------------
+# Pairwise loops, union-find partitions, traversals that test one neighbor at a
+# time, and per-element scans: none of the bitmask or histogram shortcuts the
+# package's deciders take, so their values must agree with the package's.
+
+
+def pairwise_no_cross_edges(bundle) -> bool:
+    """T2.1 by every pair of equal-size classes and every pair of their generators."""
+    lattice, epg = bundle.lattice, bundle.epg
+    by_size: dict[int, list[int]] = {}
+    for c, members in enumerate(lattice.subgroups):
+        by_size.setdefault(len(members), []).append(c)
+    for classes in by_size.values():
+        for i, c1 in enumerate(classes):
+            for c2 in classes[i + 1:]:
+                for x in lattice.generator_sets[c1]:
+                    for y in lattice.generator_sets[c2]:
+                        if epg.has_edge(x, y):
+                            return False
+    return True
+
+
+def brute_components(graph: SimpleGraph) -> list[list[int]]:
+    """Components by union-find over the edge list, ordered by smallest member."""
+    root = list(range(graph.n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for u, v in graph.edges():
+        root[find(u)] = find(v)
+    parts: dict[int, list[int]] = {}
+    for v in range(graph.n):
+        parts.setdefault(find(v), []).append(v)
+    return sorted(parts.values())
+
+
+def brute_connected(graph: SimpleGraph) -> bool:
+    return len(brute_components(graph)) <= 1
+
+
+def loop_find_cycle(graph: SimpleGraph):
+    """DFS that tests one neighbor at a time; the cycle ``find_cycle`` must return."""
+    visited = [False] * graph.n
+    parent = [-1] * graph.n
+    depth = [0] * graph.n
+    for s in range(graph.n):
+        if visited[s]:
+            continue
+        visited[s] = True
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w in graph.neighbors(u):
+                if not visited[w]:
+                    visited[w] = True
+                    parent[w] = u
+                    depth[w] = depth[u] + 1
+                    stack.append(w)
+                elif w != parent[u]:
+                    return _join_tree_paths(u, w, parent, depth)
+    return None
+
+
+def loop_bipartite_coloring(graph: SimpleGraph):
+    """BFS 2-coloring one neighbor at a time; what ``bipartite_coloring`` must return."""
+    color = [-1] * graph.n
+    parent = [-1] * graph.n
+    depth = [0] * graph.n
+    for s in range(graph.n):
+        if color[s] != -1:
+            continue
+        color[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in graph.neighbors(u):
+                if color[w] == -1:
+                    color[w] = color[u] ^ 1
+                    parent[w] = u
+                    depth[w] = depth[u] + 1
+                    queue.append(w)
+                elif color[w] == color[u]:
+                    return False, _join_tree_paths(u, w, parent, depth)
+    return True, None
+
+
+def abelian_shape_reference(group) -> tuple[int, ...]:
+    """Primary factors by counting, per prime power p^j, the elements whose order divides it."""
+    n = len(group)
+    table = table_of(group)
+    orders = [order_by_table_scan(table, x) for x in range(n)]
+    factors: list[int] = []
+    for p in sorted({q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)}):
+        e = 0
+        while n % p ** (e + 1) == 0:
+            e += 1
+        exps = [0]
+        for j in range(1, e + 1):
+            count = sum(1 for o in orders if p**j % o == 0)
+            exps.append(round(math.log(count, p)))
+        d = [exps[j] - exps[j - 1] for j in range(1, e + 1)] + [0]
+        for j in range(1, e + 1):
+            factors.extend([p**j] * (d[j - 1] - d[j]))
+    return tuple(sorted(factors))
+
+
+def brute_is_simple(group) -> bool:
+    """Every non-identity element's normal closure, by all products, is the group."""
+    n = len(group)
+    return all(len(brute_normal_closure(group, x)) == n for x in range(1, n))
+
+
+def _symmetric(group) -> bool:
+    return bool(np.array_equal(group.table, group.table.T))
+
+
+def _prime_set(n: int) -> set[int]:
+    return {p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)}
+
+
+def _has_cone(epg) -> bool:
+    universe = (1 << epg.n) - 1
+    return any(epg.rows[v] == universe ^ (1 << v) for v in range(1, epg.n))
+
+
+def _reference_tree(graph) -> bool:
+    return graph.n >= 1 and loop_find_cycle(graph) is None and brute_connected(graph)
+
+
+def _t53_group_side(bundle) -> bool:
+    group, epg = bundle.group, bundle.epg
+    central = brute_center(group)
+    (p,) = _prime_set(len(central))
+    for x in range(1, len(group)):
+        if group.orders[x] != p or x in central:
+            continue
+        if not any(g != 0 and _prime_set(group.orders[g]) != {p} for g in epg.neighbors(x)):
+            return False
+    return True
+
+
+def _t53_applies(bundle) -> bool:
+    z = len(brute_center(bundle.group))
+    return len(_prime_set(len(bundle.group))) >= 2 and z > 1 and len(_prime_set(z)) == 1
+
+
+def _even_degrees(graph) -> bool:
+    return all(d % 2 == 0 for d in graph.degrees())
+
+
+def _always(_bundle) -> bool:
+    return True
+
+
+# check id -> (applies, graph side, group side), each taking an EpgBundle
+REFERENCE_SIDES = {
+    "T2.1": (_always, pairwise_no_cross_edges, _always),
+    "T2.2": (
+        _always,
+        lambda b: loop_find_cycle(b.epg) is not None,
+        lambda b: any(o >= 3 for o in b.group.orders),
+    ),
+    "C2.3": (
+        _always,
+        lambda b: [
+            loop_bipartite_coloring(b.epg)[0],
+            _reference_tree(b.epg),
+            _reference_tree(b.epg) and any(d == b.epg.n - 1 for d in b.epg.degrees()),
+        ],
+        lambda b: all(o <= 2 for o in b.group.orders),
+    ),
+    "T2.4": (
+        _always,
+        lambda b: all(
+            b.epg.has_edge(u, v) for u, v in itertools.combinations(range(b.epg.n), 2)
+        ),
+        lambda b: len(b.group) in b.group.orders,
+    ),
+    "T3.1": (
+        _always,
+        lambda b: b.epg.n > 1 and b.epg.rows[1] == ((1 << b.epg.n) - 1) ^ 0b10,
+        _always,
+    ),
+    "T3.2": (
+        lambda b: len(b.group) >= 2 and _symmetric(b.group),
+        lambda b: _has_cone(b.epg),
+        lambda b: has_cyclic_sylow(AbelianShape(abelian_shape_reference(b.group))),
+    ),
+    "T3.3": (
+        lambda b: not _symmetric(b.group) and len(_prime_set(len(b.group))) == 1,
+        lambda b: _has_cone(b.epg),
+        lambda b: _prime_set(len(b.group)) == {2} and b.group.orders.count(2) == 1,
+    ),
+    "T3.4": (
+        lambda b: len(b.group) >= 2 and not _symmetric(b.group) and brute_is_simple(b.group),
+        lambda b: not _has_cone(b.epg),
+        _always,
+    ),
+    "T4.1": (
+        _always,
+        lambda b: planarity_verdict(b.epg)[0],
+        lambda b: set(b.group.orders) <= {1, 2, 3, 4},
+    ),
+    "T4.2": (
+        _always,
+        lambda b: {
+            "eulerian": brute_connected(b.epg) and _even_degrees(b.epg),
+            "all_degrees_even": _even_degrees(b.epg),
+        },
+        lambda b: len(b.group) % 2 == 1,
+    ),
+    "T5.1": (
+        lambda b: len(_prime_set(len(b.group))) == 1,
+        lambda b: brute_connected(b.deleted),
+        lambda b: sum(
+            b.group.orders.count(p) // (p - 1) for p in _prime_set(len(b.group))
+        ) == 1,
+    ),
+    "T5.2": (
+        lambda b: len(_prime_set(len(brute_center(b.group)))) >= 2,
+        lambda b: brute_connected(b.deleted),
+        _always,
+    ),
+    "T5.3": (_t53_applies, lambda b: brute_connected(b.deleted), _t53_group_side),
+    "T5.4": (
+        _always,
+        lambda b: loop_find_cycle(b.deleted) is None,
+        lambda b: all(o < 4 for o in b.group.orders),
+    ),
+}

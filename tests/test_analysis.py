@@ -2,6 +2,8 @@
 
 import json
 
+from hypothesis import given, settings, strategies as st
+
 from epgraph import (
     SimpleGraph,
     analyze,
@@ -23,7 +25,14 @@ from epgraph import (
 )
 from epgraph.analysis import REPORT_FIELDS
 
-from helpers import complete_graph, graph_from_edges
+from helpers import (
+    brute_components,
+    brute_connected,
+    complete_graph,
+    graph_from_edges,
+    loop_bipartite_coloring,
+    loop_find_cycle,
+)
 
 
 def bundle_for(text):
@@ -47,6 +56,47 @@ def test_components_deleted_s3():
 def test_components_deleted_q8():
     b = bundle_for("dicyclic:2")
     assert len(connected_components(b.deleted)) == 1
+
+
+@st.composite
+def _random_graphs(draw):
+    n = draw(st.integers(0, 24))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    return graph_from_edges(n, edges)
+
+
+def _traversal_cases(roster_bundles_48):
+    # a path and a cycle need many expansions; roster graphs cover the EPG shapes
+    path = graph_from_edges(9, [(v, v + 1) for v in range(8)])
+    ring = graph_from_edges(9, [(v, (v + 1) % 9) for v in range(9)])
+    return [path, ring] + [g for b in roster_bundles_48 for g in (b.epg, b.deleted)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_graphs())
+def test_connectivity_matches_union_find_on_random_graphs(graph):
+    assert connected_components(graph) == brute_components(graph)
+    assert is_connected(graph) == brute_connected(graph)
+
+
+def test_connectivity_matches_union_find_on_roster(roster_bundles_48):
+    for graph in _traversal_cases(roster_bundles_48):
+        assert connected_components(graph) == brute_components(graph), graph.name
+        assert is_connected(graph) == brute_connected(graph), graph.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_graphs())
+def test_cycle_and_coloring_match_loop_versions_on_random_graphs(graph):
+    assert find_cycle(graph) == loop_find_cycle(graph)
+    assert bipartite_coloring(graph) == loop_bipartite_coloring(graph)
+
+
+def test_cycle_and_coloring_match_loop_versions_on_roster(roster_bundles_48):
+    for graph in _traversal_cases(roster_bundles_48):
+        assert find_cycle(graph) == loop_find_cycle(graph), graph.name
+        assert bipartite_coloring(graph) == loop_bipartite_coloring(graph), graph.name
 
 
 # -- completeness ------------------------------------------------------------------

@@ -31,8 +31,10 @@ from epgraph import (
 )
 from epgraph.theorems import CHECKS_BY_ID
 from helpers import (
+    abelian_shape_reference,
     associative,
     brute_center,
+    brute_is_simple,
     brute_normal_closure,
     brute_prime_order_subgroups,
     brute_totient,
@@ -342,6 +344,20 @@ def test_is_simple_examples():
     assert is_simple(a5) is True
 
 
+A6 = GroupSpec.perm(6, [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)])  # (0 1 2), (1 2 3 4 5)
+
+
+def test_is_simple_matches_all_elements_oracle(roster_groups_64):
+    groups = [g for g in roster_groups_64 if not g.is_abelian()]
+    groups.append(A6.realize())  # A5 is in the roster
+    simple = []
+    for g in groups:
+        assert is_simple(g) == brute_is_simple(g), g.spec.serialize()
+        if is_simple(g):
+            simple.append(g.order)
+    assert simple == [60, 360]
+
+
 def test_is_simple_trivial_group_errors():
     with pytest.raises(GroupParameterError):
         is_simple(make_cyclic(1))
@@ -398,6 +414,14 @@ def test_abelian_shape_mixed_powers():
     assert abelian_shape(g).factors == (2, 4, 9)
 
 
+def test_abelian_shape_matches_reference(roster_groups_64):
+    groups = [g for g in roster_groups_64 if g.is_abelian() and g.order >= 2]
+    groups += [make_direct_product([make_cyclic(q) for q in shape])
+               for shape in ((2,) * 9, (2, 4, 8, 8), (3, 9, 9), (4, 2, 3, 3, 5))]
+    for g in groups:
+        assert abelian_shape(g).factors == abelian_shape_reference(g), g
+
+
 def test_abelian_shape_rejects_nonabelian():
     with pytest.raises(GroupParameterError):
         abelian_shape(make_dihedral(3))
@@ -419,6 +443,14 @@ def test_is_abelian_and_p_group():
     assert not q8.is_abelian() and q8.is_p_group() == 2
     triv = make_cyclic(1)
     assert triv.is_abelian() and triv.is_p_group() is None
+
+
+def test_is_abelian_and_center_match_brute_center(roster_groups_64):
+    for g in roster_groups_64:
+        center = brute_center(g)
+        assert g.center() == tuple(sorted(center)), g.spec.serialize()
+        assert all(type(z) is int for z in g.center())
+        assert g.is_abelian() == (len(center) == g.order), g.spec.serialize()
 
 
 def test_generalized_quaternion_detection():

@@ -1,5 +1,7 @@
 """Roster generation and the theorem-check harness."""
 
+import dataclasses
+import itertools
 import json
 import time
 
@@ -8,12 +10,15 @@ import pytest
 from epgraph import (
     BundleCache,
     GroupParameterError,
+    SimpleGraph,
     parse_spec,
     roster_generate,
     run_all,
     run_check,
 )
 from epgraph.theorems import CHECKS, CHECKS_BY_ID
+
+from helpers import REFERENCE_SIDES, pairwise_no_cross_edges
 
 
 def serialized(specs):
@@ -197,3 +202,54 @@ def test_run_all_deterministic_modulo_timing(bundle_cache):
 def test_run_all_subset(bundle_cache):
     reports = run_all(16, check_ids=["T2.4", "T5.1"], cache=bundle_cache)
     assert [r.theorem for r in reports] == ["T2.4", "T5.1"]
+
+
+# -- predicates against their reference formulations ------------------------------
+
+
+def test_predicates_match_reference_formulations(bundle_cache):
+    specs = roster_generate(64) + CHECKS_BY_ID["T3.1"].roster(64)
+    applied = dict.fromkeys(REFERENCE_SIDES, 0)
+    for spec in specs:
+        bundle = bundle_cache.get(spec)
+        for check in CHECKS:
+            applies, graph_side, group_side = REFERENCE_SIDES[check.check_id]
+            where = (check.check_id, spec.serialize())
+            assert check.applies(bundle) == applies(bundle), where
+            if applies(bundle):
+                applied[check.check_id] += 1
+                assert check.graph_side(bundle) == graph_side(bundle), where
+                assert check.group_side(bundle) == group_side(bundle), where
+    assert all(applied.values()), applied
+
+
+def _with_edge(bundle, x, y):
+    """The bundle with one extra edge {x, y} planted in a copy of its EPG."""
+    epg = SimpleGraph(bundle.epg.n)
+    epg.rows = list(bundle.epg.rows)
+    epg.add_edge(x, y)
+    return dataclasses.replace(bundle, epg=epg)
+
+
+@pytest.mark.parametrize("text", [
+    "product:cyclic:3,cyclic:3",
+    "product:cyclic:2,cyclic:4",
+    "dicyclic:3",
+    "perm:4:(0 1 2),(1 2 3)",
+])
+def test_t21_fails_on_a_planted_cross_edge(bundle_cache, text):
+    bundle = bundle_cache.get(parse_spec(text))
+    lattice, t21 = bundle.lattice, CHECKS_BY_ID["T2.1"].graph_side
+    assert t21(bundle) and pairwise_no_cross_edges(bundle)
+    planted_across_equal_sizes = 0
+    for c1, c2 in itertools.combinations(range(len(lattice.subgroups)), 2):
+        equal = len(lattice.subgroups[c1]) == len(lattice.subgroups[c2])
+        for x in lattice.generator_sets[c1]:
+            for y in lattice.generator_sets[c2]:
+                if bundle.epg.has_edge(x, y):
+                    continue
+                planted = _with_edge(bundle, x, y)
+                # only an edge between classes of one subgroup size breaks T2.1
+                assert t21(planted) == pairwise_no_cross_edges(planted) == (not equal)
+                planted_across_equal_sizes += equal
+    assert planted_across_equal_sizes
