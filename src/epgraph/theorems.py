@@ -7,6 +7,13 @@ one-way implication for every roster group passing the check's filter.
 A counterexample on any roster group signals an implementation bug, never
 new mathematics: each check encodes a proved statement.
 
+Verification is group-major, with no bundle cache: the standard roster is
+streamed once for every check that uses it, and a check with a roster of
+its own (T3.1's products) gets a pass of its own. Each group is realized
+and its bundle built once per pass, every check of the pass runs on it,
+and it is dropped before the next group's is built, so memory stays that
+of one group however long the roster.
+
 Each predicate computes only what its check needs. T2.1 still reads the
 graph, but by bitmasks: one mask per generator class and one union per
 subgroup size, so each generator's row is tested once. Connectivity
@@ -133,23 +140,6 @@ def roster_generate(
 
     entries.sort(key=lambda e: (e[0], e[1], e[2]))
     return [spec for _, _, _, spec in entries]
-
-
-class BundleCache:
-    """Realize-and-analyze cache keyed by serialized spec."""
-
-    def __init__(self, max_order: int = DEFAULT_MAX_ORDER):
-        self.max_order = max_order
-        self._bundles: dict[str, EpgBundle] = {}
-
-    def get(self, spec: GroupSpec) -> EpgBundle:
-        key = spec.serialize()
-        bundle = self._bundles.get(key)
-        if bundle is None:
-            group = spec.realize(max_order=self.max_order)
-            bundle = build_bundle(group)
-            self._bundles[key] = bundle
-        return bundle
 
 
 @dataclass(frozen=True)
@@ -434,60 +424,68 @@ CHECKS: tuple[TheoremCheck, ...] = (
 CHECKS_BY_ID: dict[str, TheoremCheck] = {c.check_id: c for c in CHECKS}
 
 
+def _stream(
+    checks: Sequence[TheoremCheck], roster: Sequence[GroupSpec], max_order: int
+) -> list[TheoremReport]:
+    """Build each roster group's bundle once, run every check on it, drop it.
+
+    Reports follow ``checks`` one to one, so a check listed twice gets two
+    reports. ``ms`` covers each check's own predicates only; building the
+    bundles they read is not charged to any check.
+    """
+    reports = [TheoremReport(c.check_id, 0, 0, False) for c in checks]
+    seconds = [0.0] * len(checks)
+    for spec in roster:
+        bundle = build_bundle(spec.realize(max_order=max_order))
+        for i, (check, report) in enumerate(zip(checks, reports)):
+            start = time.perf_counter()
+            if check.applies(bundle):
+                report.tested += 1
+                graph_value = check.graph_side(bundle)
+                group_value = check.group_side(bundle)
+                if check.holds(graph_value, group_value):
+                    report.passed += 1
+                else:
+                    report.counterexamples.append(
+                        Counterexample(spec.serialize(), graph_value, group_value)
+                    )
+            seconds[i] += time.perf_counter() - start
+        del bundle  # freed before the next group's bundle is built
+    for report, spent in zip(reports, seconds):
+        report.vacuous = report.tested == 0
+        report.ms = round(spent * 1000.0, 3)
+    return reports
+
+
 def run_check(
     check: TheoremCheck,
     roster: Sequence[GroupSpec],
     *,
-    cache: Optional[BundleCache] = None,
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> TheoremReport:
-    """Evaluate one check over a roster, recording any disagreements.
-
-    ``ms`` covers the check's own predicates only; building the bundles
-    they read is not charged to the check.
-    """
-    if cache is None:
-        cache = BundleCache(max_order=max_order)
-    seconds = 0.0
-    tested = passed = 0
-    counterexamples: list[Counterexample] = []
-    for spec in roster:
-        bundle = cache.get(spec)
-        start = time.perf_counter()
-        if check.applies(bundle):
-            tested += 1
-            graph_value = check.graph_side(bundle)
-            group_value = check.group_side(bundle)
-            if check.holds(graph_value, group_value):
-                passed += 1
-            else:
-                counterexamples.append(
-                    Counterexample(spec.serialize(), graph_value, group_value)
-                )
-        seconds += time.perf_counter() - start
-    return TheoremReport(
-        theorem=check.check_id,
-        tested=tested,
-        passed=passed,
-        vacuous=tested == 0,
-        counterexamples=counterexamples,
-        ms=round(seconds * 1000.0, 3),
-    )
+    """Evaluate one check over a roster, recording any disagreements."""
+    return _stream((check,), roster, max_order)[0]
 
 
 def run_all(
-    max_order: int,
-    *,
-    check_ids: Optional[Sequence[str]] = None,
-    cache: Optional[BundleCache] = None,
+    max_order: int, *, check_ids: Optional[Sequence[str]] = None
 ) -> list[TheoremReport]:
-    """Run every registered check (or a subset) with its default roster."""
-    if cache is None:
-        cache = BundleCache(max_order=max(max_order, DEFAULT_MAX_ORDER))
+    """Run every registered check (or a subset, in the order given) with its roster.
+
+    The checks are grouped by roster, in order of first use: the standard
+    roster is streamed once for every check that uses it, and a check with
+    its own roster (T3.1's products) gets a pass of its own, so at most one
+    bundle is alive at a time. A roster no selected check uses is never
+    realized.
+    """
     checks = CHECKS if check_ids is None else tuple(CHECKS_BY_ID[i] for i in check_ids)
-    standard = roster_generate(max_order)
-    reports = []
-    for check in checks:
-        roster = check.roster(max_order) if check.roster is not None else standard
-        reports.append(run_check(check, roster, cache=cache, max_order=max_order))
+    by_roster: dict[Any, list[int]] = {}
+    for i, check in enumerate(checks):
+        by_roster.setdefault(check.roster, []).append(i)
+    reports: list[Optional[TheoremReport]] = [None] * len(checks)
+    for own_roster, indices in by_roster.items():
+        roster = roster_generate(max_order) if own_roster is None else own_roster(max_order)
+        streamed = _stream([checks[i] for i in indices], roster, max_order)
+        for i, report in zip(indices, streamed):
+            reports[i] = report
     return reports

@@ -1,12 +1,21 @@
 import pytest
 
-from epgraph import BundleCache
+from epgraph import build_bundle
 from epgraph.theorems import roster_generate
 
 
 @pytest.fixture(scope="session")
-def bundle_cache():
-    return BundleCache(max_order=512)
+def bundle_of():
+    """A spec's bundle, built once per test run and shared by every test."""
+    memo = {}
+
+    def get(spec):
+        key = spec.serialize()
+        if key not in memo:
+            memo[key] = build_bundle(spec.realize(max_order=512))
+        return memo[key]
+
+    return get
 
 
 @pytest.fixture(scope="session")
@@ -20,13 +29,13 @@ def roster_specs_64():
 
 
 @pytest.fixture(scope="session")
-def roster_bundles_48(bundle_cache, roster_specs_48):
-    return [bundle_cache.get(spec) for spec in roster_specs_48]
+def roster_bundles_48(bundle_of, roster_specs_48):
+    return [bundle_of(spec) for spec in roster_specs_48]
 
 
 @pytest.fixture(scope="session")
-def roster_bundles_64(bundle_cache, roster_specs_64):
-    return [bundle_cache.get(spec) for spec in roster_specs_64]
+def roster_bundles_64(bundle_of, roster_specs_64):
+    return [bundle_of(spec) for spec in roster_specs_64]
 
 
 @pytest.fixture(scope="session")

@@ -12,10 +12,17 @@ from collections import deque
 
 import numpy as np
 
-from epgraph import CayleyParseError, GroupSizeError, SimpleGraph
+from epgraph import CayleyParseError, GroupSizeError, SimpleGraph, build_bundle
 from epgraph.analysis import _join_tree_paths
 from epgraph.groups import AbelianShape, has_cyclic_sylow
 from epgraph.planarity import planarity_verdict
+from epgraph.theorems import (
+    CHECKS,
+    CHECKS_BY_ID,
+    Counterexample,
+    TheoremReport,
+    roster_generate,
+)
 
 
 def table_of(group) -> list[list[int]]:
@@ -631,3 +638,44 @@ REFERENCE_SIDES = {
         lambda b: all(o < 4 for o in b.group.orders),
     ),
 }
+
+
+# -- the column-major verify loop ---------------------------------------------------
+
+
+def column_major_run_all(max_order: int, check_ids=None) -> list[dict]:
+    """``run_all`` as one pass over its roster per check, every bundle kept.
+
+    Bundles are memoized by spec for the whole run, so a group shared by
+    several checks is built once, as the old cache did. Returns each
+    report's ``to_dict()`` with ``ms`` left at 0.
+    """
+    memo = {}
+
+    def bundle_of(spec):
+        key = spec.serialize()
+        if key not in memo:
+            memo[key] = build_bundle(spec.realize(max_order=max_order))
+        return memo[key]
+
+    checks = CHECKS if check_ids is None else [CHECKS_BY_ID[i] for i in check_ids]
+    standard = roster_generate(max_order)
+    out = []
+    for check in checks:
+        roster = check.roster(max_order) if check.roster is not None else standard
+        tested = passed = 0
+        counterexamples = []
+        for spec in roster:
+            bundle = bundle_of(spec)
+            if check.applies(bundle):
+                tested += 1
+                graph_value, group_value = check.graph_side(bundle), check.group_side(bundle)
+                if check.holds(graph_value, group_value):
+                    passed += 1
+                else:
+                    counterexamples.append(
+                        Counterexample(spec.serialize(), graph_value, group_value)
+                    )
+        report = TheoremReport(check.check_id, tested, passed, tested == 0, counterexamples)
+        out.append(report.to_dict())
+    return out

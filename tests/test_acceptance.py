@@ -52,17 +52,17 @@ def test_c01_oracle_equivalence(roster_bundles_48):
                     )
 
 
-def test_c02_completeness_iff_cyclic(bundle_cache, roster_specs_64):
+def test_c02_completeness_iff_cyclic(roster_specs_64):
     with criterion("C2 T2.4 complete <=> cyclic (<=64)", 30):
-        report = run_check(CHECKS_BY_ID["T2.4"], roster_specs_64, cache=bundle_cache)
+        report = run_check(CHECKS_BY_ID["T2.4"], roster_specs_64)
         assert report.counterexamples == []
         assert report.tested == len(roster_specs_64)
         assert not report.vacuous
 
 
-def test_c03_eulerian_iff_odd_order(bundle_cache, roster_specs_64, roster_bundles_64):
+def test_c03_eulerian_iff_odd_order(roster_specs_64, roster_bundles_64):
     with criterion("C3 T4.2 Eulerian <=> odd order (<=64)", 30):
-        report = run_check(CHECKS_BY_ID["T4.2"], roster_specs_64, cache=bundle_cache)
+        report = run_check(CHECKS_BY_ID["T4.2"], roster_specs_64)
         assert report.counterexamples == []
         assert report.tested == len(roster_specs_64)
         for bundle in roster_bundles_64:
@@ -70,24 +70,24 @@ def test_c03_eulerian_iff_odd_order(bundle_cache, roster_specs_64, roster_bundle
                 assert all(d % 2 == 0 for d in degree_sequence(bundle.epg))
 
 
-def test_c04_planarity_iff_small_orders(bundle_cache, roster_specs_64):
+def test_c04_planarity_iff_small_orders(bundle_of, roster_specs_64):
     with criterion("C4 T4.1 planar <=> orders within {1,2,3,4} (<=64)", 60):
-        report = run_check(CHECKS_BY_ID["T4.1"], roster_specs_64, cache=bundle_cache)
+        report = run_check(CHECKS_BY_ID["T4.1"], roster_specs_64)
         assert report.counterexamples == []
         assert report.tested == len(roster_specs_64)
-        s4 = bundle_cache.get(parse_spec("perm:4:(0 1),(0 1 2 3)"))
+        s4 = bundle_of(parse_spec("perm:4:(0 1),(0 1 2 3)"))
         assert s4.lattice.pi_e == {1, 2, 3, 4}
         assert is_planar(s4.epg)
-        z5 = bundle_cache.get(parse_spec("cyclic:5"))
+        z5 = bundle_of(parse_spec("cyclic:5"))
         assert not is_planar(z5.epg)
         names = {s.serialize() for s in roster_specs_64}
         assert "perm:4:(0 1),(0 1 2 3)" in names
         assert "cyclic:5" in names
 
 
-def test_c05_bipartite_tree_star_equivalence(bundle_cache, roster_specs_64):
+def test_c05_bipartite_tree_star_equivalence(roster_specs_64):
     with criterion("C5 C2.3 bipartite <=> tree <=> star <=> exponent 2 (<=64)", 30):
-        report = run_check(CHECKS_BY_ID["C2.3"], roster_specs_64, cache=bundle_cache)
+        report = run_check(CHECKS_BY_ID["C2.3"], roster_specs_64)
         assert report.counterexamples == []
         assert report.tested == len(roster_specs_64)
         names = {s.serialize() for s in roster_specs_64}
@@ -95,33 +95,33 @@ def test_c05_bipartite_tree_star_equivalence(bundle_cache, roster_specs_64):
             assert "product:" + ",".join(["cyclic:2"] * k) in names
 
 
-def test_c06_abelian_cone_iff_cyclic_sylow(bundle_cache):
+def test_c06_abelian_cone_iff_cyclic_sylow(bundle_of):
     with criterion("C6 T3.2 abelian cone <=> cyclic Sylow (<=200)", 120):
         roster = roster_generate(200, families=("cyclic", "product"))
         names = {s.serialize() for s in roster}
         assert "product:cyclic:2,cyclic:2,cyclic:3" in names
         assert "product:cyclic:2,cyclic:2,cyclic:3,cyclic:3" in names
-        report = run_check(CHECKS_BY_ID["T3.2"], roster, cache=bundle_cache)
+        report = run_check(CHECKS_BY_ID["T3.2"], roster)
         assert report.counterexamples == []
         assert report.tested == len(roster) - 1  # all but the trivial group
         # the named cases land on the expected sides
-        positive = bundle_cache.get(parse_spec("product:cyclic:2,cyclic:2,cyclic:3"))
-        negative = bundle_cache.get(parse_spec("product:cyclic:2,cyclic:2,cyclic:3,cyclic:3"))
+        positive = bundle_of(parse_spec("product:cyclic:2,cyclic:2,cyclic:3"))
+        negative = bundle_of(parse_spec("product:cyclic:2,cyclic:2,cyclic:3,cyclic:3"))
         assert cone_vertices(positive.epg)
         assert not cone_vertices(negative.epg)
 
 
-def test_c07_nonabelian_2group_cone_iff_quaternion(bundle_cache):
+def test_c07_nonabelian_2group_cone_iff_quaternion(bundle_of):
     with criterion("C7 T3.3 cone <=> generalized quaternion (2-groups 8..64)", 60):
         check = CHECKS_BY_ID["T3.3"]
         roster = roster_generate(64, families=("dihedral", "metacyclic", "dicyclic"))
-        report = run_check(check, roster, cache=bundle_cache)
+        report = run_check(check, roster)
         assert report.counterexamples == []
         two_groups = {
             spec.serialize()
             for spec in roster
-            if bundle_cache.get(spec).group.is_p_group() == 2
-            and not bundle_cache.get(spec).group.is_abelian()
+            if bundle_of(spec).group.is_p_group() == 2
+            and not bundle_of(spec).group.is_abelian()
         }
         assert {f"dihedral:{m}" for m in (4, 8, 16, 32)} <= two_groups
         assert {"metacyclic:8:2:3", "metacyclic:16:2:7", "metacyclic:32:2:15"} <= two_groups
@@ -129,29 +129,29 @@ def test_c07_nonabelian_2group_cone_iff_quaternion(bundle_cache):
         positives = {
             spec.serialize()
             for spec in roster
-            if check.applies(bundle_cache.get(spec))
-            and check.graph_side(bundle_cache.get(spec))
+            if check.applies(bundle_of(spec))
+            and check.graph_side(bundle_of(spec))
         }
         assert positives == {f"dicyclic:{m}" for m in (2, 4, 8, 16)}
 
 
-def test_c08_a5_simple_without_cone(bundle_cache):
+def test_c08_a5_simple_without_cone(bundle_of):
     with criterion("C8 T3.4 A5 simple and cone-free", 60):
-        a5 = bundle_cache.get(parse_spec("perm:5:(0 1 2),(0 1 2 3 4)"))
+        a5 = bundle_of(parse_spec("perm:5:(0 1 2),(0 1 2 3 4)"))
         assert a5.group.order == 60
         assert is_simple(a5.group) is True  # normal-closure procedure
         assert cone_vertices(a5.epg) == []
 
 
-def test_c09_pgroup_deleted_connectivity(bundle_cache, roster_specs_64):
+def test_c09_pgroup_deleted_connectivity(bundle_of, roster_specs_64):
     with criterion("C9 T5.1 deleted connected <=> unique minimal (p-groups <=64)", 60):
         check = CHECKS_BY_ID["T5.1"]
-        report = run_check(check, roster_specs_64, cache=bundle_cache)
+        report = run_check(check, roster_specs_64)
         assert report.counterexamples == []
         applied = {
-            spec.serialize(): bool(check.graph_side(bundle_cache.get(spec)))
+            spec.serialize(): bool(check.graph_side(bundle_of(spec)))
             for spec in roster_specs_64
-            if check.applies(bundle_cache.get(spec))
+            if check.applies(bundle_of(spec))
         }
         for positive in ("cyclic:4", "cyclic:8", "cyclic:27", "cyclic:64",
                          "dicyclic:2", "dicyclic:4", "dicyclic:8"):
@@ -161,18 +161,18 @@ def test_c09_pgroup_deleted_connectivity(bundle_cache, roster_specs_64):
             assert applied[negative] is False, negative
 
 
-def test_c10_worked_examples(bundle_cache):
+def test_c10_worked_examples(bundle_of):
     with criterion("C10 deleted graphs of S3 and Z6", 1):
-        s3 = bundle_cache.get(parse_spec("perm:3:(0 1),(0 1 2)"))
+        s3 = bundle_of(parse_spec("perm:3:(0 1),(0 1 2)"))
         assert s3.deleted.edge_count() == 1
         assert len(connected_components(s3.deleted)) == 4
-        z6 = bundle_cache.get(parse_spec("cyclic:6"))
+        z6 = bundle_of(parse_spec("cyclic:6"))
         assert is_connected(z6.deleted)
 
 
-def test_c11_run_all_32(bundle_cache):
+def test_c11_run_all_32(bundle_of):
     with criterion("C11 run_all(32): 14 checks, no counterexamples", 120):
-        reports = run_all(32, cache=bundle_cache)
+        reports = run_all(32)
         assert len(reports) == 14
         for report in reports:
             assert report.counterexamples == [], report.theorem
@@ -181,9 +181,9 @@ def test_c11_run_all_32(bundle_cache):
                 assert not report.vacuous, report.theorem
         t53 = CHECKS_BY_ID["T5.3"]
         branches = {
-            bool(t53.graph_side(bundle_cache.get(spec)))
+            bool(t53.graph_side(bundle_of(spec)))
             for spec in roster_generate(32)
-            if t53.applies(bundle_cache.get(spec))
+            if t53.applies(bundle_of(spec))
         }
         assert branches == {True, False}
 

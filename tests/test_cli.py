@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from epgraph import cli
+from epgraph import cli, roster_generate
 from epgraph.analysis import REPORT_FIELDS
 
 from helpers import cayley_file_text, find_nonassociative_loop
@@ -164,6 +164,20 @@ def test_verify_comma_list(capsys):
     assert [json.loads(l)["theorem"] for l in out.strip().splitlines()] == ["T4.1", "T4.2"]
 
 
+def test_verify_duplicate_ids_print_twice(capsys):
+    code, out, _ = run_cli(["verify", "--theorem", "T2.4,T2.4", "--max-order", "16"], capsys)
+    assert code == 0
+    first, second = [json.loads(line) for line in out.strip().splitlines()]
+    first["ms"] = second["ms"] = 0
+    assert first == second and first["tested"] > 0
+
+
+def test_verify_empty_id_list(capsys):
+    code, out, _ = run_cli(["verify", "--theorem", ",", "--max-order", "16"], capsys)
+    assert code == 0
+    assert out == "\n"
+
+
 def test_verify_vacuous_iff_check_fails(capsys):
     # at max order 1 the abelian cone check has an empty roster; an empty
     # roster on an iff-direction check is an unexpected vacuity -> exit 1
@@ -264,6 +278,15 @@ def test_flag_overrides_env(monkeypatch, capsys):
     )
     assert code == 0
     assert len(out.strip().splitlines()) == 190
+
+
+def test_env_cap_does_not_bound_verify(monkeypatch, capsys):
+    # verify's --max-order is the roster bound; EPG_MAX_ORDER caps the other commands
+    monkeypatch.setenv("EPG_MAX_ORDER", "16")
+    code, out, _ = run_cli(["verify", "--theorem", "T2.4", "--max-order", "24"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["tested"] == report["passed"] == len(roster_generate(24))
 
 
 def test_usage_error_exit_code(capsys):

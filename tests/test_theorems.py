@@ -4,21 +4,23 @@ import dataclasses
 import itertools
 import json
 import time
+import weakref
 
 import pytest
 
 from epgraph import (
-    BundleCache,
     GroupParameterError,
     SimpleGraph,
+    build_bundle,
     parse_spec,
     roster_generate,
     run_all,
     run_check,
 )
+from epgraph import theorems
 from epgraph.theorems import CHECKS, CHECKS_BY_ID
 
-from helpers import REFERENCE_SIDES, pairwise_no_cross_edges
+from helpers import REFERENCE_SIDES, column_major_run_all, pairwise_no_cross_edges
 
 
 def serialized(specs):
@@ -42,13 +44,12 @@ def test_roster_deterministic():
     assert serialized(roster_generate(48)) == serialized(roster_generate(48))
 
 
-def test_roster_sorted_by_order():
+def test_roster_sorted_by_order(bundle_of):
     specs = roster_generate(32)
     orders = []
-    cache = BundleCache()
     for spec in specs:
         known = spec.known_order()
-        orders.append(known if known is not None else cache.get(spec).group.order)
+        orders.append(known if known is not None else bundle_of(spec).group.order)
     assert orders == sorted(orders)
 
 
@@ -91,85 +92,84 @@ def test_roster_rejects_bad_input():
 # -- run_check ----------------------------------------------------------------------
 
 
-def test_run_check_t24(bundle_cache):
-    report = run_check(CHECKS_BY_ID["T2.4"], roster_generate(32), cache=bundle_cache)
+def test_run_check_t24():
+    report = run_check(CHECKS_BY_ID["T2.4"], roster_generate(32))
     assert report.counterexamples == []
     assert report.tested == len(roster_generate(32))
     assert report.passed == report.tested
     assert not report.vacuous
 
 
-def test_run_check_vacuous_flag(bundle_cache):
-    report = run_check(CHECKS_BY_ID["T3.2"], roster_generate(1), cache=bundle_cache)
+def test_run_check_vacuous_flag():
+    report = run_check(CHECKS_BY_ID["T3.2"], roster_generate(1))
     assert report.vacuous and report.tested == 0
 
 
-def test_run_check_ms_excludes_bundle_building(bundle_cache):
-    class SlowCache(BundleCache):
-        def get(self, spec):
-            time.sleep(0.05)
-            return bundle_cache.get(spec)
+def test_run_check_ms_excludes_bundle_building(monkeypatch):
+    def slow_build(group):
+        time.sleep(0.05)
+        return build_bundle(group)
 
+    monkeypatch.setattr(theorems, "build_bundle", slow_build)
     roster = roster_generate(4)
-    report = run_check(CHECKS_BY_ID["T2.4"], roster, cache=SlowCache())
+    report = run_check(CHECKS_BY_ID["T2.4"], roster)
     assert report.tested == len(roster)
     assert report.ms < 50
 
 
-def test_t33_positive_set_is_generalized_quaternion(bundle_cache):
+def test_t33_positive_set_is_generalized_quaternion(bundle_of):
     check = CHECKS_BY_ID["T3.3"]
     roster = roster_generate(32, families=("dihedral", "dicyclic", "metacyclic"))
-    report = run_check(check, roster, cache=bundle_cache)
+    report = run_check(check, roster)
     assert report.counterexamples == []
     positives = {
         spec.serialize()
         for spec in roster
-        if check.applies(bundle_cache.get(spec)) and check.graph_side(bundle_cache.get(spec))
+        if check.applies(bundle_of(spec)) and check.graph_side(bundle_of(spec))
     }
     assert positives == {"dicyclic:2", "dicyclic:4", "dicyclic:8"}
 
 
-def test_t53_roster_has_both_branches(bundle_cache):
+def test_t53_roster_has_both_branches(bundle_of):
     check = CHECKS_BY_ID["T5.3"]
     seen = set()
     for spec in roster_generate(32):
-        bundle = bundle_cache.get(spec)
+        bundle = bundle_of(spec)
         if check.applies(bundle):
             seen.add(bool(check.graph_side(bundle)))
     assert seen == {True, False}
 
 
-def test_t31_roster_contents():
+def test_t31_roster_contents(bundle_of):
     check = CHECKS_BY_ID["T3.1"]
     roster = check.roster(32)
     names = serialized(roster)
     assert "product:cyclic:2,cyclic:2,cyclic:3" in names
     assert all(name.startswith("product:") for name in names)
-    cache = BundleCache()
     for spec in roster:
-        assert cache.get(spec).group.order <= 32
+        assert bundle_of(spec).group.order <= 32
 
 
-def test_t34_filter_excludes_abelian_simple(bundle_cache):
+def test_t34_filter_excludes_abelian_simple(bundle_of):
     check = CHECKS_BY_ID["T3.4"]
-    z5 = bundle_cache.get(parse_spec("cyclic:5"))
+    z5 = bundle_of(parse_spec("cyclic:5"))
     assert not check.applies(z5)
-    a5 = bundle_cache.get(parse_spec("perm:5:(0 1 2),(0 1 2 3 4)"))
+    a5 = bundle_of(parse_spec("perm:5:(0 1 2),(0 1 2 3 4)"))
     assert check.applies(a5)
 
 
-def test_filters_mutually_exclusive(bundle_cache):
+def test_filters_mutually_exclusive(bundle_of):
     t32, t33 = CHECKS_BY_ID["T3.2"], CHECKS_BY_ID["T3.3"]
     for spec in roster_generate(32):
-        bundle = bundle_cache.get(spec)
+        bundle = bundle_of(spec)
         assert not (t32.applies(bundle) and t33.applies(bundle))
 
 
 # -- run_all -------------------------------------------------------------------------
 
 
-def test_run_all_structure(bundle_cache):
-    reports = run_all(24, cache=bundle_cache)
+def test_run_all_structure():
+    reports = run_all(24)
     assert [r.theorem for r in reports] == [c.check_id for c in CHECKS]
     assert len(reports) == 14
     for report in reports:
@@ -179,13 +179,13 @@ def test_run_all_structure(bundle_cache):
         json.dumps(data)
 
 
-def test_run_all_tiny_roster(bundle_cache):
-    for report in run_all(1, cache=bundle_cache):
+def test_run_all_tiny_roster():
+    for report in run_all(1):
         assert report.counterexamples == []
         assert report.vacuous or report.passed == report.tested
 
 
-def test_run_all_deterministic_modulo_timing(bundle_cache):
+def test_run_all_deterministic_modulo_timing():
     def normalized(reports):
         out = []
         for r in reports:
@@ -194,24 +194,79 @@ def test_run_all_deterministic_modulo_timing(bundle_cache):
             out.append(d)
         return json.dumps(out)
 
-    first = normalized(run_all(24, cache=bundle_cache))
-    second = normalized(run_all(24, cache=bundle_cache))
+    first = normalized(run_all(24))
+    second = normalized(run_all(24))
     assert first == second
 
 
-def test_run_all_subset(bundle_cache):
-    reports = run_all(16, check_ids=["T2.4", "T5.1"], cache=bundle_cache)
+def test_run_all_subset():
+    reports = run_all(16, check_ids=["T2.4", "T5.1"])
     assert [r.theorem for r in reports] == ["T2.4", "T5.1"]
+
+
+def _zero_ms(reports):
+    return [dict(r.to_dict(), ms=0.0) for r in reports]
+
+
+@pytest.mark.parametrize("check_ids", [None, ["T5.1", "T3.1", "T2.4"], ["T2.4", "T2.4"]])
+def test_streamed_run_all_matches_column_major_reference(check_ids):
+    expected = column_major_run_all(64, check_ids)
+    assert _zero_ms(run_all(64, check_ids=check_ids)) == expected
+
+
+def _record_builds(monkeypatch):
+    built = []
+
+    def recording(group):
+        built.append(group.spec.serialize())
+        return build_bundle(group)
+
+    monkeypatch.setattr(theorems, "build_bundle", recording)
+    return built
+
+
+def test_run_all_realizes_only_the_rosters_it_needs(monkeypatch):
+    built = _record_builds(monkeypatch)
+    run_all(64, check_ids=["T3.1"])
+    assert built == serialized(CHECKS_BY_ID["T3.1"].roster(64))
+    built.clear()
+    run_all(64, check_ids=["T2.4", "T5.1"])
+    assert built == serialized(roster_generate(64))
+    built.clear()
+    assert run_all(64, check_ids=[]) == [] and built == []
+    # one build per roster entry: a T3.1 product also in the standard roster is built twice
+    run_all(48)
+    assert built == serialized(roster_generate(48) + CHECKS_BY_ID["T3.1"].roster(48))
+
+
+def test_run_all_holds_one_bundle_at_a_time(monkeypatch):
+    live = peak = 0
+
+    def released():
+        nonlocal live
+        live -= 1
+
+    def tracked(group):
+        nonlocal live, peak
+        bundle = build_bundle(group)
+        live += 1
+        peak = max(peak, live)
+        weakref.finalize(bundle, released)
+        return bundle
+
+    monkeypatch.setattr(theorems, "build_bundle", tracked)
+    run_all(48)
+    assert peak == 1
 
 
 # -- predicates against their reference formulations ------------------------------
 
 
-def test_predicates_match_reference_formulations(bundle_cache):
+def test_predicates_match_reference_formulations(bundle_of):
     specs = roster_generate(64) + CHECKS_BY_ID["T3.1"].roster(64)
     applied = dict.fromkeys(REFERENCE_SIDES, 0)
     for spec in specs:
-        bundle = bundle_cache.get(spec)
+        bundle = bundle_of(spec)
         for check in CHECKS:
             applies, graph_side, group_side = REFERENCE_SIDES[check.check_id]
             where = (check.check_id, spec.serialize())
@@ -237,8 +292,8 @@ def _with_edge(bundle, x, y):
     "dicyclic:3",
     "perm:4:(0 1 2),(1 2 3)",
 ])
-def test_t21_fails_on_a_planted_cross_edge(bundle_cache, text):
-    bundle = bundle_cache.get(parse_spec(text))
+def test_t21_fails_on_a_planted_cross_edge(bundle_of, text):
+    bundle = bundle_of(parse_spec(text))
     lattice, t21 = bundle.lattice, CHECKS_BY_ID["T2.1"].graph_side
     assert t21(bundle) and pairwise_no_cross_edges(bundle)
     planted_across_equal_sizes = 0
