@@ -10,18 +10,12 @@ from .analysis import (
     PropertyReport,
     analyze,
     bipartite_coloring,
+    component_reps,
     cone_vertices,
-    connected_components,
-    degree_sequence,
     find_cycle,
-    has_cycle,
-    is_bipartite,
-    is_complete,
+    find_missing_edge,
     is_connected,
-    is_eulerian,
-    is_forest,
-    is_star,
-    is_tree,
+    odd_degree_vertex,
 )
 from .cayley_io import ingest_cayley, parse_cayley_text
 from .cyclic import CyclicLattice, build_lattice
@@ -94,30 +88,24 @@ __all__ = [
     "build_epg",
     "build_lattice",
     "closure_from_generators",
+    "component_reps",
     "cone_vertices",
-    "connected_components",
-    "degree_sequence",
     "find_cycle",
-    "has_cycle",
+    "find_missing_edge",
     "has_cyclic_sylow",
     "has_unique_minimal_subgroup",
     "ingest_cayley",
-    "is_bipartite",
-    "is_complete",
     "is_connected",
-    "is_eulerian",
-    "is_forest",
     "is_generalized_quaternion",
     "is_planar",
     "is_simple",
-    "is_star",
-    "is_tree",
     "make_cyclic",
     "make_dicyclic",
     "make_dihedral",
     "make_direct_product",
     "make_metacyclic",
     "normal_closure",
+    "odd_degree_vertex",
     "parse_cayley_text",
     "parse_spec",
     "planarity_verdict",

@@ -1,11 +1,14 @@
-"""Graph-property deciders and the per-graph property report.
+"""Graph-property deciders and the lazy per-graph property report.
 
-Each decider asks only what its property needs. Connectivity is one
-frontier expansion over the bitmask rows that stops as soon as the
-component covers every vertex: ``is_connected`` expands from vertex 0
-alone, and ``connected_components`` repeats the expansion from each
-vertex not yet reached. ``find_cycle`` is the one cycle decider behind
-``has_cycle``, ``is_forest``, ``is_tree`` and ``is_star``.
+Each property has one decider, which asks only what its property needs:
+``is_connected`` expands one component from vertex 0 and stops once it
+covers every vertex, ``component_reps`` expands each component once, and
+``find_missing_edge``, ``find_cycle``, ``bipartite_coloring`` and
+``odd_degree_vertex`` stop at their first witness; ``planarity_verdict``
+and ``cone_vertices`` complete the set. ``PropertyReport(graph, epg)``
+runs each decider on the first read of a field that needs it, at most
+once per report, and is the one place that defines tree, star and
+Eulerian.
 
 Conventions for degenerate graphs: the empty graph counts as connected,
 a forest, Eulerian, and not a star; a single vertex counts as complete,
@@ -16,26 +19,15 @@ exception-free on the order-1 and order-2 groups.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .epg import EpgBundle
 from .planarity import planarity_verdict
 from .simplegraph import SimpleGraph
 
-REPORT_FIELDS = (
-    "connected",
-    "components",
-    "complete",
-    "cycle",
-    "forest",
-    "tree",
-    "star",
-    "bipartite",
-    "eulerian",
-    "planar",
-    "cone_vertices",
-)
+REPORT_FIELDS = ("connected", "components", "complete", "cycle", "forest", "tree",
+                 "star", "bipartite", "eulerian", "planar", "cone_vertices")
 
 
 def _component(graph: SimpleGraph, s: int) -> int:
@@ -59,38 +51,27 @@ def _component(graph: SimpleGraph, s: int) -> int:
     return comp
 
 
-def connected_components(graph: SimpleGraph) -> list[list[int]]:
-    """Vertex partition into components, ordered by smallest member."""
-    seen = 0
-    out: list[list[int]] = []
-    for s in range(graph.n):
-        if seen >> s & 1:
-            continue
-        comp = _component(graph, s)
-        seen |= comp
-        members = []
-        while comp:
-            b = comp & -comp
-            members.append(b.bit_length() - 1)
-            comp ^= b
-        out.append(members)
-    return out
-
-
 def is_connected(graph: SimpleGraph) -> bool:
-    """One expansion from vertex 0; the partition is never built."""
+    """One expansion from vertex 0; no other component is looked for."""
     return graph.n == 0 or _component(graph, 0) == graph.universe
 
 
-def is_complete(graph: SimpleGraph) -> bool:
-    return graph.edge_count() == graph.n * (graph.n - 1) // 2
+def component_reps(graph: SimpleGraph) -> list[int]:
+    """Each component's smallest vertex, ascending: one expansion per component."""
+    universe, seen = graph.universe, 0
+    reps: list[int] = []
+    while seen != universe:
+        s = ((seen + 1) & ~seen).bit_length() - 1  # lowest vertex not yet reached
+        reps.append(s)
+        seen |= _component(graph, s)
+    return reps
 
 
 def find_missing_edge(graph: SimpleGraph) -> Optional[tuple[int, int]]:
+    """The first non-adjacent pair (u, v), u < v, or None when the graph is complete."""
     universe = graph.universe
-    for u in range(graph.n):
-        want = universe & ~(1 << u)
-        missing = want & ~graph.rows[u]
+    for u, row in enumerate(graph.rows):
+        missing = universe ^ (row | 1 << u)
         if missing:
             return (u, (missing & -missing).bit_length() - 1)
     return None
@@ -104,7 +85,7 @@ def find_cycle(graph: SimpleGraph) -> Optional[list[int]]:
     the rest are pushed in ascending order.
     """
     rows = graph.rows
-    parent = [-1] * graph.n
+    parent = list(range(graph.n))  # a root is its own parent, so no bit is masked
     depth = [0] * graph.n
     visited = 0
     for s in range(graph.n):
@@ -114,9 +95,7 @@ def find_cycle(graph: SimpleGraph) -> Optional[list[int]]:
         stack = [s]
         while stack:
             u = stack.pop()
-            back = rows[u] & visited
-            if parent[u] >= 0:
-                back &= ~(1 << parent[u])
+            back = rows[u] & visited & ~(1 << parent[u])
             if back:
                 w = (back & -back).bit_length() - 1
                 return _join_tree_paths(u, w, parent, depth)
@@ -136,62 +115,34 @@ def find_cycle(graph: SimpleGraph) -> Optional[list[int]]:
 def _join_tree_paths(u: int, w: int, parent: list[int], depth: list[int]) -> list[int]:
     """Cycle through the edge {u, w} plus the two tree paths to their meeting point."""
     pu, pw = [u], [w]
-    a, b = u, w
-    while depth[a] > depth[b]:
-        a = parent[a]
-        pu.append(a)
-    while depth[b] > depth[a]:
-        b = parent[b]
-        pw.append(b)
-    while a != b:
-        a = parent[a]
-        pu.append(a)
-        b = parent[b]
-        pw.append(b)
+    while pu[-1] != pw[-1]:  # climb the deeper path until both reach the meeting point
+        if depth[pu[-1]] >= depth[pw[-1]]:
+            pu.append(parent[pu[-1]])
+        else:
+            pw.append(parent[pw[-1]])
     return pu + pw[-2::-1]
-
-
-def has_cycle(graph: SimpleGraph) -> bool:
-    return find_cycle(graph) is not None
-
-
-def is_forest(graph: SimpleGraph) -> bool:
-    return find_cycle(graph) is None
-
-
-def is_tree(graph: SimpleGraph) -> bool:
-    return graph.n >= 1 and is_forest(graph) and is_connected(graph)
-
-
-def is_star(graph: SimpleGraph) -> bool:
-    """A tree with a vertex adjacent to all others; K1 and K2 count."""
-    if not is_tree(graph):
-        return False
-    full = graph.n - 1
-    return any(graph.degree(v) == full for v in range(graph.n))
 
 
 def bipartite_coloring(graph: SimpleGraph) -> tuple[bool, Optional[list[int]]]:
     """(bipartite, odd cycle witness when not).
 
-    Breadth-first 2-coloring with one bitmask per color: a dequeued
-    vertex clashes with its lowest neighbor of its own color, and its
-    uncolored neighbors take the other color in ascending order.
+    Breadth-first 2-coloring with one bitmask per color, which is the
+    only record of a vertex's color: a dequeued vertex clashes with its
+    lowest neighbor of its own color, and its uncolored neighbors take
+    the other color in ascending order.
     """
     rows = graph.rows
-    color = [-1] * graph.n
     parent = [-1] * graph.n
     depth = [0] * graph.n
     sides = [0, 0]
     for s in range(graph.n):
-        if color[s] != -1:
+        if (sides[0] | sides[1]) >> s & 1:
             continue
-        color[s] = 0
         sides[0] |= 1 << s
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            c = color[u]
+            c = sides[1] >> u & 1
             clash = rows[u] & sides[c]
             if clash:
                 w = (clash & -clash).bit_length() - 1
@@ -202,7 +153,6 @@ def bipartite_coloring(graph: SimpleGraph) -> tuple[bool, Optional[list[int]]]:
             while new:
                 b = new & -new
                 w = b.bit_length() - 1
-                color[w] = c ^ 1
                 parent[w] = u
                 depth[w] = d
                 queue.append(w)
@@ -210,21 +160,9 @@ def bipartite_coloring(graph: SimpleGraph) -> tuple[bool, Optional[list[int]]]:
     return True, None
 
 
-def is_bipartite(graph: SimpleGraph) -> bool:
-    return bipartite_coloring(graph)[0]
-
-
-def is_eulerian(graph: SimpleGraph) -> bool:
-    """Connected with every degree even; the one-vertex graph qualifies."""
-    return all(d % 2 == 0 for d in graph.degrees()) and is_connected(graph)
-
-
-def degree_sequence(graph: SimpleGraph) -> list[int]:
-    return graph.degrees()
-
-
-def is_planar(graph: SimpleGraph) -> bool:
-    return planarity_verdict(graph)[0]
+def odd_degree_vertex(graph: SimpleGraph) -> Optional[int]:
+    """The lowest vertex of odd degree, or None when every degree is even."""
+    return next((v for v, m in enumerate(graph.rows) if m.bit_count() & 1), None)
 
 
 def cone_vertices(epg: SimpleGraph) -> list[int]:
@@ -233,84 +171,100 @@ def cone_vertices(epg: SimpleGraph) -> list[int]:
     return [v for v in range(1, epg.n) if epg.rows[v] == universe & ~(1 << v)]
 
 
-@dataclass
 class PropertyReport:
-    """Flat property verdicts for one graph, plus best-effort witnesses."""
+    """Verdicts on one graph, each decided on first read, with witnesses.
 
-    connected: bool
-    components: int
-    complete: bool
-    cycle: bool
-    forest: bool
-    tree: bool
-    star: bool
-    bipartite: bool
-    eulerian: bool
-    planar: bool
-    cone_vertices: list[int]
-    witnesses: dict = field(default_factory=dict)
+    ``graph`` is the graph the verdicts are about. ``cone_vertices`` always
+    refers to ``epg``, the enhanced power graph; a vertex is universal in
+    the deleted graph exactly when it is a cone vertex, so the set is the
+    same either way.
+    """
+
+    def __init__(self, graph: SimpleGraph, epg: SimpleGraph):
+        self.graph = graph
+        self.epg = epg
+
+    # -- the deciders, each run at most once per report -----------------------
+
+    @cached_property
+    def connected(self) -> bool:
+        return is_connected(self.graph)
+
+    @cached_property
+    def component_reps(self) -> list[int]:
+        return component_reps(self.graph)
+
+    @cached_property
+    def missing_edge(self) -> Optional[tuple[int, int]]:
+        return find_missing_edge(self.graph)
+
+    @cached_property
+    def cycle_witness(self) -> Optional[list[int]]:
+        return find_cycle(self.graph)
+
+    @cached_property
+    def _coloring(self) -> tuple[bool, Optional[list[int]]]:
+        return bipartite_coloring(self.graph)
+
+    @cached_property
+    def odd_degree_vertex(self) -> Optional[int]:
+        return odd_degree_vertex(self.graph)
+
+    @cached_property
+    def _planarity(self) -> tuple[bool, str]:
+        return planarity_verdict(self.graph)
+
+    @cached_property
+    def cone_vertices(self) -> list[int]:
+        return cone_vertices(self.epg)
+
+    # -- verdicts and witnesses read off the deciders --------------------------
+
+    components = property(lambda self: len(self.component_reps))
+    complete = property(lambda self: self.missing_edge is None)
+    cycle = property(lambda self: self.cycle_witness is not None)
+    forest = property(lambda self: self.cycle_witness is None)
+    bipartite = property(lambda self: self._coloring[0])
+    odd_cycle = property(lambda self: self._coloring[1])
+    planar = property(lambda self: self._planarity[0])
+
+    @property
+    def tree(self) -> bool:
+        return self.graph.n >= 1 and self.forest and self.connected
+
+    @property
+    def star(self) -> bool:
+        """A tree with a vertex adjacent to all others; K1 and K2 count."""
+        full = self.graph.n - 1
+        return self.tree and any(m.bit_count() == full for m in self.graph.rows)
+
+    @property
+    def eulerian(self) -> bool:
+        """Connected with every degree even; the one-vertex graph qualifies."""
+        return self.odd_degree_vertex is None and self.connected
 
     def to_dict(self) -> dict:
+        """Every field in ``REPORT_FIELDS`` order, then each negative verdict's witness."""
         out = {name: getattr(self, name) for name in REPORT_FIELDS}
-        out.update(self.witnesses)
+        witnesses = {
+            "component_reps": None if self.connected else self.component_reps,
+            "missing_edge": None if self.complete else list(self.missing_edge),
+            "cycle_witness": self.cycle_witness,
+            "odd_cycle": self.odd_cycle,
+            "odd_degree_vertex": self.odd_degree_vertex,
+            "planar_reject": None if self.planar else self._planarity[1],
+        }
+        out.update((k, v) for k, v in witnesses.items() if v is not None)
         return out
 
 
 def analyze(bundle: EpgBundle, *, deleted: bool = False) -> PropertyReport:
-    """Full report for the bundle's enhanced power graph or its deleted variant.
+    """The report on the bundle's enhanced power graph or its deleted graph.
 
-    ``cone_vertices`` always refers to the enhanced power graph; a vertex
-    is universal in the deleted graph exactly when it is a cone vertex, so
-    the set is the same either way.
+    Every field is decided before this returns, so the report's whole cost
+    falls inside this call; build a ``PropertyReport`` directly to decide
+    only the fields that are read.
     """
-    graph = bundle.deleted if deleted else bundle.epg
-    witnesses: dict = {}
-
-    parts = connected_components(graph)
-    connected = graph.n == 0 or len(parts) == 1
-    if not connected:
-        witnesses["component_reps"] = [p[0] for p in parts]
-
-    complete = is_complete(graph)
-    if not complete and graph.n > 1:
-        missing = find_missing_edge(graph)
-        if missing is not None:
-            witnesses["missing_edge"] = list(missing)
-
-    cycle = find_cycle(graph)
-    if cycle is not None:
-        witnesses["cycle_witness"] = cycle
-
-    bipartite, odd_cycle = bipartite_coloring(graph)
-    if odd_cycle is not None:
-        witnesses["odd_cycle"] = odd_cycle
-
-    degrees = graph.degrees()
-    eulerian = connected and all(d % 2 == 0 for d in degrees)
-    if not eulerian:
-        odd = next((v for v, d in enumerate(degrees) if d % 2), None)
-        if odd is not None:
-            witnesses["odd_degree_vertex"] = odd
-
-    planar, reject = planarity_verdict(graph)
-    if not planar:
-        witnesses["planar_reject"] = reject
-
-    forest = cycle is None
-    tree = graph.n >= 1 and forest and connected
-    star = tree and graph.n >= 1 and any(d == graph.n - 1 for d in degrees)
-
-    return PropertyReport(
-        connected=connected,
-        components=len(parts),
-        complete=complete,
-        cycle=cycle is not None,
-        forest=forest,
-        tree=tree,
-        star=star,
-        bipartite=bipartite,
-        eulerian=eulerian,
-        planar=planar,
-        cone_vertices=cone_vertices(bundle.epg),
-        witnesses=witnesses,
-    )
+    report = PropertyReport(bundle.deleted if deleted else bundle.epg, bundle.epg)
+    report.to_dict()
+    return report

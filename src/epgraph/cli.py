@@ -106,9 +106,11 @@ def _render_graph(graph: SimpleGraph, fmt: str) -> str:
     )
 
 
-def _select_props(props: Optional[str]) -> list[str]:
+def _report_json(bundle, deleted: bool, props: Optional[str]) -> str:
+    """The full report, or only the fields ``props`` names, deciding nothing else."""
+    report = analysis.PropertyReport(bundle.deleted if deleted else bundle.epg, bundle.epg)
     if props is None:
-        return []
+        return json.dumps(report.to_dict()) + "\n"
     names = [p.strip() for p in props.split(",") if p.strip()]
     unknown = [p for p in names if p not in analysis.REPORT_FIELDS]
     if unknown:
@@ -116,16 +118,7 @@ def _select_props(props: Optional[str]) -> list[str]:
             f"unknown properties: {', '.join(unknown)}; "
             f"known: {', '.join(analysis.REPORT_FIELDS)}"
         )
-    return names
-
-
-def _report_json(bundle, deleted: bool, props: Optional[str]) -> str:
-    names = _select_props(props)
-    report = analysis.analyze(bundle, deleted=deleted)
-    full = report.to_dict()
-    if names:
-        full = {name: full[name] for name in names}
-    return json.dumps(full) + "\n"
+    return json.dumps({name: getattr(report, name) for name in names}) + "\n"
 
 
 def _cmd_build(args) -> int:

@@ -3,7 +3,8 @@
 Vertices are element indices; two distinct elements are adjacent iff some
 cyclic subgroup contains both. Every cyclic subgroup lies in a maximal one,
 so the graph is the union of cliques over the maximal cyclic subgroups,
-read off the lattice that the group's power walks feed. The pairwise
+read off the lattice that the group's power walks feed; a bundle builds
+its identity-deleted graph only when that is first read. The pairwise
 oracle re-derives adjacency straight from the definition (some z has both
 x and y among its powers) and exists purely to cross-check the
 clique-union construction.
@@ -12,6 +13,7 @@ clique-union construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cyclic import CyclicLattice, build_lattice
 from .groups import FiniteGroup
@@ -23,13 +25,16 @@ class EpgBundle:
     """A group with its lattice, enhanced power graph, and deleted variant.
 
     ``deleted`` is the enhanced power graph with the identity vertex
-    removed; deleted vertex i corresponds to element i + 1.
+    removed, built on first read; deleted vertex i is element i + 1.
     """
 
     group: FiniteGroup
     lattice: CyclicLattice
     epg: SimpleGraph
-    deleted: SimpleGraph
+
+    @cached_property
+    def deleted(self) -> SimpleGraph:
+        return build_deleted(self.epg)
 
 
 def build_epg(group: FiniteGroup, lattice: CyclicLattice) -> SimpleGraph:
@@ -54,9 +59,7 @@ def build_deleted(epg: SimpleGraph) -> SimpleGraph:
 
 def build_bundle(group: FiniteGroup) -> EpgBundle:
     lattice = build_lattice(group)
-    epg = build_epg(group, lattice)
-    deleted = build_deleted(epg)
-    return EpgBundle(group, lattice, epg, deleted)
+    return EpgBundle(group, lattice, build_epg(group, lattice))
 
 
 def adjacent_oracle(group: FiniteGroup, x: int, y: int) -> bool:

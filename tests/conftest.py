@@ -1,6 +1,6 @@
 import pytest
 
-from epgraph import build_bundle
+from epgraph import analysis, build_bundle
 from epgraph.theorems import roster_generate
 
 
@@ -46,3 +46,24 @@ def roster_groups_48(roster_bundles_48):
 @pytest.fixture(scope="session")
 def roster_groups_64(roster_bundles_64):
     return [bundle.group for bundle in roster_bundles_64]
+
+
+ANALYSIS_DECIDERS = ("is_connected", "component_reps", "find_missing_edge", "find_cycle",
+                     "bipartite_coloring", "odd_degree_vertex", "planarity_verdict",
+                     "cone_vertices")
+
+
+@pytest.fixture
+def decider_calls(monkeypatch):
+    """Counts the calls of every decider a property report looks up in ``analysis``."""
+    calls = dict.fromkeys(ANALYSIS_DECIDERS, 0)
+
+    def counting(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
+
+    for name in ANALYSIS_DECIDERS:
+        monkeypatch.setattr(analysis, name, counting(name, getattr(analysis, name)))
+    return calls

@@ -1,31 +1,30 @@
 """Graph property deciders, degenerate-graph conventions, and reports."""
 
 import json
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from epgraph import (
+    PropertyReport,
     SimpleGraph,
+    analysis,
     analyze,
     bipartite_coloring,
     build_bundle,
+    component_reps,
     cone_vertices,
-    connected_components,
-    degree_sequence,
     find_cycle,
-    has_cycle,
-    is_bipartite,
-    is_complete,
     is_connected,
-    is_eulerian,
-    is_forest,
-    is_star,
-    is_tree,
+    odd_degree_vertex,
     parse_spec,
 )
 from epgraph.analysis import REPORT_FIELDS
+from epgraph.planarity import planarity_verdict
 
 from helpers import (
+    _reference_tree,
     brute_components,
     brute_connected,
     complete_graph,
@@ -34,28 +33,35 @@ from helpers import (
     loop_find_cycle,
 )
 
+REPORTS_48 = Path(__file__).parent / "data" / "reports_48.jsonl"
+
 
 def bundle_for(text):
     return build_bundle(parse_spec(text).realize())
+
+
+def report(graph):
+    return PropertyReport(graph, graph)
 
 
 # -- components -----------------------------------------------------------------
 
 
 def test_components_complete_graph():
-    assert len(connected_components(complete_graph(6))) == 1
+    assert len(component_reps(complete_graph(6))) == 1
 
 
 def test_components_deleted_s3():
     b = bundle_for("metacyclic:3:2:2")
-    parts = connected_components(b.deleted)
-    assert len(parts) == 4
-    assert sorted(len(p) for p in parts) == [1, 1, 1, 2]
+    reps = component_reps(b.deleted)
+    assert len(reps) == 4
+    sizes = [analysis._component(b.deleted, r).bit_count() for r in reps]
+    assert sorted(sizes) == [1, 1, 1, 2]
 
 
 def test_components_deleted_q8():
     b = bundle_for("dicyclic:2")
-    assert len(connected_components(b.deleted)) == 1
+    assert len(component_reps(b.deleted)) == 1
 
 
 @st.composite
@@ -76,13 +82,13 @@ def _traversal_cases(roster_bundles_48):
 @settings(max_examples=150, deadline=None)
 @given(_random_graphs())
 def test_connectivity_matches_union_find_on_random_graphs(graph):
-    assert connected_components(graph) == brute_components(graph)
+    assert component_reps(graph) == [p[0] for p in brute_components(graph)]
     assert is_connected(graph) == brute_connected(graph)
 
 
 def test_connectivity_matches_union_find_on_roster(roster_bundles_48):
     for graph in _traversal_cases(roster_bundles_48):
-        assert connected_components(graph) == brute_components(graph), graph.name
+        assert component_reps(graph) == [p[0] for p in brute_components(graph)], graph.name
         assert is_connected(graph) == brute_connected(graph), graph.name
 
 
@@ -103,9 +109,9 @@ def test_cycle_and_coloring_match_loop_versions_on_roster(roster_bundles_48):
 
 
 def test_complete_examples():
-    assert is_complete(bundle_for("cyclic:7").epg)
-    assert not is_complete(bundle_for("metacyclic:3:2:2").epg)
-    assert is_complete(SimpleGraph(1))
+    assert report(bundle_for("cyclic:7").epg).complete
+    assert not report(bundle_for("metacyclic:3:2:2").epg).complete
+    assert report(SimpleGraph(1)).complete
 
 
 # -- cycles, trees, stars -------------------------------------------------------------
@@ -116,25 +122,25 @@ def test_cycle_and_witness():
     cycle = find_cycle(triangle)
     assert cycle is not None and len(cycle) >= 3
     _assert_closed_walk(triangle, cycle)
-    assert not is_bipartite(triangle)
+    assert not bipartite_coloring(triangle)[0]
 
 
 def test_elementary_abelian_eight_is_tree_star_bipartite():
-    epg = bundle_for("product:cyclic:2,cyclic:2,cyclic:2").epg
-    assert is_tree(epg) and is_star(epg) and is_bipartite(epg)
-    assert not has_cycle(epg)
+    r = report(bundle_for("product:cyclic:2,cyclic:2,cyclic:2").epg)
+    assert r.tree and r.star and r.bipartite
+    assert not r.cycle
 
 
 def test_deleted_s3_forest_not_tree():
-    b = bundle_for("metacyclic:3:2:2")
-    assert is_forest(b.deleted)
-    assert not is_tree(b.deleted)
+    r = report(bundle_for("metacyclic:3:2:2").deleted)
+    assert r.forest
+    assert not r.tree
 
 
 def test_path_is_tree_not_star():
-    path = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    assert is_tree(path)
-    assert not is_star(path)
+    r = report(graph_from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+    assert r.tree
+    assert not r.star
 
 
 def test_bipartite_odd_cycle_witness_valid():
@@ -156,53 +162,55 @@ def _assert_closed_walk(graph, cycle):
 
 
 def test_eulerian_examples():
-    assert is_eulerian(bundle_for("cyclic:9").epg)
-    assert not is_eulerian(bundle_for("cyclic:2").epg)
-    assert not is_eulerian(bundle_for("metacyclic:3:2:2").epg)
+    assert report(bundle_for("cyclic:9").epg).eulerian
+    assert not report(bundle_for("cyclic:2").epg).eulerian
+    assert not report(bundle_for("metacyclic:3:2:2").epg).eulerian
 
 
 def test_degenerate_conventions():
-    empty = SimpleGraph(0)
-    assert is_connected(empty)
-    assert is_forest(empty)
-    assert not is_star(empty)
-    assert is_eulerian(empty)
-    assert not is_tree(empty)
+    empty = report(SimpleGraph(0))
+    assert empty.connected
+    assert empty.forest
+    assert not empty.star
+    assert empty.eulerian
+    assert not empty.tree
 
-    single = SimpleGraph(1)
-    assert is_tree(single) and is_star(single)
-    assert is_eulerian(single)
-    assert is_complete(single)
+    single = report(SimpleGraph(1))
+    assert single.tree and single.star
+    assert single.eulerian
+    assert single.complete
 
-    k2 = complete_graph(2)
-    assert is_star(k2) and is_tree(k2)
+    k2 = report(complete_graph(2))
+    assert k2.star and k2.tree
 
 
 # -- degrees ---------------------------------------------------------------------------
 
 
 def test_degree_sequences():
-    assert degree_sequence(bundle_for("cyclic:5").epg) == [4, 4, 4, 4, 4]
-    assert sorted(degree_sequence(bundle_for("product:cyclic:2,cyclic:2").epg)) == [1, 1, 1, 3]
+    assert bundle_for("cyclic:5").epg.degrees() == [4, 4, 4, 4, 4]
+    assert sorted(bundle_for("product:cyclic:2,cyclic:2").epg.degrees()) == [1, 1, 1, 3]
 
 
 def test_odd_order_groups_have_even_degrees(roster_bundles_48):
     for b in roster_bundles_48:
         if b.group.order % 2 == 1:
-            assert all(d % 2 == 0 for d in degree_sequence(b.epg))
+            assert all(d % 2 == 0 for d in b.epg.degrees())
+            assert odd_degree_vertex(b.epg) is None
 
 
 def test_bipartite_iff_forest_on_power_graphs(roster_bundles_48):
     # graph-side equivalence per group: both collapse to the exponent-2 case
     for b in roster_bundles_48:
-        assert is_bipartite(b.epg) == is_forest(b.epg)
+        r = report(b.epg)
+        assert r.bipartite == r.forest
 
 
 def test_cyclic_complete_graphs_cycle_threshold():
     for n in range(1, 10):
-        epg = bundle_for(f"cyclic:{n}").epg
-        assert is_complete(epg)
-        assert has_cycle(epg) == (n >= 3)
+        r = report(bundle_for(f"cyclic:{n}").epg)
+        assert r.complete
+        assert r.cycle == (n >= 3)
 
 
 # -- cone vertices ------------------------------------------------------------------------
@@ -277,3 +285,98 @@ def test_report_negative_witnesses():
 
     report = analyze(bundle_for("metacyclic:3:2:2"))
     assert report.to_dict()["missing_edge"] is not None
+
+
+# -- the report against the oracles --------------------------------------------------------
+
+
+def _assert_report_matches_oracles(graph):
+    data = report(graph).to_dict()
+    parts = brute_components(graph)
+    connected = brute_connected(graph)
+    cycle = loop_find_cycle(graph)
+    bipartite, odd_cycle = loop_bipartite_coloring(graph)
+    degrees = graph.degrees()
+    tree = _reference_tree(graph)
+    planar, reject = planarity_verdict(graph)
+    assert {name: data[name] for name in REPORT_FIELDS} == {
+        "connected": connected,
+        "components": len(parts),
+        "complete": graph.edge_count() == graph.n * (graph.n - 1) // 2,
+        "cycle": cycle is not None,
+        "forest": cycle is None,
+        "tree": tree,
+        "star": tree and any(d == graph.n - 1 for d in degrees),
+        "bipartite": bipartite,
+        "eulerian": connected and all(d % 2 == 0 for d in degrees),
+        "planar": planar,
+        "cone_vertices": [v for v in range(1, graph.n) if degrees[v] == graph.n - 1],
+    }, graph.name
+    # each witness is present exactly when its verdict is negative, and checks out
+    assert ("component_reps" in data) == (not connected)
+    if not connected:
+        assert data["component_reps"] == [p[0] for p in parts]
+    assert ("missing_edge" in data) == (not data["complete"])
+    if "missing_edge" in data:
+        u, v = data["missing_edge"]
+        assert u != v and not graph.has_edge(u, v)
+    assert ("cycle_witness" in data) == (cycle is not None)
+    if cycle is not None:
+        assert len(data["cycle_witness"]) >= 3
+        _assert_closed_walk(graph, data["cycle_witness"])
+    assert ("odd_cycle" in data) == (not bipartite)
+    if not bipartite:
+        assert len(data["odd_cycle"]) % 2 == 1
+        _assert_closed_walk(graph, data["odd_cycle"])
+    assert ("odd_degree_vertex" in data) == any(d % 2 for d in degrees)
+    if "odd_degree_vertex" in data:
+        assert degrees[data["odd_degree_vertex"]] % 2 == 1
+    assert data.get("planar_reject") == (None if planar else reject)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_graphs())
+def test_report_matches_oracles_on_random_graphs(graph):
+    _assert_report_matches_oracles(graph)
+
+
+def test_report_matches_oracles_on_roster(roster_bundles_48):
+    for b in roster_bundles_48:
+        _assert_report_matches_oracles(b.epg)
+        _assert_report_matches_oracles(b.deleted)
+
+
+def test_report_json_matches_pinned_roster_48(roster_specs_48, bundle_of):
+    """The full and deleted reports of every roster group up to order 48, byte for byte."""
+    lines = []
+    for spec in roster_specs_48:
+        b = bundle_of(spec)
+        row = [spec.serialize(), analyze(b).to_dict(), analyze(b, deleted=True).to_dict()]
+        lines.append(json.dumps(row) + "\n")
+    assert "".join(lines) == REPORTS_48.read_text(encoding="utf-8")
+
+
+# -- laziness ------------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text", ["cyclic:6", "metacyclic:3:2:2", "dicyclic:4"])
+@pytest.mark.parametrize("deleted", [False, True])
+def test_full_report_runs_each_decider_once(decider_calls, text, deleted):
+    b = bundle_for(text)
+    r = PropertyReport(b.deleted if deleted else b.epg, b.epg)
+    first = r.to_dict()
+    assert r.to_dict() == first
+    assert decider_calls == dict.fromkeys(decider_calls, 1)
+
+
+def test_fields_decide_only_what_they_need(decider_calls):
+    r = report(bundle_for("cyclic:6").epg)  # even order: vertex 0 has odd degree
+    assert r.eulerian is False
+    assert decider_calls["odd_degree_vertex"] == 1
+    assert sum(decider_calls.values()) == 1
+    assert r.star is False  # a cycle rules out a tree before connectivity is asked
+    assert decider_calls["find_cycle"] == 1 and decider_calls["is_connected"] == 0
+
+
+def test_analyze_decides_every_field_before_returning(decider_calls):
+    analyze(bundle_for("metacyclic:3:2:2"), deleted=True)
+    assert decider_calls == dict.fromkeys(decider_calls, 1)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from epgraph import cli, roster_generate
 from epgraph.analysis import REPORT_FIELDS
 
@@ -127,6 +129,35 @@ def test_check_exit_zero_on_negative_verdicts(capsys):
     code, out, _ = run_cli(["check", "--group", "cyclic:5", "--props", "planar"], capsys)
     assert code == 0
     assert json.loads(out) == {"planar": False}
+
+
+@pytest.mark.parametrize("props", ["", ",", " , "])
+def test_check_props_naming_nothing_prints_empty_report(props, capsys):
+    code, out, _ = run_cli(["check", "--group", "cyclic:3", "--props", props], capsys)
+    assert code == 0
+    assert out == "{}\n"
+
+
+def test_check_props_decide_only_what_they_name(decider_calls, capsys):
+    code, out, _ = run_cli(["check", "--group", "cyclic:6", "--props", ","], capsys)
+    assert code == 0 and out == "{}\n"
+    assert not any(decider_calls.values())
+
+    code, out, _ = run_cli(["check", "--group", "cyclic:6", "--props", "eulerian"], capsys)
+    assert code == 0 and json.loads(out) == {"eulerian": False}
+    assert decider_calls["planarity_verdict"] == 0
+    assert decider_calls["find_cycle"] == decider_calls["bipartite_coloring"] == 0
+
+    code, out, _ = run_cli(["check", "--group", "cyclic:6", "--props", "planar"], capsys)
+    assert code == 0 and json.loads(out) == {"planar": False}
+    assert decider_calls["planarity_verdict"] == 1
+    assert decider_calls["find_cycle"] == decider_calls["bipartite_coloring"] == 0
+
+
+def test_check_full_report_runs_each_decider_once(decider_calls, capsys):
+    code, _, _ = run_cli(["check", "--group", "dicyclic:3", "--deleted"], capsys)
+    assert code == 0
+    assert decider_calls == dict.fromkeys(decider_calls, 1)
 
 
 # -- verify --------------------------------------------------------------------

@@ -1,17 +1,22 @@
 """Enhanced power graph construction, the adjacency oracle, deleted graphs,
 and exports."""
 
+import dataclasses
+
 import pytest
 
+import epgraph.epg as epg_module
 from epgraph import (
     SimpleGraph,
     adjacent_oracle,
     analyze,
     build_bundle,
+    build_deleted,
     make_cyclic,
     make_dihedral,
     make_metacyclic,
     closure_from_generators,
+    is_connected,
     parse_spec,
     to_dot,
     to_edgelist_lines,
@@ -100,6 +105,30 @@ def test_bundle_and_reports_leave_row_lists_unbuilt(spec_text):
     assert b.group._rows is None
 
 
+def test_deleted_graph_is_built_on_first_read(monkeypatch):
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return build_deleted(graph)
+
+    monkeypatch.setattr(epg_module, "build_deleted", counting)
+    b = bundle_for("dihedral:6")
+    analyze(b)
+    assert calls == []
+    analyze(b, deleted=True)
+    analyze(b, deleted=True)
+    assert calls == [b.epg]
+
+
+def test_replaced_epg_yields_its_own_deleted_graph():
+    b = bundle_for("cyclic:6")
+    assert b.deleted.edge_count() == 10
+    other = dataclasses.replace(b, epg=bundle_for("metacyclic:3:2:2").epg)
+    assert other.deleted.n == 5 and other.deleted.edge_count() == 1
+    assert b.deleted.edge_count() == 10
+
+
 def test_deleted_s3():
     b = bundle_for("metacyclic:3:2:2")
     assert b.deleted.n == 5
@@ -107,8 +136,6 @@ def test_deleted_s3():
 
 
 def test_deleted_z6_connected():
-    from epgraph import is_connected
-
     b = bundle_for("cyclic:6")
     assert b.deleted.n == 5
     assert is_connected(b.deleted)

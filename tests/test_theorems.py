@@ -12,11 +12,13 @@ from epgraph import (
     GroupParameterError,
     SimpleGraph,
     build_bundle,
+    build_deleted,
     parse_spec,
     roster_generate,
     run_all,
     run_check,
 )
+import epgraph.epg as epg_module
 from epgraph import theorems
 from epgraph.theorems import CHECKS, CHECKS_BY_ID
 
@@ -113,6 +115,18 @@ def test_run_check_ms_excludes_bundle_building(monkeypatch):
     monkeypatch.setattr(theorems, "build_bundle", slow_build)
     roster = roster_generate(4)
     report = run_check(CHECKS_BY_ID["T2.4"], roster)
+    assert report.tested == len(roster)
+    assert report.ms < 50
+
+
+def test_run_check_ms_excludes_deleted_graph_building(monkeypatch):
+    def slow_deleted(graph):
+        time.sleep(0.05)
+        return build_deleted(graph)
+
+    monkeypatch.setattr(epg_module, "build_deleted", slow_deleted)
+    roster = roster_generate(4)
+    report = run_check(CHECKS_BY_ID["T5.4"], roster)
     assert report.tested == len(roster)
     assert report.ms < 50
 
