@@ -33,16 +33,10 @@ from .groups import (
     AbelianShape,
     FiniteGroup,
     abelian_shape,
-    closure_from_generators,
     has_cyclic_sylow,
     has_unique_minimal_subgroup,
     is_generalized_quaternion,
     is_simple,
-    make_cyclic,
-    make_dicyclic,
-    make_dihedral,
-    make_direct_product,
-    make_metacyclic,
     normal_closure,
     prime_order_subgroup_count,
     totient,
@@ -87,7 +81,6 @@ __all__ = [
     "build_deleted",
     "build_epg",
     "build_lattice",
-    "closure_from_generators",
     "component_reps",
     "cone_vertices",
     "find_cycle",
@@ -99,11 +92,6 @@ __all__ = [
     "is_generalized_quaternion",
     "is_planar",
     "is_simple",
-    "make_cyclic",
-    "make_dicyclic",
-    "make_dihedral",
-    "make_direct_product",
-    "make_metacyclic",
     "normal_closure",
     "odd_degree_vertex",
     "parse_cayley_text",

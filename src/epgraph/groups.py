@@ -1,13 +1,15 @@
 """Finite groups as explicit multiplication tables over element indices 0..n-1.
 
-The identity element is always index 0; constructors guarantee it and the
-Cayley-file reader renumbers to it. Constructor tables are groups by
-construction and are wrapped as they are; closed forms are block copies of
-Z_n's table with no modular arithmetic per entry, and the permutation
-closure gathers its columns from recorded right multiplications. Only
-``FiniteGroup.from_table``, the entry point for untrusted tables, checks the
-group laws: closure, the Latin-square property, the identity, and
-associativity by Light's test, exactly and in O(n^2 log n) for a group.
+The identity element is always index 0; the table builders guarantee it and
+the Cayley-file reader renumbers to it. A group is built only through
+``GroupSpec.realize`` (``epgraph.specs``), which checks the parameters and
+the order cap and wraps one builder's table as it is: closed forms are block
+copies of Z_n's table with no modular arithmetic per entry, a product folds
+its factors' tables left, and the permutation closure gathers its columns
+from recorded right multiplications. Only ``FiniteGroup.from_table``, the
+entry point for untrusted tables, checks the group laws: closure, the
+Latin-square property, the identity, and associativity by Light's test,
+exactly and in O(n^2 log n) for a group.
 """
 
 from __future__ import annotations
@@ -283,35 +285,23 @@ def _walk_cyclic_subgroups(table: np.ndarray):
     return tuple(orders), tuple(walks), tuple(walk_of)
 
 
-# -- constructors -----------------------------------------------------------
+# -- table builders ----------------------------------------------------------
+# ``GroupSpec.realize`` is their one caller: it checks the parameter laws and
+# the order cap, so the closed forms check nothing and only the closure, whose
+# order is found while building, takes the cap.
 
 
-def make_cyclic(n: int, *, spec=None, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
-    """The cyclic group Z_n under addition modulo n."""
-    if n < 1:
-        raise GroupParameterError(f"cyclic group order must be >= 1, got {n}")
-    if n > max_order:
-        raise GroupSizeError(f"group order {n} exceeds the cap of {max_order}")
-    return FiniteGroup(_cyclic_table(n), spec)
-
-
-def _cyclic_table(n: int) -> np.ndarray:
+def cyclic_table(n: int) -> np.ndarray:
     """Z_n's table: row i is 0..n-1 rotated left by i, a window over it written twice."""
     return sliding_window_view(np.tile(np.arange(n, dtype=np.int64), 2), n)[:n].copy()
 
 
-def make_direct_product(parts: Sequence[FiniteGroup], *, spec=None,
-                        max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def product_table(tables: Sequence[np.ndarray]) -> np.ndarray:
     """Componentwise product; pair (a, b) gets index a*|H| + b, folded left."""
-    if not parts:
-        raise GroupParameterError("direct product needs at least one factor")
-    total = math.prod(g.order for g in parts)
-    if total > max_order:
-        raise GroupSizeError(f"product order {total} exceeds the cap of {max_order}")
-    table = parts[0].table
-    for g in parts[1:]:
-        table = _product2(table, g.table)
-    return FiniteGroup(table, spec)
+    table = tables[0]
+    for t in tables[1:]:
+        table = _product2(table, t)
+    return table
 
 
 def _product2(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
@@ -321,71 +311,46 @@ def _product2(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return out.reshape(n1 * n2, n1 * n2)
 
 
-def make_dicyclic(m: int, *, spec=None, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def dicyclic_table(m: int) -> np.ndarray:
     """The dicyclic group of order 4m on pairs (i, j), i in Z_{2m}, j in {0, 1}.
 
     Products: (i1,0)(i2,j2) = (i1+i2, j2); (i1,1)(i2,0) = (i1-i2, 1);
     (i1,1)(i2,1) = (i1-i2+m, 0), all mod 2m. For m a power of two this is
     the generalized quaternion group Q_{4m}. Pair (i, j) gets index j*2m + i.
     """
-    if m < 2:
-        raise GroupParameterError(f"dicyclic parameter must be >= 2, got {m}")
     n = 4 * m
-    if n > max_order:
-        raise GroupSizeError(f"group order {n} exceeds the cap of {max_order}")
     two_m = 2 * m
-    z, i = _cyclic_table(two_m), np.arange(two_m)
+    z, i = cyclic_table(two_m), np.arange(two_m)
     out = np.empty((2, two_m, 2, two_m), dtype=np.int64)  # [j1, i1, j2, i2]
     out[0, :, 0], out[1, :, 1] = z, z[:, m - i]
     np.add(z, two_m, out=out[0, :, 1])
     np.add(z[:, -i], two_m, out=out[1, :, 0])
-    return FiniteGroup(out.reshape(n, n), spec)
+    return out.reshape(n, n)
 
 
-def make_metacyclic(m: int, n: int, k: int, *, spec=None,
-                    max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def metacyclic_table(m: int, n: int, k: int) -> np.ndarray:
     """The metacyclic group Z_m x| Z_n with (i1,j1)(i2,j2) = (i1 + k^j1*i2, j1+j2).
 
     Requires k^n = 1 (mod m) and gcd(k, m) = 1. Pair (i, j) gets index
     j*m + i. Dihedral groups arise as (m, 2, m-1).
     """
-    if m < 1 or n < 1 or k < 1:
-        raise GroupParameterError(f"metacyclic parameters must be positive, got {(m, n, k)}")
-    if math.gcd(k, m) != 1:
-        raise GroupParameterError(f"metacyclic needs gcd(k, m) = 1, got k={k}, m={m}")
-    if pow(k, n, m) != 1 % m:
-        raise GroupParameterError(f"metacyclic needs k^n = 1 (mod m); {k}^{n} fails mod {m}")
     order = m * n
-    if order > max_order:
-        raise GroupSizeError(f"group order {order} exceeds the cap of {max_order}")
     # block (j1, j2) is Z_m with column i2 taken from k^j1*i2, plus m*(j1+j2 mod n)
     cols = np.array([pow(k, j, m) for j in range(n)], dtype=np.int64)[:, None] * np.arange(m) % m
-    blocks = _cyclic_table(m)[np.arange(m)[None, :, None], cols[:, None, :]]  # [j1, i1, i2]
+    blocks = cyclic_table(m)[np.arange(m)[None, :, None], cols[:, None, :]]  # [j1, i1, i2]
     out = np.empty((n, m, n, m), dtype=np.int64)  # [j1, i1, j2, i2]
-    np.add(blocks[:, :, None, :], m * _cyclic_table(n)[:, None, :, None], out=out)
-    return FiniteGroup(out.reshape(order, order), spec)
+    np.add(blocks[:, :, None, :], m * cyclic_table(n)[:, None, :, None], out=out)
+    return out.reshape(order, order)
 
 
-def make_dihedral(m: int, *, spec=None, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
-    """The dihedral group of order 2m, realized as Metacyclic(m, 2, m-1)."""
-    if m < 2:
-        raise GroupParameterError(f"dihedral parameter must be >= 2, got {m}")
-    return make_metacyclic(m, 2, m - 1, spec=spec, max_order=max_order)
-
-
-def closure_from_generators(degree: int, generators: Iterable[Sequence[int]], *,
-                            spec=None, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def closure_table(degree: int, generators: Iterable[Sequence[int]],
+                  max_order: int) -> np.ndarray:
     """Breadth-first closure of permutations of {0..degree-1} under composition.
 
     Permutations are one-line images; composition is (p*q)(x) = p[q[x]].
     Elements are indexed by discovery order with the identity first.
     """
-    if degree < 1:
-        raise GroupParameterError(f"permutation degree must be >= 1, got {degree}")
     gens = [tuple(g) for g in generators]
-    for g in gens:
-        if sorted(g) != list(range(degree)):
-            raise GroupParameterError(f"{g} is not a permutation of 0..{degree - 1}")
     ident = tuple(range(degree))
     elems = [ident]
     index = {ident: 0}
@@ -408,7 +373,7 @@ def closure_from_generators(degree: int, generators: Iterable[Sequence[int]], *,
     cols[0] = np.arange(len(elems))
     for q, (p, k) in enumerate(parent[1:], start=1):
         cols[q] = rmul[k][cols[p]]  # x * (p * g) = (x * p) * g
-    return FiniteGroup(cols.T.copy(), spec)
+    return cols.T.copy()
 
 
 # -- derived structure ------------------------------------------------------

@@ -89,14 +89,6 @@ class SimpleGraph:
                 yield (u, b.bit_length() - 1)
                 m ^= b
 
-    def check_symmetry(self) -> bool:
-        """Symmetric adjacency with an empty diagonal."""
-        return all(
-            not self.rows[u] >> u & 1
-            and all(self.rows[v] >> u & 1 for v in self.neighbors(u))
-            for u in range(self.n)
-        )
-
 
 # -- serialization -----------------------------------------------------------
 

@@ -10,7 +10,10 @@ One flat grammar serves the CLI, reports, and roster listings:
     perm:DEGREE:<gen>,<gen>,...   with cycle-notation generators like (0 1 2)
     file:PATH                 (Cayley table file)
 
-Nested products flatten, so serialization round-trips.
+Nested products flatten, so serialization round-trips. A spec is the only
+way to build a group: ``GroupSpec`` checks each family's parameter laws when
+it is made, and ``realize`` checks the order cap before it calls a table
+builder of ``epgraph.groups`` and wraps the table in one ``FiniteGroup``.
 """
 
 from __future__ import annotations
@@ -19,16 +22,17 @@ import math
 import re
 from pathlib import Path
 
-from .errors import GroupParameterError, SpecSyntaxError
+import numpy as np
+
+from .errors import GroupParameterError, GroupSizeError, SpecSyntaxError
 from .groups import (
     DEFAULT_MAX_ORDER,
     FiniteGroup,
-    make_cyclic,
-    make_dicyclic,
-    make_dihedral,
-    make_direct_product,
-    make_metacyclic,
-    closure_from_generators,
+    closure_table,
+    cyclic_table,
+    dicyclic_table,
+    metacyclic_table,
+    product_table,
 )
 
 FAMILIES = ("cyclic", "product", "dihedral", "dicyclic", "metacyclic", "perm", "file")
@@ -40,8 +44,9 @@ _GEN_RE = re.compile(r"^(\(\s*(\d+(\s+\d+)*)?\s*\))+$")
 class GroupSpec:
     """A group construction: family name plus family-specific parameters.
 
-    Instances are immutable and hashable; build them through the
-    family-named classmethods so parameters are checked up front.
+    Instances are immutable and hashable. The parameters are checked against
+    the family's laws when the spec is made, raising GroupParameterError; the
+    family-named classmethods only shape them.
     """
 
     __slots__ = ("family", "params")
@@ -49,6 +54,7 @@ class GroupSpec:
     def __init__(self, family: str, params: tuple):
         if family not in FAMILIES:
             raise GroupParameterError(f"unknown family {family!r}")
+        _check_laws(family, params)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "params", params)
 
@@ -72,63 +78,37 @@ class GroupSpec:
 
     @classmethod
     def cyclic(cls, n: int) -> "GroupSpec":
-        if n < 1:
-            raise GroupParameterError(f"cyclic order must be >= 1, got {n}")
         return cls("cyclic", (n,))
 
     @classmethod
     def product(cls, children) -> "GroupSpec":
-        flat: list[GroupSpec] = []
+        flat: list = []
         for child in children:
-            if not isinstance(child, GroupSpec):
-                raise GroupParameterError("product children must be GroupSpec values")
-            if child.family == "product":
+            if isinstance(child, GroupSpec) and child.family == "product":
                 flat.extend(child.params)
             else:
                 flat.append(child)
-        if not flat:
-            raise GroupParameterError("product needs at least one factor")
         return cls("product", tuple(flat))
 
     @classmethod
     def dihedral(cls, m: int) -> "GroupSpec":
-        if m < 2:
-            raise GroupParameterError(f"dihedral parameter must be >= 2, got {m}")
         return cls("dihedral", (m,))
 
     @classmethod
     def dicyclic(cls, m: int) -> "GroupSpec":
-        if m < 2:
-            raise GroupParameterError(f"dicyclic parameter must be >= 2, got {m}")
         return cls("dicyclic", (m,))
 
     @classmethod
     def metacyclic(cls, m: int, n: int, k: int) -> "GroupSpec":
-        if m < 1 or n < 1 or k < 1:
-            raise GroupParameterError(f"metacyclic parameters must be positive, got {(m, n, k)}")
-        if math.gcd(k, m) != 1 or pow(k, n, m) != 1 % m:
-            raise GroupParameterError(
-                f"metacyclic needs gcd(k, m) = 1 and k^n = 1 (mod m), got {(m, n, k)}"
-            )
         return cls("metacyclic", (m, n, k))
 
     @classmethod
     def perm(cls, degree: int, generators) -> "GroupSpec":
-        if degree < 1:
-            raise GroupParameterError(f"permutation degree must be >= 1, got {degree}")
-        gens = tuple(tuple(g) for g in generators)
-        if not gens:
-            raise GroupParameterError("perm spec needs at least one generator")
-        for g in gens:
-            if sorted(g) != list(range(degree)):
-                raise GroupParameterError(f"{g} is not a permutation of 0..{degree - 1}")
-        return cls("perm", (degree, gens))
+        return cls("perm", (degree, tuple(tuple(g) for g in generators)))
 
     @classmethod
     def file(cls, path: str) -> "GroupSpec":
-        if not path:
-            raise GroupParameterError("file spec needs a path")
-        return cls("file", (str(path),))
+        return cls("file", (str(path) if path else "",))
 
     # -- views ----------------------------------------------------------------
 
@@ -189,27 +169,86 @@ class GroupSpec:
         return Path(self.params[0]).name
 
     def realize(self, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
-        """Construct the described group; only a ``file:`` table is validated."""
-        f = self.family
-        kwargs = {"spec": self, "max_order": max_order}
-        if f == "cyclic":
-            return make_cyclic(self.params[0], **kwargs)
-        if f == "product":
-            parts = [c.realize(max_order=max_order) for c in self.params]
-            return make_direct_product(parts, **kwargs)
-        if f == "dihedral":
-            return make_dihedral(self.params[0], **kwargs)
-        if f == "dicyclic":
-            return make_dicyclic(self.params[0], **kwargs)
-        if f == "metacyclic":
-            return make_metacyclic(*self.params, **kwargs)
-        if f == "perm":
-            degree, gens = self.params
-            return closure_from_generators(degree, gens, **kwargs)
-        from .cayley_io import ingest_cayley
+        """Construct the described group; only a ``file:`` table is validated.
 
-        text = Path(self.params[0]).read_text(encoding="utf-8")
-        return ingest_cayley(text, **kwargs)
+        Raises GroupSizeError when the order exceeds ``max_order``: before
+        any table is built when the parameters fix the order, and while
+        building for a permutation closure or a file.
+        """
+        if self.family == "file":
+            from .cayley_io import ingest_cayley
+
+            text = Path(self.params[0]).read_text(encoding="utf-8")
+            return ingest_cayley(text, spec=self, max_order=max_order)
+        return FiniteGroup(self._table(max_order), self)
+
+    def _table(self, max_order: int) -> np.ndarray:
+        """The multiplication table; a product folds its factors' tables."""
+        self._check_cap(max_order)
+        f, p = self.family, self.params
+        if f == "cyclic":
+            return cyclic_table(p[0])
+        if f == "dihedral":
+            return metacyclic_table(p[0], 2, p[0] - 1)
+        if f == "dicyclic":
+            return dicyclic_table(p[0])
+        if f == "metacyclic":
+            return metacyclic_table(*p)
+        if f == "perm":
+            return closure_table(*p, max_order=max_order)
+        if f == "file":
+            return self.realize(max_order=max_order).table
+        tables = [c._table(max_order) for c in p]
+        self._check_cap(max_order, math.prod(len(t) for t in tables))
+        return product_table(tables)
+
+    def _check_cap(self, max_order: int, order: int | None = None) -> None:
+        """Raise GroupSizeError when ``order`` (default ``known_order()``)
+        exceeds ``max_order``. A product too large first names a factor too
+        large on its own, as building the factors left to right would."""
+        if order is None:
+            order = self.known_order()
+        if order is None or order <= max_order:
+            return
+        if self.family != "product":
+            raise GroupSizeError(f"group order {order} exceeds the cap of {max_order}")
+        for c in self.params:
+            c._check_cap(max_order)
+        raise GroupSizeError(f"product order {order} exceeds the cap of {max_order}")
+
+
+def _check_laws(family: str, params: tuple) -> None:
+    """Raise GroupParameterError unless ``params`` obey the family's laws."""
+    if family == "cyclic":
+        if params[0] < 1:
+            raise GroupParameterError(f"cyclic order must be >= 1, got {params[0]}")
+    elif family == "product":
+        if not all(isinstance(c, GroupSpec) for c in params):
+            raise GroupParameterError("product children must be GroupSpec values")
+        if not params:
+            raise GroupParameterError("product needs at least one factor")
+    elif family in ("dihedral", "dicyclic"):
+        if params[0] < 2:
+            raise GroupParameterError(f"{family} parameter must be >= 2, got {params[0]}")
+    elif family == "metacyclic":
+        m, n, k = params
+        if m < 1 or n < 1 or k < 1:
+            raise GroupParameterError(f"metacyclic parameters must be positive, got {params}")
+        if math.gcd(k, m) != 1 or pow(k, n, m) != 1 % m:
+            raise GroupParameterError(
+                f"metacyclic needs gcd(k, m) = 1 and k^n = 1 (mod m), got {params}"
+            )
+    elif family == "perm":
+        degree, gens = params
+        if degree < 1:
+            raise GroupParameterError(f"permutation degree must be >= 1, got {degree}")
+        if not gens:
+            raise GroupParameterError("perm spec needs at least one generator")
+        for g in gens:
+            if sorted(g) != list(range(degree)):
+                raise GroupParameterError(f"{g} is not a permutation of 0..{degree - 1}")
+    elif not params[0]:
+        raise GroupParameterError("file spec needs a path")
 
 
 def cycle_notation(perm) -> str:

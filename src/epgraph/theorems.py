@@ -42,9 +42,9 @@ from .groups import (
     is_simple,
     prime_factors,
 )
-from .specs import GroupSpec
+from .specs import FAMILIES, GroupSpec
 
-FAMILY_NAMES = ("cyclic", "product", "dihedral", "dicyclic", "metacyclic", "perm")
+FAMILY_NAMES = tuple(f for f in FAMILIES if f != "file")  # the roster builds no files
 
 # (order, degree, generators) for the fixed permutation-closure roster members
 _PERM_ROSTER = (

@@ -13,8 +13,8 @@ from epgraph import (
     CayleyParseError,
     CayleyValidationError,
     GroupSizeError,
+    GroupSpec,
     ingest_cayley,
-    make_cyclic,
     parse_cayley_text,
     roster_generate,
 )
@@ -54,7 +54,7 @@ def test_identity_renumbered():
     text = (DATA / "z6_identity_at_3.cayley").read_text()
     g = ingest_cayley(text)
     assert g.orders[0] == 1
-    assert sorted(g.orders) == sorted(make_cyclic(6).orders)
+    assert sorted(g.orders) == sorted(GroupSpec.cyclic(6).realize().orders)
 
 
 def test_no_identity_rejected():
@@ -103,7 +103,7 @@ def test_out_of_range_entry():
 
 
 def test_round_trip_random_roster_member():
-    g = make_cyclic(12)
+    g = GroupSpec.cyclic(12).realize()
     text = cayley_file_text([list(r) for r in g.table.tolist()])
     h = ingest_cayley(text)
     assert h.orders == g.orders

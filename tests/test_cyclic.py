@@ -5,10 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from epgraph import (
     FiniteGroup,
+    GroupSpec,
     build_lattice,
-    make_cyclic,
-    make_dicyclic,
-    make_metacyclic,
     roster_generate,
     totient,
 )
@@ -28,42 +26,42 @@ def assert_lattice_matches_brute_force(group):
 
 
 def test_z6_subgroups():
-    g = make_cyclic(6)
+    g = GroupSpec.cyclic(6).realize()
     lattice = build_lattice(g)
     assert sorted(len(s) for s in lattice.subgroups) == [1, 2, 3, 6]
     assert {frozenset(s) for s in lattice.subgroups} == brute_cyclic_subgroups(g)
 
 
 def test_q8_subgroups():
-    q8 = make_dicyclic(2)
+    q8 = GroupSpec.dicyclic(2).realize()
     lattice = build_lattice(q8)
     assert sorted(len(s) for s in lattice.subgroups) == [1, 2, 4, 4, 4]
     assert {frozenset(s) for s in lattice.subgroups} == brute_cyclic_subgroups(q8)
 
 
 def test_trivial_group_lattice():
-    lattice = build_lattice(make_cyclic(1))
+    lattice = build_lattice(GroupSpec.cyclic(1).realize())
     assert lattice.subgroups == ((0,),)
     assert lattice.pi_e == {1}
     assert lattice.mu == {1}
 
 
 def test_gen_class_examples():
-    z12 = build_lattice(make_cyclic(12))
+    z12 = build_lattice(GroupSpec.cyclic(12).realize())
     assert set(z12.gen_class(2)) == {2, 10}
     assert z12.gen_class(0) == (0,)
-    z5 = build_lattice(make_cyclic(5))
+    z5 = build_lattice(GroupSpec.cyclic(5).realize())
     assert set(z5.gen_class(3)) == {1, 2, 3, 4}
 
 
 def test_pi_e_and_mu():
-    s3 = build_lattice(make_metacyclic(3, 2, 2))
+    s3 = build_lattice(GroupSpec.metacyclic(3, 2, 2).realize())
     assert s3.pi_e == {1, 2, 3}
     assert s3.mu == {2, 3}
-    z12 = build_lattice(make_cyclic(12))
+    z12 = build_lattice(GroupSpec.cyclic(12).realize())
     assert z12.pi_e == {1, 2, 3, 4, 6, 12}
     assert z12.mu == {12}
-    q8 = build_lattice(make_dicyclic(2))
+    q8 = build_lattice(GroupSpec.dicyclic(2).realize())
     assert q8.pi_e == {1, 2, 4}
     assert q8.mu == {4}
 

@@ -7,15 +7,12 @@ import pytest
 
 import epgraph.epg as epg_module
 from epgraph import (
+    GroupSpec,
     SimpleGraph,
     adjacent_oracle,
     analyze,
     build_bundle,
     build_deleted,
-    make_cyclic,
-    make_dihedral,
-    make_metacyclic,
-    closure_from_generators,
     is_connected,
     parse_spec,
     to_dot,
@@ -51,14 +48,14 @@ def test_s3_edges():
 
 
 def test_oracle_identity_always_adjacent():
-    g = make_dihedral(6)
+    g = GroupSpec.dihedral(6).realize()
     for x in range(1, g.order):
         assert adjacent_oracle(g, 0, x)
         assert adjacent_oracle(g, x, 0)
 
 
 def test_oracle_transpositions_not_adjacent():
-    s3 = make_metacyclic(3, 2, 2)
+    s3 = GroupSpec.metacyclic(3, 2, 2).realize()
     reflections = [x for x in range(6) if s3.orders[x] == 2]
     for i, s in enumerate(reflections):
         for t in reflections[i + 1:]:
@@ -66,13 +63,13 @@ def test_oracle_transpositions_not_adjacent():
 
 
 def test_oracle_z4():
-    z4 = make_cyclic(4)
+    z4 = GroupSpec.cyclic(4).realize()
     assert adjacent_oracle(z4, 1, 2)
 
 
 def test_oracle_rejects_equal_elements():
     with pytest.raises(ValueError):
-        adjacent_oracle(make_cyclic(4), 2, 2)
+        adjacent_oracle(GroupSpec.cyclic(4).realize(), 2, 2)
 
 
 @pytest.mark.parametrize(
@@ -195,10 +192,10 @@ def test_equal_order_distinct_classes_never_joined(roster_bundles_48):
 
 def test_dihedral_same_epg_edge_count_both_constructions():
     for m in (3, 4, 6):
-        meta = build_bundle(make_dihedral(m))
+        meta = build_bundle(GroupSpec.dihedral(m).realize())
         rot = tuple((i + 1) % m for i in range(m))
         ref = tuple((m - i) % m for i in range(m))
-        perm = build_bundle(closure_from_generators(m, [rot, ref]))
+        perm = build_bundle(GroupSpec.perm(m, [rot, ref]).realize())
         assert meta.epg.edge_count() == perm.epg.edge_count()
 
 

@@ -1,4 +1,4 @@
-"""Group constructors, predicates, and validation."""
+"""Groups built from specs: tables, predicates, and validation."""
 
 import math
 import re
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import epgraph.groups as groups_module
 from epgraph import (
     CayleyValidationError,
     FiniteGroup,
@@ -14,17 +15,12 @@ from epgraph import (
     GroupSizeError,
     GroupSpec,
     abelian_shape,
-    closure_from_generators,
     has_cyclic_sylow,
     has_unique_minimal_subgroup,
     is_generalized_quaternion,
     is_simple,
-    make_cyclic,
-    make_dicyclic,
-    make_dihedral,
-    make_direct_product,
-    make_metacyclic,
     normal_closure,
+    parse_spec,
     prime_order_subgroup_count,
     roster_generate,
     totient,
@@ -51,16 +47,16 @@ from helpers import (
 
 
 def test_cyclic_trivial():
-    g = make_cyclic(1)
+    g = GroupSpec.cyclic(1).realize()
     assert g.order == 1
     assert g.orders == (1,)
 
 
 def test_cyclic_orders_follow_gcd():
-    g = make_cyclic(6)
+    g = GroupSpec.cyclic(6).realize()
     assert g.orders[1] == 6
     assert g.orders[3] == 2
-    g12 = make_cyclic(12)
+    g12 = GroupSpec.cyclic(12).realize()
     assert g12.orders[8] == 3
     for i in range(1, 12):
         assert g12.orders[i] == 12 // math.gcd(12, i)
@@ -68,23 +64,23 @@ def test_cyclic_orders_follow_gcd():
 
 def test_cyclic_bounds():
     with pytest.raises(GroupParameterError):
-        make_cyclic(0)
+        GroupSpec.cyclic(0)
     with pytest.raises(GroupSizeError):
-        make_cyclic(513)
-    assert make_cyclic(513, max_order=1024).order == 513
+        GroupSpec.cyclic(513).realize()
+    assert GroupSpec.cyclic(513).realize(max_order=1024).order == 513
 
 
 # -- direct products -------------------------------------------------------------
 
 
 def test_klein_four_orders():
-    g = make_direct_product([make_cyclic(2), make_cyclic(2)])
+    g = parse_spec("product:cyclic:2,cyclic:2").realize()
     assert g.order == 4
     assert sorted(g.orders) == [1, 2, 2, 2]
 
 
 def test_product_order_is_lcm():
-    g = make_direct_product([make_cyclic(2), make_cyclic(3)])
+    g = parse_spec("product:cyclic:2,cyclic:3").realize()
     assert 6 in g.orders
     for a in range(2):
         for b in range(3):
@@ -95,21 +91,21 @@ def test_product_order_is_lcm():
 
 
 def test_product_with_trivial_is_same_table():
-    g = make_cyclic(5)
-    prod = make_direct_product([make_cyclic(1), g])
+    g = GroupSpec.cyclic(5).realize()
+    prod = GroupSpec.product([GroupSpec.cyclic(1), g.spec]).realize()
     assert np.array_equal(prod.table, g.table)
 
 
 def test_product_overflow():
     with pytest.raises(GroupSizeError):
-        make_direct_product([make_cyclic(32), make_cyclic(32)])
+        parse_spec("product:cyclic:32,cyclic:32").realize()
 
 
 # -- dicyclic groups -------------------------------------------------------------
 
 
 def test_q8_has_unique_involution():
-    q8 = make_dicyclic(2)
+    q8 = GroupSpec.dicyclic(2).realize()
     assert q8.order == 8
     assert orders_multiset(q8).count(2) == 1
 
@@ -117,13 +113,13 @@ def test_q8_has_unique_involution():
 def test_dicyclic_defining_relation():
     # b^2 = a^m: with pairs (i, j) at index j*2m + i, b = (0, 1)
     for m in (2, 3, 4):
-        g = make_dicyclic(m)
+        g = GroupSpec.dicyclic(m).realize()
         b = 2 * m
         assert g.mul(b, b) == m
 
 
 def test_q16_nonabelian():
-    q16 = make_dicyclic(4)
+    q16 = GroupSpec.dicyclic(4).realize()
     assert q16.order == 16
     table = table_of(q16)
     assert any(
@@ -133,20 +129,20 @@ def test_q16_nonabelian():
 
 def test_dicyclic_bounds():
     with pytest.raises(GroupParameterError):
-        make_dicyclic(1)
+        GroupSpec.dicyclic(1)
 
 
 # -- metacyclic groups ------------------------------------------------------------
 
 
 def test_metacyclic_s3():
-    g = make_metacyclic(3, 2, 2)
+    g = GroupSpec.metacyclic(3, 2, 2).realize()
     assert not g.is_abelian()
     assert orders_multiset(g) == [1, 2, 2, 2, 3, 3]
 
 
 def test_metacyclic_semidihedral_16():
-    g = make_metacyclic(8, 2, 3)
+    g = GroupSpec.metacyclic(8, 2, 3).realize()
     assert g.order == 16
     assert not g.is_abelian()
     assert orders_multiset(g).count(8) == 4
@@ -154,20 +150,20 @@ def test_metacyclic_semidihedral_16():
 
 
 def test_metacyclic_degenerate_is_cyclic():
-    g = make_metacyclic(5, 1, 1)
-    assert np.array_equal(g.table, make_cyclic(5).table)
+    g = GroupSpec.metacyclic(5, 1, 1).realize()
+    assert np.array_equal(g.table, GroupSpec.cyclic(5).realize().table)
 
 
 def test_metacyclic_rejects_bad_parameters():
     with pytest.raises(GroupParameterError):
-        make_metacyclic(5, 2, 2)  # 2^2 = 4 != 1 mod 5
+        GroupSpec.metacyclic(5, 2, 2)  # 2^2 = 4 != 1 mod 5
     with pytest.raises(GroupParameterError):
-        make_metacyclic(6, 2, 3)  # gcd(3, 6) != 1
+        GroupSpec.metacyclic(6, 2, 3)  # gcd(3, 6) != 1
 
 
 def test_dihedral_is_metacyclic_special_case():
-    d4 = make_dihedral(4)
-    assert np.array_equal(d4.table, make_metacyclic(4, 2, 3).table)
+    d4 = GroupSpec.dihedral(4).realize()
+    assert np.array_equal(d4.table, GroupSpec.metacyclic(4, 2, 3).realize().table)
     assert orders_multiset(d4) == [1, 2, 2, 2, 2, 2, 4, 4]
 
 
@@ -175,38 +171,38 @@ def test_dihedral_is_metacyclic_special_case():
 
 
 def test_closure_s3():
-    g = closure_from_generators(3, [(1, 0, 2), (1, 2, 0)])
+    g = GroupSpec.perm(3, [(1, 0, 2), (1, 2, 0)]).realize()
     assert g.order == 6
 
 
 def test_closure_single_four_cycle():
-    g = closure_from_generators(4, [(1, 2, 3, 0)])
+    g = GroupSpec.perm(4, [(1, 2, 3, 0)]).realize()
     assert g.order == 4
 
 
 def test_closure_a5_matches_fixed_point_oracle():
     gens = [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)]
     assert len(fixed_point_closure(5, gens)) == 60
-    g = closure_from_generators(5, gens)
+    g = GroupSpec.perm(5, gens).realize()
     assert g.order == 60
 
 
 def test_closure_identity_first():
-    g = closure_from_generators(3, [(1, 2, 0)])
+    g = GroupSpec.perm(3, [(1, 2, 0)]).realize()
     assert g.orders[0] == 1
 
 
 def test_closure_rejects_non_permutation():
     with pytest.raises(GroupParameterError):
-        closure_from_generators(3, [(0, 0, 1)])
+        GroupSpec.perm(3, [(0, 0, 1)])
 
 
 def test_closure_size_cap():
     with pytest.raises(GroupSizeError):
-        closure_from_generators(5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)], max_order=30)
+        GroupSpec.perm(5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)]).realize(max_order=30)
 
 
-# -- constructor tables against the entry-by-entry reference -------------------------
+# -- built tables against the entry-by-entry reference ------------------------------
 
 
 def _assert_reference_table(spec):
@@ -266,18 +262,18 @@ def test_product_tables_match_reference(data):
 
 
 def test_element_order_identity():
-    for g in (make_cyclic(7), make_dicyclic(3)):
+    for g in (GroupSpec.cyclic(7).realize(), GroupSpec.dicyclic(3).realize()):
         assert g.element_order(0) == 1
 
 
 def test_element_order_examples():
-    assert make_cyclic(12).element_order(8) == 3
-    assert make_dicyclic(2).element_order(1) == 4  # a = (1, 0)
+    assert GroupSpec.cyclic(12).realize().element_order(8) == 3
+    assert GroupSpec.dicyclic(2).realize().element_order(1) == 4  # a = (1, 0)
 
 
 def test_element_order_range_error():
     with pytest.raises(IndexError):
-        make_cyclic(4).element_order(4)
+        GroupSpec.cyclic(4).realize().element_order(4)
 
 
 def test_totient_examples():
@@ -295,28 +291,28 @@ def test_totient_matches_brute_force(n):
 
 
 def test_center_abelian_is_whole_group():
-    g = make_cyclic(9)
+    g = GroupSpec.cyclic(9).realize()
     assert g.center() == tuple(range(9))
 
 
 def test_center_s3_trivial():
-    s3 = make_metacyclic(3, 2, 2)
+    s3 = GroupSpec.metacyclic(3, 2, 2).realize()
     assert set(s3.center()) == brute_center(s3) == {0}
 
 
 def test_center_q8():
-    q8 = make_dicyclic(2)
+    q8 = GroupSpec.dicyclic(2).realize()
     assert set(q8.center()) == brute_center(q8)
     assert len(q8.center()) == 2
 
 
 def test_normal_closure_identity():
-    g = make_dihedral(5)
+    g = GroupSpec.dihedral(5).realize()
     assert normal_closure(g, 0) == frozenset({0})
 
 
 def test_normal_closure_s4_double_transposition():
-    s4 = closure_from_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+    s4 = GroupSpec.perm(4, [(1, 0, 2, 3), (1, 2, 3, 0)]).realize()
     # double transpositions are exactly the squares of 4-cycles
     four_cycle = next(x for x in range(24) if s4.orders[x] == 4)
     double = s4.power(four_cycle, 2)
@@ -325,7 +321,7 @@ def test_normal_closure_s4_double_transposition():
 
 
 def test_normal_closure_a5_exhausts():
-    a5 = closure_from_generators(5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
+    a5 = GroupSpec.perm(5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)]).realize()
     for x in (1, 7, 30):
         assert len(normal_closure(a5, x)) == 60
 
@@ -337,10 +333,10 @@ def test_normal_closure_matches_all_pairs_oracle(roster_groups_48):
 
 
 def test_is_simple_examples():
-    assert is_simple(make_cyclic(5)) is True
-    s4 = closure_from_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+    assert is_simple(GroupSpec.cyclic(5).realize()) is True
+    s4 = GroupSpec.perm(4, [(1, 0, 2, 3), (1, 2, 3, 0)]).realize()
     assert is_simple(s4) is False
-    a5 = closure_from_generators(5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
+    a5 = GroupSpec.perm(5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)]).realize()
     assert is_simple(a5) is True
 
 
@@ -360,23 +356,23 @@ def test_is_simple_matches_all_elements_oracle(roster_groups_64):
 
 def test_is_simple_trivial_group_errors():
     with pytest.raises(GroupParameterError):
-        is_simple(make_cyclic(1))
+        is_simple(GroupSpec.cyclic(1).realize())
 
 
 # -- prime-order subgroups ----------------------------------------------------------
 
 
 def test_prime_order_subgroup_counts():
-    assert prime_order_subgroup_count(make_dicyclic(2)) == 1
-    assert prime_order_subgroup_count(make_dihedral(4)) == 5
-    assert prime_order_subgroup_count(make_cyclic(9)) == 1
+    assert prime_order_subgroup_count(GroupSpec.dicyclic(2).realize()) == 1
+    assert prime_order_subgroup_count(GroupSpec.dihedral(4).realize()) == 5
+    assert prime_order_subgroup_count(GroupSpec.cyclic(9).realize()) == 1
 
 
 def test_unique_minimal_subgroup():
-    assert has_unique_minimal_subgroup(make_dicyclic(4)) is True
-    assert has_unique_minimal_subgroup(make_dihedral(8)) is False
+    assert has_unique_minimal_subgroup(GroupSpec.dicyclic(4).realize()) is True
+    assert has_unique_minimal_subgroup(GroupSpec.dihedral(8).realize()) is False
     with pytest.raises(GroupParameterError):
-        prime_order_subgroup_count(make_cyclic(1))
+        prime_order_subgroup_count(GroupSpec.cyclic(1).realize())
 
 
 def test_prime_order_subgroups_match_subset_enumeration(roster_groups_48):
@@ -395,28 +391,26 @@ def test_prime_order_subgroups_match_subset_enumeration(roster_groups_48):
 
 
 def test_abelian_shape_examples():
-    z223 = make_direct_product([make_cyclic(2), make_cyclic(2), make_cyclic(3)])
+    z223 = parse_spec("product:cyclic:2,cyclic:2,cyclic:3").realize()
     assert abelian_shape(z223).factors == (2, 2, 3)
     assert has_cyclic_sylow(abelian_shape(z223)) is True
 
-    z2233 = make_direct_product(
-        [make_cyclic(2), make_cyclic(2), make_cyclic(3), make_cyclic(3)]
-    )
+    z2233 = parse_spec("product:cyclic:2,cyclic:2,cyclic:3,cyclic:3").realize()
     assert abelian_shape(z2233).factors == (2, 2, 3, 3)
     assert has_cyclic_sylow(abelian_shape(z2233)) is False
 
-    assert abelian_shape(make_cyclic(30)).factors == (2, 3, 5)
-    assert has_cyclic_sylow(abelian_shape(make_cyclic(30))) is True
+    assert abelian_shape(GroupSpec.cyclic(30).realize()).factors == (2, 3, 5)
+    assert has_cyclic_sylow(abelian_shape(GroupSpec.cyclic(30).realize())) is True
 
 
 def test_abelian_shape_mixed_powers():
-    g = make_direct_product([make_cyclic(4), make_cyclic(2), make_cyclic(9)])
+    g = parse_spec("product:cyclic:4,cyclic:2,cyclic:9").realize()
     assert abelian_shape(g).factors == (2, 4, 9)
 
 
 def test_abelian_shape_matches_reference(roster_groups_64):
     groups = [g for g in roster_groups_64 if g.is_abelian() and g.order >= 2]
-    groups += [make_direct_product([make_cyclic(q) for q in shape])
+    groups += [GroupSpec.product([GroupSpec.cyclic(q) for q in shape]).realize()
                for shape in ((2,) * 9, (2, 4, 8, 8), (3, 9, 9), (4, 2, 3, 3, 5))]
     for g in groups:
         assert abelian_shape(g).factors == abelian_shape_reference(g), g
@@ -424,12 +418,12 @@ def test_abelian_shape_matches_reference(roster_groups_64):
 
 def test_abelian_shape_rejects_nonabelian():
     with pytest.raises(GroupParameterError):
-        abelian_shape(make_dihedral(3))
+        abelian_shape(GroupSpec.dihedral(3).realize())
 
 
 def test_abelian_shape_of_ingested_table_matches_spec_free_computation():
     # shape must come from the table itself, not the construction recipe
-    z12 = make_cyclic(12)
+    z12 = GroupSpec.cyclic(12).realize()
     assert abelian_shape(z12).factors == (3, 4)
 
 
@@ -437,11 +431,11 @@ def test_abelian_shape_of_ingested_table_matches_spec_free_computation():
 
 
 def test_is_abelian_and_p_group():
-    z6 = make_cyclic(6)
+    z6 = GroupSpec.cyclic(6).realize()
     assert z6.is_abelian() and z6.is_p_group() is None
-    q8 = make_dicyclic(2)
+    q8 = GroupSpec.dicyclic(2).realize()
     assert not q8.is_abelian() and q8.is_p_group() == 2
-    triv = make_cyclic(1)
+    triv = GroupSpec.cyclic(1).realize()
     assert triv.is_abelian() and triv.is_p_group() is None
 
 
@@ -454,17 +448,17 @@ def test_is_abelian_and_center_match_brute_center(roster_groups_64):
 
 
 def test_generalized_quaternion_detection():
-    assert is_generalized_quaternion(make_dicyclic(4)) is True
-    assert is_generalized_quaternion(make_dihedral(8)) is False
-    assert is_generalized_quaternion(make_cyclic(8)) is False
+    assert is_generalized_quaternion(GroupSpec.dicyclic(4).realize()) is True
+    assert is_generalized_quaternion(GroupSpec.dihedral(8).realize()) is False
+    assert is_generalized_quaternion(GroupSpec.cyclic(8).realize()) is False
 
 
 def test_generalized_quaternion_across_families(roster_groups_48):
     for k in range(3, 7):
-        assert is_generalized_quaternion(make_dicyclic(2 ** (k - 2))) is True
+        assert is_generalized_quaternion(GroupSpec.dicyclic(2 ** (k - 2)).realize()) is True
     for g in (
-        make_metacyclic(16, 2, 7),     # semidihedral 32
-        make_direct_product([make_cyclic(2), make_cyclic(8)]),
+        GroupSpec.metacyclic(16, 2, 7).realize(),     # semidihedral 32
+        parse_spec("product:cyclic:2,cyclic:8").realize(),
     ):
         assert is_generalized_quaternion(g) is False
     # false on every dihedral, semidihedral, abelian, and odd-order roster member
@@ -521,7 +515,7 @@ def _assert_witness_fails(table, message: str) -> None:
 
 
 def test_swapped_intercalate_rejected_exactly():
-    table = table_of(make_cyclic(300))
+    table = table_of(GroupSpec.cyclic(300).realize())
     assert FiniteGroup.from_table(table).order == 300
     bad = swap_intercalate(table, 1, 2, 150)  # still a Latin square with identity 0
     with pytest.raises(CayleyValidationError) as exc:
@@ -572,27 +566,42 @@ def test_validation_matches_associativity_oracle(data):
 def test_metacyclic_matches_permutation_dihedral():
     # same abstract group built two ways: equal order multisets
     for m in (3, 4, 5, 6):
-        meta = make_dihedral(m)
+        meta = GroupSpec.dihedral(m).realize()
         rot = tuple((i + 1) % m for i in range(m))
         ref = tuple((m - i) % m for i in range(m))
-        perm = closure_from_generators(m, [rot, ref])
+        perm = GroupSpec.perm(m, [rot, ref]).realize()
         assert orders_multiset(meta) == orders_multiset(perm)
 
 
 def test_one_walk_per_cyclic_subgroup():
-    z512 = make_cyclic(512)
+    z512 = GroupSpec.cyclic(512).realize()
     assert len(z512.walks) == 10  # one cyclic subgroup per divisor of 512
-    z2_9 = make_direct_product([make_cyclic(2)] * 9)
+    z2_9 = GroupSpec.product([GroupSpec.cyclic(2)] * 9).realize()
     assert len(z2_9.walks) == 512  # the identity plus 511 subgroups of order 2
-    for g in (z512, z2_9, make_dihedral(12)):
+    for g in (z512, z2_9, GroupSpec.dihedral(12).realize()):
         for x in range(g.order):
             walk = g.walks[g.walk_of[x]]
             assert x in walk and len(walk) == g.orders[x]
             assert walk == g.powers_of(walk[0])
 
 
+@pytest.mark.parametrize("text", [
+    "product:cyclic:2,cyclic:2,cyclic:128",
+    "product:dihedral:4,cyclic:3",
+    "product:perm:3:(0 1),(0 1 2),cyclic:5",
+])
+def test_product_walks_once(monkeypatch, text):
+    # factors contribute tables only: the product is the one group walked
+    calls = []
+    walk = groups_module._walk_cyclic_subgroups
+    monkeypatch.setattr(groups_module, "_walk_cyclic_subgroups",
+                        lambda table: calls.append(len(table)) or walk(table))
+    group = parse_spec(text).realize()
+    assert calls == [group.order]
+
+
 def test_power_method():
-    g = make_cyclic(10)
+    g = GroupSpec.cyclic(10).realize()
     assert g.power(3, 0) == 0
     assert g.power(3, 4) == 2
     assert g.power(3, -1) == 7

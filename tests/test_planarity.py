@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epgraph import (
+    GroupSpec,
     SimpleGraph,
     build_bundle,
     is_planar,
-    make_cyclic,
-    make_direct_product,
     planarity_verdict,
 )
 
@@ -173,7 +172,7 @@ def test_many_roots_match_networkx(name, isolated):
 
 def test_deleted_graph_of_elementary_abelian_is_planar():
     # Z_2^9 without its identity: 511 isolated vertices, each a DFS root
-    group = make_direct_product([make_cyclic(2)] * 9)
+    group = GroupSpec.product([GroupSpec.cyclic(2)] * 9).realize()
     assert planarity_verdict(build_bundle(group).deleted) == (True, "")
 
 

@@ -113,6 +113,23 @@ def test_spec_constructors_validate():
         GroupSpec.product([])
 
 
+@pytest.mark.parametrize("family, params", [
+    ("cyclic", (0,)),
+    ("dihedral", (1,)),
+    ("dicyclic", (1,)),
+    ("metacyclic", (4, 2, 2)),
+    ("metacyclic", (0, 2, 1)),
+    ("perm", (3, ((0, 0, 1),))),
+    ("product", ()),
+    ("file", ("",)),
+])
+def test_raw_spec_checks_laws_when_made(family, params):
+    # the laws live in GroupSpec itself, so a spec made without the
+    # family-named classmethods is refused before realize is reached
+    with pytest.raises(GroupParameterError):
+        GroupSpec(family, params)
+
+
 def test_specs_hashable_and_equal():
     a = parse_spec("product:cyclic:2,cyclic:3")
     b = GroupSpec.product([GroupSpec.cyclic(2), GroupSpec.cyclic(3)])
