@@ -5,10 +5,13 @@ Each property has one decider, which asks only what its property needs:
 covers every vertex, ``component_reps`` expands each component once, and
 ``find_missing_edge``, ``find_cycle``, ``bipartite_coloring`` and
 ``odd_degree_vertex`` stop at their first witness; ``planarity_verdict``
-and ``cone_vertices`` complete the set. ``PropertyReport(graph, epg)``
-runs each decider on the first read of a field that needs it, at most
-once per report, and is the one place that defines tree, star and
-Eulerian.
+and ``cone_vertices`` complete the set. The two searches keep frames
+[remaining mask, parent, depth], one per expanded vertex rather than one
+entry per neighbor, so the identity, adjacent to every vertex of an
+enhanced power graph, costs one frame and not n - 1 pushes.
+``PropertyReport(graph, epg)`` runs each decider on the first read of a
+field that needs it, at most once per report, and is the one place that
+defines tree, star and Eulerian.
 
 Conventions for degenerate graphs: the empty graph counts as connected,
 a forest, Eulerian, and not a star; a single vertex counts as complete,
@@ -80,36 +83,49 @@ def find_missing_edge(graph: SimpleGraph) -> Optional[tuple[int, int]]:
 def find_cycle(graph: SimpleGraph) -> Optional[list[int]]:
     """Some cycle as a vertex list, via a DFS back/cross edge, else None.
 
-    A popped vertex's row is split by bitmask: a neighbor reached before,
-    other than its parent, closes a cycle (the lowest such one is taken);
-    the rest are pushed in ascending order.
+    The stack holds frames [remaining mask, parent, depth]: a popped
+    vertex's unvisited neighbors are marked at once and pushed as one
+    frame, and the next vertex is the highest bit of the top frame, the
+    order a stack of single vertices pushed in ascending order gives. A
+    vertex's parent and depth are written when it is popped. A neighbor
+    reached before, other than the parent, closes a cycle (the lowest such
+    one is taken); if it is still in a frame, it takes that frame's parent
+    and depth.
     """
     rows = graph.rows
-    parent = list(range(graph.n))  # a root is its own parent, so no bit is masked
+    parent = [0] * graph.n
     depth = [0] * graph.n
     visited = 0
     for s in range(graph.n):
         if visited >> s & 1:
             continue
         visited |= 1 << s
-        stack = [s]
+        stack = [[1 << s, s, 0]]  # a root is its own parent, so no bit is masked
         while stack:
-            u = stack.pop()
-            back = rows[u] & visited & ~(1 << parent[u])
+            frame = stack[-1]
+            u = frame[0].bit_length() - 1
+            frame[0] ^= 1 << u
+            if not frame[0]:
+                stack.pop()
+            parent[u], depth[u] = frame[1], frame[2]
+            back = rows[u] & visited & ~(1 << frame[1])
             if back:
                 w = (back & -back).bit_length() - 1
+                _place(w, stack, parent, depth)
                 return _join_tree_paths(u, w, parent, depth)
             new = rows[u] & ~visited
-            visited |= new
-            d = depth[u] + 1
-            while new:
-                b = new & -new
-                w = b.bit_length() - 1
-                parent[w] = u
-                depth[w] = d
-                stack.append(w)
-                new ^= b
+            if new:
+                visited |= new
+                stack.append([new, u, frame[2] + 1])
     return None
+
+
+def _place(w: int, frames, parent: list[int], depth: list[int]) -> None:
+    """Give w the parent and depth of the frame that still holds it, if one does."""
+    for mask, p, d in frames:
+        if mask >> w & 1:
+            parent[w], depth[w] = p, d
+            return
 
 
 def _join_tree_paths(u: int, w: int, parent: list[int], depth: list[int]) -> list[int]:
@@ -127,9 +143,12 @@ def bipartite_coloring(graph: SimpleGraph) -> tuple[bool, Optional[list[int]]]:
     """(bipartite, odd cycle witness when not).
 
     Breadth-first 2-coloring with one bitmask per color, which is the
-    only record of a vertex's color: a dequeued vertex clashes with its
-    lowest neighbor of its own color, and its uncolored neighbors take
-    the other color in ascending order.
+    only record of a vertex's color. The queue holds frames [remaining
+    mask, parent, depth]: a dequeued vertex's uncolored neighbors take the
+    other color at once and join the queue as one frame, and the next
+    vertex is the lowest bit of the front frame. A vertex clashes with its
+    lowest neighbor of its own color; parent and depth are written on
+    dequeue, and a clash witness still in a frame takes them from it.
     """
     rows = graph.rows
     parent = [-1] * graph.n
@@ -139,24 +158,25 @@ def bipartite_coloring(graph: SimpleGraph) -> tuple[bool, Optional[list[int]]]:
         if (sides[0] | sides[1]) >> s & 1:
             continue
         sides[0] |= 1 << s
-        queue = deque([s])
+        queue = deque([[1 << s, -1, 0]])
         while queue:
-            u = queue.popleft()
+            frame = queue[0]
+            b = frame[0] & -frame[0]
+            u = b.bit_length() - 1
+            frame[0] ^= b
+            if not frame[0]:
+                queue.popleft()
+            parent[u], depth[u] = frame[1], frame[2]
             c = sides[1] >> u & 1
             clash = rows[u] & sides[c]
             if clash:
                 w = (clash & -clash).bit_length() - 1
+                _place(w, queue, parent, depth)
                 return False, _join_tree_paths(u, w, parent, depth)
             new = rows[u] & ~(sides[0] | sides[1])
-            sides[c ^ 1] |= new
-            d = depth[u] + 1
-            while new:
-                b = new & -new
-                w = b.bit_length() - 1
-                parent[w] = u
-                depth[w] = d
-                queue.append(w)
-                new ^= b
+            if new:
+                sides[c ^ 1] |= new
+                queue.append([new, u, frame[2] + 1])
     return True, None
 
 
@@ -167,8 +187,8 @@ def odd_degree_vertex(graph: SimpleGraph) -> Optional[int]:
 
 def cone_vertices(epg: SimpleGraph) -> list[int]:
     """Non-identity vertices adjacent to every other vertex (identity is vertex 0)."""
-    universe = epg.universe
-    return [v for v in range(1, epg.n) if epg.rows[v] == universe & ~(1 << v)]
+    full = epg.n - 1
+    return [v for v, m in enumerate(epg.rows) if v and m.bit_count() == full]
 
 
 class PropertyReport:

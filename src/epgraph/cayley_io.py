@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .errors import CayleyParseError, CayleyValidationError, GroupSizeError
-from .groups import DEFAULT_MAX_ORDER, FiniteGroup, check_closure
+from .groups import DEFAULT_MAX_ORDER, FiniteGroup, check_closure, validate_table
 
 # np.fromstring reads a lone sign as a number ("- 1" -> [-1]), so a line
 # holding a sign must also match the grammar
@@ -75,9 +75,9 @@ def parse_cayley_text(text: str, max_order: int = DEFAULT_MAX_ORDER) -> list[lis
     return _read_table(text, max_order).tolist()
 
 
-def ingest_cayley(text: str, *, spec=None, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def cayley_table(text: str, max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray:
     """Parse, check closure in file coordinates, locate the identity,
-    renumber it to 0, and validate."""
+    renumber it to 0, and validate: the table of a group, not yet walked."""
     arr = _read_table(text, max_order)
     check_closure(arr)
     expect = np.arange(len(arr))
@@ -89,4 +89,10 @@ def ingest_cayley(text: str, *, spec=None, max_order: int = DEFAULT_MAX_ORDER) -
         sigma = expect.copy()
         sigma[[0, e]] = [e, 0]
         arr = sigma[arr[np.ix_(sigma, sigma)]]
-    return FiniteGroup.from_table(arr, spec=spec, max_order=max_order)
+    validate_table(arr)
+    return arr
+
+
+def ingest_cayley(text: str, *, spec=None, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+    """The group of a Cayley file's text (see ``cayley_table``)."""
+    return FiniteGroup(cayley_table(text, max_order), spec)

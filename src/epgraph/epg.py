@@ -51,9 +51,10 @@ def build_epg(group: FiniteGroup, lattice: CyclicLattice) -> SimpleGraph:
 
 
 def build_deleted(epg: SimpleGraph) -> SimpleGraph:
-    """The graph with the identity vertex (vertex 0) removed."""
-    out = epg.without_vertex(0)
-    out.name = f"{epg.name}*" if epg.name else "*"
+    """The graph with the identity vertex (vertex 0) removed: each row drops bit 0."""
+    labels = None if epg.labels is None else epg.labels[1:]
+    out = SimpleGraph(epg.n - 1, labels=labels, name=f"{epg.name}*" if epg.name else "*")
+    out.rows = [m >> 1 for m in epg.rows[1:]]
     return out
 
 

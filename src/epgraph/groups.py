@@ -6,16 +6,18 @@ the Cayley-file reader renumbers to it. A group is built only through
 the order cap and wraps one builder's table as it is: closed forms are block
 copies of Z_n's table with no modular arithmetic per entry, a product folds
 its factors' tables left, and the permutation closure gathers its columns
-from recorded right multiplications. Only ``FiniteGroup.from_table``, the
-entry point for untrusted tables, checks the group laws: closure, the
-Latin-square property, the identity, and associativity by Light's test,
-exactly and in O(n^2 log n) for a group.
+from recorded right multiplications. Only ``validate_table`` checks the
+group laws, for the entry points of untrusted tables (``FiniteGroup.from_table``
+and the Cayley-file reader): closure, the Latin-square property, the
+identity, and associativity by Light's test, exactly and in O(n^2 log n)
+for a group.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -96,7 +98,7 @@ class FiniteGroup:
             raise GroupParameterError("a group needs at least one element")
         if n > max_order:
             raise GroupSizeError(f"group order {n} exceeds the cap of {max_order}")
-        _validate_table(arr)
+        validate_table(arr)
         return cls(arr, spec)
 
     # -- basic accessors ---------------------------------------------------
@@ -198,7 +200,8 @@ def check_closure(arr: np.ndarray) -> None:
         )
 
 
-def _validate_table(arr: np.ndarray) -> None:
+def validate_table(arr: np.ndarray) -> None:
+    """Raise CayleyValidationError naming the first group law an n x n table breaks."""
     n = arr.shape[0]
     check_closure(arr)
     line = np.arange(n)[:, None]
@@ -251,6 +254,12 @@ def _check_associative(arr: np.ndarray) -> None:
             i += 1
 
 
+@lru_cache(maxsize=None)
+def _generator_positions(k: int) -> tuple[int, ...]:
+    """The indices j - 1 of a length-k walk's generators x^j, gcd(j, k) = 1."""
+    return tuple(j - 1 for j in range(1, k + 1) if math.gcd(j, k) == 1)
+
+
 def _walk_cyclic_subgroups(table: np.ndarray):
     """Element orders plus one power walk per distinct cyclic subgroup.
 
@@ -269,18 +278,19 @@ def _walk_cyclic_subgroups(table: np.ndarray):
             continue
         walk = [x]
         y = x
-        while y != 0:
+        for _ in range(n):
+            if not y:
+                break
             y = item(y, x)
             walk.append(y)
-            if len(walk) > n:
-                raise CayleyValidationError(
-                    "order", f"powers of element {x} never reach the identity"
-                )
-        k = len(walk)
-        for j in range(1, k + 1):
-            if math.gcd(j, k) == 1:
-                orders[walk[j - 1]] = k
-                walk_of[walk[j - 1]] = len(walks)
+        else:
+            raise CayleyValidationError(
+                "order", f"powers of element {x} never reach the identity"
+            )
+        k, c = len(walk), len(walks)
+        for j in _generator_positions(k):
+            orders[walk[j]] = k
+            walk_of[walk[j]] = c
         walks.append(tuple(walk))
     return tuple(orders), tuple(walks), tuple(walk_of)
 
@@ -337,9 +347,10 @@ def metacyclic_table(m: int, n: int, k: int) -> np.ndarray:
     order = m * n
     # block (j1, j2) is Z_m with column i2 taken from k^j1*i2, plus m*(j1+j2 mod n)
     cols = np.array([pow(k, j, m) for j in range(n)], dtype=np.int64)[:, None] * np.arange(m) % m
-    blocks = cyclic_table(m)[np.arange(m)[None, :, None], cols[:, None, :]]  # [j1, i1, i2]
+    blocks = cyclic_table(m).take(cols, axis=1)  # [i1, j1, i2]
     out = np.empty((n, m, n, m), dtype=np.int64)  # [j1, i1, j2, i2]
-    np.add(blocks[:, :, None, :], m * cyclic_table(n)[:, None, :, None], out=out)
+    np.add(blocks.transpose(1, 0, 2)[:, :, None, :], m * cyclic_table(n)[:, None, :, None],
+           out=out)
     return out.reshape(order, order)
 
 

@@ -240,8 +240,12 @@ class _LRState:
 def planarity_verdict(graph: SimpleGraph) -> tuple[bool, str]:
     """(is_planar, reject reason); reason is 'edge-count', 'left-right', or ''."""
     n = graph.n
-    if n > 2 and graph.edge_count() > 3 * n - 6:
-        return False, "edge-count"
+    if n > 2:
+        limit, degree_sum = 2 * (3 * n - 6), 0  # more than 3n - 6 edges
+        for m in graph.rows:
+            degree_sum += m.bit_count()
+            if degree_sum > limit:
+                return False, "edge-count"
     adjs = [list(graph.neighbors(v)) for v in range(n)]
     if _LRState(n, adjs).run():
         return True, ""

@@ -2,8 +2,11 @@
 
 Row u is a Python int whose bit v is set iff {u, v} is an edge; degrees
 are population counts and neighborhood comparisons are single integer
-compares. Graphs are mutated only while being built and treated as
-immutable afterwards, so any number of readers may share one.
+compares. Graphs are mutated only while being built, by ``add_edge``,
+``add_clique`` or an outright assignment of ``rows`` (the deleted graph
+shifts the enhanced power graph's rows, ``epgraph.epg.build_deleted``),
+and treated as immutable afterwards, so any number of readers may share
+one.
 """
 
 from __future__ import annotations
@@ -39,21 +42,6 @@ class SimpleGraph:
             mask |= 1 << v
         for v in members:
             self.rows[v] |= mask & ~(1 << v)
-
-    def without_vertex(self, v: int) -> "SimpleGraph":
-        """A copy with vertex v removed and higher vertices shifted down by one."""
-        low_mask = (1 << v) - 1
-        out = SimpleGraph(self.n - 1, name=self.name)
-        new_rows = []
-        for u in range(self.n):
-            if u == v:
-                continue
-            m = self.rows[u]
-            new_rows.append((m & low_mask) | ((m >> (v + 1)) << v))
-        out.rows = new_rows
-        if self.labels is not None:
-            out.labels = [lab for u, lab in enumerate(self.labels) if u != v]
-        return out
 
     # -- queries ---------------------------------------------------------------
 

@@ -13,7 +13,8 @@ One flat grammar serves the CLI, reports, and roster listings:
 Nested products flatten, so serialization round-trips. A spec is the only
 way to build a group: ``GroupSpec`` checks each family's parameter laws when
 it is made, and ``realize`` checks the order cap before it calls a table
-builder of ``epgraph.groups`` and wraps the table in one ``FiniteGroup``.
+builder of ``epgraph.groups`` (``cayley_io.cayley_table`` for a file) and
+wraps the table in one ``FiniteGroup``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cayley_io import cayley_table
 from .errors import GroupParameterError, GroupSizeError, SpecSyntaxError
 from .groups import (
     DEFAULT_MAX_ORDER,
@@ -175,11 +177,6 @@ class GroupSpec:
         any table is built when the parameters fix the order, and while
         building for a permutation closure or a file.
         """
-        if self.family == "file":
-            from .cayley_io import ingest_cayley
-
-            text = Path(self.params[0]).read_text(encoding="utf-8")
-            return ingest_cayley(text, spec=self, max_order=max_order)
         return FiniteGroup(self._table(max_order), self)
 
     def _table(self, max_order: int) -> np.ndarray:
@@ -197,7 +194,7 @@ class GroupSpec:
         if f == "perm":
             return closure_table(*p, max_order=max_order)
         if f == "file":
-            return self.realize(max_order=max_order).table
+            return cayley_table(Path(p[0]).read_text(encoding="utf-8"), max_order)
         tables = [c._table(max_order) for c in p]
         self._check_cap(max_order, math.prod(len(t) for t in tables))
         return product_table(tables)

@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from epgraph import analysis, build_bundle
 from epgraph.theorems import roster_generate
+
+# `--hypothesis-profile=ci` raises the random-graph tests of test_analysis.py
+# from 150 examples each to 1000
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")

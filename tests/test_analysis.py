@@ -1,5 +1,6 @@
 """Graph property deciders, degenerate-graph conventions, and reports."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from epgraph import (
 )
 from epgraph.analysis import REPORT_FIELDS
 from epgraph.planarity import planarity_verdict
+from epgraph.theorems import roster_generate
 
 from helpers import (
     _reference_tree,
@@ -33,7 +35,12 @@ from helpers import (
     loop_find_cycle,
 )
 
-REPORTS_48 = Path(__file__).parent / "data" / "reports_48.jsonl"
+DATA = Path(__file__).parent / "data"
+REPORTS_48 = DATA / "reports_48.jsonl"
+REPORTS_49_128 = DATA / "reports_49_128.jsonl"
+
+# 150 random graphs per test in tier-1; the ci profile (conftest.py) draws more
+RANDOM_GRAPHS = settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 
 
 def bundle_for(text):
@@ -65,8 +72,8 @@ def test_components_deleted_q8():
 
 
 @st.composite
-def _random_graphs(draw):
-    n = draw(st.integers(0, 24))
+def _random_graphs(draw, max_n=24):
+    n = draw(st.integers(0, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
     return graph_from_edges(n, edges)
@@ -79,7 +86,7 @@ def _traversal_cases(roster_bundles_48):
     return [path, ring] + [g for b in roster_bundles_48 for g in (b.epg, b.deleted)]
 
 
-@settings(max_examples=150, deadline=None)
+@RANDOM_GRAPHS
 @given(_random_graphs())
 def test_connectivity_matches_union_find_on_random_graphs(graph):
     assert component_reps(graph) == [p[0] for p in brute_components(graph)]
@@ -92,11 +99,25 @@ def test_connectivity_matches_union_find_on_roster(roster_bundles_48):
         assert is_connected(graph) == brute_connected(graph), graph.name
 
 
-@settings(max_examples=150, deadline=None)
-@given(_random_graphs())
+@RANDOM_GRAPHS
+@given(_random_graphs(max_n=80))  # masks of up to 80 bits, past one machine word
 def test_cycle_and_coloring_match_loop_versions_on_random_graphs(graph):
     assert find_cycle(graph) == loop_find_cycle(graph)
     assert bipartite_coloring(graph) == loop_bipartite_coloring(graph)
+
+
+def test_cycle_witness_held_in_a_frame_below_the_top():
+    # 1 pushes the frame {2, 3, 4}, 4 pushes {5, 6}; popping 6 finds the back
+    # edge to 2, which still sits in the lower frame with parent 1, depth 2
+    g = graph_from_edges(7, [(0, 1), (1, 2), (1, 3), (1, 4), (4, 5), (4, 6), (6, 2)])
+    assert find_cycle(g) == loop_find_cycle(g) == [6, 4, 1, 2]
+
+
+def test_odd_cycle_witness_held_in_a_frame_behind_the_front():
+    # 1 queues the frame {3, 5}, then 2 queues {4}; dequeuing 3 meets 4 in its
+    # own color while the front frame still holds 5
+    g = graph_from_edges(6, [(0, 1), (0, 2), (1, 3), (1, 5), (2, 4), (3, 4)])
+    assert bipartite_coloring(g) == loop_bipartite_coloring(g) == (False, [3, 1, 0, 2, 4])
 
 
 def test_cycle_and_coloring_match_loop_versions_on_roster(roster_bundles_48):
@@ -334,7 +355,7 @@ def _assert_report_matches_oracles(graph):
     assert data.get("planar_reject") == (None if planar else reject)
 
 
-@settings(max_examples=150, deadline=None)
+@RANDOM_GRAPHS
 @given(_random_graphs())
 def test_report_matches_oracles_on_random_graphs(graph):
     _assert_report_matches_oracles(graph)
@@ -354,6 +375,18 @@ def test_report_json_matches_pinned_roster_48(roster_specs_48, bundle_of):
         row = [spec.serialize(), analyze(b).to_dict(), analyze(b, deleted=True).to_dict()]
         lines.append(json.dumps(row) + "\n")
     assert "".join(lines) == REPORTS_48.read_text(encoding="utf-8")
+
+
+def test_report_json_matches_pinned_roster_49_128(bundle_of):
+    """The sha256 of each roster group's [spec, full, deleted] line for orders 49 to 128."""
+    lines = []
+    for spec in roster_generate(128):
+        b = bundle_of(spec)
+        if b.group.order > 48:
+            row = [spec.serialize(), analyze(b).to_dict(), analyze(b, deleted=True).to_dict()]
+            digest = hashlib.sha256(json.dumps(row).encode()).hexdigest()
+            lines.append(json.dumps([row[0], digest]) + "\n")
+    assert "".join(lines) == REPORTS_49_128.read_text(encoding="utf-8")
 
 
 # -- laziness ------------------------------------------------------------------------------

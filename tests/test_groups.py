@@ -495,6 +495,14 @@ def test_validation_catches_broken_tables():
     assert exc.value.law == "closure"
 
 
+def test_walk_rejects_powers_that_never_reach_the_identity():
+    # the constructor trusts its table; column 1 sends 1 -> 2 -> 1, never to 0
+    with pytest.raises(CayleyValidationError) as exc:
+        FiniteGroup(np.array([[0, 1, 2], [1, 2, 0], [2, 1, 0]], dtype=np.int64))
+    assert exc.value.law == "order"
+    assert "element 1 " in str(exc.value)
+
+
 def test_latin_square_names_first_offending_line():
     # every row is a permutation, but columns 0 and 2 repeat: name column 0
     with pytest.raises(CayleyValidationError) as exc:
@@ -589,6 +597,7 @@ def test_one_walk_per_cyclic_subgroup():
     "product:cyclic:2,cyclic:2,cyclic:128",
     "product:dihedral:4,cyclic:3",
     "product:perm:3:(0 1),(0 1 2),cyclic:5",
+    "product:file:tests/data/z6_identity_at_3.cayley,cyclic:2",
 ])
 def test_product_walks_once(monkeypatch, text):
     # factors contribute tables only: the product is the one group walked
