@@ -9,9 +9,14 @@ and ``cone_vertices`` complete the set. The two searches keep frames
 [remaining mask, parent, depth], one per expanded vertex rather than one
 entry per neighbor, so the identity, adjacent to every vertex of an
 enhanced power graph, costs one frame and not n - 1 pushes.
+``find_missing_edge``, ``odd_degree_vertex``, ``cone_vertices``, the star
+verdict and planarity's edge-count reject all read the graph's one degree
+list (``SimpleGraph.degrees``), so a graph's degrees are counted once, and
+the two reports on a bundle share the enhanced power graph's list.
 ``PropertyReport(graph, epg)`` runs each decider on the first read of a
 field that needs it, at most once per report, and is the one place that
-defines tree, star and Eulerian.
+defines tree, star and Eulerian; a report that finds the component reps
+reads ``connected`` off them, so a connected graph is expanded once.
 
 Conventions for degenerate graphs: the empty graph counts as connected,
 a forest, Eulerian, and not a star; a single vertex counts as complete,
@@ -71,13 +76,16 @@ def component_reps(graph: SimpleGraph) -> list[int]:
 
 
 def find_missing_edge(graph: SimpleGraph) -> Optional[tuple[int, int]]:
-    """The first non-adjacent pair (u, v), u < v, or None when the graph is complete."""
-    universe = graph.universe
-    for u, row in enumerate(graph.rows):
-        missing = universe ^ (row | 1 << u)
-        if missing:
-            return (u, (missing & -missing).bit_length() - 1)
-    return None
+    """The first non-adjacent pair (u, v), u < v, or None when the graph is complete.
+
+    u is the first vertex below full degree and v its lowest missing neighbor.
+    """
+    full = graph.n - 1
+    u = next((v for v, d in enumerate(graph.degrees()) if d < full), None)
+    if u is None:
+        return None
+    missing = graph.universe ^ (graph.rows[u] | 1 << u)
+    return (u, (missing & -missing).bit_length() - 1)
 
 
 def find_cycle(graph: SimpleGraph) -> Optional[list[int]]:
@@ -129,14 +137,22 @@ def _place(w: int, frames, parent: list[int], depth: list[int]) -> None:
 
 
 def _join_tree_paths(u: int, w: int, parent: list[int], depth: list[int]) -> list[int]:
-    """Cycle through the edge {u, w} plus the two tree paths to their meeting point."""
+    """Cycle through the edge {u, w} plus the two tree paths to their meeting point.
+
+    Each step climbs the deeper path one level, so consistent parent and
+    depth lists meet within depth[u] + depth[w] steps; lists that do not
+    raise RuntimeError instead of climbing forever.
+    """
     pu, pw = [u], [w]
-    while pu[-1] != pw[-1]:  # climb the deeper path until both reach the meeting point
+    for _ in range(depth[u] + depth[w] + 1):
+        if pu[-1] == pw[-1]:
+            return pu + pw[-2::-1]
         if depth[pu[-1]] >= depth[pw[-1]]:
             pu.append(parent[pu[-1]])
         else:
             pw.append(parent[pw[-1]])
-    return pu + pw[-2::-1]
+    raise RuntimeError(
+        f"the tree paths from {u} and {w} do not meet: parent and depth are inconsistent")
 
 
 def bipartite_coloring(graph: SimpleGraph) -> tuple[bool, Optional[list[int]]]:
@@ -182,13 +198,13 @@ def bipartite_coloring(graph: SimpleGraph) -> tuple[bool, Optional[list[int]]]:
 
 def odd_degree_vertex(graph: SimpleGraph) -> Optional[int]:
     """The lowest vertex of odd degree, or None when every degree is even."""
-    return next((v for v, m in enumerate(graph.rows) if m.bit_count() & 1), None)
+    return next((v for v, d in enumerate(graph.degrees()) if d & 1), None)
 
 
 def cone_vertices(epg: SimpleGraph) -> list[int]:
     """Non-identity vertices adjacent to every other vertex (identity is vertex 0)."""
-    full = epg.n - 1
-    return [v for v, m in enumerate(epg.rows) if v and m.bit_count() == full]
+    full, degrees = epg.n - 1, epg.degrees()
+    return [v for v in range(1, epg.n) if degrees[v] == full]
 
 
 class PropertyReport:
@@ -208,6 +224,9 @@ class PropertyReport:
 
     @cached_property
     def connected(self) -> bool:
+        """Read off ``component_reps`` once those are known, else one expansion."""
+        if "component_reps" in vars(self):
+            return len(self.component_reps) <= 1
         return is_connected(self.graph)
 
     @cached_property
@@ -255,8 +274,7 @@ class PropertyReport:
     @property
     def star(self) -> bool:
         """A tree with a vertex adjacent to all others; K1 and K2 count."""
-        full = self.graph.n - 1
-        return self.tree and any(m.bit_count() == full for m in self.graph.rows)
+        return self.tree and (self.graph.n - 1) in self.graph.degrees()
 
     @property
     def eulerian(self) -> bool:
@@ -264,7 +282,12 @@ class PropertyReport:
         return self.odd_degree_vertex is None and self.connected
 
     def to_dict(self) -> dict:
-        """Every field in ``REPORT_FIELDS`` order, then each negative verdict's witness."""
+        """Every field in ``REPORT_FIELDS`` order, then each negative verdict's witness.
+
+        The component reps are found first, so ``connected`` costs no
+        expansion of its own.
+        """
+        _ = self.component_reps
         out = {name: getattr(self, name) for name in REPORT_FIELDS}
         witnesses = {
             "component_reps": None if self.connected else self.component_reps,

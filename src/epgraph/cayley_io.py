@@ -8,7 +8,8 @@ included, is a parse error. The identity may sit at any index; it is
 located and renumbered to index 0 before validation. A file's table is
 untrusted: an order above the cap is rejected at the order line, and every
 group law is checked exactly before the table is used; an entry outside
-[0, n), negative or of any size, breaks closure.
+[0, n), negative or of any size, breaks closure. The table is read in int64
+and becomes int16 only once closure has passed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import warnings
 import numpy as np
 
 from .errors import CayleyParseError, CayleyValidationError, GroupSizeError
-from .groups import DEFAULT_MAX_ORDER, FiniteGroup, check_closure, validate_table
+from .groups import DEFAULT_MAX_ORDER, FiniteGroup, check_closure, table_cap, validate_table
 
 # np.fromstring reads a lone sign as a number ("- 1" -> [-1]), so a line
 # holding a sign must also match the grammar
@@ -49,8 +50,9 @@ def _read_table(text: str, max_order: int) -> np.ndarray:
                 n = int(values[0])
                 if n < 1:
                     raise CayleyParseError(f"line {lineno}: order must be >= 1, got {n}")
-                if n > max_order:
-                    raise GroupSizeError(f"group order {n} exceeds the cap of {max_order}")
+                cap = table_cap(max_order)
+                if n > cap:
+                    raise GroupSizeError(f"group order {n} exceeds the cap of {cap}")
                 table = np.empty((n, n), dtype=np.int64)
                 continue
             if len(values) != n:
@@ -69,18 +71,19 @@ def _read_table(text: str, max_order: int) -> np.ndarray:
 def parse_cayley_text(text: str, max_order: int = DEFAULT_MAX_ORDER) -> list[list[int]]:
     """Parse the raw file into an n x n list of ints (no group laws checked).
 
-    Raises GroupSizeError at the order line when n exceeds ``max_order``,
-    before any table row is read.
+    Raises GroupSizeError at the order line when n exceeds
+    ``table_cap(max_order)``, before any table row is read.
     """
     return _read_table(text, max_order).tolist()
 
 
 def cayley_table(text: str, max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray:
     """Parse, check closure in file coordinates, locate the identity,
-    renumber it to 0, and validate: the table of a group, not yet walked."""
+    renumber it to 0, and validate: the int16 table of a group, not yet walked."""
     arr = _read_table(text, max_order)
-    check_closure(arr)
-    expect = np.arange(len(arr))
+    check_closure(arr)  # in int64: a saturated token must not wrap into range
+    arr = arr.astype(np.int16)
+    expect = np.arange(len(arr), dtype=np.int16)
     found = np.flatnonzero((arr == expect).all(axis=1) & (arr.T == expect).all(axis=1))
     if not found.size:
         raise CayleyValidationError("identity", "no two-sided identity element found")

@@ -2,7 +2,10 @@
 the element-order spectrum, and its divisibility-maximal members.
 
 Everything here is derived from the power walks that ``FiniteGroup``
-makes once per distinct cyclic subgroup; no powers are walked again.
+makes once per distinct cyclic subgroup, and from the maximal flags it
+sets on them; no powers are walked again. The enhanced power graph needs
+none of it (``epgraph.epg`` builds the graph from the maximal walks), so a
+lattice is built only when a theorem check reads one.
 """
 
 from __future__ import annotations
@@ -47,9 +50,8 @@ class CyclicLattice:
 def build_lattice(group: FiniteGroup) -> CyclicLattice:
     """Sort and rank the group's walked cyclic subgroups and derive the class data.
 
-    A subgroup C is properly contained in a cyclic subgroup D exactly when
-    D holds a generator of C, so one pass over the members of every D
-    clears the maximal flag of each class met that is not D itself.
+    The maximal flags are the group's own (``FiniteGroup.maximal``), put in
+    rank order.
     """
     n = group.order
     subs = [tuple(sorted(walk)) for walk in group.walks]
@@ -62,13 +64,7 @@ def build_lattice(group: FiniteGroup) -> CyclicLattice:
     for x in range(n):
         gen_sets[class_of[x]].append(x)
     generator_sets = tuple(tuple(g) for g in gen_sets)
-
-    flags = [True] * len(subgroups)
-    for d, members in enumerate(subgroups):
-        for y in members:
-            if class_of[y] != d:
-                flags[class_of[y]] = False
-    maximal_flags = tuple(flags)
+    maximal_flags = tuple(group.maximal[old] for old in rank)
 
     pi_e = frozenset(group.orders)
     mu = frozenset(o for o in pi_e if not any(o != m and m % o == 0 for m in pi_e))

@@ -3,11 +3,11 @@
 Vertices are element indices; two distinct elements are adjacent iff some
 cyclic subgroup contains both. Every cyclic subgroup lies in a maximal one,
 so the graph is the union of cliques over the maximal cyclic subgroups,
-read off the lattice that the group's power walks feed; a bundle builds
-its identity-deleted graph only when that is first read. The pairwise
-oracle re-derives adjacency straight from the definition (some z has both
-x and y among its powers) and exists purely to cross-check the
-clique-union construction.
+which are exactly the group's maximal power walks. A bundle builds its
+cyclic lattice and its identity-deleted graph only when each is first
+read. The pairwise oracle re-derives adjacency straight from the
+definition (some z has both x and y among its powers) and exists purely to
+cross-check the clique-union construction.
 """
 
 from __future__ import annotations
@@ -22,31 +22,43 @@ from .simplegraph import SimpleGraph
 
 @dataclass(frozen=True)
 class EpgBundle:
-    """A group with its lattice, enhanced power graph, and deleted variant.
+    """A group with its enhanced power graph, plus its lattice and deleted graph.
 
-    ``deleted`` is the enhanced power graph with the identity vertex
-    removed, built on first read; deleted vertex i is element i + 1.
+    ``lattice`` is the group's cyclic lattice and ``deleted`` the enhanced
+    power graph with the identity vertex removed (deleted vertex i is
+    element i + 1); each is built on first read.
     """
 
     group: FiniteGroup
-    lattice: CyclicLattice
     epg: SimpleGraph
+
+    @cached_property
+    def lattice(self) -> CyclicLattice:
+        return build_lattice(self.group)
 
     @cached_property
     def deleted(self) -> SimpleGraph:
         return build_deleted(self.epg)
 
 
-def build_epg(group: FiniteGroup, lattice: CyclicLattice) -> SimpleGraph:
-    """Union of cliques over the maximal cyclic subgroups."""
+def build_epg(group: FiniteGroup) -> SimpleGraph:
+    """Union of cliques over the maximal cyclic subgroups, read off the walks.
+
+    Each maximal walk's member mask is ORed into its members' rows. Every
+    element lies in some maximal walk, so this sets every diagonal bit, and
+    one XOR per row clears the diagonal at the end.
+    """
     name = group.spec.display() if group.spec is not None else f"order-{group.order}"
-    graph = SimpleGraph(
-        group.order,
-        labels=[(x, group.orders[x]) for x in range(group.order)],
-        name=name,
-    )
-    for members in lattice.maximal_subgroups:
-        graph.add_clique(members)
+    graph = SimpleGraph(group.order, labels=list(enumerate(group.orders)), name=name)
+    rows = graph.rows
+    for walk, maximal in zip(group.walks, group.maximal):
+        if maximal:
+            mask = 0
+            for v in walk:
+                mask |= 1 << v
+            for v in walk:
+                rows[v] |= mask
+    graph.rows = [m ^ (1 << v) for v, m in enumerate(rows)]
     return graph
 
 
@@ -59,8 +71,7 @@ def build_deleted(epg: SimpleGraph) -> SimpleGraph:
 
 
 def build_bundle(group: FiniteGroup) -> EpgBundle:
-    lattice = build_lattice(group)
-    return EpgBundle(group, lattice, build_epg(group, lattice))
+    return EpgBundle(group, build_epg(group))
 
 
 def adjacent_oracle(group: FiniteGroup, x: int, y: int) -> bool:

@@ -1,16 +1,21 @@
 """Finite groups as explicit multiplication tables over element indices 0..n-1.
 
 The identity element is always index 0; the table builders guarantee it and
-the Cayley-file reader renumbers to it. A group is built only through
-``GroupSpec.realize`` (``epgraph.specs``), which checks the parameters and
-the order cap and wraps one builder's table as it is: closed forms are block
-copies of Z_n's table with no modular arithmetic per entry, a product folds
-its factors' tables left, and the permutation closure gathers its columns
-from recorded right multiplications. Only ``validate_table`` checks the
-group laws, for the entry points of untrusted tables (``FiniteGroup.from_table``
-and the Cayley-file reader): closure, the Latin-square property, the
-identity, and associativity by Light's test, exactly and in O(n^2 log n)
-for a group.
+the Cayley-file reader renumbers to it. Every table is int16, so a group has
+at most ``MAX_TABLE_ORDER`` = 32,768 elements whatever order cap a caller
+passes; ``table_cap`` is the cap in force, checked before any table is
+allocated. A group is built only through ``GroupSpec.realize``
+(``epgraph.specs``), which checks the parameters and the order cap and
+wraps one builder's table as it is: closed forms are block copies of Z_n's
+table with no modular arithmetic per entry, a product folds its factors'
+tables left, and the permutation closure gathers its columns from recorded
+right multiplications. Only ``validate_table`` checks the group laws, for
+the entry points of untrusted tables (``FiniteGroup.from_table`` and the
+Cayley-file reader), in int64 before the cast: closure, the Latin-square
+property, the identity, and associativity by Light's test, exactly and in
+O(n^2 log n) for a group. Building a group walks its powers once; the
+walks give the element orders and mark the maximal cyclic subgroups, from
+which ``epgraph.epg`` builds the enhanced power graph.
 """
 
 from __future__ import annotations
@@ -26,6 +31,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import CayleyValidationError, GroupParameterError, GroupSizeError
 
 DEFAULT_MAX_ORDER = 512
+MAX_TABLE_ORDER = 1 << 15  # the most elements an int16 table can index
+
+
+def table_cap(max_order: int) -> int:
+    """The order cap in force: ``max_order``, but never above ``MAX_TABLE_ORDER``."""
+    return min(max_order, MAX_TABLE_ORDER)
 
 
 def prime_factors(n: int) -> dict[int, int]:
@@ -65,12 +76,13 @@ class FiniteGroup:
     identity. The constructor walks the powers of one generator of each
     distinct cyclic subgroup once: ``walks[c]`` is that subgroup in
     generation order g, g^2, ..., identity, ``walk_of[x]`` is the c with
-    <x> = <g>, and ``orders[x]`` is the order of x. ``rows()`` converts the
+    <x> = <g>, ``orders[x]`` is the order of x, and ``maximal[c]`` tells
+    whether walk c lies in no other cyclic subgroup. ``rows()`` converts the
     table to Python lists only when first asked. The constructor trusts
     ``table`` to be a group; ``from_table`` checks it first.
     """
 
-    __slots__ = ("order", "table", "orders", "walks", "walk_of", "spec",
+    __slots__ = ("order", "table", "orders", "walks", "walk_of", "maximal", "spec",
                  "_rows", "_invs", "_center")
 
     def __init__(self, table: np.ndarray, spec=None):
@@ -78,6 +90,7 @@ class FiniteGroup:
         table.setflags(write=False)
         self.table = table
         self.orders, self.walks, self.walk_of = _walk_cyclic_subgroups(table)
+        self.maximal = _maximal_walks(self.walks, self.walk_of)
         self.spec = spec
         self._rows: Optional[list[list[int]]] = None
         self._invs: Optional[tuple[int, ...]] = None
@@ -88,7 +101,8 @@ class FiniteGroup:
         """Check that an untrusted multiplication table is a group and wrap it.
 
         The identity must already sit at index 0. Every group law is checked
-        exactly; a violation raises CayleyValidationError naming the law.
+        exactly, in int64 so that no entry wraps before closure sees it; a
+        violation raises CayleyValidationError naming the law.
         """
         arr = np.array(table, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -96,10 +110,11 @@ class FiniteGroup:
         n = arr.shape[0]
         if n < 1:
             raise GroupParameterError("a group needs at least one element")
-        if n > max_order:
-            raise GroupSizeError(f"group order {n} exceeds the cap of {max_order}")
+        cap = table_cap(max_order)
+        if n > cap:
+            raise GroupSizeError(f"group order {n} exceeds the cap of {cap}")
         validate_table(arr)
-        return cls(arr, spec)
+        return cls(arr.astype(np.int16), spec)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -295,15 +310,36 @@ def _walk_cyclic_subgroups(table: np.ndarray):
     return tuple(orders), tuple(walks), tuple(walk_of)
 
 
+def _maximal_walks(walks, walk_of) -> tuple[bool, ...]:
+    """Which walked cyclic subgroups lie in no other cyclic subgroup.
+
+    C is properly contained in a cyclic subgroup D exactly when D holds a
+    generator of C, so one pass over the members of every D clears the
+    flag of each walk met that is not D itself.
+    """
+    flags = [True] * len(walks)
+    for d, walk in enumerate(walks):
+        for y in walk:
+            if walk_of[y] != d:
+                flags[walk_of[y]] = False
+    return tuple(flags)
+
+
 # -- table builders ----------------------------------------------------------
 # ``GroupSpec.realize`` is their one caller: it checks the parameter laws and
 # the order cap, so the closed forms check nothing and only the closure, whose
-# order is found while building, takes the cap.
+# order is found while building, takes the cap. Every builder writes int16.
 
 
 def cyclic_table(n: int) -> np.ndarray:
     """Z_n's table: row i is 0..n-1 rotated left by i, a window over it written twice."""
-    return sliding_window_view(np.tile(np.arange(n, dtype=np.int64), 2), n)[:n].copy()
+    return sliding_window_view(np.tile(np.arange(n, dtype=np.int16), 2), n)[:n].copy()
+
+
+def _scaled(table: np.ndarray, k: int) -> np.ndarray:
+    """``table * k`` in int16 for k * len(table) <= MAX_TABLE_ORDER, as a gather:
+    k itself need not fit int16 (2**15 times Z_1's table)."""
+    return (k * np.arange(len(table))).astype(np.int16)[table]
 
 
 def product_table(tables: Sequence[np.ndarray]) -> np.ndarray:
@@ -316,8 +352,9 @@ def product_table(tables: Sequence[np.ndarray]) -> np.ndarray:
 
 def _product2(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     n1, n2 = t1.shape[0], t2.shape[0]
-    out = np.empty((n1, n2, n1 * n2), dtype=np.int64)  # [a, b, (c, d)]: long inner rows
-    np.add(np.repeat(t1 * n2, n2, axis=1)[:, None, :], np.tile(t2, n1)[None, :, :], out=out)
+    out = np.empty((n1, n2, n1 * n2), dtype=np.int16)  # [a, b, (c, d)]: long inner rows
+    np.add(np.repeat(_scaled(t1, n2), n2, axis=1)[:, None, :], np.tile(t2, n1)[None, :, :],
+           out=out)
     return out.reshape(n1 * n2, n1 * n2)
 
 
@@ -331,7 +368,7 @@ def dicyclic_table(m: int) -> np.ndarray:
     n = 4 * m
     two_m = 2 * m
     z, i = cyclic_table(two_m), np.arange(two_m)
-    out = np.empty((2, two_m, 2, two_m), dtype=np.int64)  # [j1, i1, j2, i2]
+    out = np.empty((2, two_m, 2, two_m), dtype=np.int16)  # [j1, i1, j2, i2]
     out[0, :, 0], out[1, :, 1] = z, z[:, m - i]
     np.add(z, two_m, out=out[0, :, 1])
     np.add(z[:, -i], two_m, out=out[1, :, 0])
@@ -348,8 +385,8 @@ def metacyclic_table(m: int, n: int, k: int) -> np.ndarray:
     # block (j1, j2) is Z_m with column i2 taken from k^j1*i2, plus m*(j1+j2 mod n)
     cols = np.array([pow(k, j, m) for j in range(n)], dtype=np.int64)[:, None] * np.arange(m) % m
     blocks = cyclic_table(m).take(cols, axis=1)  # [i1, j1, i2]
-    out = np.empty((n, m, n, m), dtype=np.int64)  # [j1, i1, j2, i2]
-    np.add(blocks.transpose(1, 0, 2)[:, :, None, :], m * cyclic_table(n)[:, None, :, None],
+    out = np.empty((n, m, n, m), dtype=np.int16)  # [j1, i1, j2, i2]
+    np.add(blocks.transpose(1, 0, 2)[:, :, None, :], _scaled(cyclic_table(n), m)[:, None, :, None],
            out=out)
     return out.reshape(order, order)
 
@@ -361,6 +398,7 @@ def closure_table(degree: int, generators: Iterable[Sequence[int]],
     Permutations are one-line images; composition is (p*q)(x) = p[q[x]].
     Elements are indexed by discovery order with the identity first.
     """
+    cap = table_cap(max_order)
     gens = [tuple(g) for g in generators]
     ident = tuple(range(degree))
     elems = [ident]
@@ -371,16 +409,14 @@ def closure_table(degree: int, generators: Iterable[Sequence[int]],
         for k, g in enumerate(gens):
             q = tuple(p[v] for v in g)
             if q not in index:
-                if len(elems) >= max_order:
-                    raise GroupSizeError(
-                        f"closure exceeds the cap of {max_order} elements"
-                    )
+                if len(elems) >= cap:
+                    raise GroupSizeError(f"closure exceeds the cap of {cap} elements")
                 index[q] = len(elems)
                 elems.append(q)
                 parent.append((i, k))
             right[k].append(index[q])
-    rmul = np.array(right, dtype=np.int64)
-    cols = np.empty((len(elems), len(elems)), dtype=np.int64)  # cols[q, x]: elems[x] * elems[q]
+    rmul = np.array(right, dtype=np.int16)
+    cols = np.empty((len(elems), len(elems)), dtype=np.int16)  # cols[q, x]: elems[x] * elems[q]
     cols[0] = np.arange(len(elems))
     for q, (p, k) in enumerate(parent[1:], start=1):
         cols[q] = rmul[k][cols[p]]  # x * (p * g) = (x * p) * g

@@ -1,6 +1,7 @@
 """Planarity testing via the left-right criterion.
 
-Three phases: an Euler-formula edge-count reject, a DFS orientation that
+Three phases: an Euler-formula edge-count reject on the graph's shared
+degree list (``SimpleGraph.edge_count``), a DFS orientation that
 computes lowpoints and a nesting order, and the LR partition test, which
 maintains a stack of conflict pairs of back-edge intervals and fails
 exactly when two back edges are forced onto the same side of the DFS tree
@@ -240,12 +241,8 @@ class _LRState:
 def planarity_verdict(graph: SimpleGraph) -> tuple[bool, str]:
     """(is_planar, reject reason); reason is 'edge-count', 'left-right', or ''."""
     n = graph.n
-    if n > 2:
-        limit, degree_sum = 2 * (3 * n - 6), 0  # more than 3n - 6 edges
-        for m in graph.rows:
-            degree_sum += m.bit_count()
-            if degree_sum > limit:
-                return False, "edge-count"
+    if n > 2 and graph.edge_count() > 3 * n - 6:
+        return False, "edge-count"
     adjs = [list(graph.neighbors(v)) for v in range(n)]
     if _LRState(n, adjs).run():
         return True, ""

@@ -3,10 +3,11 @@
 Row u is a Python int whose bit v is set iff {u, v} is an edge; degrees
 are population counts and neighborhood comparisons are single integer
 compares. Graphs are mutated only while being built, by ``add_edge``,
-``add_clique`` or an outright assignment of ``rows`` (the deleted graph
-shifts the enhanced power graph's rows, ``epgraph.epg.build_deleted``),
-and treated as immutable afterwards, so any number of readers may share
-one.
+``add_clique`` or an outright assignment of ``rows`` before any read (the
+builders of ``epgraph.epg`` assign the rows they compute), and treated as
+immutable afterwards, so any number of readers may share one. The degree
+list is counted once, on the first ``degrees()`` call, and every reader
+shares it; ``add_edge`` and ``add_clique`` drop it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable, Iterator, Optional
 
 
 class SimpleGraph:
-    __slots__ = ("n", "rows", "labels", "name")
+    __slots__ = ("n", "rows", "labels", "name", "_degrees")
 
     def __init__(self, n: int, labels=None, name: str = ""):
         if n < 0:
@@ -26,6 +27,7 @@ class SimpleGraph:
         # optional per-vertex (element index, element order) annotation
         self.labels: Optional[list[tuple[int, int]]] = labels
         self.name = name
+        self._degrees: Optional[list[int]] = None
 
     # -- construction --------------------------------------------------------
 
@@ -34,6 +36,7 @@ class SimpleGraph:
             raise ValueError(f"self-loop at {u} not allowed in a simple graph")
         self.rows[u] |= 1 << v
         self.rows[v] |= 1 << u
+        self._degrees = None
 
     def add_clique(self, members: Iterable[int]) -> None:
         members = list(members)
@@ -42,6 +45,7 @@ class SimpleGraph:
             mask |= 1 << v
         for v in members:
             self.rows[v] |= mask & ~(1 << v)
+        self._degrees = None
 
     # -- queries ---------------------------------------------------------------
 
@@ -56,7 +60,10 @@ class SimpleGraph:
         return self.rows[u].bit_count()
 
     def degrees(self) -> list[int]:
-        return [m.bit_count() for m in self.rows]
+        """Every vertex's degree, counted on first call; shared, so not to be mutated."""
+        if self._degrees is None:
+            self._degrees = list(map(int.bit_count, self.rows))
+        return self._degrees
 
     def neighbors(self, u: int) -> Iterator[int]:
         m = self.rows[u]
@@ -66,7 +73,7 @@ class SimpleGraph:
             m ^= b
 
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.rows) // 2
+        return sum(self.degrees()) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending."""

@@ -35,6 +35,7 @@ from .groups import (
     dicyclic_table,
     metacyclic_table,
     product_table,
+    table_cap,
 )
 
 FAMILIES = ("cyclic", "product", "dihedral", "dicyclic", "metacyclic", "perm", "file")
@@ -201,17 +202,19 @@ class GroupSpec:
 
     def _check_cap(self, max_order: int, order: int | None = None) -> None:
         """Raise GroupSizeError when ``order`` (default ``known_order()``)
-        exceeds ``max_order``. A product too large first names a factor too
-        large on its own, as building the factors left to right would."""
+        exceeds ``table_cap(max_order)``. A product too large first names a
+        factor too large on its own, as building the factors left to right
+        would."""
         if order is None:
             order = self.known_order()
-        if order is None or order <= max_order:
+        cap = table_cap(max_order)
+        if order is None or order <= cap:
             return
         if self.family != "product":
-            raise GroupSizeError(f"group order {order} exceeds the cap of {max_order}")
+            raise GroupSizeError(f"group order {order} exceeds the cap of {cap}")
         for c in self.params:
             c._check_cap(max_order)
-        raise GroupSizeError(f"product order {order} exceeds the cap of {max_order}")
+        raise GroupSizeError(f"product order {order} exceeds the cap of {cap}")
 
 
 def _check_laws(family: str, params: tuple) -> None:

@@ -425,13 +425,14 @@ def _stream(
 
     Reports follow ``checks`` one to one, so a check listed twice gets two
     reports. ``ms`` covers each check's own predicates only; building the
-    bundles they read is not charged to any check.
+    bundles they read is not charged to any check, so the lattice and the
+    deleted graph, which a bundle builds on first read, are read here first.
     """
     reports = [TheoremReport(c.check_id, 0, 0, False) for c in checks]
     seconds = [0.0] * len(checks)
     for spec in roster:
         bundle = build_bundle(spec.realize(max_order=max_order))
-        _ = bundle.deleted  # built on first read: here, so that no check's ms pays for it
+        _ = bundle.lattice, bundle.deleted
         for i, (check, report) in enumerate(zip(checks, reports)):
             start = time.perf_counter()
             if check.applies(bundle):

@@ -12,7 +12,7 @@ from collections import deque
 
 import numpy as np
 
-from epgraph import CayleyParseError, GroupSizeError, SimpleGraph, build_bundle
+from epgraph import CayleyParseError, GroupSizeError, SimpleGraph, build_bundle, build_lattice
 from epgraph.analysis import _join_tree_paths
 from epgraph.groups import AbelianShape, has_cyclic_sylow
 from epgraph.planarity import planarity_verdict
@@ -92,6 +92,21 @@ def brute_lattice(group) -> dict:
         "pi_e": pi_e,
         "mu": mu,
     }
+
+
+def lattice_epg_rows(group) -> list[int]:
+    """The enhanced power graph's rows by the lattice construction: ``add_clique``
+    over each maximal subgroup that ``build_lattice`` sorts and ranks."""
+    graph = SimpleGraph(group.order)
+    for members in build_lattice(group).maximal_subgroups:
+        graph.add_clique(members)
+    return graph.rows
+
+
+def assert_frozen_int16(table: np.ndarray, where: str) -> None:
+    """A group's table as every constructor leaves it: int16, C-contiguous, read-only."""
+    assert table.dtype == np.int16 and table.flags.c_contiguous, where
+    assert not table.flags.writeable, where
 
 
 def brute_normal_closure(group, x: int) -> frozenset[int]:

@@ -120,6 +120,13 @@ def test_odd_cycle_witness_held_in_a_frame_behind_the_front():
     assert bipartite_coloring(g) == loop_bipartite_coloring(g) == (False, [3, 1, 0, 2, 4])
 
 
+def test_inconsistent_tree_paths_raise_instead_of_hanging():
+    # 1 and 2 are each other's parent at depth 0, a loop that never reaches 0;
+    # the climb is bounded by depth[u] + depth[w] + 1 = 1 step
+    with pytest.raises(RuntimeError, match="from 1 and 0 do not meet"):
+        analysis._join_tree_paths(1, 0, [0, 2, 1], [0, 0, 0])
+
+
 def test_cycle_and_coloring_match_loop_versions_on_roster(roster_bundles_48):
     for graph in _traversal_cases(roster_bundles_48):
         assert find_cycle(graph) == loop_find_cycle(graph), graph.name
@@ -211,6 +218,24 @@ def test_degenerate_conventions():
 def test_degree_sequences():
     assert bundle_for("cyclic:5").epg.degrees() == [4, 4, 4, 4, 4]
     assert sorted(bundle_for("product:cyclic:2,cyclic:2").epg.degrees()) == [1, 1, 1, 3]
+
+
+def test_degree_list_is_counted_once_and_reset_by_edits():
+    g = graph_from_edges(4, [(0, 1)])
+    first = g.degrees()
+    assert first == [1, 1, 0, 0] and g.degrees() is first
+    g.add_edge(2, 3)
+    assert g.degrees() == [1, 1, 1, 1]
+    g.add_clique([0, 1, 2])
+    assert g.degrees() == [2, 2, 3, 1] and g.edge_count() == 4
+
+
+def test_both_reports_share_the_epg_degree_list():
+    b = bundle_for("dihedral:5")
+    degrees = b.epg.degrees()
+    analyze(b)
+    analyze(b, deleted=True)
+    assert b.epg.degrees() is degrees
 
 
 def test_odd_order_groups_have_even_degrees(roster_bundles_48):
@@ -394,11 +419,32 @@ def test_report_json_matches_pinned_roster_49_128(bundle_of):
 @pytest.mark.parametrize("text", ["cyclic:6", "metacyclic:3:2:2", "dicyclic:4"])
 @pytest.mark.parametrize("deleted", [False, True])
 def test_full_report_runs_each_decider_once(decider_calls, text, deleted):
+    # is_connected never runs: connected is read off component_reps
     b = bundle_for(text)
     r = PropertyReport(b.deleted if deleted else b.epg, b.epg)
     first = r.to_dict()
     assert r.to_dict() == first
-    assert decider_calls == dict.fromkeys(decider_calls, 1)
+    assert decider_calls == {**dict.fromkeys(decider_calls, 1), "is_connected": 0}
+
+
+def test_connected_full_report_expands_once(monkeypatch):
+    # connected is read off the component reps, not found by a second expansion
+    calls = []
+
+    def counting(graph, s):
+        calls.append(s)
+        return component(graph, s)
+
+    component = analysis._component
+    monkeypatch.setattr(analysis, "_component", counting)
+    b = bundle_for("dicyclic:3")
+    report(b.epg).to_dict()
+    assert calls == [0]
+    calls.clear()
+    assert report(b.epg).connected and calls == [0]  # no reps asked for: one expansion
+    calls.clear()
+    s3 = bundle_for("metacyclic:3:2:2")
+    assert report(s3.deleted).to_dict()["connected"] is False and calls == [0, 2, 3, 4]
 
 
 def test_fields_decide_only_what_they_need(decider_calls):
@@ -412,4 +458,4 @@ def test_fields_decide_only_what_they_need(decider_calls):
 
 def test_analyze_decides_every_field_before_returning(decider_calls):
     analyze(bundle_for("metacyclic:3:2:2"), deleted=True)
-    assert decider_calls == dict.fromkeys(decider_calls, 1)
+    assert decider_calls == {**dict.fromkeys(decider_calls, 1), "is_connected": 0}

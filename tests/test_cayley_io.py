@@ -18,9 +18,10 @@ from epgraph import (
     parse_cayley_text,
     roster_generate,
 )
-from epgraph.cayley_io import _read_table
+from epgraph.cayley_io import _read_table, cayley_table
 
 from helpers import (
+    assert_frozen_int16,
     cayley_file_text,
     find_nonassociative_loop,
     parse_cayley_reference,
@@ -94,6 +95,9 @@ def test_oversize_order_rejected_at_order_line():
         ingest_cayley("100000\n")
     with pytest.raises(GroupSizeError, match="cap of 2"):
         parse_cayley_text("3\n0 1 2\n", max_order=2)
+    # int16 tables index at most 2**15 elements, whatever the caller's cap
+    with pytest.raises(GroupSizeError, match="exceeds the cap of 32768"):
+        cayley_table("40000\n", max_order=10**6)
 
 
 def test_out_of_range_entry():
@@ -107,6 +111,13 @@ def test_round_trip_random_roster_member():
     text = cayley_file_text([list(r) for r in g.table.tolist()])
     h = ingest_cayley(text)
     assert h.orders == g.orders
+    assert_frozen_int16(h.table, "identity at 0")
+
+
+def test_renumbered_table_stays_int16():
+    text = (DATA / "z6_identity_at_3.cayley").read_text()
+    assert cayley_table(text).dtype == np.int16
+    assert_frozen_int16(ingest_cayley(text).table, "identity at 3")
 
 
 def test_parse_returns_python_int_lists():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import epgraph.epg as epg_module
 from epgraph import cli, roster_generate
 from epgraph.analysis import REPORT_FIELDS
 
@@ -157,7 +158,7 @@ def test_check_props_decide_only_what_they_name(decider_calls, capsys):
 def test_check_full_report_runs_each_decider_once(decider_calls, capsys):
     code, _, _ = run_cli(["check", "--group", "dicyclic:3", "--deleted"], capsys)
     assert code == 0
-    assert decider_calls == dict.fromkeys(decider_calls, 1)
+    assert decider_calls == {**dict.fromkeys(decider_calls, 1), "is_connected": 0}
 
 
 # -- verify --------------------------------------------------------------------
@@ -234,6 +235,19 @@ def test_verify_deterministic_output(capsys):
     _, first, _ = run_cli(["verify", "--theorem", "all", "--max-order", "16"], capsys)
     _, second, _ = run_cli(["verify", "--theorem", "all", "--max-order", "16"], capsys)
     assert normalized(first) == normalized(second)
+
+
+def test_check_and_ingest_build_no_lattice(monkeypatch, capsys):
+    # the graph comes from the group's walks; only theorem checks read a lattice
+    def no_lattice(group):
+        raise AssertionError(f"lattice built for {group}")
+
+    monkeypatch.setattr(epg_module, "build_lattice", no_lattice)
+    for argv in (["check", "--group", "dicyclic:3"],
+                 ["check", "--group", "dicyclic:3", "--deleted"],
+                 ["ingest", "tests/data/z6_identity_at_3.cayley"]):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, (argv, err)
 
 
 # -- ingest --------------------------------------------------------------------

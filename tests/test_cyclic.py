@@ -116,6 +116,15 @@ def test_lattice_matches_brute_force_over_roster(roster_bundles_64):
         assert_lattice_matches_brute_force(bundle.group)
 
 
+def test_group_maximal_flags_in_rank_order_are_the_lattice_flags(roster_bundles_64):
+    for bundle in roster_bundles_64:
+        group, lattice = bundle.group, bundle.lattice
+        ranked = [None] * len(lattice.subgroups)
+        for walk, flag in zip(group.walks, group.maximal):
+            ranked[lattice.subgroups.index(tuple(sorted(walk)))] = flag
+        assert tuple(ranked) == lattice.maximal_flags, group
+
+
 _ROSTER_64 = roster_generate(64)
 
 

@@ -13,13 +13,16 @@ from epgraph import (
     analyze,
     build_bundle,
     build_deleted,
+    build_epg,
+    build_lattice,
     is_connected,
     parse_spec,
+    roster_generate,
     to_dot,
     to_edgelist_lines,
 )
 
-from helpers import brute_cyclic_subgroups
+from helpers import brute_cyclic_subgroups, lattice_epg_rows
 
 
 def bundle_for(spec_text):
@@ -92,6 +95,30 @@ def test_maximal_cliques_give_every_subgroup_clique(roster_bundles_48):
         for members in brute_cyclic_subgroups(bundle.group):
             full.add_clique(sorted(members))
         assert bundle.epg.rows == full.rows
+
+
+def test_walk_graph_matches_lattice_cliques(bundle_of):
+    # build_epg reads the maximal walks; the reference adds one clique per
+    # maximal subgroup of the sorted, ranked lattice
+    for spec in roster_generate(128):
+        group = bundle_of(spec).group
+        assert build_epg(group).rows == lattice_epg_rows(group), spec.serialize()
+
+
+def test_lattice_is_built_on_first_read(monkeypatch):
+    calls = []
+
+    def counting(group):
+        calls.append(group)
+        return build_lattice(group)
+
+    monkeypatch.setattr(epg_module, "build_lattice", counting)
+    b = bundle_for("dihedral:6")
+    analyze(b)
+    analyze(b, deleted=True)
+    assert calls == []
+    assert b.lattice is b.lattice
+    assert calls == [b.group]
 
 
 @pytest.mark.parametrize("spec_text", ["cyclic:512", "dihedral:256", "dicyclic:128"])

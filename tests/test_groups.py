@@ -28,6 +28,7 @@ from epgraph import (
 from epgraph.theorems import CHECKS_BY_ID
 from helpers import (
     abelian_shape_reference,
+    assert_frozen_int16,
     associative,
     brute_center,
     brute_is_simple,
@@ -99,6 +100,30 @@ def test_product_with_trivial_is_same_table():
 def test_product_overflow():
     with pytest.raises(GroupSizeError):
         parse_spec("product:cyclic:32,cyclic:32").realize()
+
+
+def test_int16_limit_overrides_a_larger_cap():
+    # int16 tables index at most 2**15 elements; each check raises before a
+    # table is allocated, so none of these builds one
+    assert groups_module.table_cap(10**6) == groups_module.MAX_TABLE_ORDER == 2**15
+    parse_spec("product:cyclic:128,cyclic:256")._check_cap(10**6)
+    with pytest.raises(GroupSizeError, match="product order 65536 exceeds the cap of 32768"):
+        parse_spec("product:cyclic:256,cyclic:256")._check_cap(10**6)
+    with pytest.raises(GroupSizeError, match="group order 40000 exceeds the cap of 32768"):
+        parse_spec("cyclic:40000")._check_cap(10**6)
+    # S8 has 40320 elements: the closure stops at the 32769th
+    with pytest.raises(GroupSizeError, match="closure exceeds the cap of 32768"):
+        groups_module.closure_table(8, [(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)],
+                                    max_order=10**6)
+
+
+def test_scaling_by_two_to_the_fifteen_stays_int16():
+    # Z_1 x Z_32768 scales Z_1's table by 2**15, which int16 cannot hold as a scalar
+    scaled = groups_module._scaled(groups_module.cyclic_table(1), 2**15)
+    assert scaled.dtype == np.int16 and scaled.tolist() == [[0]]
+    scaled = groups_module._scaled(groups_module.cyclic_table(4), 8)
+    assert scaled.dtype == np.int16
+    assert scaled.tolist() == (8 * reference_table("cyclic", (4,))).tolist()
 
 
 # -- dicyclic groups -------------------------------------------------------------
@@ -207,8 +232,7 @@ def test_closure_size_cap():
 
 def _assert_reference_table(spec):
     table = spec.realize().table
-    assert table.dtype == np.int64 and table.flags.c_contiguous, spec.serialize()
-    assert not table.flags.writeable, spec.serialize()
+    assert_frozen_int16(table, spec.serialize())
     assert np.array_equal(table, reference_table(spec.family, spec.params)), spec.serialize()
 
 
@@ -481,6 +505,15 @@ def test_constructed_roster_groups_validate(roster_groups_48):
     for group in roster_groups_48:
         FiniteGroup.from_table(group.table, max_order=512)
         assert all(group.order % o == 0 for o in group.orders)
+
+
+def test_from_table_output_is_int16():
+    # validated in int64 from any integer input, then cast once
+    for table in ([[0, 1], [1, 0]], np.array([[0]], dtype=np.uint64),
+                  table_of(GroupSpec.dicyclic(3).realize())):
+        group = FiniteGroup.from_table(table)
+        assert_frozen_int16(group.table, repr(group))
+        assert group.table.tolist() == np.asarray(table).tolist()
 
 
 def test_validation_catches_broken_tables():
