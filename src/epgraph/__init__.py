@@ -18,7 +18,6 @@ from .analysis import (
     odd_degree_vertex,
 )
 from .cayley_io import ingest_cayley, parse_cayley_text
-from .cyclic import CyclicLattice, build_lattice
 from .epg import EpgBundle, adjacent_oracle, build_bundle, build_deleted, build_epg
 from .errors import (
     CayleyParseError,
@@ -39,9 +38,8 @@ from .groups import (
     is_simple,
     normal_closure,
     prime_order_subgroup_count,
-    totient,
 )
-from .planarity import is_planar, planarity_verdict
+from .planarity import planarity_verdict
 from .simplegraph import SimpleGraph, to_dot, to_edgelist_lines, to_json_dict
 from .specs import GroupSpec, parse_spec
 from .theorems import (
@@ -60,7 +58,6 @@ __all__ = [
     "CHECKS_BY_ID",
     "CayleyParseError",
     "CayleyValidationError",
-    "CyclicLattice",
     "DEFAULT_MAX_ORDER",
     "EpgBundle",
     "FiniteGroup",
@@ -80,7 +77,6 @@ __all__ = [
     "build_bundle",
     "build_deleted",
     "build_epg",
-    "build_lattice",
     "component_reps",
     "cone_vertices",
     "find_cycle",
@@ -90,7 +86,6 @@ __all__ = [
     "ingest_cayley",
     "is_connected",
     "is_generalized_quaternion",
-    "is_planar",
     "is_simple",
     "normal_closure",
     "odd_degree_vertex",
@@ -104,5 +99,4 @@ __all__ = [
     "to_dot",
     "to_edgelist_lines",
     "to_json_dict",
-    "totient",
 ]

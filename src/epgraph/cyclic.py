@@ -1,71 +1,76 @@
-"""Cyclic-subgroup structure: distinct cyclic subgroups, generator classes,
-the element-order spectrum, and its divisibility-maximal members.
+"""Cyclic-subgroup structure: one power walk per distinct cyclic subgroup.
 
-Everything here is derived from the power walks that ``FiniteGroup``
-makes once per distinct cyclic subgroup, and from the maximal flags it
-sets on them; no powers are walked again. The enhanced power graph needs
-none of it (``epgraph.epg`` builds the graph from the maximal walks), so a
-lattice is built only when a theorem check reads one.
+``FiniteGroup`` walks its powers here once, when it is built, and keeps
+what the walk gives as its one cyclic structure: the walks themselves
+(each distinct <x> in generation order), ``walk_of`` (which walk each
+element generates, so the elements with one ``walk_of`` value are a
+generator class), the element orders, and which walks are maximal. The
+enhanced power graph (``epgraph.epg``) is the union of cliques over the
+maximal walks, and the theorem checks read the orders and generator
+classes straight off the walks; nothing re-sorts or re-walks them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from functools import lru_cache
 
-from .groups import FiniteGroup
+import numpy as np
+
+from .errors import CayleyValidationError
 
 
-@dataclass(frozen=True)
-class CyclicLattice:
-    """Every <x> of a group, deduplicated, plus the generator partition.
+@lru_cache(maxsize=None)
+def _generator_positions(k: int) -> tuple[int, ...]:
+    """The indices j - 1 of a length-k walk's generators x^j, gcd(j, k) = 1."""
+    return tuple(j - 1 for j in range(1, k + 1) if math.gcd(j, k) == 1)
 
-    ``subgroups`` are sorted element tuples ordered by (size, elements);
-    ``class_of[x]`` names the subgroup <x>; ``generator_sets[c]`` is the
-    set of generators of subgroup c, so the generator sets partition the
-    group. ``pi_e`` is the set of element orders, ``mu`` its maximal
-    members under divisibility.
+
+def _walk_cyclic_subgroups(table: np.ndarray):
+    """Element orders plus one power walk per distinct cyclic subgroup.
+
+    Walking x gives x^1, ..., x^k = identity; each x^j with gcd(j, k) = 1
+    generates the same subgroup, so it takes order k and the walk's index
+    and is never walked itself. The cost is the sum of |<x>| over distinct
+    cyclic subgroups, one scalar table read per step.
     """
-
-    subgroups: tuple[tuple[int, ...], ...]
-    generator_sets: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
-    maximal_flags: tuple[bool, ...]
-    pi_e: frozenset[int]
-    mu: frozenset[int]
-
-    def gen_class(self, x: int) -> tuple[int, ...]:
-        """All y with <y> = <x>."""
-        return self.generator_sets[self.class_of[x]]
-
-    def subgroup_of(self, x: int) -> tuple[int, ...]:
-        return self.subgroups[self.class_of[x]]
-
-    @property
-    def maximal_subgroups(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            s for s, flag in zip(self.subgroups, self.maximal_flags) if flag
-        )
-
-
-def build_lattice(group: FiniteGroup) -> CyclicLattice:
-    """Sort and rank the group's walked cyclic subgroups and derive the class data.
-
-    The maximal flags are the group's own (``FiniteGroup.maximal``), put in
-    rank order.
-    """
-    n = group.order
-    subs = [tuple(sorted(walk)) for walk in group.walks]
-    rank = sorted(range(len(subs)), key=lambda i: (len(subs[i]), subs[i]))
-    remap = {old: new for new, old in enumerate(rank)}
-    subgroups = tuple(subs[old] for old in rank)
-    class_of = tuple(remap[c] for c in group.walk_of)
-
-    gen_sets: list[list[int]] = [[] for _ in subgroups]
+    n = table.shape[0]
+    item = table.item
+    orders = [0] * n
+    walk_of = [0] * n
+    walks: list[tuple[int, ...]] = []
     for x in range(n):
-        gen_sets[class_of[x]].append(x)
-    generator_sets = tuple(tuple(g) for g in gen_sets)
-    maximal_flags = tuple(group.maximal[old] for old in rank)
+        if orders[x]:
+            continue
+        walk = [x]
+        y = x
+        for _ in range(n):
+            if not y:
+                break
+            y = item(y, x)
+            walk.append(y)
+        else:
+            raise CayleyValidationError(
+                "order", f"powers of element {x} never reach the identity"
+            )
+        k, c = len(walk), len(walks)
+        for j in _generator_positions(k):
+            orders[walk[j]] = k
+            walk_of[walk[j]] = c
+        walks.append(tuple(walk))
+    return tuple(orders), tuple(walks), tuple(walk_of)
 
-    pi_e = frozenset(group.orders)
-    mu = frozenset(o for o in pi_e if not any(o != m and m % o == 0 for m in pi_e))
-    return CyclicLattice(subgroups, generator_sets, class_of, maximal_flags, pi_e, mu)
+
+def _maximal_walks(walks, walk_of) -> tuple[bool, ...]:
+    """Which walked cyclic subgroups lie in no other cyclic subgroup.
+
+    C is properly contained in a cyclic subgroup D exactly when D holds a
+    generator of C, so one pass over the members of every D clears the
+    flag of each walk met that is not D itself.
+    """
+    flags = [True] * len(walks)
+    for d, walk in enumerate(walks):
+        for y in walk:
+            if walk_of[y] != d:
+                flags[walk_of[y]] = False
+    return tuple(flags)

@@ -4,10 +4,10 @@ Vertices are element indices; two distinct elements are adjacent iff some
 cyclic subgroup contains both. Every cyclic subgroup lies in a maximal one,
 so the graph is the union of cliques over the maximal cyclic subgroups,
 which are exactly the group's maximal power walks. A bundle builds its
-cyclic lattice and its identity-deleted graph only when each is first
-read. The pairwise oracle re-derives adjacency straight from the
-definition (some z has both x and y among its powers) and exists purely to
-cross-check the clique-union construction.
+identity-deleted graph only when it is first read. The pairwise oracle
+re-derives adjacency straight from the definition (some z has both x and
+y among its powers) and exists purely to cross-check the clique-union
+construction.
 """
 
 from __future__ import annotations
@@ -15,26 +15,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cyclic import CyclicLattice, build_lattice
 from .groups import FiniteGroup
 from .simplegraph import SimpleGraph
 
 
 @dataclass(frozen=True)
 class EpgBundle:
-    """A group with its enhanced power graph, plus its lattice and deleted graph.
+    """A group with its enhanced power graph, plus its deleted graph.
 
-    ``lattice`` is the group's cyclic lattice and ``deleted`` the enhanced
-    power graph with the identity vertex removed (deleted vertex i is
-    element i + 1); each is built on first read.
+    ``deleted`` is the enhanced power graph with the identity vertex
+    removed (deleted vertex i is element i + 1), built on first read.
     """
 
     group: FiniteGroup
     epg: SimpleGraph
-
-    @cached_property
-    def lattice(self) -> CyclicLattice:
-        return build_lattice(self.group)
 
     @cached_property
     def deleted(self) -> SimpleGraph:
@@ -77,14 +71,14 @@ def build_bundle(group: FiniteGroup) -> EpgBundle:
 def adjacent_oracle(group: FiniteGroup, x: int, y: int) -> bool:
     """Brute force: is there a z whose powers include both x and y?
 
-    Deliberately ignores the lattice so it can serve as an independent
-    cross-check of the clique-union construction.
+    Deliberately ignores the group's walks so it can serve as an
+    independent cross-check of the clique-union construction.
     """
     group._check_index(x)
     group._check_index(y)
     if x == y:
         raise ValueError(f"adjacency is defined for distinct elements, got {x} twice")
-    rows = group.rows()
+    item = group.table.item
     for z in range(group.order):
         found_x = found_y = False
         t = z
@@ -97,5 +91,5 @@ def adjacent_oracle(group: FiniteGroup, x: int, y: int) -> bool:
                 return True
             if t == 0:
                 break
-            t = rows[t][z]
+            t = item(t, z)
     return False

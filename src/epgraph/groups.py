@@ -13,21 +13,22 @@ right multiplications. Only ``validate_table`` checks the group laws, for
 the entry points of untrusted tables (``FiniteGroup.from_table`` and the
 Cayley-file reader), in int64 before the cast: closure, the Latin-square
 property, the identity, and associativity by Light's test, exactly and in
-O(n^2 log n) for a group. Building a group walks its powers once; the
-walks give the element orders and mark the maximal cyclic subgroups, from
-which ``epgraph.epg`` builds the enhanced power graph.
+O(n^2 log n) for a group. Building a group walks its powers once
+(``epgraph.cyclic``); the walks are the group's cyclic structure: they give
+the element orders, the generator classes and the maximal cyclic
+subgroups, from which ``epgraph.epg`` builds the enhanced power graph.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .cyclic import _maximal_walks, _walk_cyclic_subgroups
 from .errors import CayleyValidationError, GroupParameterError, GroupSizeError
 
 DEFAULT_MAX_ORDER = 512
@@ -59,16 +60,6 @@ def is_prime(n: int) -> bool:
     return n >= 2 and prime_factors(n).get(n) == 1
 
 
-def totient(n: int) -> int:
-    """Euler's totient: the number of k in [1, n] coprime to n."""
-    if n < 1:
-        raise GroupParameterError(f"totient undefined for {n}")
-    result = n
-    for p in prime_factors(n):
-        result -= result // p
-    return result
-
-
 class FiniteGroup:
     """An immutable finite group on element indices 0..order-1.
 
@@ -77,13 +68,12 @@ class FiniteGroup:
     distinct cyclic subgroup once: ``walks[c]`` is that subgroup in
     generation order g, g^2, ..., identity, ``walk_of[x]`` is the c with
     <x> = <g>, ``orders[x]`` is the order of x, and ``maximal[c]`` tells
-    whether walk c lies in no other cyclic subgroup. ``rows()`` converts the
-    table to Python lists only when first asked. The constructor trusts
+    whether walk c lies in no other cyclic subgroup. The constructor trusts
     ``table`` to be a group; ``from_table`` checks it first.
     """
 
     __slots__ = ("order", "table", "orders", "walks", "walk_of", "maximal", "spec",
-                 "_rows", "_invs", "_center")
+                 "_invs", "_center")
 
     def __init__(self, table: np.ndarray, spec=None):
         self.order = int(table.shape[0])
@@ -92,7 +82,6 @@ class FiniteGroup:
         self.orders, self.walks, self.walk_of = _walk_cyclic_subgroups(table)
         self.maximal = _maximal_walks(self.walks, self.walk_of)
         self.spec = spec
-        self._rows: Optional[list[list[int]]] = None
         self._invs: Optional[tuple[int, ...]] = None
         self._center: Optional[tuple[int, ...]] = None
 
@@ -129,61 +118,15 @@ class FiniteGroup:
         name = self.spec.display() if self.spec is not None else "FiniteGroup"
         return f"<{name} of order {self.order}>"
 
-    def rows(self) -> list[list[int]]:
-        """The table as plain Python lists, built on first use; fast for
-        scalar-heavy loops."""
-        if self._rows is None:
-            self._rows = self.table.tolist()
-        return self._rows
-
     def _check_index(self, x: int) -> None:
         if not 0 <= x < self.order:
             raise IndexError(f"element index {x} out of range [0, {self.order})")
-
-    def mul(self, a: int, b: int) -> int:
-        self._check_index(a)
-        self._check_index(b)
-        return self.rows()[a][b]
-
-    def inv(self, a: int) -> int:
-        self._check_index(a)
-        return self.inverses()[a]
 
     def inverses(self) -> tuple[int, ...]:
         """The inverse of every element, indexed by element (cached)."""
         if self._invs is None:
             self._invs = tuple(np.nonzero(self.table == 0)[1].tolist())
         return self._invs
-
-    def power(self, x: int, k: int) -> int:
-        """x**k for any integer k (negative exponents via the inverse)."""
-        self._check_index(x)
-        if k < 0:
-            x, k = self.inv(x), -k
-        rows = self.rows()
-        acc = 0
-        while k:
-            if k & 1:
-                acc = rows[acc][x]
-            x = rows[x][x]
-            k >>= 1
-        return acc
-
-    def element_order(self, x: int) -> int:
-        """The least k >= 1 with x**k = identity (memoized at construction)."""
-        self._check_index(x)
-        return self.orders[x]
-
-    def powers_of(self, x: int) -> tuple[int, ...]:
-        """The cyclic subgroup <x> in generation order x, x^2, ..., identity."""
-        self._check_index(x)
-        rows = self.rows()
-        out = [x]
-        y = x
-        while y != 0:
-            y = rows[y][x]
-            out.append(y)
-        return tuple(out)
 
     # -- structure predicates ----------------------------------------------
 
@@ -267,62 +210,6 @@ def _check_associative(arr: np.ndarray) -> None:
                     reached[y] = True
                     members.append(y)
             i += 1
-
-
-@lru_cache(maxsize=None)
-def _generator_positions(k: int) -> tuple[int, ...]:
-    """The indices j - 1 of a length-k walk's generators x^j, gcd(j, k) = 1."""
-    return tuple(j - 1 for j in range(1, k + 1) if math.gcd(j, k) == 1)
-
-
-def _walk_cyclic_subgroups(table: np.ndarray):
-    """Element orders plus one power walk per distinct cyclic subgroup.
-
-    Walking x gives x^1, ..., x^k = identity; each x^j with gcd(j, k) = 1
-    generates the same subgroup, so it takes order k and the walk's index
-    and is never walked itself. The cost is the sum of |<x>| over distinct
-    cyclic subgroups, one scalar table read per step.
-    """
-    n = table.shape[0]
-    item = table.item
-    orders = [0] * n
-    walk_of = [0] * n
-    walks: list[tuple[int, ...]] = []
-    for x in range(n):
-        if orders[x]:
-            continue
-        walk = [x]
-        y = x
-        for _ in range(n):
-            if not y:
-                break
-            y = item(y, x)
-            walk.append(y)
-        else:
-            raise CayleyValidationError(
-                "order", f"powers of element {x} never reach the identity"
-            )
-        k, c = len(walk), len(walks)
-        for j in _generator_positions(k):
-            orders[walk[j]] = k
-            walk_of[walk[j]] = c
-        walks.append(tuple(walk))
-    return tuple(orders), tuple(walks), tuple(walk_of)
-
-
-def _maximal_walks(walks, walk_of) -> tuple[bool, ...]:
-    """Which walked cyclic subgroups lie in no other cyclic subgroup.
-
-    C is properly contained in a cyclic subgroup D exactly when D holds a
-    generator of C, so one pass over the members of every D clears the
-    flag of each walk met that is not D itself.
-    """
-    flags = [True] * len(walks)
-    for d, walk in enumerate(walks):
-        for y in walk:
-            if walk_of[y] != d:
-                flags[walk_of[y]] = False
-    return tuple(flags)
 
 
 # -- table builders ----------------------------------------------------------

@@ -239,7 +239,7 @@ class _LRState:
 
 
 def planarity_verdict(graph: SimpleGraph) -> tuple[bool, str]:
-    """(is_planar, reject reason); reason is 'edge-count', 'left-right', or ''."""
+    """(planar, reject reason); reason is 'edge-count', 'left-right', or ''."""
     n = graph.n
     if n > 2 and graph.edge_count() > 3 * n - 6:
         return False, "edge-count"
@@ -247,7 +247,3 @@ def planarity_verdict(graph: SimpleGraph) -> tuple[bool, str]:
     if _LRState(n, adjs).run():
         return True, ""
     return False, "left-right"
-
-
-def is_planar(graph: SimpleGraph) -> bool:
-    return planarity_verdict(graph)[0]

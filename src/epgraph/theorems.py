@@ -15,12 +15,14 @@ and it is dropped before the next group's is built, so memory stays that
 of one group however long the roster.
 
 Each predicate computes only what its check needs, through the deciders
-of ``analysis``. T2.1 still reads the graph, but by bitmasks: one mask per
-generator class and one union per subgroup size, so each generator's row
-is tested once. Connectivity stops expanding once the component covers
-every vertex. C2.3 and T4.2 read tree, star and Eulerian off a lazy
-``PropertyReport``, which asks for a star only of a tree and for
-connectivity only when every degree is even.
+of ``analysis`` or straight off the group's power walks: T2.4's "cyclic"
+is some element of order |G|, and T4.1's group side is the largest element
+order. T2.1 reads the graph by bitmasks: one mask per generator class (the
+elements with one ``walk_of`` value) and one union per subgroup size, so
+each generator's row is tested once. Connectivity stops expanding once the
+component covers every vertex. C2.3 and T4.2 read tree, star and Eulerian
+off a lazy ``PropertyReport``, which asks for a star only of a tree and
+for connectivity only when every degree is even.
 """
 
 from __future__ import annotations
@@ -42,9 +44,7 @@ from .groups import (
     is_simple,
     prime_factors,
 )
-from .specs import FAMILIES, GroupSpec
-
-FAMILY_NAMES = tuple(f for f in FAMILIES if f != "file")  # the roster builds no files
+from .specs import GroupSpec
 
 # (order, degree, generators) for the fixed permutation-closure roster members
 _PERM_ROSTER = (
@@ -83,9 +83,7 @@ def _abelian_noncyclic_shapes(max_order: int) -> list[tuple[int, ...]]:
     return sorted(set(shapes), key=lambda s: (math.prod(s), s))
 
 
-def roster_generate(
-    max_order: int, families: Optional[Sequence[str] | str] = None
-) -> list[GroupSpec]:
+def roster_generate(max_order: int) -> list[GroupSpec]:
     """Deterministic roster of group specs with orders up to max_order.
 
     Families: all cyclic groups; abelian products of prime-power cyclic
@@ -96,48 +94,33 @@ def roster_generate(
     """
     if max_order < 1:
         raise GroupParameterError(f"max_order must be >= 1, got {max_order}")
-    if families is None:
-        wanted = set(FAMILY_NAMES)
-    elif isinstance(families, str):
-        wanted = {families}
-    else:
-        wanted = set(families)
-    unknown = wanted - set(FAMILY_NAMES)
-    if unknown:
-        raise GroupParameterError(f"unknown roster families: {sorted(unknown)}")
 
     entries: list[tuple[int, str, tuple, GroupSpec]] = []
-    if "cyclic" in wanted:
-        for n in range(1, max_order + 1):
-            entries.append((n, "cyclic", (n,), GroupSpec.cyclic(n)))
-    if "product" in wanted:
-        for shape in _abelian_noncyclic_shapes(max_order):
-            spec = GroupSpec.product([GroupSpec.cyclic(q) for q in shape])
-            entries.append((math.prod(shape), "product", shape, spec))
-    if "dihedral" in wanted:
-        for m in range(3, max_order // 2 + 1):
-            entries.append((2 * m, "dihedral", (m,), GroupSpec.dihedral(m)))
-    if "dicyclic" in wanted:
-        for m in range(2, max_order // 4 + 1):
-            entries.append((4 * m, "dicyclic", (m,), GroupSpec.dicyclic(m)))
-    if "metacyclic" in wanted:
-        params: list[tuple[int, int, int]] = []
-        size = 16
-        while size <= max_order:  # semidihedral 2-groups
-            params.append((size // 2, 2, size // 4 - 1))
-            size *= 2
-        if max_order >= 20:
-            params.append((5, 4, 2))
-        if max_order >= 21:
-            params.append((7, 3, 2))
-        if max_order >= 27:
-            params.append((9, 3, 4))
-        for m, n, k in params:
-            entries.append((m * n, "metacyclic", (m, n, k), GroupSpec.metacyclic(m, n, k)))
-    if "perm" in wanted:
-        for order, degree, gens in _PERM_ROSTER:
-            if order <= max_order:
-                entries.append((order, "perm", (degree, gens), GroupSpec.perm(degree, gens)))
+    for n in range(1, max_order + 1):
+        entries.append((n, "cyclic", (n,), GroupSpec.cyclic(n)))
+    for shape in _abelian_noncyclic_shapes(max_order):
+        spec = GroupSpec.product([GroupSpec.cyclic(q) for q in shape])
+        entries.append((math.prod(shape), "product", shape, spec))
+    for m in range(3, max_order // 2 + 1):
+        entries.append((2 * m, "dihedral", (m,), GroupSpec.dihedral(m)))
+    for m in range(2, max_order // 4 + 1):
+        entries.append((4 * m, "dicyclic", (m,), GroupSpec.dicyclic(m)))
+    params: list[tuple[int, int, int]] = []
+    size = 16
+    while size <= max_order:  # semidihedral 2-groups
+        params.append((size // 2, 2, size // 4 - 1))
+        size *= 2
+    if max_order >= 20:
+        params.append((5, 4, 2))
+    if max_order >= 21:
+        params.append((7, 3, 2))
+    if max_order >= 27:
+        params.append((9, 3, 4))
+    for m, n, k in params:
+        entries.append((m * n, "metacyclic", (m, n, k), GroupSpec.metacyclic(m, n, k)))
+    for order, degree, gens in _PERM_ROSTER:
+        if order <= max_order:
+            entries.append((order, "perm", (degree, gens), GroupSpec.perm(degree, gens)))
 
     entries.sort(key=lambda e: (e[0], e[1], e[2]))
     return [spec for _, _, _, spec in entries]
@@ -213,7 +196,7 @@ def _const_true(_bundle: EpgBundle) -> bool:
 
 
 def _is_cyclic(bundle: EpgBundle) -> bool:
-    return bundle.group.order in bundle.lattice.pi_e
+    return bundle.group.order in bundle.group.orders
 
 
 def _orders_at_most_2(bundle: EpgBundle) -> bool:
@@ -231,15 +214,18 @@ def _primes_of(n: int) -> set[int]:
 def _no_cross_edges_between_equal_order_classes(bundle: EpgBundle) -> bool:
     """No adjacency between generator classes of equal order but distinct subgroups.
 
-    Each generator class is one bitmask, and the classes of one subgroup
-    size are OR-ed into one union; a generator's row may meet that union
-    only inside its own class. A size with a single class has nothing to
-    cross.
+    Walk c's generator class is every x with ``walk_of[x] == c``. Each class
+    is one bitmask, and the classes of one subgroup size are OR-ed into one
+    union; a generator's row may meet that union only inside its own class.
+    A size with a single class has nothing to cross.
     """
-    lattice, rows = bundle.lattice, bundle.epg.rows
-    by_size: dict[int, list[tuple[int, ...]]] = {}
-    for members, gens in zip(lattice.subgroups, lattice.generator_sets):
-        by_size.setdefault(len(members), []).append(gens)
+    group, rows = bundle.group, bundle.epg.rows
+    gen_class: list[list[int]] = [[] for _ in group.walks]
+    for x, c in enumerate(group.walk_of):
+        gen_class[c].append(x)
+    by_size: dict[int, list[list[int]]] = {}
+    for walk, gens in zip(group.walks, gen_class):
+        by_size.setdefault(len(walk), []).append(gens)
     for classes in by_size.values():
         if len(classes) < 2:
             continue
@@ -380,7 +366,7 @@ CHECKS: tuple[TheoremCheck, ...] = (
         "planar iff every element order lies in {1, 2, 3, 4}",
         _const_true,
         lambda b: analysis.planarity_verdict(b.epg)[0],
-        lambda b: b.lattice.pi_e <= {1, 2, 3, 4},
+        lambda b: max(b.group.orders) <= 4,
     ),
     TheoremCheck(
         "T4.2", "iff",
@@ -425,14 +411,14 @@ def _stream(
 
     Reports follow ``checks`` one to one, so a check listed twice gets two
     reports. ``ms`` covers each check's own predicates only; building the
-    bundles they read is not charged to any check, so the lattice and the
-    deleted graph, which a bundle builds on first read, are read here first.
+    bundles they read is not charged to any check, so the deleted graph,
+    which a bundle builds on first read, is read here first.
     """
     reports = [TheoremReport(c.check_id, 0, 0, False) for c in checks]
     seconds = [0.0] * len(checks)
     for spec in roster:
         bundle = build_bundle(spec.realize(max_order=max_order))
-        _ = bundle.lattice, bundle.deleted
+        _ = bundle.deleted
         for i, (check, report) in enumerate(zip(checks, reports)):
             start = time.perf_counter()
             if check.applies(bundle):

@@ -12,7 +12,7 @@ from collections import deque
 
 import numpy as np
 
-from epgraph import CayleyParseError, GroupSizeError, SimpleGraph, build_bundle, build_lattice
+from epgraph import CayleyParseError, GroupSizeError, SimpleGraph, build_bundle
 from epgraph.analysis import _join_tree_paths
 from epgraph.groups import AbelianShape, has_cyclic_sylow
 from epgraph.planarity import planarity_verdict
@@ -58,11 +58,14 @@ def brute_cyclic_subgroups(group) -> set[frozenset[int]]:
 
 
 def brute_lattice(group) -> dict:
-    """The cyclic lattice's fields by walking every element's powers.
+    """The cyclic subgroups and their generator classes by walking every
+    element's powers, from the table alone.
 
-    Subgroups are sorted element tuples ranked by (size, elements); a
-    subgroup is maximal when no other one strictly contains it, tested over
-    all pairs. Orders come from ``order_by_table_scan``.
+    Subgroups are sorted element tuples ranked by (size, elements);
+    ``class_of[x]`` ranks <x>, ``generator_sets[c]`` is every x with
+    <x> = subgroup c, and a subgroup is maximal when no other one strictly
+    contains it, tested over all pairs. Orders come from
+    ``order_by_table_scan``.
     """
     table = table_of(group)
     n = len(table)
@@ -82,24 +85,23 @@ def brute_lattice(group) -> dict:
     )
     sets = [frozenset(s) for s in subgroups]
     maximal_flags = tuple(not any(a < b for b in sets) for a in sets)
-    pi_e = frozenset(order_by_table_scan(table, x) for x in range(n))
-    mu = frozenset(o for o in pi_e if not any(m != o and m % o == 0 for m in pi_e))
     return {
         "subgroups": subgroups,
         "generator_sets": generator_sets,
         "class_of": class_of,
         "maximal_flags": maximal_flags,
-        "pi_e": pi_e,
-        "mu": mu,
+        "orders": tuple(order_by_table_scan(table, x) for x in range(n)),
     }
 
 
 def lattice_epg_rows(group) -> list[int]:
     """The enhanced power graph's rows by the lattice construction: ``add_clique``
-    over each maximal subgroup that ``build_lattice`` sorts and ranks."""
+    over each maximal subgroup that ``brute_lattice`` finds."""
     graph = SimpleGraph(group.order)
-    for members in build_lattice(group).maximal_subgroups:
-        graph.add_clique(members)
+    lattice = brute_lattice(group)
+    for members, maximal in zip(lattice["subgroups"], lattice["maximal_flags"]):
+        if maximal:
+            graph.add_clique(members)
     return graph.rows
 
 
@@ -198,6 +200,20 @@ def brute_center(group) -> set[int]:
     table = table_of(group)
     n = len(table)
     return {z for z in range(n) if all(table[z][g] == table[g][z] for g in range(n))}
+
+
+def totient(n: int) -> int:
+    """Euler's totient by the product formula over the prime divisors of n."""
+    result, m, p = n, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            result -= result // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        result -= result // m
+    return result
 
 
 def brute_totient(n: int) -> int:
@@ -427,15 +443,15 @@ def parse_cayley_reference(text: str, max_order: int = 512) -> list[list[int]]:
 
 def pairwise_no_cross_edges(bundle) -> bool:
     """T2.1 by every pair of equal-size classes and every pair of their generators."""
-    lattice, epg = bundle.lattice, bundle.epg
+    lattice, epg = brute_lattice(bundle.group), bundle.epg
     by_size: dict[int, list[int]] = {}
-    for c, members in enumerate(lattice.subgroups):
+    for c, members in enumerate(lattice["subgroups"]):
         by_size.setdefault(len(members), []).append(c)
     for classes in by_size.values():
         for i, c1 in enumerate(classes):
             for c2 in classes[i + 1:]:
-                for x in lattice.generator_sets[c1]:
-                    for y in lattice.generator_sets[c2]:
+                for x in lattice["generator_sets"][c1]:
+                    for y in lattice["generator_sets"][c2]:
                         if epg.has_edge(x, y):
                             return False
     return True
@@ -599,7 +615,7 @@ REFERENCE_SIDES = {
         lambda b: all(
             b.epg.has_edge(u, v) for u, v in itertools.combinations(range(b.epg.n), 2)
         ),
-        lambda b: len(b.group) in b.group.orders,
+        lambda b: frozenset(range(len(b.group))) in brute_cyclic_subgroups(b.group),
     ),
     "T3.1": (
         _always,
@@ -624,7 +640,7 @@ REFERENCE_SIDES = {
     "T4.1": (
         _always,
         lambda b: planarity_verdict(b.epg)[0],
-        lambda b: set(b.group.orders) <= {1, 2, 3, 4},
+        lambda b: set(orders_multiset(b.group)) <= {1, 2, 3, 4},
     ),
     "T4.2": (
         _always,

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-import epgraph.epg as epg_module
 from epgraph import cli, roster_generate
 from epgraph.analysis import REPORT_FIELDS
 
@@ -235,19 +234,6 @@ def test_verify_deterministic_output(capsys):
     _, first, _ = run_cli(["verify", "--theorem", "all", "--max-order", "16"], capsys)
     _, second, _ = run_cli(["verify", "--theorem", "all", "--max-order", "16"], capsys)
     assert normalized(first) == normalized(second)
-
-
-def test_check_and_ingest_build_no_lattice(monkeypatch, capsys):
-    # the graph comes from the group's walks; only theorem checks read a lattice
-    def no_lattice(group):
-        raise AssertionError(f"lattice built for {group}")
-
-    monkeypatch.setattr(epg_module, "build_lattice", no_lattice)
-    for argv in (["check", "--group", "dicyclic:3"],
-                 ["check", "--group", "dicyclic:3", "--deleted"],
-                 ["ingest", "tests/data/z6_identity_at_3.cayley"]):
-        code, _, err = run_cli(argv, capsys)
-        assert code == 0, (argv, err)
 
 
 # -- ingest --------------------------------------------------------------------

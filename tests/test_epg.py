@@ -2,6 +2,7 @@
 and exports."""
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,6 @@ from epgraph import (
     build_bundle,
     build_deleted,
     build_epg,
-    build_lattice,
     is_connected,
     parse_spec,
     roster_generate,
@@ -22,7 +22,7 @@ from epgraph import (
     to_edgelist_lines,
 )
 
-from helpers import brute_cyclic_subgroups, lattice_epg_rows
+from helpers import brute_cyclic_subgroups, brute_lattice, lattice_epg_rows
 
 
 def bundle_for(spec_text):
@@ -99,34 +99,25 @@ def test_maximal_cliques_give_every_subgroup_clique(roster_bundles_48):
 
 def test_walk_graph_matches_lattice_cliques(bundle_of):
     # build_epg reads the maximal walks; the reference adds one clique per
-    # maximal subgroup of the sorted, ranked lattice
+    # maximal subgroup that a brute-force scan of the table finds
     for spec in roster_generate(128):
         group = bundle_of(spec).group
         assert build_epg(group).rows == lattice_epg_rows(group), spec.serialize()
 
 
-def test_lattice_is_built_on_first_read(monkeypatch):
-    calls = []
-
-    def counting(group):
-        calls.append(group)
-        return build_lattice(group)
-
-    monkeypatch.setattr(epg_module, "build_lattice", counting)
-    b = bundle_for("dihedral:6")
-    analyze(b)
-    analyze(b, deleted=True)
-    assert calls == []
-    assert b.lattice is b.lattice
-    assert calls == [b.group]
-
-
 @pytest.mark.parametrize("spec_text", ["cyclic:512", "dihedral:256", "dicyclic:128"])
 def test_bundle_and_reports_leave_row_lists_unbuilt(spec_text):
-    b = bundle_for(spec_text)
-    analyze(b)
-    analyze(b, deleted=True)
-    assert b.group._rows is None
+    # a Python row list of the table holds a pointer per entry, 8 n^2 bytes;
+    # the int16 table, the walks, both graphs and both reports take far less
+    tracemalloc.start()
+    try:
+        b = bundle_for(spec_text)
+        analyze(b)
+        analyze(b, deleted=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * b.group.order ** 2
 
 
 def test_deleted_graph_is_built_on_first_read(monkeypatch):
@@ -190,14 +181,14 @@ def test_identity_universal(roster_bundles_48):
 
 def test_gen_classes_have_identical_closed_neighborhoods(roster_bundles_48):
     for b in roster_bundles_48:
-        for gens in b.lattice.generator_sets:
+        for gens in brute_lattice(b.group)["generator_sets"]:
             closed = {b.epg.rows[x] | (1 << x) for x in gens}
             assert len(closed) == 1
 
 
 def test_gen_classes_fully_joined_or_disjoint(roster_bundles_48):
     for b in roster_bundles_48:
-        gens = b.lattice.generator_sets
+        gens = brute_lattice(b.group)["generator_sets"]
         for i, ga in enumerate(gens):
             for gb in gens[i + 1:]:
                 links = sum(b.epg.has_edge(x, y) for x in ga for y in gb)
@@ -206,14 +197,14 @@ def test_gen_classes_fully_joined_or_disjoint(roster_bundles_48):
 
 def test_equal_order_distinct_classes_never_joined(roster_bundles_48):
     for b in roster_bundles_48:
-        lattice = b.lattice
-        classes = list(range(len(lattice.subgroups)))
-        for i in classes:
-            for j in classes[i + 1:]:
-                if len(lattice.subgroups[i]) != len(lattice.subgroups[j]):
+        lattice = brute_lattice(b.group)
+        subgroups, gens = lattice["subgroups"], lattice["generator_sets"]
+        for i in range(len(subgroups)):
+            for j in range(i + 1, len(subgroups)):
+                if len(subgroups[i]) != len(subgroups[j]):
                     continue
-                for x in lattice.generator_sets[i]:
-                    for y in lattice.generator_sets[j]:
+                for x in gens[i]:
+                    for y in gens[j]:
                         assert not b.epg.has_edge(x, y)
 
 

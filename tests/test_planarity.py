@@ -11,7 +11,6 @@ from epgraph import (
     GroupSpec,
     SimpleGraph,
     build_bundle,
-    is_planar,
     planarity_verdict,
 )
 
@@ -25,23 +24,23 @@ from helpers import (
 
 def test_small_complete_graphs():
     for n in range(5):
-        assert is_planar(complete_graph(n))
-    assert not is_planar(complete_graph(5))
-    assert not is_planar(complete_graph(6))
+        assert planarity_verdict(complete_graph(n))[0]
+    assert not planarity_verdict(complete_graph(5))[0]
+    assert not planarity_verdict(complete_graph(6))[0]
 
 
 def test_k33_and_near_misses():
-    assert not is_planar(complete_bipartite(3, 3))
-    assert is_planar(complete_bipartite(2, 3))
+    assert not planarity_verdict(complete_bipartite(3, 3))[0]
+    assert planarity_verdict(complete_bipartite(2, 3))[0]
     k33_minus = complete_bipartite(3, 3)
     k33_minus.rows[0] &= ~(1 << 3)
     k33_minus.rows[3] &= ~(1 << 0)
-    assert is_planar(k33_minus)
+    assert planarity_verdict(k33_minus)[0]
 
 
 def test_k5_minus_edge_planar():
     edges = [e for e in itertools.combinations(range(5), 2) if e != (0, 1)]
-    assert is_planar(graph_from_edges(5, edges))
+    assert planarity_verdict(graph_from_edges(5, edges))[0]
 
 
 def test_verdict_reasons():
@@ -62,9 +61,9 @@ def _subdivide_all(n, edges):
 
 def test_subdivisions_stay_nonplanar():
     n, edges = _subdivide_all(5, list(itertools.combinations(range(5), 2)))
-    assert not is_planar(graph_from_edges(n, edges))
+    assert not planarity_verdict(graph_from_edges(n, edges))[0]
     n, edges = _subdivide_all(6, [(u, v) for u in range(3) for v in range(3, 6)])
-    assert not is_planar(graph_from_edges(n, edges))
+    assert not planarity_verdict(graph_from_edges(n, edges))[0]
 
 
 def test_petersen_nonplanar():
@@ -73,7 +72,7 @@ def test_petersen_nonplanar():
         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
         + [(i, i + 5) for i in range(5)]
     )
-    assert not is_planar(graph_from_edges(10, edges))
+    assert not planarity_verdict(graph_from_edges(10, edges))[0]
 
 
 def test_grid_planar():
@@ -86,7 +85,7 @@ def test_grid_planar():
                 g.add_edge(v, v + 1)
             if i + 1 < rows:
                 g.add_edge(v, v + cols)
-    assert is_planar(g)
+    assert planarity_verdict(g)[0]
 
 
 def test_clique_book_planar():
@@ -94,25 +93,25 @@ def test_clique_book_planar():
     g = SimpleGraph(10)
     for page in range(4):
         g.add_clique([0, 1, 2 + 2 * page, 3 + 2 * page])
-    assert is_planar(g)
+    assert planarity_verdict(g)[0]
 
 
 def test_disjoint_and_shared_components():
     two_k4 = SimpleGraph(8)
     two_k4.add_clique(range(4))
     two_k4.add_clique(range(4, 8))
-    assert is_planar(two_k4)
+    assert planarity_verdict(two_k4)[0]
 
     shared = SimpleGraph(9)
     shared.add_clique(range(5))
     shared.add_clique([0, 5, 6, 7, 8])
-    assert not is_planar(shared)
+    assert not planarity_verdict(shared)[0]
 
 
 def test_degenerate():
-    assert is_planar(SimpleGraph(0))
-    assert is_planar(SimpleGraph(1))
-    assert is_planar(SimpleGraph(7))  # isolated vertices
+    assert planarity_verdict(SimpleGraph(0))[0]
+    assert planarity_verdict(SimpleGraph(1))[0]
+    assert planarity_verdict(SimpleGraph(7))[0]  # isolated vertices
 
 
 def test_exhaustive_five_vertices():
@@ -121,7 +120,7 @@ def test_exhaustive_five_vertices():
     full = (1 << 10) - 1
     for mask in range(1 << 10):
         g = graph_from_edges(5, [pairs[i] for i in range(10) if mask >> i & 1])
-        assert is_planar(g) == (mask != full), f"mask {mask}"
+        assert planarity_verdict(g)[0] == (mask != full), f"mask {mask}"
 
 
 def test_randomized_six_vertices_against_pattern_oracle():
@@ -131,7 +130,7 @@ def test_randomized_six_vertices_against_pattern_oracle():
     masks.update(m for m in range(1 << 15) if bin(m).count("1") >= 12)
     for mask in masks:
         g = graph_from_edges(6, [pairs[i] for i in range(15) if mask >> i & 1])
-        assert is_planar(g) == tiny_planarity_oracle(g), f"mask {mask}"
+        assert planarity_verdict(g)[0] == tiny_planarity_oracle(g), f"mask {mask}"
 
 
 # one component after hundreds of isolated vertices: every isolated vertex
@@ -155,8 +154,8 @@ def _after_isolated(isolated, name):
 @pytest.mark.parametrize("name", sorted(_LAST_COMPONENTS))
 def test_many_roots_match_pattern_oracle(name, isolated):
     graph, component = _after_isolated(isolated, name)
-    assert is_planar(graph) == tiny_planarity_oracle(component)
-    assert is_planar(graph) == (name == "octahedron")
+    assert planarity_verdict(graph)[0] == tiny_planarity_oracle(component)
+    assert planarity_verdict(graph)[0] == (name == "octahedron")
 
 
 @pytest.mark.parametrize("isolated", [300, 700])
@@ -167,7 +166,7 @@ def test_many_roots_match_networkx(name, isolated):
     reference = nx.Graph()
     reference.add_nodes_from(range(graph.n))
     reference.add_edges_from(graph.edges())
-    assert is_planar(graph) == nx.check_planarity(reference)[0]
+    assert planarity_verdict(graph)[0] == nx.check_planarity(reference)[0]
 
 
 def test_deleted_graph_of_elementary_abelian_is_planar():
@@ -197,7 +196,7 @@ def _planar_subgraph(draw):
 @given(_planar_subgraph())
 @settings(max_examples=120, deadline=None)
 def test_subgraphs_of_triangulation_planar(graph):
-    assert is_planar(graph)
+    assert planarity_verdict(graph)[0]
 
 
 @given(
@@ -213,4 +212,4 @@ def test_graphs_containing_k33_nonplanar(labels, extra):
     for u, v in extra:
         if u != v:
             g.add_edge(u, v)
-    assert not is_planar(g)
+    assert not planarity_verdict(g)[0]

@@ -22,7 +22,12 @@ import epgraph.epg as epg_module
 from epgraph import theorems
 from epgraph.theorems import CHECKS, CHECKS_BY_ID
 
-from helpers import REFERENCE_SIDES, column_major_run_all, pairwise_no_cross_edges
+from helpers import (
+    REFERENCE_SIDES,
+    brute_lattice,
+    column_major_run_all,
+    pairwise_no_cross_edges,
+)
 
 
 def serialized(specs):
@@ -33,12 +38,12 @@ def serialized(specs):
 
 
 def test_roster_cyclic_family():
-    specs = roster_generate(8, families="cyclic")
+    specs = [s for s in roster_generate(8) if s.family == "cyclic"]
     assert serialized(specs) == [f"cyclic:{n}" for n in range(1, 9)]
 
 
 def test_roster_dicyclic_family():
-    specs = roster_generate(16, families="dicyclic")
+    specs = [s for s in roster_generate(16) if s.family == "dicyclic"]
     assert serialized(specs) == ["dicyclic:2", "dicyclic:3", "dicyclic:4"]
 
 
@@ -87,8 +92,6 @@ def test_roster_excludes_duplicate_shapes():
 def test_roster_rejects_bad_input():
     with pytest.raises(GroupParameterError):
         roster_generate(0)
-    with pytest.raises(GroupParameterError):
-        roster_generate(16, families="weird")
 
 
 # -- run_check ----------------------------------------------------------------------
@@ -133,7 +136,8 @@ def test_run_check_ms_excludes_deleted_graph_building(monkeypatch):
 
 def test_t33_positive_set_is_generalized_quaternion(bundle_of):
     check = CHECKS_BY_ID["T3.3"]
-    roster = roster_generate(32, families=("dihedral", "dicyclic", "metacyclic"))
+    roster = [s for s in roster_generate(32)
+              if s.family in ("dihedral", "dicyclic", "metacyclic")]
     report = run_check(check, roster)
     assert report.counterexamples == []
     positives = {
@@ -308,13 +312,14 @@ def _with_edge(bundle, x, y):
 ])
 def test_t21_fails_on_a_planted_cross_edge(bundle_of, text):
     bundle = bundle_of(parse_spec(text))
-    lattice, t21 = bundle.lattice, CHECKS_BY_ID["T2.1"].graph_side
+    lattice, t21 = brute_lattice(bundle.group), CHECKS_BY_ID["T2.1"].graph_side
+    subgroups, gens = lattice["subgroups"], lattice["generator_sets"]
     assert t21(bundle) and pairwise_no_cross_edges(bundle)
     planted_across_equal_sizes = 0
-    for c1, c2 in itertools.combinations(range(len(lattice.subgroups)), 2):
-        equal = len(lattice.subgroups[c1]) == len(lattice.subgroups[c2])
-        for x in lattice.generator_sets[c1]:
-            for y in lattice.generator_sets[c2]:
+    for c1, c2 in itertools.combinations(range(len(subgroups)), 2):
+        equal = len(subgroups[c1]) == len(subgroups[c2])
+        for x in gens[c1]:
+            for y in gens[c2]:
                 if bundle.epg.has_edge(x, y):
                     continue
                 planted = _with_edge(bundle, x, y)
