@@ -29,15 +29,12 @@ from .errors import (
 )
 from .groups import (
     DEFAULT_MAX_ORDER,
-    AbelianShape,
     FiniteGroup,
-    abelian_shape,
-    has_cyclic_sylow,
     has_unique_minimal_subgroup,
     is_generalized_quaternion,
     is_simple,
     normal_closure,
-    prime_order_subgroup_count,
+    prime_subgroup_counts,
 )
 from .planarity import planarity_verdict
 from .simplegraph import SimpleGraph, to_dot, to_edgelist_lines, to_json_dict
@@ -53,7 +50,6 @@ from .theorems import (
 )
 
 __all__ = [
-    "AbelianShape",
     "CHECKS",
     "CHECKS_BY_ID",
     "CayleyParseError",
@@ -70,7 +66,6 @@ __all__ = [
     "SpecSyntaxError",
     "TheoremCheck",
     "TheoremReport",
-    "abelian_shape",
     "adjacent_oracle",
     "analyze",
     "bipartite_coloring",
@@ -81,7 +76,6 @@ __all__ = [
     "cone_vertices",
     "find_cycle",
     "find_missing_edge",
-    "has_cyclic_sylow",
     "has_unique_minimal_subgroup",
     "ingest_cayley",
     "is_connected",
@@ -92,7 +86,7 @@ __all__ = [
     "parse_cayley_text",
     "parse_spec",
     "planarity_verdict",
-    "prime_order_subgroup_count",
+    "prime_subgroup_counts",
     "roster_generate",
     "run_all",
     "run_check",

@@ -2,14 +2,16 @@
 
 Format: the first data line holds the order n, the next n lines hold n
 entries each: ASCII decimal integers with an optional sign, separated by
-ASCII whitespace. ``#`` starts a comment that runs to the end of the line
-and blank lines are skipped; any other text, non-ASCII digits or spaces
-included, is a parse error. The identity may sit at any index; it is
-located and renumbered to index 0 before validation. A file's table is
-untrusted: an order above the cap is rejected at the order line, and every
-group law is checked exactly before the table is used; an entry outside
-[0, n), negative or of any size, breaks closure. The table is read in int64
-and becomes int16 only once closure has passed.
+spaces and tabs. Only a line feed ends a line, and one carriage return
+before it is dropped, so CRLF files read the same. ``#`` starts a comment
+that runs to the end of the line and blank lines are skipped; any other
+text, other ASCII whitespace and non-ASCII digits or spaces included, is a
+parse error. The identity may sit at any index; it is located and
+renumbered to index 0 before validation. A file's table is untrusted: an
+order above the cap is rejected at the order line, and every group law is
+checked exactly before the table is used; an entry outside [0, n),
+negative or of any size, breaks closure. The table is read in int64 and
+becomes int16 only once closure has passed.
 """
 
 from __future__ import annotations
@@ -33,10 +35,15 @@ def _read_table(text: str, max_order: int) -> np.ndarray:
     table, n, filled = None, 0, 0
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)  # numpy < 2 warns on bad text
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0]
+        # not str.splitlines, which also ends a line at \x0b, \x0c, \x1c-\x1e,
+        # U+0085, U+2028 and U+2029
+        for lineno, raw in enumerate(text.split("\n"), start=1):
+            line = raw.removesuffix("\r").split("#", 1)[0]
             if not line.strip(" \t"):
                 continue
+            # np.fromstring would take these as separators, and a line of them as [0]
+            if "\r" in line or "\x0b" in line or "\x0c" in line:
+                raise CayleyParseError(f"line {lineno}: a separator other than space or tab")
             try:
                 if ("+" in line or "-" in line) and not _SIGNED_LINE.fullmatch(line):
                     raise ValueError

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -23,18 +22,7 @@ from .simplegraph import SimpleGraph, to_dot, to_edgelist_lines, to_json
 from .specs import parse_spec
 from .theorems import CHECKS, CHECKS_BY_ID, run_all
 
-ENV_MAX_ORDER = "EPG_MAX_ORDER"
 FORMATS = ("json", "dot", "edgelist", "text")
-
-
-def _default_cap() -> int:
-    raw = os.environ.get(ENV_MAX_ORDER)
-    if raw is None:
-        return DEFAULT_MAX_ORDER
-    try:
-        return int(raw)
-    except ValueError:
-        raise GroupError(f"{ENV_MAX_ORDER} must be an integer, got {raw!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,8 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--max-order", type=int, default=None,
-                       help="cap on group order (default: EPG_MAX_ORDER or 512)")
+        p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
+                       help=f"cap on group order (default {DEFAULT_MAX_ORDER})")
         p.add_argument("--output", type=Path, default=None,
                        help="write output to this file instead of stdout")
 
@@ -69,8 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--theorem", required=True,
                           help="check id like T2.4, a comma-separated list, or 'all'")
     p_verify.add_argument("--max-order", type=int, default=32, dest="roster_max",
-                          help="roster order bound (default 32; EPG_MAX_ORDER "
-                               "does not apply)")
+                          help="roster order bound (default 32): every roster "
+                               "group up to this order is checked")
     p_verify.add_argument("--output", type=Path, default=None)
 
     p_ingest = sub.add_parser("ingest", help="validate a Cayley file and report properties")
@@ -122,9 +110,8 @@ def _report_json(bundle, deleted: bool, props: Optional[str]) -> str:
 
 
 def _cmd_build(args) -> int:
-    cap = args.max_order if args.max_order is not None else _default_cap()
     spec = parse_spec(args.group)
-    group = spec.realize(max_order=cap)
+    group = spec.realize(max_order=args.max_order)
     bundle = build_bundle(group)
     graph = bundle.deleted if args.deleted else bundle.epg
     _emit(_render_graph(graph, args.format), args.output)
@@ -132,9 +119,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    cap = args.max_order if args.max_order is not None else _default_cap()
     spec = parse_spec(args.group)
-    group = spec.realize(max_order=cap)
+    group = spec.realize(max_order=args.max_order)
     bundle = build_bundle(group)
     _emit(_report_json(bundle, args.deleted, args.props), args.output)
     return 0
@@ -161,12 +147,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    cap = args.max_order if args.max_order is not None else _default_cap()
     try:
         text = args.path.read_text(encoding="utf-8")
     except OSError as exc:
         raise GroupError(f"cannot read {args.path}: {exc}") from None
-    group = ingest_cayley(text, max_order=cap)
+    group = ingest_cayley(text, max_order=args.max_order)
     bundle = build_bundle(group)
     _emit(_report_json(bundle, args.deleted, args.props), args.output)
     return 0

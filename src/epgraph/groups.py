@@ -16,12 +16,12 @@ property, the identity, and associativity by Light's test, exactly and in
 O(n^2 log n) for a group. Building a group walks its powers once
 (``epgraph.cyclic``); the walks are the group's cyclic structure: they give
 the element orders, the generator classes and the maximal cyclic
-subgroups, from which ``epgraph.epg`` builds the enhanced power graph.
+subgroups, from which ``epgraph.epg`` builds the enhanced power graph, and
+the prime-order subgroup counts that T3.2, T3.3 and T5.1 read.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from typing import Iterable, Optional, Sequence
 
@@ -54,10 +54,6 @@ def prime_factors(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def is_prime(n: int) -> bool:
-    return n >= 2 and prime_factors(n).get(n) == 1
 
 
 class FiniteGroup:
@@ -360,14 +356,11 @@ def is_simple(group: FiniteGroup) -> bool:
     return True
 
 
-def prime_order_subgroup_count(group: FiniteGroup) -> int:
-    """Number of distinct subgroups of prime order.
-
-    Each one is cyclic and walked exactly once, so count prime-length walks.
-    """
-    if group.order < 2:
-        raise GroupParameterError("the trivial group has no prime-order subgroups")
-    return sum(1 for walk in group.walks if is_prime(len(walk)))
+def prime_subgroup_counts(group: FiniteGroup) -> dict[int, int]:
+    """The number of subgroups of order p for each prime p dividing |G| (by
+    Cauchy, at least one): each is cyclic, so it is one walk of length p."""
+    lengths = Counter(len(walk) for walk in group.walks)
+    return {p: lengths[p] for p in prime_factors(group.order)}
 
 
 def has_unique_minimal_subgroup(group: FiniteGroup) -> bool:
@@ -376,78 +369,9 @@ def has_unique_minimal_subgroup(group: FiniteGroup) -> bool:
     Minimal subgroups are exactly the prime-order ones, so this equals
     uniqueness of the minimal subgroup.
     """
-    return prime_order_subgroup_count(group) == 1
-
-
-class AbelianShape:
-    """Primary decomposition of an abelian group: one prime power per cyclic factor."""
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple[int, ...]):
-        self.factors = tuple(sorted(factors))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AbelianShape) and self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash(self.factors)
-
-    def __repr__(self) -> str:
-        return f"AbelianShape{self.factors}"
-
-    @property
-    def order(self) -> int:
-        return math.prod(self.factors)
-
-
-def abelian_shape(group: FiniteGroup) -> AbelianShape:
-    """Primary decomposition computed from element-order statistics.
-
-    For each prime p and abelian group with p-part Z_{p^t1} x ... x Z_{p^tk},
-    the count of elements whose order divides p^j equals p^(sum min(ti, j)).
-    Those counts are running sums over one histogram of the element orders.
-    Differencing the exponents of those counts recovers the multiset {ti}.
-    """
-    if not group.is_abelian():
-        raise GroupParameterError("abelian_shape requires an abelian group")
-    n = group.order
-    by_order = np.bincount(group.orders, minlength=n + 1).tolist()
-    factors: list[int] = []
-    for p, e in sorted(prime_factors(n).items()):
-        d = []
-        prev = 0
-        count = by_order[1]
-        for j in range(1, e + 1):
-            count += by_order[p**j]
-            f, c = 0, count
-            while c > 1:
-                c //= p
-                f += 1
-            if p**f != count:
-                raise CayleyValidationError(
-                    "order", f"element-order statistics inconsistent at prime {p}"
-                )
-            d.append(f - prev)
-            prev = f
-        d.append(0)
-        for j in range(1, e + 1):
-            factors.extend([p**j] * (d[j - 1] - d[j]))
-    shape = AbelianShape(tuple(factors))
-    if shape.order != n:
-        raise CayleyValidationError("order", "primary decomposition does not match order")
-    return shape
-
-
-def has_cyclic_sylow(shape: AbelianShape) -> bool:
-    """True iff some prime contributes exactly one factor to the decomposition."""
-    counts = Counter(min(prime_factors(q)) for q in shape.factors)
-    return any(c == 1 for c in counts.values())
+    return sum(prime_subgroup_counts(group).values()) == 1
 
 
 def is_generalized_quaternion(group: FiniteGroup) -> bool:
     """True iff the group is a non-abelian 2-group with a single order-2 subgroup."""
-    if group.is_p_group() != 2 or group.is_abelian():
-        return False
-    involutions = sum(1 for o in group.orders if o == 2)
-    return involutions == 1
+    return not group.is_abelian() and prime_subgroup_counts(group) == {2: 1}

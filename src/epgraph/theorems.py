@@ -14,22 +14,23 @@ and its bundle built once per pass, every check of the pass runs on it,
 and it is dropped before the next group's is built, so memory stays that
 of one group however long the roster.
 
-Each predicate computes only what its check needs, through the deciders
-of ``analysis`` or straight off the group's power walks: T2.4's "cyclic"
-is some element of order |G|, and T4.1's group side is the largest element
-order. T2.1 reads the graph by bitmasks: one mask per generator class (the
-elements with one ``walk_of`` value) and one union per subgroup size, so
-each generator's row is tested once. Connectivity stops expanding once the
-component covers every vertex. C2.3 and T4.2 read tree, star and Eulerian
-off a lazy ``PropertyReport``, which asks for a star only of a tree and
-for connectivity only when every degree is even.
+Each predicate computes only what its check needs, through the deciders of
+``analysis`` or straight off the group's power walks: T2.4's "cyclic" is
+some element of order |G|, T4.1's group side is the largest element order,
+and T3.2, T3.3 and T5.1 read the prime-order subgroup counts. T2.1 reads
+the graph by bitmasks: one mask per generator class (the elements with one
+``walk_of`` value) and one union per subgroup size, so each generator's
+row is tested once. Connectivity stops expanding once the component covers
+every vertex. C2.3 and T4.2 read tree, star and Eulerian off a lazy
+``PropertyReport``, which asks for a star only of a tree and for
+connectivity only when every degree is even.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from . import analysis
@@ -37,12 +38,11 @@ from .epg import EpgBundle, build_bundle
 from .errors import GroupParameterError
 from .groups import (
     DEFAULT_MAX_ORDER,
-    abelian_shape,
-    has_cyclic_sylow,
     has_unique_minimal_subgroup,
     is_generalized_quaternion,
     is_simple,
     prime_factors,
+    prime_subgroup_counts,
 )
 from .specs import GroupSpec
 
@@ -159,14 +159,6 @@ class Counterexample:
     group_side: Any
     witness: Any = None
 
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "graph_side": self.graph_side,
-            "group_side": self.group_side,
-            "witness": self.witness,
-        }
-
 
 @dataclass
 class TheoremReport:
@@ -178,14 +170,7 @@ class TheoremReport:
     ms: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "tested": self.tested,
-            "passed": self.passed,
-            "vacuous": self.vacuous,
-            "counterexamples": [c.to_dict() for c in self.counterexamples],
-            "ms": self.ms,
-        }
+        return asdict(self)
 
 
 # -- predicate helpers --------------------------------------------------------
@@ -346,7 +331,8 @@ CHECKS: tuple[TheoremCheck, ...] = (
         "abelian: cone vertex exists iff some Sylow subgroup is cyclic",
         lambda b: b.group.order >= 2 and b.group.is_abelian(),
         _has_cone,
-        lambda b: has_cyclic_sylow(abelian_shape(b.group)),
+        # an abelian group's Sylow p-subgroup is cyclic iff it has one subgroup of order p
+        lambda b: 1 in prime_subgroup_counts(b.group).values(),
     ),
     TheoremCheck(
         "T3.3", "iff",

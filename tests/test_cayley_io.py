@@ -282,3 +282,30 @@ def test_non_ascii_digits_and_spaces_rejected(text):
     assert parse_cayley_reference(text) == [[0, 1], [1, 0]]
     with pytest.raises(CayleyParseError, match="line"):
         parse_cayley_text(text)
+
+
+@pytest.mark.parametrize(
+    "brk", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_only_line_feed_ends_a_line(brk):
+    # str.splitlines ends a line at each of these, which read the row as two
+    with pytest.raises(CayleyParseError, match=r"\bline 2: "):
+        parse_cayley_text(f"2\n0 1{brk}1 0\n")
+
+
+def test_error_line_numbers_count_line_feeds_only():
+    for text in ("# one\u2028comment line\n2\n0 1\n1 x\n", "# one\r\n2\r\n0 1\r\n1 x\r\n"):
+        with pytest.raises(CayleyParseError, match=r"\bline 4: non-integer token"):
+            parse_cayley_text(text)
+
+
+@pytest.mark.parametrize("text", [
+    "2\n0\x0b1\n1 0\n",
+    "2\n0\x0c1\n1 0\n",
+    "2\n0\r1\n1 0\n",
+    "2\n\x0b\n0 1\n1 0\n",  # np.fromstring reads a line of it as [0]
+    "1\n\r\r\n0\n",  # only one carriage return ends a line
+])
+def test_only_spaces_and_tabs_separate(text):
+    with pytest.raises(CayleyParseError, match=r"\bline 2: a separator other than space or tab"):
+        parse_cayley_text(text)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from epgraph import cli, roster_generate
+from epgraph import cli
 from epgraph.analysis import REPORT_FIELDS
 
 from helpers import cayley_file_text, find_nonassociative_loop
@@ -294,30 +294,16 @@ def test_ingest_missing_file(tmp_path, capsys):
 # -- configuration ----------------------------------------------------------------
 
 
-def test_env_cap_override(monkeypatch, capsys):
+def test_max_order_flag_is_the_only_cap(monkeypatch, capsys):
+    code, _, err = run_cli(["build", "--group", "cyclic:513"], capsys)
+    assert code == 2 and "cap of 512" in err
+    code, _, err = run_cli(["check", "--group", "cyclic:20", "--max-order", "16"], capsys)
+    assert code == 2 and "cap of 16" in err
+    # no environment variable moves the cap
     monkeypatch.setenv("EPG_MAX_ORDER", "16")
-    code, _, err = run_cli(["build", "--group", "cyclic:20"], capsys)
-    assert code == 2
-    assert "cap of 16" in err
-
-
-def test_flag_overrides_env(monkeypatch, capsys):
-    monkeypatch.setenv("EPG_MAX_ORDER", "16")
-    code, out, _ = run_cli(
-        ["build", "--group", "cyclic:20", "--max-order", "32", "--format", "edgelist"],
-        capsys,
-    )
+    code, out, _ = run_cli(["build", "--group", "cyclic:20", "--format", "edgelist"], capsys)
     assert code == 0
     assert len(out.strip().splitlines()) == 190
-
-
-def test_env_cap_does_not_bound_verify(monkeypatch, capsys):
-    # verify's --max-order is the roster bound; EPG_MAX_ORDER caps the other commands
-    monkeypatch.setenv("EPG_MAX_ORDER", "16")
-    code, out, _ = run_cli(["verify", "--theorem", "T2.4", "--max-order", "24"], capsys)
-    assert code == 0
-    report = json.loads(out)
-    assert report["tested"] == report["passed"] == len(roster_generate(24))
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,13 +1,16 @@
 """Cyclic-subgroup structure: the power walks against brute-force references."""
 
+from collections import Counter
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from epgraph import FiniteGroup, GroupSpec, roster_generate
+from epgraph import FiniteGroup, GroupSpec, prime_subgroup_counts, roster_generate
 
 from helpers import (
     brute_cyclic_subgroups,
     brute_lattice,
+    is_prime,
     table_of,
     totient,
 )
@@ -19,7 +22,8 @@ def gen_class(group, x):
 
 
 def assert_lattice_matches_brute_force(group):
-    """The walks, walk_of, orders and maximal flags against ``brute_lattice``."""
+    """The walks, walk_of, orders, maximal flags and prime-order subgroup
+    counts against ``brute_lattice``."""
     want = brute_lattice(group)
     table = table_of(group)
     # each walk is its first element's powers x, x^2, ..., identity
@@ -36,6 +40,9 @@ def assert_lattice_matches_brute_force(group):
     assert tuple(ranked[c] for c in group.walk_of) == want["class_of"]
     assert tuple(want["maximal_flags"][r] for r in ranked) == group.maximal
     assert group.orders == want["orders"]
+    # a subgroup of prime order is cyclic, so the brute-force scan finds them all
+    sizes = Counter(len(s) for s in want["subgroups"])
+    assert prime_subgroup_counts(group) == {q: k for q, k in sizes.items() if is_prime(q)}
 
 
 def test_z6_subgroups():

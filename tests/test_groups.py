@@ -14,15 +14,14 @@ from epgraph import (
     GroupParameterError,
     GroupSizeError,
     GroupSpec,
-    abelian_shape,
     adjacent_oracle,
-    has_cyclic_sylow,
+    build_bundle,
     has_unique_minimal_subgroup,
     is_generalized_quaternion,
     is_simple,
     normal_closure,
     parse_spec,
-    prime_order_subgroup_count,
+    prime_subgroup_counts,
     roster_generate,
 )
 from epgraph.theorems import CHECKS_BY_ID
@@ -35,6 +34,7 @@ from helpers import (
     brute_normal_closure,
     brute_prime_order_subgroups,
     brute_totient,
+    cyclic_sylow_reference,
     find_nonassociative_loop,
     fixed_point_closure,
     orders_multiset,
@@ -396,16 +396,17 @@ def test_is_simple_trivial_group_errors():
 
 
 def test_prime_order_subgroup_counts():
-    assert prime_order_subgroup_count(GroupSpec.dicyclic(2).realize()) == 1
-    assert prime_order_subgroup_count(GroupSpec.dihedral(4).realize()) == 5
-    assert prime_order_subgroup_count(GroupSpec.cyclic(9).realize()) == 1
+    assert prime_subgroup_counts(GroupSpec.dicyclic(2).realize()) == {2: 1}
+    assert prime_subgroup_counts(GroupSpec.dihedral(4).realize()) == {2: 5}
+    assert prime_subgroup_counts(GroupSpec.cyclic(9).realize()) == {3: 1}
+    assert prime_subgroup_counts(GroupSpec.dihedral(3).realize()) == {2: 3, 3: 1}
+    assert prime_subgroup_counts(GroupSpec.cyclic(1).realize()) == {}
 
 
 def test_unique_minimal_subgroup():
     assert has_unique_minimal_subgroup(GroupSpec.dicyclic(4).realize()) is True
     assert has_unique_minimal_subgroup(GroupSpec.dihedral(8).realize()) is False
-    with pytest.raises(GroupParameterError):
-        prime_order_subgroup_count(GroupSpec.cyclic(1).realize())
+    assert has_unique_minimal_subgroup(GroupSpec.cyclic(1).realize()) is False
 
 
 def test_prime_order_subgroups_match_subset_enumeration(roster_groups_48):
@@ -414,50 +415,27 @@ def test_prime_order_subgroups_match_subset_enumeration(roster_groups_48):
     for g in roster_groups_48:
         if g.order >= 2 and g.is_p_group() is not None:
             expected = brute_prime_order_subgroups(g)
-            assert prime_order_subgroup_count(g) == len(expected), g.spec.serialize()
+            assert sum(prime_subgroup_counts(g).values()) == len(expected), g.spec.serialize()
             assert has_unique_minimal_subgroup(g) == (len(expected) == 1)
             checked += 1
     assert checked >= 20
 
 
-# -- abelian shapes -----------------------------------------------------------------
-
-
-def test_abelian_shape_examples():
-    z223 = parse_spec("product:cyclic:2,cyclic:2,cyclic:3").realize()
-    assert abelian_shape(z223).factors == (2, 2, 3)
-    assert has_cyclic_sylow(abelian_shape(z223)) is True
-
-    z2233 = parse_spec("product:cyclic:2,cyclic:2,cyclic:3,cyclic:3").realize()
-    assert abelian_shape(z2233).factors == (2, 2, 3, 3)
-    assert has_cyclic_sylow(abelian_shape(z2233)) is False
-
-    assert abelian_shape(GroupSpec.cyclic(30).realize()).factors == (2, 3, 5)
-    assert has_cyclic_sylow(abelian_shape(GroupSpec.cyclic(30).realize())) is True
-
-
-def test_abelian_shape_mixed_powers():
-    g = parse_spec("product:cyclic:4,cyclic:2,cyclic:9").realize()
-    assert abelian_shape(g).factors == (2, 4, 9)
-
-
-def test_abelian_shape_matches_reference(roster_groups_64):
+def test_t32_group_side_matches_primary_factors(roster_groups_64):
+    # some Sylow subgroup is cyclic iff some prime owns one primary factor
+    group_side = CHECKS_BY_ID["T3.2"].group_side
+    for text, cyclic_sylow in (
+        ("product:cyclic:2,cyclic:2,cyclic:3", True),
+        ("product:cyclic:2,cyclic:2,cyclic:3,cyclic:3", False),
+        ("cyclic:30", True),
+    ):
+        assert group_side(build_bundle(parse_spec(text).realize())) is cyclic_sylow, text
     groups = [g for g in roster_groups_64 if g.is_abelian() and g.order >= 2]
     groups += [GroupSpec.product([GroupSpec.cyclic(q) for q in shape]).realize()
                for shape in ((2,) * 9, (2, 4, 8, 8), (3, 9, 9), (4, 2, 3, 3, 5))]
     for g in groups:
-        assert abelian_shape(g).factors == abelian_shape_reference(g), g
-
-
-def test_abelian_shape_rejects_nonabelian():
-    with pytest.raises(GroupParameterError):
-        abelian_shape(GroupSpec.dihedral(3).realize())
-
-
-def test_abelian_shape_of_ingested_table_matches_spec_free_computation():
-    # shape must come from the table itself, not the construction recipe
-    z12 = GroupSpec.cyclic(12).realize()
-    assert abelian_shape(z12).factors == (3, 4)
+        want = cyclic_sylow_reference(abelian_shape_reference(g))
+        assert group_side(build_bundle(g)) is want, g
 
 
 # -- predicates ---------------------------------------------------------------------

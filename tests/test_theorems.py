@@ -20,7 +20,7 @@ from epgraph import (
 )
 import epgraph.epg as epg_module
 from epgraph import theorems
-from epgraph.theorems import CHECKS, CHECKS_BY_ID
+from epgraph.theorems import CHECKS, CHECKS_BY_ID, Counterexample, TheoremReport
 
 from helpers import (
     REFERENCE_SIDES,
@@ -195,6 +195,17 @@ def test_run_all_structure():
         data = report.to_dict()
         assert set(data) == {"theorem", "tested", "passed", "vacuous", "counterexamples", "ms"}
         json.dumps(data)
+
+
+def test_report_json_with_a_counterexample():
+    report = TheoremReport("T4.2", 3, 2, False, [
+        Counterexample("cyclic:4", {"eulerian": True, "all_degrees_even": False}, False, [1, 2]),
+    ], 1.5)
+    assert json.dumps(report.to_dict()) == (
+        '{"theorem": "T4.2", "tested": 3, "passed": 2, "vacuous": false, "counterexamples": '
+        '[{"spec": "cyclic:4", "graph_side": {"eulerian": true, "all_degrees_even": false}, '
+        '"group_side": false, "witness": [1, 2]}], "ms": 1.5}'
+    )
 
 
 def test_run_all_tiny_roster():
