@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from epgraph import cli
+from epgraph import cli, roster_generate
 from epgraph.analysis import REPORT_FIELDS
 
 from helpers import cayley_file_text, find_nonassociative_loop
@@ -304,6 +304,26 @@ def test_max_order_flag_is_the_only_cap(monkeypatch, capsys):
     code, out, _ = run_cli(["build", "--group", "cyclic:20", "--format", "edgelist"], capsys)
     assert code == 0
     assert len(out.strip().splitlines()) == 190
+
+
+def test_flag_overrides_env(monkeypatch, capsys):
+    # a stale EPG_MAX_ORDER in the environment does not get in the flag's way
+    monkeypatch.setenv("EPG_MAX_ORDER", "16")
+    code, out, _ = run_cli(
+        ["build", "--group", "cyclic:20", "--max-order", "32", "--format", "edgelist"],
+        capsys,
+    )
+    assert code == 0
+    assert len(out.strip().splitlines()) == 190
+
+
+def test_env_cap_does_not_bound_verify(monkeypatch, capsys):
+    # verify's --max-order is the roster bound, whatever EPG_MAX_ORDER says
+    monkeypatch.setenv("EPG_MAX_ORDER", "16")
+    code, out, _ = run_cli(["verify", "--theorem", "T2.4", "--max-order", "24"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["tested"] == report["passed"] == len(roster_generate(24))
 
 
 def test_usage_error_exit_code(capsys):

@@ -421,21 +421,65 @@ def test_prime_order_subgroups_match_subset_enumeration(roster_groups_48):
     assert checked >= 20
 
 
-def test_t32_group_side_matches_primary_factors(roster_groups_64):
+# -- abelian shapes -----------------------------------------------------------------
+
+
+def counts_of_shape(factors: tuple[int, ...]) -> dict[int, int]:
+    """Subgroups of order p in the abelian group with these primary factors:
+    r factors that are powers of p give (p^r - 1) / (p - 1)."""
+    ranks: dict[int, int] = {}
+    for q in factors:
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        ranks[p] = ranks.get(p, 0) + 1
+    return {p: (p**r - 1) // (p - 1) for p, r in sorted(ranks.items())}
+
+
+def test_abelian_shape_examples():
     # some Sylow subgroup is cyclic iff some prime owns one primary factor
     group_side = CHECKS_BY_ID["T3.2"].group_side
-    for text, cyclic_sylow in (
-        ("product:cyclic:2,cyclic:2,cyclic:3", True),
-        ("product:cyclic:2,cyclic:2,cyclic:3,cyclic:3", False),
-        ("cyclic:30", True),
+    for text, factors, cyclic_sylow in (
+        ("product:cyclic:2,cyclic:2,cyclic:3", (2, 2, 3), True),
+        ("product:cyclic:2,cyclic:2,cyclic:3,cyclic:3", (2, 2, 3, 3), False),
+        ("cyclic:30", (2, 3, 5), True),
     ):
-        assert group_side(build_bundle(parse_spec(text).realize())) is cyclic_sylow, text
+        g = parse_spec(text).realize()
+        assert abelian_shape_reference(g) == factors, text
+        assert prime_subgroup_counts(g) == counts_of_shape(factors), text
+        assert group_side(build_bundle(g)) is cyclic_sylow, text
+
+
+def test_abelian_shape_mixed_powers():
+    g = parse_spec("product:cyclic:4,cyclic:2,cyclic:9").realize()
+    assert abelian_shape_reference(g) == (2, 4, 9)
+    assert prime_subgroup_counts(g) == {2: 3, 3: 1}
+    assert CHECKS_BY_ID["T3.2"].group_side(build_bundle(g)) is True
+
+
+def test_abelian_shape_matches_reference(roster_groups_64):
+    group_side = CHECKS_BY_ID["T3.2"].group_side
     groups = [g for g in roster_groups_64 if g.is_abelian() and g.order >= 2]
     groups += [GroupSpec.product([GroupSpec.cyclic(q) for q in shape]).realize()
                for shape in ((2,) * 9, (2, 4, 8, 8), (3, 9, 9), (4, 2, 3, 3, 5))]
     for g in groups:
-        want = cyclic_sylow_reference(abelian_shape_reference(g))
-        assert group_side(build_bundle(g)) is want, g
+        factors = abelian_shape_reference(g)
+        assert prime_subgroup_counts(g) == counts_of_shape(factors), g
+        assert group_side(build_bundle(g)) is cyclic_sylow_reference(factors), g
+
+
+def test_abelian_shape_rejects_nonabelian():
+    # S3 has one subgroup of order 3, yet its cone is not T3.2's to read:
+    # the Sylow reading of the counts is stated for abelian groups only
+    s3 = GroupSpec.dihedral(3).realize()
+    assert prime_subgroup_counts(s3) == {2: 3, 3: 1}
+    assert not CHECKS_BY_ID["T3.2"].applies(build_bundle(s3))
+
+
+def test_abelian_shape_of_ingested_table_matches_spec_free_computation():
+    # the counts must come from the table itself, not the construction recipe
+    z12 = FiniteGroup.from_table(table_of(GroupSpec.cyclic(12).realize()))
+    assert z12.spec is None
+    assert prime_subgroup_counts(z12) == counts_of_shape((3, 4)) == {2: 1, 3: 1}
+    assert CHECKS_BY_ID["T3.2"].group_side(build_bundle(z12)) is True
 
 
 # -- predicates ---------------------------------------------------------------------
