@@ -1,4 +1,4 @@
-"""Reading Cayley-table files.
+"""Reading Cayley-table files: the one way an untrusted table gets in.
 
 Format: the first data line holds the order n, the next n lines hold n
 entries each: ASCII decimal integers with an optional sign, separated by
@@ -6,23 +6,28 @@ spaces and tabs. Only a line feed ends a line, and one carriage return
 before it is dropped, so CRLF files read the same. ``#`` starts a comment
 that runs to the end of the line and blank lines are skipped; any other
 text, other ASCII whitespace and non-ASCII digits or spaces included, is a
-parse error. The identity may sit at any index; it is located and
-renumbered to index 0 before validation. A file's table is untrusted: an
-order above the cap is rejected at the order line, and every group law is
-checked exactly before the table is used; an entry outside [0, n),
-negative or of any size, breaks closure. The table is read in int64 and
-becomes int16 only once closure has passed.
+parse error. A file that cannot be read or is not UTF-8 raises GroupError.
+
+A file's table is untrusted, and this module alone checks group laws. An
+order above the cap is rejected at the order line, and each law is checked
+exactly before the table is used, the first broken one named, in the order
+closure, identity, latin-square, associativity. An entry outside [0, n),
+negative or of any size, breaks closure: the table is read in int64 and
+becomes int16 only once closure has passed. The identity may sit at any
+index; it is located and renumbered to index 0. Associativity is Light's
+test, O(n^2 log n) for a group.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 
-from .errors import CayleyParseError, CayleyValidationError, GroupSizeError
-from .groups import DEFAULT_MAX_ORDER, FiniteGroup, check_closure, table_cap, validate_table
+from .errors import CayleyParseError, CayleyValidationError, GroupError, GroupSizeError
+from .groups import DEFAULT_MAX_ORDER, FiniteGroup, table_cap
 
 # np.fromstring reads a lone sign as a number ("- 1" -> [-1]), so a line
 # holding a sign must also match the grammar
@@ -75,6 +80,14 @@ def _read_table(text: str, max_order: int) -> np.ndarray:
     return table
 
 
+def read_cayley_file(path: str) -> str:
+    """A Cayley file's text; raises GroupError when it cannot be read as UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GroupError(f"cannot read {path}: {exc}") from None
+
+
 def parse_cayley_text(text: str, max_order: int = DEFAULT_MAX_ORDER) -> list[list[int]]:
     """Parse the raw file into an n x n list of ints (no group laws checked).
 
@@ -85,12 +98,17 @@ def parse_cayley_text(text: str, max_order: int = DEFAULT_MAX_ORDER) -> list[lis
 
 
 def cayley_table(text: str, max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray:
-    """Parse, check closure in file coordinates, locate the identity,
-    renumber it to 0, and validate: the int16 table of a group, not yet walked."""
+    """Parse, check closure in file coordinates, locate the identity and
+    renumber it to 0, then check the Latin-square property and
+    associativity: the int16 table of a group, not yet walked."""
     arr = _read_table(text, max_order)
-    check_closure(arr)  # in int64: a saturated token must not wrap into range
+    n = arr.shape[0]
+    # in int64: a saturated token must not wrap into range
+    if arr.min() < 0 or arr.max() >= n:
+        x, y = np.argwhere((arr < 0) | (arr >= n))[0]
+        raise CayleyValidationError("closure", f"entry at ({x}, {y}) is outside [0, {n})")
     arr = arr.astype(np.int16)
-    expect = np.arange(len(arr), dtype=np.int16)
+    expect = np.arange(n, dtype=np.int16)
     found = np.flatnonzero((arr == expect).all(axis=1) & (arr.T == expect).all(axis=1))
     if not found.size:
         raise CayleyValidationError("identity", "no two-sided identity element found")
@@ -99,10 +117,54 @@ def cayley_table(text: str, max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray:
         sigma = expect.copy()
         sigma[[0, e]] = [e, 0]
         arr = sigma[arr[np.ix_(sigma, sigma)]]
-    validate_table(arr)
+    line = np.arange(n)[:, None]
+    for axis, lines in (("row", arr), ("column", arr.T)):
+        seen = np.zeros((n, n), dtype=bool)
+        seen[line, lines] = True  # seen[i, v]: value v occurs in line i
+        full = seen.all(axis=1)
+        if not full.all():
+            raise CayleyValidationError(
+                "latin-square", f"{axis} {np.argmin(full)} repeats an entry")
+    _check_associative(arr)
     return arr
 
 
-def ingest_cayley(text: str, *, spec=None, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def _check_associative(arr: np.ndarray) -> None:
+    """Light's associativity test over a greedily chosen generating set S.
+
+    The elements s with (x*s)*y == x*(s*y) for all x, y are closed under
+    products, so checking each s in S covers every element S generates.
+    S grows by the first element not yet reached, and the reached set is
+    closed under right multiplication by S; for a group each new generator
+    at least doubles it, so |S| <= log2 n and the test costs O(n^2 log n).
+    """
+    n = arr.shape[0]
+    reached = [True] + [False] * (n - 1)
+    members = [0]
+    cols: list[list[int]] = []
+    while len(members) < n:
+        s = reached.index(False)
+        col = arr[:, s]
+        lhs = arr[col]          # lhs[x, y] = (x*s)*y
+        rhs = arr[:, arr[s]]    # rhs[x, y] = x*(s*y)
+        if not np.array_equal(lhs, rhs):
+            x, y = np.argwhere(lhs != rhs)[0]
+            raise CayleyValidationError(
+                "associativity", f"({x}*{s})*{y} != {x}*({s}*{y})"
+            )
+        cols.append(col.tolist())
+        # members reached before s still need s; later ones need every generator
+        old = len(members)
+        i = 0
+        while i < len(members):
+            for col in cols[-1:] if i < old else cols:
+                y = col[members[i]]
+                if not reached[y]:
+                    reached[y] = True
+                    members.append(y)
+            i += 1
+
+
+def ingest_cayley(text: str, *, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """The group of a Cayley file's text (see ``cayley_table``)."""
-    return FiniteGroup(cayley_table(text, max_order), spec)
+    return FiniteGroup(cayley_table(text, max_order))

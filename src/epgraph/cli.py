@@ -1,8 +1,12 @@
 """Command-line surface: build graphs, check properties, verify theorems,
 ingest Cayley-table files.
 
+``ingest PATH`` is ``check --group file:PATH``: it realizes
+``GroupSpec.file(PATH)`` and runs the same code from there on.
+
 Exit codes: 0 success, 1 theorem counterexample (or an unexpectedly empty
-iff-check roster), 2 usage or input error.
+iff-check roster), 2 usage or input error, an unreadable input file or an
+unwritable ``--output`` included.
 """
 
 from __future__ import annotations
@@ -14,12 +18,11 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import analysis
-from .cayley_io import ingest_cayley
 from .epg import build_bundle
 from .errors import GroupError
 from .groups import DEFAULT_MAX_ORDER
 from .simplegraph import SimpleGraph, to_dot, to_edgelist_lines, to_json
-from .specs import parse_spec
+from .specs import GroupSpec, parse_spec
 from .theorems import CHECKS, CHECKS_BY_ID, run_all
 
 FORMATS = ("json", "dot", "edgelist", "text")
@@ -61,8 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                "group up to this order is checked")
     p_verify.add_argument("--output", type=Path, default=None)
 
-    p_ingest = sub.add_parser("ingest", help="validate a Cayley file and report properties")
-    p_ingest.add_argument("path", type=Path, help="Cayley table file")
+    p_ingest = sub.add_parser("ingest", help="validate a Cayley file and report properties "
+                                             "(check --group file:PATH)")
+    p_ingest.add_argument("path", help="Cayley table file")
     p_ingest.add_argument("--deleted", action="store_true")
     p_ingest.add_argument("--props", default=None)
     common(p_ingest)
@@ -73,8 +77,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, output: Optional[Path]) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         output.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise GroupError(f"cannot write {output}: {exc}") from None
 
 
 def _render_graph(graph: SimpleGraph, fmt: str) -> str:
@@ -119,7 +126,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    spec = parse_spec(args.group)
+    spec = GroupSpec.file(args.path) if args.command == "ingest" else parse_spec(args.group)
     group = spec.realize(max_order=args.max_order)
     bundle = build_bundle(group)
     _emit(_report_json(bundle, args.deleted, args.props), args.output)
@@ -146,17 +153,6 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_ingest(args) -> int:
-    try:
-        text = args.path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise GroupError(f"cannot read {args.path}: {exc}") from None
-    group = ingest_cayley(text, max_order=args.max_order)
-    bundle = build_bundle(group)
-    _emit(_report_json(bundle, args.deleted, args.props), args.output)
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -164,7 +160,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "build": _cmd_build,
         "check": _cmd_check,
         "verify": _cmd_verify,
-        "ingest": _cmd_ingest,
+        "ingest": _cmd_check,
     }
     try:
         return handlers[args.command](args)

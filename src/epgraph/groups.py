@@ -9,15 +9,14 @@ allocated. A group is built only through ``GroupSpec.realize``
 wraps one builder's table as it is: closed forms are block copies of Z_n's
 table with no modular arithmetic per entry, a product folds its factors'
 tables left, and the permutation closure gathers its columns from recorded
-right multiplications. Only ``validate_table`` checks the group laws, for
-the entry points of untrusted tables (``FiniteGroup.from_table`` and the
-Cayley-file reader), in int64 before the cast: closure, the Latin-square
-property, the identity, and associativity by Light's test, exactly and in
-O(n^2 log n) for a group. Building a group walks its powers once
-(``epgraph.cyclic``); the walks are the group's cyclic structure: they give
-the element orders, the generator classes and the maximal cyclic
-subgroups, from which ``epgraph.epg`` builds the enhanced power graph, and
-the prime-order subgroup counts that T3.2, T3.3 and T5.1 read.
+right multiplications. Every table here is trusted: the one kind of
+untrusted table, a Cayley file's, has its group laws checked by its reader
+(``epgraph.cayley_io``) before it gets here. Building a group walks its
+powers once (``epgraph.cyclic``); the walks are the group's cyclic
+structure: they give the element orders, the generator classes and the
+maximal cyclic subgroups, from which ``epgraph.epg`` builds the enhanced
+power graph, and the prime-order subgroup counts that T3.2, T3.3 and T5.1
+read.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cyclic import _maximal_walks, _walk_cyclic_subgroups
-from .errors import CayleyValidationError, GroupParameterError, GroupSizeError
+from .errors import GroupParameterError, GroupSizeError
 
 DEFAULT_MAX_ORDER = 512
 MAX_TABLE_ORDER = 1 << 15  # the most elements an int16 table can index
@@ -65,7 +64,7 @@ class FiniteGroup:
     generation order g, g^2, ..., identity, ``walk_of[x]`` is the c with
     <x> = <g>, ``orders[x]`` is the order of x, and ``maximal[c]`` tells
     whether walk c lies in no other cyclic subgroup. The constructor trusts
-    ``table`` to be a group; ``from_table`` checks it first.
+    ``table`` to be a group; only the Cayley-file reader checks one.
     """
 
     __slots__ = ("order", "table", "orders", "walks", "walk_of", "maximal", "spec",
@@ -80,26 +79,6 @@ class FiniteGroup:
         self.spec = spec
         self._invs: Optional[tuple[int, ...]] = None
         self._center: Optional[tuple[int, ...]] = None
-
-    @classmethod
-    def from_table(cls, table, spec=None, max_order: int = DEFAULT_MAX_ORDER) -> "FiniteGroup":
-        """Check that an untrusted multiplication table is a group and wrap it.
-
-        The identity must already sit at index 0. Every group law is checked
-        exactly, in int64 so that no entry wraps before closure sees it; a
-        violation raises CayleyValidationError naming the law.
-        """
-        arr = np.array(table, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise GroupParameterError(f"table must be square, got shape {arr.shape}")
-        n = arr.shape[0]
-        if n < 1:
-            raise GroupParameterError("a group needs at least one element")
-        cap = table_cap(max_order)
-        if n > cap:
-            raise GroupSizeError(f"group order {n} exceeds the cap of {cap}")
-        validate_table(arr)
-        return cls(arr.astype(np.int16), spec)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -142,70 +121,6 @@ class FiniteGroup:
         if len(factors) == 1:
             return next(iter(factors))
         return None
-
-
-def check_closure(arr: np.ndarray) -> None:
-    """Raise CayleyValidationError naming the first entry outside [0, n)."""
-    n = arr.shape[0]
-    if arr.min() < 0 or arr.max() >= n:
-        bad = np.argwhere((arr < 0) | (arr >= n))[0]
-        raise CayleyValidationError(
-            "closure", f"entry at ({bad[0]}, {bad[1]}) is outside [0, {n})"
-        )
-
-
-def validate_table(arr: np.ndarray) -> None:
-    """Raise CayleyValidationError naming the first group law an n x n table breaks."""
-    n = arr.shape[0]
-    check_closure(arr)
-    line = np.arange(n)[:, None]
-    for axis, lines in (("row", arr), ("column", arr.T)):
-        seen = np.zeros((n, n), dtype=bool)
-        seen[line, lines] = True  # seen[i, v]: value v occurs in line i
-        full = seen.all(axis=1)
-        if not full.all():
-            bad = int(np.argmin(full))
-            raise CayleyValidationError("latin-square", f"{axis} {bad} repeats an entry")
-    expect = np.arange(n)
-    if not (np.array_equal(arr[0], expect) and np.array_equal(arr[:, 0], expect)):
-        raise CayleyValidationError("identity", "element 0 is not a two-sided identity")
-    _check_associative(arr)
-
-
-def _check_associative(arr: np.ndarray) -> None:
-    """Light's associativity test over a greedily chosen generating set S.
-
-    The elements s with (x*s)*y == x*(s*y) for all x, y are closed under
-    products, so checking each s in S covers every element S generates.
-    S grows by the first element not yet reached, and the reached set is
-    closed under right multiplication by S; for a group each new generator
-    at least doubles it, so |S| <= log2 n and the test costs O(n^2 log n).
-    """
-    n = arr.shape[0]
-    reached = [True] + [False] * (n - 1)
-    members = [0]
-    cols: list[list[int]] = []
-    while len(members) < n:
-        s = reached.index(False)
-        col = arr[:, s]
-        lhs = arr[col]          # lhs[x, y] = (x*s)*y
-        rhs = arr[:, arr[s]]    # rhs[x, y] = x*(s*y)
-        if not np.array_equal(lhs, rhs):
-            x, y = np.argwhere(lhs != rhs)[0]
-            raise CayleyValidationError(
-                "associativity", f"({x}*{s})*{y} != {x}*({s}*{y})"
-            )
-        cols.append(col.tolist())
-        # members reached before s still need s; later ones need every generator
-        old = len(members)
-        i = 0
-        while i < len(members):
-            for col in cols[-1:] if i < old else cols:
-                y = col[members[i]]
-                if not reached[y]:
-                    reached[y] = True
-                    members.append(y)
-            i += 1
 
 
 # -- table builders ----------------------------------------------------------

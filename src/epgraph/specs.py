@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cayley_io import cayley_table
+from .cayley_io import cayley_table, read_cayley_file
 from .errors import GroupParameterError, GroupSizeError, SpecSyntaxError
 from .groups import (
     DEFAULT_MAX_ORDER,
@@ -40,8 +40,10 @@ from .groups import (
 
 FAMILIES = ("cyclic", "product", "dihedral", "dicyclic", "metacyclic", "perm", "file")
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
-_GEN_RE = re.compile(r"^(\(\s*(\d+(\s+\d+)*)?\s*\))+$")
+# ASCII: \d and \s would also match non-ASCII digits and spaces
+_CYCLE_RE = re.compile(r"\(([^()]*)\)", re.ASCII)
+_GEN_RE = re.compile(r"^(\(\s*(\d+(\s+\d+)*)?\s*\))+$", re.ASCII)
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 class GroupSpec:
@@ -195,7 +197,7 @@ class GroupSpec:
         if f == "perm":
             return closure_table(*p, max_order=max_order)
         if f == "file":
-            return cayley_table(Path(p[0]).read_text(encoding="utf-8"), max_order)
+            return cayley_table(read_cayley_file(p[0]), max_order)
         tables = [c._table(max_order) for c in p]
         self._check_cap(max_order, math.prod(len(t) for t in tables))
         return product_table(tables)
@@ -313,10 +315,11 @@ def _split_top_level(text: str) -> list[str]:
 
 
 def _int_param(tok: str, context: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise SpecSyntaxError(f"expected an integer in {context!r}") from None
+    """An ASCII decimal integer, minus sign allowed; not what int() also
+    takes (spaces, a plus sign, underscores, non-ASCII digits)."""
+    if not _INT_RE.fullmatch(tok):
+        raise SpecSyntaxError(f"expected an integer in {context!r}")
+    return int(tok)
 
 
 def _parse_one(chunks: list[str], i: int) -> tuple[GroupSpec, int]:

@@ -37,9 +37,14 @@ def order_by_table_scan(table: list[list[int]], x: int) -> int:
     return k
 
 
-def orders_multiset(group) -> list[int]:
+def table_orders(group) -> list[int]:
+    """Every element's order by ``order_by_table_scan``, not read off the power walks."""
     table = table_of(group)
-    return sorted(order_by_table_scan(table, x) for x in range(len(table)))
+    return [order_by_table_scan(table, x) for x in range(len(table))]
+
+
+def orders_multiset(group) -> list[int]:
+    return sorted(table_orders(group))
 
 
 def brute_cyclic_subgroups(group) -> set[frozenset[int]]:
@@ -527,8 +532,7 @@ def loop_bipartite_coloring(graph: SimpleGraph):
 def abelian_shape_reference(group) -> tuple[int, ...]:
     """Primary factors by counting, per prime power p^j, the elements whose order divides it."""
     n = len(group)
-    table = table_of(group)
-    orders = [order_by_table_scan(table, x) for x in range(n)]
+    orders = table_orders(group)
     factors: list[int] = []
     for p in sorted({q for q in range(2, n + 1) if n % q == 0 and is_prime(q)}):
         e = 0
@@ -576,11 +580,12 @@ def _reference_tree(graph) -> bool:
 def _t53_group_side(bundle) -> bool:
     group, epg = bundle.group, bundle.epg
     central = brute_center(group)
+    orders = table_orders(group)
     (p,) = _prime_set(len(central))
     for x in range(1, len(group)):
-        if group.orders[x] != p or x in central:
+        if orders[x] != p or x in central:
             continue
-        if not any(g != 0 and _prime_set(group.orders[g]) != {p} for g in epg.neighbors(x)):
+        if not any(g != 0 and _prime_set(orders[g]) != {p} for g in epg.neighbors(x)):
             return False
     return True
 
@@ -604,7 +609,7 @@ REFERENCE_SIDES = {
     "T2.2": (
         _always,
         lambda b: loop_find_cycle(b.epg) is not None,
-        lambda b: any(o >= 3 for o in b.group.orders),
+        lambda b: any(o >= 3 for o in table_orders(b.group)),
     ),
     "C2.3": (
         _always,
@@ -613,7 +618,7 @@ REFERENCE_SIDES = {
             _reference_tree(b.epg),
             _reference_tree(b.epg) and any(d == b.epg.n - 1 for d in b.epg.degrees()),
         ],
-        lambda b: all(o <= 2 for o in b.group.orders),
+        lambda b: all(o <= 2 for o in table_orders(b.group)),
     ),
     "T2.4": (
         _always,
@@ -635,7 +640,7 @@ REFERENCE_SIDES = {
     "T3.3": (
         lambda b: not _symmetric(b.group) and len(_prime_set(len(b.group))) == 1,
         lambda b: _has_cone(b.epg),
-        lambda b: _prime_set(len(b.group)) == {2} and b.group.orders.count(2) == 1,
+        lambda b: _prime_set(len(b.group)) == {2} and table_orders(b.group).count(2) == 1,
     ),
     "T3.4": (
         lambda b: len(b.group) >= 2 and not _symmetric(b.group) and brute_is_simple(b.group),
@@ -659,7 +664,7 @@ REFERENCE_SIDES = {
         lambda b: len(_prime_set(len(b.group))) == 1,
         lambda b: brute_connected(b.deleted),
         lambda b: sum(
-            b.group.orders.count(p) // (p - 1) for p in _prime_set(len(b.group))
+            table_orders(b.group).count(p) // (p - 1) for p in _prime_set(len(b.group))
         ) == 1,
     ),
     "T5.2": (
@@ -671,7 +676,7 @@ REFERENCE_SIDES = {
     "T5.4": (
         _always,
         lambda b: loop_find_cycle(b.deleted) is None,
-        lambda b: all(o < 4 for o in b.group.orders),
+        lambda b: all(o < 4 for o in table_orders(b.group)),
     ),
 }
 

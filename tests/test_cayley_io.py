@@ -1,5 +1,6 @@
 """Cayley file parsing, identity renumbering, and law validation."""
 
+import json
 import random
 import re
 import warnings
@@ -14,10 +15,13 @@ from epgraph import (
     CayleyValidationError,
     GroupSizeError,
     GroupSpec,
+    analyze,
+    build_bundle,
     ingest_cayley,
     parse_cayley_text,
     roster_generate,
 )
+from epgraph.analysis import REPORT_FIELDS
 from epgraph.cayley_io import _read_table, cayley_table
 
 from helpers import (
@@ -154,6 +158,42 @@ def test_closure_violation_named_in_file_coordinates():
         ingest_cayley(cayley_file_text(table))
     assert exc.value.law == "closure"
     assert "entry at (4, 1) is outside [0, 6)" in str(exc.value)
+
+
+# -- roster tables read back as text ------------------------------------------
+
+_ROSTER_256 = roster_generate(256)
+_VERDICTS = [f for f in REPORT_FIELDS if f != "cone_vertices"] + ["planar_reject"]
+
+
+def _reports(group) -> tuple[dict, dict]:
+    bundle = build_bundle(group)
+    return analyze(bundle).to_dict(), analyze(bundle, deleted=True).to_dict()
+
+
+# the hypothesis default in tier-1; the ci profile (conftest.py) draws 1000
+@given(st.data())
+@settings(max_examples=max(40, settings.default.max_examples), deadline=None)
+def test_roster_text_reports_match_the_spec(data):
+    spec = data.draw(st.sampled_from(_ROSTER_256))
+    group = spec.realize()
+    table = table_of(group)
+    want = _reports(group)
+    # identity at 0: the reader keeps every label, so the reports are the spec's, byte for byte
+    got = _reports(ingest_cayley(cayley_file_text(table, comment=spec.serialize())))
+    assert [json.dumps(r) for r in got] == [json.dumps(r) for r in want], spec
+    # relabelled, the identity anywhere: the label-free facts must survive
+    # a drawn seed, not a drawn permutation, so that a failure shrinks quickly
+    perm = np.random.default_rng(data.draw(st.integers(0, 2**32))).permutation(group.order)
+    relabelled = np.empty_like(group.table)
+    relabelled[np.ix_(perm, perm)] = perm[group.table]
+    h = ingest_cayley(cayley_file_text(relabelled.tolist()))
+    assert sorted(h.orders) == sorted(group.orders), spec
+    for g_report, h_report in zip(want, _reports(h)):
+        # a witness is present exactly when its verdict is negative
+        assert h_report.keys() == g_report.keys(), spec
+        assert {f: h_report.get(f) for f in _VERDICTS} == {f: g_report.get(f) for f in _VERDICTS}
+        assert len(h_report["cone_vertices"]) == len(g_report["cone_vertices"]), spec
 
 
 # -- the reader against the int()-per-token reference ---------------------------

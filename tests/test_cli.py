@@ -291,6 +291,48 @@ def test_ingest_missing_file(tmp_path, capsys):
     assert "cannot read" in err
 
 
+def _unreadable(tmp_path, kind: str) -> Path:
+    if kind == "missing":
+        return tmp_path / "nope.cayley"
+    if kind == "directory":
+        return tmp_path
+    path = tmp_path / "latin1.cayley"
+    path.write_bytes(b"# caf\xe9\n1\n0\n")  # Latin-1, not UTF-8
+    return path
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+@pytest.mark.parametrize("how", ["ingest", "file-spec"])
+def test_unreadable_file_is_an_input_error(tmp_path, capsys, kind, how):
+    # in process, so an uncaught error would fail the test with its traceback
+    path = str(_unreadable(tmp_path, kind))
+    argv = ["ingest", path] if how == "ingest" else ["check", "--group", f"file:{path}"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"epgraph: error: cannot read {path}: ")
+
+
+@pytest.mark.parametrize("extra", [[], ["--deleted"], ["--props", "complete,planar"],
+                                   ["--deleted", "--props", "cone_vertices"]])
+@pytest.mark.parametrize("path", ["tests/data/z6_identity_at_3.cayley", "missing.cayley"])
+def test_ingest_is_check_of_a_file_spec(capsys, path, extra):
+    ingested = run_cli(["ingest", path, *extra], capsys)
+    checked = run_cli(["check", "--group", f"file:{path}", *extra], capsys)
+    assert ingested == checked
+    assert ingested[0] == (0 if path.startswith("tests/") else 2)
+
+
+def test_unwritable_output_is_an_input_error(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "dir" / "x.json"
+    code, out, err = run_cli(["check", "--group", "cyclic:4", "--output", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"epgraph: error: cannot write {target}: ")
+    code, _, err = run_cli(["verify", "--theorem", "T2.4", "--max-order", "4",
+                            "--output", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith(f"epgraph: error: cannot write {tmp_path}: ")
+
+
 # -- configuration ----------------------------------------------------------------
 
 

@@ -5,11 +5,12 @@ from collections import Counter
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from epgraph import FiniteGroup, GroupSpec, prime_subgroup_counts, roster_generate
+from epgraph import GroupSpec, ingest_cayley, prime_subgroup_counts, roster_generate
 
 from helpers import (
     brute_cyclic_subgroups,
     brute_lattice,
+    cayley_file_text,
     is_prime,
     table_of,
     totient,
@@ -154,4 +155,4 @@ def test_lattice_matches_brute_force_on_relabelled_tables(data):
     perm = np.array([0] + data.draw(st.permutations(range(1, n))), dtype=np.int64)
     relabelled = np.empty_like(table)
     relabelled[np.ix_(perm, perm)] = perm[table]
-    assert_lattice_matches_brute_force(FiniteGroup.from_table(relabelled))
+    assert_lattice_matches_brute_force(ingest_cayley(cayley_file_text(relabelled.tolist())))

@@ -17,6 +17,7 @@ from epgraph import (
     adjacent_oracle,
     build_bundle,
     has_unique_minimal_subgroup,
+    ingest_cayley,
     is_generalized_quaternion,
     is_simple,
     normal_closure,
@@ -24,6 +25,7 @@ from epgraph import (
     prime_subgroup_counts,
     roster_generate,
 )
+from epgraph.cayley_io import cayley_table
 from epgraph.theorems import CHECKS_BY_ID
 from helpers import (
     abelian_shape_reference,
@@ -34,6 +36,7 @@ from helpers import (
     brute_normal_closure,
     brute_prime_order_subgroups,
     brute_totient,
+    cayley_file_text,
     cyclic_sylow_reference,
     find_nonassociative_loop,
     fixed_point_closure,
@@ -476,7 +479,7 @@ def test_abelian_shape_rejects_nonabelian():
 
 def test_abelian_shape_of_ingested_table_matches_spec_free_computation():
     # the counts must come from the table itself, not the construction recipe
-    z12 = FiniteGroup.from_table(table_of(GroupSpec.cyclic(12).realize()))
+    z12 = ingest_cayley(cayley_file_text(table_of(GroupSpec.cyclic(12).realize())))
     assert z12.spec is None
     assert prime_subgroup_counts(z12) == counts_of_shape((3, 4)) == {2: 1, 3: 1}
     assert CHECKS_BY_ID["T3.2"].group_side(build_bundle(z12)) is True
@@ -531,31 +534,36 @@ def test_generalized_quaternion_across_families(roster_groups_48):
 # -- validation ---------------------------------------------------------------------
 
 
+def validate(table) -> np.ndarray:
+    """``table`` through the one validation path: as Cayley text, read by ``cayley_table``."""
+    return cayley_table(cayley_file_text(table))
+
+
 def test_constructed_roster_groups_validate(roster_groups_48):
     # constructors are trusted; validate their tables as untrusted input and check Lagrange
     for group in roster_groups_48:
-        FiniteGroup.from_table(group.table, max_order=512)
+        assert np.array_equal(validate(table_of(group)), group.table), group
         assert all(group.order % o == 0 for o in group.orders)
 
 
-def test_from_table_output_is_int16():
-    # validated in int64 from any integer input, then cast once
-    for table in ([[0, 1], [1, 0]], np.array([[0]], dtype=np.uint64),
-                  table_of(GroupSpec.dicyclic(3).realize())):
-        group = FiniteGroup.from_table(table)
+def test_ingested_table_is_frozen_int16():
+    # validated in int64, then cast once
+    for table in ([[0, 1], [1, 0]], [[0]], table_of(GroupSpec.dicyclic(3).realize())):
+        group = ingest_cayley(cayley_file_text(table))
         assert_frozen_int16(group.table, repr(group))
-        assert group.table.tolist() == np.asarray(table).tolist()
+        assert group.table.tolist() == table
 
 
 def test_validation_catches_broken_tables():
     with pytest.raises(CayleyValidationError) as exc:
-        FiniteGroup.from_table([[0, 1], [1, 1]])
+        validate([[0, 1], [1, 1]])
     assert exc.value.law == "latin-square"
+    # x*y = x - y mod 3: Latin, but 0 is only a right identity
     with pytest.raises(CayleyValidationError) as exc:
-        FiniteGroup.from_table([[1, 0], [0, 1]])
+        validate([[0, 2, 1], [1, 0, 2], [2, 1, 0]])
     assert exc.value.law == "identity"
     with pytest.raises(CayleyValidationError) as exc:
-        FiniteGroup.from_table([[0, 1], [1, 2]])
+        validate([[0, 1], [1, 2]])
     assert exc.value.law == "closure"
 
 
@@ -568,14 +576,15 @@ def test_walk_rejects_powers_that_never_reach_the_identity():
 
 
 def test_latin_square_names_first_offending_line():
-    # every row is a permutation, but columns 0 and 2 repeat: name column 0
+    # 0 is the identity and every row is a permutation, but columns 1 and 2
+    # repeat: name column 1
     with pytest.raises(CayleyValidationError) as exc:
-        FiniteGroup.from_table([[0, 1, 2], [1, 2, 0], [1, 0, 2]])
+        validate([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
     assert exc.value.law == "latin-square"
-    assert "column 0 " in str(exc.value)
+    assert "column 1 " in str(exc.value)
     # row 1 and column 1 both repeat: rows are checked first
     with pytest.raises(CayleyValidationError) as exc:
-        FiniteGroup.from_table([[0, 1, 2], [1, 1, 0], [2, 0, 1]])
+        validate([[0, 1, 2], [1, 1, 0], [2, 0, 1]])
     assert exc.value.law == "latin-square"
     assert "row 1 " in str(exc.value)
 
@@ -588,10 +597,10 @@ def _assert_witness_fails(table, message: str) -> None:
 
 def test_swapped_intercalate_rejected_exactly():
     table = table_of(GroupSpec.cyclic(300).realize())
-    assert FiniteGroup.from_table(table).order == 300
+    assert len(validate(table)) == 300
     bad = swap_intercalate(table, 1, 2, 150)  # still a Latin square with identity 0
     with pytest.raises(CayleyValidationError) as exc:
-        FiniteGroup.from_table(bad)
+        validate(bad)
     assert exc.value.law == "associativity"
     _assert_witness_fails(bad, str(exc.value))
 
@@ -607,7 +616,7 @@ def test_every_generator_is_checked(k):
         [loop[i // k][j // k] * k + (i + j) % k for j in range(n)] for i in range(n)
     ]
     with pytest.raises(CayleyValidationError) as exc:
-        FiniteGroup.from_table(table)
+        validate(table)
     assert exc.value.law == "associativity"
     _assert_witness_fails(table, str(exc.value))
 
@@ -626,7 +635,7 @@ def test_validation_matches_associativity_oracle(data):
         away = st.sampled_from([x for x in range(1, n) if x != t])
         table = swap_intercalate(table, data.draw(away), data.draw(away), t)
     try:
-        FiniteGroup.from_table(table)
+        validate(table)
     except CayleyValidationError as exc:
         assert exc.law == "associativity"
         assert not associative(table)

@@ -85,9 +85,23 @@ def test_parse_rejects_malformed():
         "product:",
         "dihedral:1",
         "cyclic:2,cyclic:3",      # trailing content without product
+        # integers are ASCII decimals, not whatever int() or \d reads
+        "cyclic:1_0",             # digit-grouping underscore
+        "cyclic:\u0663",          # Arabic-Indic digit three
+        "cyclic: +4",             # space and plus sign
+        "cyclic:+4",
+        "metacyclic:5:4:\uff12",  # fullwidth digit two
+        "perm:4:(0 \u0663)",
+        "perm:\u0664:(0 1)",
+        "perm:4:(0\u00a01)",      # no-break space
     ):
         with pytest.raises(SpecSyntaxError):
             parse_spec(bad)
+
+
+def test_negative_integer_keeps_its_law_message():
+    with pytest.raises(SpecSyntaxError, match="cyclic order must be >= 1, got -3"):
+        parse_spec("cyclic:-3")
 
 
 def test_generator_parsing():
