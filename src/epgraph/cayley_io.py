@@ -11,11 +11,13 @@ parse error. A file that cannot be read or is not UTF-8 raises GroupError.
 A file's table is untrusted, and this module alone checks group laws. An
 order above the cap is rejected at the order line, and each law is checked
 exactly before the table is used, the first broken one named, in the order
-closure, identity, latin-square, associativity. An entry outside [0, n),
-negative or of any size, breaks closure: the table is read in int64 and
-becomes int16 only once closure has passed. The identity may sit at any
-index; it is located and renumbered to index 0. Associativity is Light's
-test, O(n^2 log n) for a group.
+closure, identity, latin-square, associativity. Each law is one flat numpy
+pass over the table (associativity one per generator), and every witness
+is named in the file's own labels. An entry outside [0, n), negative or of
+any size, breaks closure: the table is read in int64 and becomes int16 only
+once it is a Latin square. The identity may sit at any index; the cast
+renumbers it to index 0. Associativity is Light's test, O(n^2 log n) for a
+group.
 """
 
 from __future__ import annotations
@@ -98,39 +100,43 @@ def parse_cayley_text(text: str, max_order: int = DEFAULT_MAX_ORDER) -> list[lis
 
 
 def cayley_table(text: str, max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray:
-    """Parse, check closure in file coordinates, locate the identity and
-    renumber it to 0, then check the Latin-square property and
-    associativity: the int16 table of a group, not yet walked."""
+    """Parse; check closure, locate the identity e and check the Latin-square
+    property on the file's table; renumber e to 0 in the cast to int16 and
+    check associativity: the int16 table of a group, not yet walked."""
     arr = _read_table(text, max_order)
     n = arr.shape[0]
-    # in int64: a saturated token must not wrap into range
-    if arr.min() < 0 or arr.max() >= n:
-        x, y = np.argwhere((arr < 0) | (arr >= n))[0]
+    # as uint64, a negative entry (saturated or not) is at least 2**63
+    if arr.view(np.uint64).max() >= n:
+        x, y = divmod(int(np.argmax(arr.view(np.uint64) >= n)), n)
         raise CayleyValidationError("closure", f"entry at ({x}, {y}) is outside [0, {n})")
-    arr = arr.astype(np.int16)
-    expect = np.arange(n, dtype=np.int16)
-    found = np.flatnonzero((arr == expect).all(axis=1) & (arr.T == expect).all(axis=1))
-    if not found.size:
+    expect = np.arange(n)
+    for e in np.flatnonzero(arr[:, 0] == 0).tolist():  # the identity has e*0 == 0
+        if np.array_equal(arr[e], expect) and np.array_equal(arr[:, e], expect):
+            break
+    else:
         raise CayleyValidationError("identity", "no two-sided identity element found")
-    e = int(found[0])
-    if e != 0:
-        sigma = expect.copy()
-        sigma[[0, e]] = [e, 0]
-        arr = sigma[arr[np.ix_(sigma, sigma)]]
-    line = np.arange(n)[:, None]
-    for axis, lines in (("row", arr), ("column", arr.T)):
-        seen = np.zeros((n, n), dtype=bool)
-        seen[line, lines] = True  # seen[i, v]: value v occurs in line i
-        full = seen.all(axis=1)
+    offsets = np.arange(0, n * n, n)
+    for axis, offset in (("row", offsets[:, None]), ("column", offsets)):
+        seen = np.zeros(n * n, dtype=bool)
+        seen[arr + offset] = True  # seen[i*n + v]: value v occurs in line i
+        full = seen.reshape(n, n).all(axis=1)
         if not full.all():
             raise CayleyValidationError(
                 "latin-square", f"{axis} {np.argmin(full)} repeats an entry")
-    _check_associative(arr)
+    # sigma swaps labels 0 and e; it is its own inverse, so it also maps a
+    # renumbered witness back to the file's labels
+    sigma = expect.astype(np.int16)
+    sigma[[0, e]] = e, 0
+    arr = sigma.take(arr)
+    arr[[0, e]] = arr[[e, 0]]
+    arr[:, [0, e]] = arr[:, [e, 0]]
+    _check_associative(arr, sigma)
     return arr
 
 
-def _check_associative(arr: np.ndarray) -> None:
-    """Light's associativity test over a greedily chosen generating set S.
+def _check_associative(arr: np.ndarray, sigma: np.ndarray) -> None:
+    """Light's associativity test over a greedily chosen generating set S;
+    a failing triple is named through the relabelling ``sigma``.
 
     The elements s with (x*s)*y == x*(s*y) for all x, y are closed under
     products, so checking each s in S covers every element S generates.
@@ -145,10 +151,10 @@ def _check_associative(arr: np.ndarray) -> None:
     while len(members) < n:
         s = reached.index(False)
         col = arr[:, s]
-        lhs = arr[col]          # lhs[x, y] = (x*s)*y
-        rhs = arr[:, arr[s]]    # rhs[x, y] = x*(s*y)
+        lhs = arr.take(col, axis=0)     # lhs[x, y] = (x*s)*y
+        rhs = arr.take(arr[s], axis=1)  # rhs[x, y] = x*(s*y)
         if not np.array_equal(lhs, rhs):
-            x, y = np.argwhere(lhs != rhs)[0]
+            x, y, s = sigma[[*np.argwhere(lhs != rhs)[0], s]].tolist()
             raise CayleyValidationError(
                 "associativity", f"({x}*{s})*{y} != {x}*({s}*{y})"
             )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -345,6 +346,47 @@ def associative(table: list[list[int]]) -> bool:
         for i, row_i in enumerate(table)
         for j in range(len(table))
     )
+
+
+def two_sided_identity(table: list[list[int]]) -> int | None:
+    """The first e with e*x == x == x*e for every x, by a scan of every row."""
+    n = len(table)
+    return next(
+        (e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n))),
+        None,
+    )
+
+
+def first_broken_law(table: list[list[int]]) -> str | None:
+    """The first group law a table of Python ints breaks, checked straight
+    from the definitions in the order closure, identity, latin-square,
+    associativity; None for a group table."""
+    n = len(table)
+    if any(not 0 <= v < n for row in table for v in row):
+        return "closure"
+    if two_sided_identity(table) is None:
+        return "identity"
+    columns = [[row[j] for row in table] for j in range(n)]
+    if any(len(set(line)) < n for line in table + columns):
+        return "latin-square"
+    return None if associative(table) else "associativity"
+
+
+def witness_breaks_law(table: list[list[int]], law: str, message: str) -> bool:
+    """The entry, line or triple a CayleyValidationError message names
+    breaks ``law`` in ``table``, read in the file's own labels."""
+    n = len(table)
+    if law == "closure":
+        x, y = map(int, re.fullmatch(r"entry at \((\d+), (\d+)\) .*", message).groups())
+        return not 0 <= table[x][y] < n
+    if law == "identity":
+        return two_sided_identity(table) is None
+    if law == "latin-square":
+        axis, i = re.fullmatch(r"(row|column) (\d+) repeats an entry", message).groups()
+        line = table[int(i)] if axis == "row" else [row[int(i)] for row in table]
+        return len(set(line)) < n
+    x, s, y = map(int, re.fullmatch(r"\((\d+)\*(\d+)\)\*(\d+) != .*", message).groups())
+    return table[table[x][s]][y] != table[x][table[s][y]]
 
 
 def swap_intercalate(table: list[list[int]], r: int, c: int, t: int) -> list[list[int]]:

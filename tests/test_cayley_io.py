@@ -28,8 +28,12 @@ from helpers import (
     assert_frozen_int16,
     cayley_file_text,
     find_nonassociative_loop,
+    first_broken_law,
     parse_cayley_reference,
+    swap_intercalate,
     table_of,
+    two_sided_identity,
+    witness_breaks_law,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -194,6 +198,77 @@ def test_roster_text_reports_match_the_spec(data):
         assert h_report.keys() == g_report.keys(), spec
         assert {f: h_report.get(f) for f in _VERDICTS} == {f: g_report.get(f) for f in _VERDICTS}
         assert len(h_report["cone_vertices"]) == len(g_report["cone_vertices"]), spec
+
+
+# -- the validator against the plain-loop law oracle ----------------------------
+
+_ROSTER_64 = roster_generate(64)
+_BREAKS = ["none", "out of range", "no identity", "row repeat", "column repeat",
+           "intercalate"]
+
+
+def _break(table: list[list[int]], how: str, data) -> list[list[int]]:
+    """``table`` with one law broken as ``how`` says; the oracle decides which
+    law a break reaches first."""
+    n, e = len(table), two_sided_identity(table)
+    index = st.integers(0, n - 1)
+    r, c, other = data.draw(index), data.draw(index), data.draw(index)
+    table = [row[:] for row in table]
+    if how == "out of range":
+        # both edges of [0, n), beyond int64 either way, or anything outside
+        table[r][c] = data.draw(st.one_of(
+            st.sampled_from([-1, n, 2**63, 2**64, -(2**63) - 1, -(10**30)]),
+            st.integers(max_value=-1), st.integers(min_value=n)))
+    elif how == "no identity":  # two columns swapped: still Latin
+        for row in table:
+            row[c], row[other] = row[other], row[c]
+    elif how == "row repeat":  # two entries of a column swapped: columns stay Latin
+        table[r][c], table[other][c] = table[other][c], table[r][c]
+    elif how == "column repeat":  # two entries of a row swapped: rows stay Latin
+        table[r][c], table[r][other] = table[r][other], table[r][c]
+    elif how == "intercalate":
+        involutions = [t for t in range(n) if t != e and table[t][t] == e]
+        if involutions and n > 2:
+            t = data.draw(st.sampled_from(involutions))
+            away = st.sampled_from([x for x in range(n) if x not in (e, t)])
+            table = swap_intercalate(table, data.draw(away), data.draw(away), t)
+    return table
+
+
+# the hypothesis default in tier-1; the ci profile (conftest.py) draws 1000
+@given(st.data())
+@settings(deadline=None)
+def test_validator_matches_plain_loop_oracle(data):
+    group = data.draw(st.sampled_from(_ROSTER_64)).realize()
+    n = group.order
+    # relabelled by a drawn seed, so the identity sits anywhere
+    perm = np.random.default_rng(data.draw(st.integers(0, 2**32))).permutation(n)
+    relabelled = np.empty_like(group.table)
+    relabelled[np.ix_(perm, perm)] = perm[group.table]
+    table = _break(relabelled.tolist(), data.draw(st.sampled_from(_BREAKS)), data)
+    law = first_broken_law(table)
+    try:
+        got = cayley_table(cayley_file_text(table))
+    except CayleyValidationError as exc:
+        assert exc.law == law, str(exc)
+        assert witness_breaks_law(table, exc.law, str(exc)), str(exc)
+    else:
+        assert law is None
+        e = two_sided_identity(table)
+        sigma = np.arange(n, dtype=np.int16)
+        sigma[[0, e]] = e, 0
+        t = np.array(table, dtype=np.int16)
+        assert got.tobytes() == sigma[t[np.ix_(sigma, sigma)]].tobytes()
+
+
+def test_every_row_an_identity_candidate_is_rejected():
+    # x*y = y: column 0 is all zeros and every row is the identity row, but
+    # no column is the identity column
+    n = 2048
+    row = " ".join(map(str, range(n)))
+    with pytest.raises(CayleyValidationError) as exc:
+        cayley_table(f"{n}\n" + f"{row}\n" * n, max_order=n)
+    assert exc.value.law == "identity"
 
 
 # -- the reader against the int()-per-token reference ---------------------------

@@ -1,7 +1,6 @@
 """Groups built from specs: tables, predicates, and validation."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -45,6 +44,7 @@ from helpers import (
     swap_intercalate,
     table_of,
     totient,
+    witness_breaks_law,
 )
 
 
@@ -587,12 +587,12 @@ def test_latin_square_names_first_offending_line():
         validate([[0, 1, 2], [1, 1, 0], [2, 0, 1]])
     assert exc.value.law == "latin-square"
     assert "row 1 " in str(exc.value)
-
-
-def _assert_witness_fails(table, message: str) -> None:
-    """The (x*s)*y != x*(s*y) triple named in the message really fails."""
-    x, s, y = map(int, re.match(r"\((\d+)\*(\d+)\)\*(\d+) != ", message).groups())
-    assert table[table[x][s]][y] != table[x][table[s][y]]
+    # Z3 with its identity at 2 and file row 0 repeating 1: the line is named
+    # as the file numbers it, not as renumbering the identity to 0 would
+    with pytest.raises(CayleyValidationError) as exc:
+        validate([[1, 1, 0], [2, 0, 1], [0, 1, 2]])
+    assert exc.value.law == "latin-square"
+    assert str(exc.value) == "row 0 repeats an entry"
 
 
 def test_swapped_intercalate_rejected_exactly():
@@ -602,7 +602,7 @@ def test_swapped_intercalate_rejected_exactly():
     with pytest.raises(CayleyValidationError) as exc:
         validate(bad)
     assert exc.value.law == "associativity"
-    _assert_witness_fails(bad, str(exc.value))
+    assert witness_breaks_law(bad, "associativity", str(exc.value))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -618,7 +618,23 @@ def test_every_generator_is_checked(k):
     with pytest.raises(CayleyValidationError) as exc:
         validate(table)
     assert exc.value.law == "associativity"
-    _assert_witness_fails(table, str(exc.value))
+    assert witness_breaks_law(table, "associativity", str(exc.value))
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_associativity_witness_holds_in_the_files_labels(e):
+    # the non-associative loop with its identity moved from 0 to e
+    loop = find_nonassociative_loop(5)
+    swap = {0: e, e: 0}
+    label = [swap.get(x, x) for x in range(5)]
+    table = [[0] * 5 for _ in range(5)]
+    for x in range(5):
+        for y in range(5):
+            table[label[x]][label[y]] = label[loop[x][y]]
+    with pytest.raises(CayleyValidationError) as exc:
+        validate(table)
+    assert exc.value.law == "associativity"
+    assert witness_breaks_law(table, "associativity", str(exc.value))
 
 
 _ROSTER_64 = roster_generate(64)
@@ -639,7 +655,7 @@ def test_validation_matches_associativity_oracle(data):
     except CayleyValidationError as exc:
         assert exc.law == "associativity"
         assert not associative(table)
-        _assert_witness_fails(table, str(exc))
+        assert witness_breaks_law(table, "associativity", str(exc))
     else:
         assert associative(table)
 
