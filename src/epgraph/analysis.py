@@ -202,8 +202,17 @@ def odd_degree_vertex(graph: SimpleGraph) -> Optional[int]:
 
 
 def cone_vertices(epg: SimpleGraph) -> list[int]:
-    """Non-identity vertices adjacent to every other vertex (identity is vertex 0)."""
+    """Non-identity vertices adjacent to every other vertex (identity is vertex 0).
+
+    One count of the full degrees, in C, settles two common cases without
+    the scan: no such vertex, and all of them (a complete graph).
+    """
     full, degrees = epg.n - 1, epg.degrees()
+    count = degrees.count(full) - (degrees[:1] == [full])  # vertex 0 is no cone vertex
+    if not count:
+        return []
+    if count == full:
+        return list(range(1, epg.n))
     return [v for v in range(1, epg.n) if degrees[v] == full]
 
 

@@ -280,6 +280,22 @@ def test_cone_a5_empty():
     assert cone_vertices(b.epg) == []
 
 
+def test_cone_vertices_on_generic_graphs():
+    # the count of full degrees picks none, all or a scan: a universal vertex
+    # other than 0, two apart, vertex 0 alone universal, vertex 0 not universal
+    star_at_3 = graph_from_edges(6, [(3, v) for v in range(6) if v != 3])
+    assert cone_vertices(star_at_3) == [3]
+    hubs_2_5 = graph_from_edges(7, [(h, v) for h in (2, 5) for v in range(7) if v not in (2, h)])
+    assert cone_vertices(hubs_2_5) == [2, 5]
+    star_at_0 = graph_from_edges(6, [(0, v) for v in range(1, 6)])
+    assert cone_vertices(star_at_0) == []
+    no_edge_01 = graph_from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)
+                                      if (u, v) != (0, 1)])
+    assert cone_vertices(no_edge_01) == [2, 3, 4]
+    assert cone_vertices(complete_graph(4)) == [1, 2, 3]
+    assert cone_vertices(SimpleGraph(0)) == cone_vertices(SimpleGraph(1)) == []
+
+
 def test_cone_matches_full_degree_in_deleted(roster_bundles_48):
     for b in roster_bundles_48:
         cones = cone_vertices(b.epg)

@@ -1,6 +1,7 @@
 """Groups built from specs: tables, predicates, and validation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,72 @@ def test_scaling_by_two_to_the_fifteen_stays_int16():
     assert scaled.tolist() == (8 * reference_table("cyclic", (4,))).tolist()
 
 
+def test_windows_at_the_int16_cap_do_not_wrap():
+    # Z_32768's table would take 2 GiB: check the runs and their windows, which
+    # are views, row and column at a time
+    n = groups_module.MAX_TABLE_ORDER
+    run = groups_module._run(n)
+    assert run.dtype == np.int16 and run.tolist() == list(range(n)) * 2
+    idx = np.arange(n)
+    forward = groups_module._window(run, n, 0, 1)  # (i + j) mod n, Z_n's table
+    reverse = groups_module._window(run, n, n, -1)  # (i - j) mod n
+    for window in (forward, reverse):  # overlapping rows: never C-contiguous, so
+        with pytest.raises(AssertionError):  # a group wrapping one fails the helper
+            assert_frozen_int16(window, "window")
+    for i in (0, 1, n // 2, n - 1):
+        assert np.array_equal(forward[i], (i + idx) % n)
+        assert np.array_equal(forward[:, i], (idx + i) % n)
+        assert np.array_equal(reverse[i], (i - idx) % n)
+        assert np.array_equal(reverse[:, i], (idx - i) % n)
+    # dicyclic's largest run: Z_16384 three times, read back from 3m = 24576
+    m = n // 4
+    run3 = groups_module._run(2 * m, 3)
+    assert run3.tolist() == list(range(2 * m)) * 3
+    shifted = groups_module._window(run3, 2 * m, 3 * m, -1)  # (i - j + m) mod 2m
+    for i in (0, 1, m, 2 * m - 1):
+        assert np.array_equal(shifted[i], (i - idx[:2 * m] + m) % (2 * m))
+        assert np.array_equal(shifted[:, i], (idx[:2 * m] - i + m) % (2 * m))
+
+
+@pytest.mark.parametrize("text", ["cyclic:1", "cyclic:2", "cyclic:9", "metacyclic:1:1:1",
+                                  "metacyclic:7:1:1", "metacyclic:8:2:3", "metacyclic:9:3:4",
+                                  "dihedral:2", "dihedral:5", "dicyclic:2", "dicyclic:3",
+                                  "product:cyclic:1,cyclic:4", "product:cyclic:4,cyclic:1",
+                                  "product:cyclic:3,cyclic:5", "product:cyclic:5,cyclic:3",
+                                  "perm:3:(0 1),(0 1 2)"])
+def test_edge_tables_are_frozen_and_match_reference(text):
+    # one-element blocks, trivial factors and both product forms; a window is
+    # not C-contiguous, so a builder that let one through fails the frozen check
+    _assert_reference_table(parse_spec(text))
+
+
+@pytest.mark.parametrize("text, bound", [
+    ("cyclic:4096", 1.05),
+    ("dihedral:1024", 1.3),
+    ("dicyclic:1024", 1.3),
+    ("metacyclic:2048:2:1023", 1.3),  # SD4096: a gathered block per j1
+    ("metacyclic:512:8:449", 1.3),
+    ("product:" + ",".join(["cyclic:2"] * 12), 1.5),
+    ("product:cyclic:2048,cyclic:2", 1.5),
+    ("product:cyclic:2,cyclic:2048", 1.5),
+    ("product:cyclic:64,cyclic:64", 1.5),
+    ("perm:7:(0 1 2 3 4 5 6),(0 1)", 1.3),  # S7, 5040 elements
+])
+def test_realize_peak_stays_near_the_table(text, bound):
+    # each builder writes its table once; what else realize holds at its peak
+    # (factor tables, a gathered block, the closure's elements, the walks)
+    # stays a fraction of it
+    spec = parse_spec(text)
+    tracemalloc.start()
+    try:
+        group = spec.realize(max_order=8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group.order in range(2048, 5041)
+    assert peak <= bound * group.table.nbytes, (text, peak / group.table.nbytes)
+
+
 # -- dicyclic groups -------------------------------------------------------------
 
 
@@ -245,6 +312,10 @@ def test_roster_tables_match_reference():
         _assert_reference_table(spec)
 
 
+# 80 drawn specs per test in tier-1; the ci profile (conftest.py) draws more
+REFERENCE_TABLES = settings(max_examples=max(80, settings.default.max_examples), deadline=None)
+
+
 @st.composite
 def _metacyclic_params(draw, max_order=512):
     m = draw(st.integers(1, min(64, max_order)))
@@ -253,7 +324,7 @@ def _metacyclic_params(draw, max_order=512):
     return m, n, draw(st.sampled_from(valid))  # k = 1 is always valid
 
 
-@settings(max_examples=80, deadline=None)
+@REFERENCE_TABLES
 @given(_metacyclic_params())
 def test_metacyclic_tables_match_reference(params):
     _assert_reference_table(GroupSpec.metacyclic(*params))
@@ -275,7 +346,7 @@ def _factor_specs(cap: int):
     return st.one_of(options)
 
 
-@settings(max_examples=80, deadline=None)
+@REFERENCE_TABLES
 @given(st.data())
 def test_product_tables_match_reference(data):
     factors, order = [], 1
