@@ -16,7 +16,10 @@ the two reports on a bundle share the enhanced power graph's list.
 ``PropertyReport(graph, epg)`` runs each decider on the first read of a
 field that needs it, at most once per report, and is the one place that
 defines tree, star and Eulerian; a report that finds the component reps
-reads ``connected`` off them, so a connected graph is expanded once.
+reads ``connected`` off them, so a connected graph is expanded once. A
+bundle holds one report per graph (``EpgBundle.report`` and
+``deleted_report``), which ``analyze``, the CLI and every theorem check
+read, so a decider runs at most once per graph whoever asks.
 
 Conventions for degenerate graphs: the empty graph counts as connected,
 a forest, Eulerian, and not a star; a single vertex counts as complete,
@@ -28,11 +31,13 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .epg import EpgBundle
 from .planarity import planarity_verdict
 from .simplegraph import SimpleGraph
+
+if TYPE_CHECKING:
+    from .epg import EpgBundle
 
 REPORT_FIELDS = ("connected", "components", "complete", "cycle", "forest", "tree",
                  "star", "bipartite", "eulerian", "planar", "cone_vertices")
@@ -311,12 +316,12 @@ class PropertyReport:
 
 
 def analyze(bundle: EpgBundle, *, deleted: bool = False) -> PropertyReport:
-    """The report on the bundle's enhanced power graph or its deleted graph.
+    """The bundle's report on its enhanced power graph or its deleted graph.
 
-    Every field is decided before this returns, so the report's whole cost
-    falls inside this call; build a ``PropertyReport`` directly to decide
-    only the fields that are read.
+    Every field is decided before this returns, so the report's remaining
+    cost falls inside this call; read ``bundle.report`` or
+    ``bundle.deleted_report`` directly to decide only the fields read.
     """
-    report = PropertyReport(bundle.deleted if deleted else bundle.epg, bundle.epg)
+    report = bundle.deleted_report if deleted else bundle.report
     report.to_dict()
     return report

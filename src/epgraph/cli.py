@@ -102,8 +102,8 @@ def _render_graph(graph: SimpleGraph, fmt: str) -> str:
 
 
 def _report_json(bundle, deleted: bool, props: Optional[str]) -> str:
-    """The full report, or only the fields ``props`` names, deciding nothing else."""
-    report = analysis.PropertyReport(bundle.deleted if deleted else bundle.epg, bundle.epg)
+    """The bundle's full report, or only the fields ``props`` names, deciding nothing else."""
+    report = bundle.deleted_report if deleted else bundle.report
     if props is None:
         return json.dumps(report.to_dict()) + "\n"
     names = [p.strip() for p in props.split(",") if p.strip()]

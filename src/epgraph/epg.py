@@ -4,10 +4,12 @@ Vertices are element indices; two distinct elements are adjacent iff some
 cyclic subgroup contains both. Every cyclic subgroup lies in a maximal one,
 so the graph is the union of cliques over the maximal cyclic subgroups,
 which are exactly the group's maximal power walks. A bundle builds its
-identity-deleted graph only when it is first read. The pairwise oracle
-re-derives adjacency straight from the definition (some z has both x and
-y among its powers) and exists purely to cross-check the clique-union
-construction.
+identity-deleted graph and the property report on each graph on first
+read; all readers share the two reports, so a decider runs at most once
+per graph. A report holds its graphs and never the bundle, so a dropped
+bundle is freed at once. The pairwise oracle re-derives adjacency straight
+from the definition (some z has both x and y among its powers) and exists
+purely to cross-check the clique-union construction.
 """
 
 from __future__ import annotations
@@ -15,16 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .analysis import PropertyReport
 from .groups import FiniteGroup
 from .simplegraph import SimpleGraph
 
 
 @dataclass(frozen=True)
 class EpgBundle:
-    """A group with its enhanced power graph, plus its deleted graph.
+    """A group with its enhanced power graph, its deleted graph and their reports.
 
     ``deleted`` is the enhanced power graph with the identity vertex
-    removed (deleted vertex i is element i + 1), built on first read.
+    removed (deleted vertex i is element i + 1). ``report`` and
+    ``deleted_report`` are the lazy ``PropertyReport`` on each graph. All
+    three are built on first read.
     """
 
     group: FiniteGroup
@@ -33,6 +38,14 @@ class EpgBundle:
     @cached_property
     def deleted(self) -> SimpleGraph:
         return build_deleted(self.epg)
+
+    @cached_property
+    def report(self) -> PropertyReport:
+        return PropertyReport(self.epg, self.epg)
+
+    @cached_property
+    def deleted_report(self) -> PropertyReport:
+        return PropertyReport(self.deleted, self.epg)
 
 
 def build_epg(group: FiniteGroup) -> SimpleGraph:

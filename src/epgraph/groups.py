@@ -86,13 +86,6 @@ class FiniteGroup:
 
     # -- basic accessors ---------------------------------------------------
 
-    @property
-    def identity(self) -> int:
-        return 0
-
-    def __len__(self) -> int:
-        return self.order
-
     def __repr__(self) -> str:
         name = self.spec.display() if self.spec is not None else "FiniteGroup"
         return f"<{name} of order {self.order}>"

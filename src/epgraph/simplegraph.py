@@ -2,18 +2,16 @@
 
 Row u is a Python int whose bit v is set iff {u, v} is an edge; degrees
 are population counts and neighborhood comparisons are single integer
-compares. Graphs are mutated only while being built, by ``add_edge``,
-``add_clique`` or an outright assignment of ``rows`` before any read (the
-builders of ``epgraph.epg`` assign the rows they compute), and treated as
-immutable afterwards, so any number of readers may share one. The degree
-list is counted once, on the first ``degrees()`` call, and every reader
-shares it; ``add_edge`` and ``add_clique`` drop it.
+compares. A builder assigns ``rows`` once, before any read (those of
+``epgraph.epg`` assign the rows they compute), and the graph is immutable
+from then on, so any number of readers may share one. The degree list is
+counted once, on the first ``degrees()`` call, and every reader shares it.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 
 class SimpleGraph:
@@ -29,24 +27,6 @@ class SimpleGraph:
         self.name = name
         self._degrees: Optional[list[int]] = None
 
-    # -- construction --------------------------------------------------------
-
-    def add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise ValueError(f"self-loop at {u} not allowed in a simple graph")
-        self.rows[u] |= 1 << v
-        self.rows[v] |= 1 << u
-        self._degrees = None
-
-    def add_clique(self, members: Iterable[int]) -> None:
-        members = list(members)
-        mask = 0
-        for v in members:
-            mask |= 1 << v
-        for v in members:
-            self.rows[v] |= mask & ~(1 << v)
-        self._degrees = None
-
     # -- queries ---------------------------------------------------------------
 
     @property
@@ -55,9 +35,6 @@ class SimpleGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
-
-    def degree(self, u: int) -> int:
-        return self.rows[u].bit_count()
 
     def degrees(self) -> list[int]:
         """Every vertex's degree, counted on first call; shared, so not to be mutated."""

@@ -14,16 +14,22 @@ and its bundle built once per pass, every check of the pass runs on it,
 and it is dropped before the next group's is built, so memory stays that
 of one group however long the roster.
 
-Each predicate computes only what its check needs, through the deciders of
-``analysis`` or straight off the group's power walks: T2.4's "cyclic" is
-some element of order |G|, T4.1's group side is the largest element order,
-and T3.2, T3.3 and T5.1 read the prime-order subgroup counts. T2.1 reads
-the graph by bitmasks: one mask per generator class (the elements with one
-``walk_of`` value) and one union per subgroup size, so each generator's
-row is tested once. Connectivity stops expanding once the component covers
-every vertex. C2.3 and T4.2 read tree, star and Eulerian off a lazy
-``PropertyReport``, which asks for a star only of a tree and for
-connectivity only when every degree is even.
+Every graph side but T2.1's reads a field of the bundle's lazy
+``PropertyReport`` on its enhanced power graph (``bundle.report``) or on
+its deleted graph (``bundle.deleted_report``), so each decider runs at
+most once per graph, whichever checks ask: T2.2 and C2.3 share one cycle
+search, T3.1-T3.4 one cone-vertex scan, and T5.1-T5.3 one connectivity
+test. A report asks for a star only of a tree and for connectivity only
+when every degree is even. T2.1 reads the graph by bitmasks: one mask per
+generator class (the elements with one ``walk_of`` value) and one union
+per subgroup size, so each generator's row is tested once.
+
+Every ``applies`` and group side reads only the group, never a graph, so a
+fault in graph construction cannot move both sides of a check together.
+They read the group's power walks: T2.4's "cyclic" is some element of
+order |G|, T4.1's group side is the largest element order, T3.2, T3.3 and
+T5.1 read the prime-order subgroup counts, and T5.3 marks the order-p
+elements of each walk whose length is not a power of p.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from . import analysis
 from .epg import EpgBundle, build_bundle
 from .errors import GroupParameterError
 from .groups import (
@@ -188,10 +193,6 @@ def _orders_at_most_2(bundle: EpgBundle) -> bool:
     return all(o <= 2 for o in bundle.group.orders)
 
 
-def _has_cone(bundle: EpgBundle) -> bool:
-    return bool(analysis.cone_vertices(bundle.epg))
-
-
 def _primes_of(n: int) -> set[int]:
     return set(prime_factors(n)) if n > 1 else set()
 
@@ -223,10 +224,6 @@ def _no_cross_edges_between_equal_order_classes(bundle: EpgBundle) -> bool:
     return True
 
 
-def _deleted_connected(bundle: EpgBundle) -> bool:
-    return analysis.is_connected(bundle.deleted)
-
-
 def _is_power_of(n: int, p: int) -> bool:
     while n % p == 0:
         n //= p
@@ -242,20 +239,25 @@ def _t53_applies(bundle: EpgBundle) -> bool:
 
 
 def _t53_group_side(bundle: EpgBundle) -> bool:
-    """Every non-central order-p element touches a non-p-element (p from the center)."""
+    """Every non-central order-p element touches a non-p-element (p from the center).
+
+    An x of order p touches one exactly when x lies in a cyclic subgroup,
+    that is a walk, whose length k is not a power of p. The walk's order-p
+    elements are ``walk[j * k / p - 1]`` for j = 1..p-1; each such walk
+    strikes its own off the non-central ones, and the side holds when none
+    is left. It reads the walks only, never the graph.
+    """
     group = bundle.group
-    p = next(iter(_primes_of(len(group.center()))))
-    central = set(group.center())
-    epg = bundle.epg
-    for x in range(1, group.order):
-        if group.orders[x] != p or x in central:
-            continue
-        if not any(
-            g != 0 and not _is_power_of(group.orders[g], p)
-            for g in epg.neighbors(x)
-        ):
-            return False
-    return True
+    center = group.center()
+    p = next(iter(_primes_of(len(center))))
+    unmarked = {x for x, o in enumerate(group.orders) if o == p}.difference(center)
+    for walk in group.walks:
+        k = len(walk)
+        if k % p == 0 and not _is_power_of(k, p):
+            unmarked.difference_update(walk[j * (k // p) - 1] for j in range(1, p))
+            if not unmarked:
+                return True
+    return not unmarked
 
 
 def _t31_roster(max_order: int) -> list[GroupSpec]:
@@ -275,11 +277,11 @@ def _t31_roster(max_order: int) -> list[GroupSpec]:
 
 def _t31_graph_side(bundle: EpgBundle) -> bool:
     # the product packs (identity, generator of the appended Z_n) at index 1
-    return 1 in analysis.cone_vertices(bundle.epg)
+    return 1 in bundle.report.cone_vertices
 
 
 def _t42_graph_side(bundle: EpgBundle) -> dict:
-    report = analysis.PropertyReport(bundle.epg, bundle.epg)
+    report = bundle.report
     return {"eulerian": report.eulerian, "all_degrees_even": report.odd_degree_vertex is None}
 
 
@@ -290,7 +292,7 @@ def _t42_agrees(graph_value: dict, group_value: bool) -> bool:
 
 
 def _c23_graph_side(bundle: EpgBundle) -> list[bool]:
-    report = analysis.PropertyReport(bundle.epg, bundle.epg)
+    report = bundle.report
     return [report.bipartite, report.tree, report.star]
 
 
@@ -308,7 +310,7 @@ CHECKS: tuple[TheoremCheck, ...] = (
         "T2.2", "iff",
         "the enhanced power graph has a cycle iff some element has order >= 3",
         _const_true,
-        lambda b: analysis.find_cycle(b.epg) is not None,
+        lambda b: b.report.cycle,
         lambda b: any(o >= 3 for o in b.group.orders),
     ),
     TheoremCheck(
@@ -319,7 +321,7 @@ CHECKS: tuple[TheoremCheck, ...] = (
     TheoremCheck(
         "T2.4", "iff",
         "the enhanced power graph is complete iff the group is cyclic",
-        _const_true, lambda b: analysis.find_missing_edge(b.epg) is None, _is_cyclic,
+        _const_true, lambda b: b.report.complete, _is_cyclic,
     ),
     TheoremCheck(
         "T3.1", "implies",
@@ -330,7 +332,7 @@ CHECKS: tuple[TheoremCheck, ...] = (
         "T3.2", "iff",
         "abelian: cone vertex exists iff some Sylow subgroup is cyclic",
         lambda b: b.group.order >= 2 and b.group.is_abelian(),
-        _has_cone,
+        lambda b: bool(b.report.cone_vertices),
         # an abelian group's Sylow p-subgroup is cyclic iff it has one subgroup of order p
         lambda b: 1 in prime_subgroup_counts(b.group).values(),
     ),
@@ -338,20 +340,21 @@ CHECKS: tuple[TheoremCheck, ...] = (
         "T3.3", "iff",
         "non-abelian p-group: cone vertex exists iff generalized quaternion",
         lambda b: not b.group.is_abelian() and b.group.is_p_group() is not None,
-        _has_cone,
+        lambda b: bool(b.report.cone_vertices),
         lambda b: is_generalized_quaternion(b.group),
     ),
     TheoremCheck(
         "T3.4", "implies",
         "non-abelian simple groups have no cone vertex",
-        lambda b: b.group.order >= 2 and not b.group.is_abelian() and is_simple(b.group),
-        lambda b: not _has_cone(b), _const_true,
+        # a non-abelian simple group has a trivial center, and center() is cached
+        lambda b: len(b.group.center()) == 1 and not b.group.is_abelian() and is_simple(b.group),
+        lambda b: not b.report.cone_vertices, _const_true,
     ),
     TheoremCheck(
         "T4.1", "iff",
         "planar iff every element order lies in {1, 2, 3, 4}",
         _const_true,
-        lambda b: analysis.planarity_verdict(b.epg)[0],
+        lambda b: b.report.planar,
         lambda b: max(b.group.orders) <= 4,
     ),
     TheoremCheck(
@@ -363,26 +366,26 @@ CHECKS: tuple[TheoremCheck, ...] = (
         "T5.1", "iff",
         "p-group: deleted graph connected iff the minimal subgroup is unique",
         lambda b: b.group.is_p_group() is not None,
-        _deleted_connected,
+        lambda b: b.deleted_report.connected,
         lambda b: has_unique_minimal_subgroup(b.group),
     ),
     TheoremCheck(
         "T5.2", "implies",
         "two or more primes in |Z(G)| force the deleted graph connected",
         lambda b: len(_primes_of(len(b.group.center()))) >= 2,
-        _deleted_connected, _const_true,
+        lambda b: b.deleted_report.connected, _const_true,
     ),
     TheoremCheck(
         "T5.3", "iff",
         "p-power center, composite order: deleted graph connected iff every "
         "non-central order-p element touches a non-p-element",
-        _t53_applies, _deleted_connected, _t53_group_side,
+        _t53_applies, lambda b: b.deleted_report.connected, _t53_group_side,
     ),
     TheoremCheck(
         "T5.4", "iff",
         "deleted graph is a forest iff every element order is below 4",
         _const_true,
-        lambda b: analysis.find_cycle(b.deleted) is None,
+        lambda b: b.deleted_report.forest,
         lambda b: all(o < 4 for o in b.group.orders),
     ),
 )
@@ -398,7 +401,10 @@ def _stream(
     Reports follow ``checks`` one to one, so a check listed twice gets two
     reports. ``ms`` covers each check's own predicates only; building the
     bundles they read is not charged to any check, so the deleted graph,
-    which a bundle builds on first read, is read here first.
+    which a bundle builds on first read, is read here first. A property
+    field that several checks read is decided once, on the bundle's report,
+    and its cost is charged to the first check that reads it. A report
+    holds no reference to its bundle, so each bundle is freed when dropped.
     """
     reports = [TheoremReport(c.check_id, 0, 0, False) for c in checks]
     seconds = [0.0] * len(checks)

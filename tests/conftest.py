@@ -60,17 +60,35 @@ ANALYSIS_DECIDERS = ("is_connected", "component_reps", "find_missing_edge", "fin
                      "cone_vertices")
 
 
+def _watch_deciders(monkeypatch, on_call):
+    """Calls ``on_call(name, graph)`` before every decider a property report
+    looks up in ``analysis``."""
+    def watched(name, f):
+        def wrapped(graph, *args):
+            on_call(name, graph)
+            return f(graph, *args)
+        return wrapped
+
+    for name in ANALYSIS_DECIDERS:
+        monkeypatch.setattr(analysis, name, watched(name, getattr(analysis, name)))
+
+
 @pytest.fixture
 def decider_calls(monkeypatch):
     """Counts the calls of every decider a property report looks up in ``analysis``."""
     calls = dict.fromkeys(ANALYSIS_DECIDERS, 0)
 
-    def counting(name, f):
-        def wrapped(*args):
-            calls[name] += 1
-            return f(*args)
-        return wrapped
+    def count(name, _graph):
+        calls[name] += 1
 
-    for name in ANALYSIS_DECIDERS:
-        monkeypatch.setattr(analysis, name, counting(name, getattr(analysis, name)))
+    _watch_deciders(monkeypatch, count)
     return calls
+
+
+@pytest.fixture
+def decider_graphs(monkeypatch):
+    """Every decider call as (name, graph), in call order. The log holds each
+    graph, so no two graphs it names can share an ``id``."""
+    log = []
+    _watch_deciders(monkeypatch, lambda name, graph: log.append((name, graph)))
+    return log

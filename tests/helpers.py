@@ -100,14 +100,11 @@ def brute_lattice(group) -> dict:
 
 
 def lattice_epg_rows(group) -> list[int]:
-    """The enhanced power graph's rows by the lattice construction: ``add_clique``
+    """The enhanced power graph's rows by the lattice construction: a clique
     over each maximal subgroup that ``brute_lattice`` finds."""
-    graph = SimpleGraph(group.order)
     lattice = brute_lattice(group)
-    for members, maximal in zip(lattice["subgroups"], lattice["maximal_flags"]):
-        if maximal:
-            graph.add_clique(members)
-    return graph.rows
+    maximal = [m for m, f in zip(lattice["subgroups"], lattice["maximal_flags"]) if f]
+    return graph_from_edges(group.order, clique_edges(*maximal)).rows
 
 
 def assert_frozen_int16(table: np.ndarray, where: str) -> None:
@@ -263,24 +260,30 @@ def is_prime(p: int) -> bool:
 
 
 def graph_from_edges(n: int, edges) -> SimpleGraph:
-    g = SimpleGraph(n)
+    """The graph on n vertices with these edges (repeats allowed), its rows
+    assigned once, as the package's builders do."""
+    rows = [0] * n
     for u, v in edges:
-        g.add_edge(u, v)
+        if u == v:
+            raise ValueError(f"self-loop at {u} not allowed in a simple graph")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    g = SimpleGraph(n)
+    g.rows = rows
     return g
+
+
+def clique_edges(*cliques) -> list[tuple[int, int]]:
+    """Every pair inside each of ``cliques``, for ``graph_from_edges``."""
+    return [e for members in cliques for e in itertools.combinations(members, 2)]
 
 
 def complete_graph(n: int) -> SimpleGraph:
-    g = SimpleGraph(n)
-    g.add_clique(range(n))
-    return g
+    return graph_from_edges(n, clique_edges(range(n)))
 
 
 def complete_bipartite(a: int, b: int) -> SimpleGraph:
-    g = SimpleGraph(a + b)
-    for u in range(a):
-        for v in range(a, a + b):
-            g.add_edge(u, v)
-    return g
+    return graph_from_edges(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
 
 
 # -- tiny-graph planarity oracle ----------------------------------------------
@@ -573,7 +576,7 @@ def loop_bipartite_coloring(graph: SimpleGraph):
 
 def abelian_shape_reference(group) -> tuple[int, ...]:
     """Primary factors by counting, per prime power p^j, the elements whose order divides it."""
-    n = len(group)
+    n = group.order
     orders = table_orders(group)
     factors: list[int] = []
     for p in sorted({q for q in range(2, n + 1) if n % q == 0 and is_prime(q)}):
@@ -598,7 +601,7 @@ def cyclic_sylow_reference(factors: tuple[int, ...]) -> bool:
 
 def brute_is_simple(group) -> bool:
     """Every non-identity element's normal closure, by all products, is the group."""
-    n = len(group)
+    n = group.order
     return all(len(brute_normal_closure(group, x)) == n for x in range(1, n))
 
 
@@ -624,7 +627,7 @@ def _t53_group_side(bundle) -> bool:
     central = brute_center(group)
     orders = table_orders(group)
     (p,) = _prime_set(len(central))
-    for x in range(1, len(group)):
+    for x in range(1, group.order):
         if orders[x] != p or x in central:
             continue
         if not any(g != 0 and _prime_set(orders[g]) != {p} for g in epg.neighbors(x)):
@@ -634,7 +637,7 @@ def _t53_group_side(bundle) -> bool:
 
 def _t53_applies(bundle) -> bool:
     z = len(brute_center(bundle.group))
-    return len(_prime_set(len(bundle.group))) >= 2 and z > 1 and len(_prime_set(z)) == 1
+    return len(_prime_set(bundle.group.order)) >= 2 and z > 1 and len(_prime_set(z)) == 1
 
 
 def _even_degrees(graph) -> bool:
@@ -667,7 +670,7 @@ REFERENCE_SIDES = {
         lambda b: all(
             b.epg.has_edge(u, v) for u, v in itertools.combinations(range(b.epg.n), 2)
         ),
-        lambda b: frozenset(range(len(b.group))) in brute_cyclic_subgroups(b.group),
+        lambda b: frozenset(range(b.group.order)) in brute_cyclic_subgroups(b.group),
     ),
     "T3.1": (
         _always,
@@ -675,17 +678,17 @@ REFERENCE_SIDES = {
         _always,
     ),
     "T3.2": (
-        lambda b: len(b.group) >= 2 and _symmetric(b.group),
+        lambda b: b.group.order >= 2 and _symmetric(b.group),
         lambda b: _has_cone(b.epg),
         lambda b: cyclic_sylow_reference(abelian_shape_reference(b.group)),
     ),
     "T3.3": (
-        lambda b: not _symmetric(b.group) and len(_prime_set(len(b.group))) == 1,
+        lambda b: not _symmetric(b.group) and len(_prime_set(b.group.order)) == 1,
         lambda b: _has_cone(b.epg),
-        lambda b: _prime_set(len(b.group)) == {2} and table_orders(b.group).count(2) == 1,
+        lambda b: _prime_set(b.group.order) == {2} and table_orders(b.group).count(2) == 1,
     ),
     "T3.4": (
-        lambda b: len(b.group) >= 2 and not _symmetric(b.group) and brute_is_simple(b.group),
+        lambda b: b.group.order >= 2 and not _symmetric(b.group) and brute_is_simple(b.group),
         lambda b: not _has_cone(b.epg),
         _always,
     ),
@@ -700,13 +703,13 @@ REFERENCE_SIDES = {
             "eulerian": brute_connected(b.epg) and _even_degrees(b.epg),
             "all_degrees_even": _even_degrees(b.epg),
         },
-        lambda b: len(b.group) % 2 == 1,
+        lambda b: b.group.order % 2 == 1,
     ),
     "T5.1": (
-        lambda b: len(_prime_set(len(b.group))) == 1,
+        lambda b: len(_prime_set(b.group.order)) == 1,
         lambda b: brute_connected(b.deleted),
         lambda b: sum(
-            table_orders(b.group).count(p) // (p - 1) for p in _prime_set(len(b.group))
+            table_orders(b.group).count(p) // (p - 1) for p in _prime_set(b.group.order)
         ) == 1,
     ),
     "T5.2": (

@@ -202,7 +202,7 @@ def test_c12_structural_invariants(roster_bundles_48):
 
             # identity universality
             if n >= 2:
-                assert epg.degree(0) == n - 1
+                assert epg.degrees()[0] == n - 1
 
             # identical closed neighborhoods inside a class
             for gens in generator_sets:
@@ -227,4 +227,4 @@ def test_c12_structural_invariants(roster_bundles_48):
                 expected = phi[c] - 1 + sum(
                     phi[b] for b in range(class_count) if joined[c][b]
                 )
-                assert epg.degree(x) == expected, (group.spec.serialize(), x)
+                assert epg.degrees()[x] == expected, (group.spec.serialize(), x)

@@ -9,7 +9,6 @@ import pytest
 import epgraph.epg as epg_module
 from epgraph import (
     GroupSpec,
-    SimpleGraph,
     adjacent_oracle,
     analyze,
     build_bundle,
@@ -22,7 +21,13 @@ from epgraph import (
     to_edgelist_lines,
 )
 
-from helpers import brute_cyclic_subgroups, brute_lattice, lattice_epg_rows
+from helpers import (
+    brute_cyclic_subgroups,
+    brute_lattice,
+    clique_edges,
+    graph_from_edges,
+    lattice_epg_rows,
+)
 
 
 def bundle_for(spec_text):
@@ -38,8 +43,7 @@ def test_cyclic_groups_yield_complete_graphs():
 def test_klein_four_is_star():
     epg = bundle_for("product:cyclic:2,cyclic:2").epg
     assert epg.edge_count() == 3
-    assert epg.degree(0) == 3
-    assert all(epg.degree(v) == 1 for v in range(1, 4))
+    assert epg.degrees() == [3, 1, 1, 1]
 
 
 def test_s3_edges():
@@ -91,9 +95,8 @@ def test_clique_union_matches_oracle(spec_text):
 def test_maximal_cliques_give_every_subgroup_clique(roster_bundles_48):
     # cliques over the maximal subgroups only: same edges as over all of them
     for bundle in roster_bundles_48:
-        full = SimpleGraph(bundle.group.order)
-        for members in brute_cyclic_subgroups(bundle.group):
-            full.add_clique(sorted(members))
+        subgroups = [sorted(members) for members in brute_cyclic_subgroups(bundle.group)]
+        full = graph_from_edges(bundle.group.order, clique_edges(*subgroups))
         assert bundle.epg.rows == full.rows
 
 
@@ -176,7 +179,7 @@ def test_deleted_matches_epg_edge_for_edge(roster_bundles_48):
 def test_identity_universal(roster_bundles_48):
     for b in roster_bundles_48:
         if b.group.order >= 2:
-            assert b.epg.degree(0) == b.group.order - 1
+            assert b.epg.degrees()[0] == b.group.order - 1
 
 
 def test_gen_classes_have_identical_closed_neighborhoods(roster_bundles_48):

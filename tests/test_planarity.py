@@ -15,6 +15,7 @@ from epgraph import (
 )
 
 from helpers import (
+    clique_edges,
     complete_bipartite,
     complete_graph,
     graph_from_edges,
@@ -77,34 +78,28 @@ def test_petersen_nonplanar():
 
 def test_grid_planar():
     rows, cols = 6, 7
-    g = SimpleGraph(rows * cols)
+    edges = []
     for i in range(rows):
         for j in range(cols):
             v = i * cols + j
             if j + 1 < cols:
-                g.add_edge(v, v + 1)
+                edges.append((v, v + 1))
             if i + 1 < rows:
-                g.add_edge(v, v + cols)
-    assert planarity_verdict(g)[0]
+                edges.append((v, v + cols))
+    assert planarity_verdict(graph_from_edges(rows * cols, edges))[0]
 
 
 def test_clique_book_planar():
     # K4 pages glued along one shared edge (the shape of many power graphs)
-    g = SimpleGraph(10)
-    for page in range(4):
-        g.add_clique([0, 1, 2 + 2 * page, 3 + 2 * page])
-    assert planarity_verdict(g)[0]
+    pages = [[0, 1, 2 + 2 * page, 3 + 2 * page] for page in range(4)]
+    assert planarity_verdict(graph_from_edges(10, clique_edges(*pages)))[0]
 
 
 def test_disjoint_and_shared_components():
-    two_k4 = SimpleGraph(8)
-    two_k4.add_clique(range(4))
-    two_k4.add_clique(range(4, 8))
+    two_k4 = graph_from_edges(8, clique_edges(range(4), range(4, 8)))
     assert planarity_verdict(two_k4)[0]
 
-    shared = SimpleGraph(9)
-    shared.add_clique(range(5))
-    shared.add_clique([0, 5, 6, 7, 8])
+    shared = graph_from_edges(9, clique_edges(range(5), [0, 5, 6, 7, 8]))
     assert not planarity_verdict(shared)[0]
 
 
@@ -205,11 +200,6 @@ def test_subgraphs_of_triangulation_planar(graph):
 )
 @settings(max_examples=120, deadline=None)
 def test_graphs_containing_k33_nonplanar(labels, extra):
-    g = SimpleGraph(9)
-    for u in labels[:3]:
-        for v in labels[3:6]:
-            g.add_edge(u, v)
-    for u, v in extra:
-        if u != v:
-            g.add_edge(u, v)
+    k33 = [(u, v) for u in labels[:3] for v in labels[3:6]]
+    g = graph_from_edges(9, k33 + [(u, v) for u, v in extra if u != v])
     assert not planarity_verdict(g)[0]

@@ -5,6 +5,7 @@ import itertools
 import json
 import time
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from epgraph import (
     SimpleGraph,
     build_bundle,
     build_deleted,
+    is_simple,
     parse_spec,
     roster_generate,
     run_all,
@@ -26,6 +28,7 @@ from helpers import (
     REFERENCE_SIDES,
     brute_lattice,
     column_major_run_all,
+    complete_graph,
     pairwise_no_cross_edges,
 )
 
@@ -176,6 +179,15 @@ def test_t34_filter_excludes_abelian_simple(bundle_of):
     assert check.applies(a5)
 
 
+def test_t34_tests_simplicity_only_with_a_trivial_center(monkeypatch, bundle_of):
+    asked = []
+    monkeypatch.setattr(theorems, "is_simple", lambda g: asked.append(g) or is_simple(g))
+    check = CHECKS_BY_ID["T3.4"]
+    for spec in roster_generate(64):
+        check.applies(bundle_of(spec))
+    assert asked and all(len(g.center()) == 1 for g in asked)
+
+
 def test_filters_mutually_exclusive(bundle_of):
     t32, t33 = CHECKS_BY_ID["T3.2"], CHECKS_BY_ID["T3.3"]
     for spec in roster_generate(32):
@@ -288,6 +300,14 @@ def test_run_all_holds_one_bundle_at_a_time(monkeypatch):
     assert peak == 1
 
 
+def test_run_all_runs_each_decider_once_per_graph(decider_graphs):
+    # the checks share the bundle's two reports, so no property is decided twice
+    run_all(64)
+    calls = Counter((name, id(graph)) for name, graph in decider_graphs)
+    twice = [(name, graph.name) for name, graph in decider_graphs if calls[name, id(graph)] > 1]
+    assert calls and not twice, twice[:6]
+
+
 # -- predicates against their reference formulations ------------------------------
 
 
@@ -307,11 +327,25 @@ def test_predicates_match_reference_formulations(bundle_of):
     assert all(applied.values()), applied
 
 
+def test_applies_and_group_sides_read_only_the_group(bundle_of):
+    # a bundle whose graph is complete, whatever the group, must not move
+    # either: a fault in the graph cannot then move both sides of a check
+    for spec in roster_generate(64) + CHECKS_BY_ID["T3.1"].roster(64):
+        bundle = bundle_of(spec)
+        swapped = dataclasses.replace(bundle, epg=complete_graph(bundle.group.order))
+        for check in CHECKS:
+            where = (check.check_id, spec.serialize())
+            assert check.applies(swapped) == check.applies(bundle), where
+            if check.applies(bundle):
+                assert check.group_side(swapped) == check.group_side(bundle), where
+
+
 def _with_edge(bundle, x, y):
     """The bundle with one extra edge {x, y} planted in a copy of its EPG."""
     epg = SimpleGraph(bundle.epg.n)
     epg.rows = list(bundle.epg.rows)
-    epg.add_edge(x, y)
+    epg.rows[x] |= 1 << y
+    epg.rows[y] |= 1 << x
     return dataclasses.replace(bundle, epg=epg)
 
 
