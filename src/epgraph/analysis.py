@@ -12,9 +12,10 @@ enhanced power graph, costs one frame and not n - 1 pushes.
 ``find_missing_edge``, ``odd_degree_vertex``, ``cone_vertices``, the star
 verdict and planarity's edge-count reject all read the graph's one degree
 list (``SimpleGraph.degrees``), so a graph's degrees are counted once, and
-the two reports on a bundle share the enhanced power graph's list.
-``PropertyReport(graph, epg)`` runs each decider on the first read of a
-field that needs it, at most once per report, and is the one place that
+the deleted graph's report reads its cone vertices off the enhanced power
+graph's report, so they are found once per bundle.
+``PropertyReport(graph, epg_report)`` runs each decider on the first read
+of a field that needs it, at most once per report, and is the one place that
 defines tree, star and Eulerian; a report that finds the component reps
 reads ``connected`` off them, so a connected graph is expanded once. A
 bundle holds one report per graph (``EpgBundle.report`` and
@@ -225,14 +226,15 @@ class PropertyReport:
     """Verdicts on one graph, each decided on first read, with witnesses.
 
     ``graph`` is the graph the verdicts are about. ``cone_vertices`` always
-    refers to ``epg``, the enhanced power graph; a vertex is universal in
-    the deleted graph exactly when it is a cone vertex, so the set is the
-    same either way.
+    refers to the enhanced power graph: ``epg_report`` is the report on it,
+    or None when ``graph`` is that graph. A vertex is universal in the
+    deleted graph exactly when it is a cone vertex, so the deleted graph's
+    report reads the set off ``epg_report`` rather than finding it again.
     """
 
-    def __init__(self, graph: SimpleGraph, epg: SimpleGraph):
+    def __init__(self, graph: SimpleGraph, epg_report: Optional[PropertyReport] = None):
         self.graph = graph
-        self.epg = epg
+        self.epg_report = epg_report
 
     # -- the deciders, each run at most once per report -----------------------
 
@@ -269,7 +271,9 @@ class PropertyReport:
 
     @cached_property
     def cone_vertices(self) -> list[int]:
-        return cone_vertices(self.epg)
+        if self.epg_report is not None:
+            return self.epg_report.cone_vertices
+        return cone_vertices(self.graph)
 
     # -- verdicts and witnesses read off the deciders --------------------------
 

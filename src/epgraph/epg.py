@@ -1,15 +1,16 @@
 """Enhanced power graph construction plus a brute-force adjacency oracle.
 
 Vertices are element indices; two distinct elements are adjacent iff some
-cyclic subgroup contains both. Every cyclic subgroup lies in a maximal one,
-so the graph is the union of cliques over the maximal cyclic subgroups,
-which are exactly the group's maximal power walks. A bundle builds its
-identity-deleted graph and the property report on each graph on first
-read; all readers share the two reports, so a decider runs at most once
-per graph. A report holds its graphs and never the bundle, so a dropped
-bundle is freed at once. The pairwise oracle re-derives adjacency straight
-from the definition (some z has both x and y among its powers) and exists
-purely to cross-check the clique-union construction.
+cyclic subgroup contains both, so the graph is the union of cliques over
+the cyclic subgroups, which are exactly the group's power walks. A bundle
+builds its identity-deleted graph and the property report on each graph
+on first read; all readers share the two reports, so a decider runs at
+most once per graph, and the deleted graph's report reads its cone
+vertices off the other. A report holds its graph, and the deleted one
+the other report, but never the bundle, so a dropped bundle is freed at
+once. The pairwise oracle re-derives adjacency straight from the
+definition (some z has both x and y among its powers) and exists purely
+to cross-check the clique-union construction.
 """
 
 from __future__ import annotations
@@ -41,30 +42,29 @@ class EpgBundle:
 
     @cached_property
     def report(self) -> PropertyReport:
-        return PropertyReport(self.epg, self.epg)
+        return PropertyReport(self.epg)
 
     @cached_property
     def deleted_report(self) -> PropertyReport:
-        return PropertyReport(self.deleted, self.epg)
+        return PropertyReport(self.deleted, self.report)
 
 
 def build_epg(group: FiniteGroup) -> SimpleGraph:
-    """Union of cliques over the maximal cyclic subgroups, read off the walks.
+    """Union of cliques over the cyclic subgroups, read off the walks.
 
-    Each maximal walk's member mask is ORed into its members' rows. Every
-    element lies in some maximal walk, so this sets every diagonal bit, and
-    one XOR per row clears the diagonal at the end.
+    Each walk's member mask is ORed into its members' rows. Every element
+    lies in its own walk, so this sets every diagonal bit, and one XOR per
+    row clears the diagonal at the end.
     """
     name = group.spec.display() if group.spec is not None else f"order-{group.order}"
     graph = SimpleGraph(group.order, labels=list(enumerate(group.orders)), name=name)
     rows = graph.rows
-    for walk, maximal in zip(group.walks, group.maximal):
-        if maximal:
-            mask = 0
-            for v in walk:
-                mask |= 1 << v
-            for v in walk:
-                rows[v] |= mask
+    for walk in group.walks:
+        mask = 0
+        for v in walk:
+            mask |= 1 << v
+        for v in walk:
+            rows[v] |= mask
     graph.rows = [m ^ (1 << v) for v, m in enumerate(rows)]
     return graph
 

@@ -17,11 +17,10 @@ from an earlier one through a left multiplication. At order 4,096,
 2,048-element table. Every table here is trusted: the one kind of
 untrusted table, a Cayley file's, has its group laws checked by its reader
 (``epgraph.cayley_io``) before it gets here. Building a group walks its
-powers once (``epgraph.cyclic``); the walks are the group's cyclic
-structure: they give the element orders, the generator classes and the
-maximal cyclic subgroups, from which ``epgraph.epg`` builds the enhanced
-power graph, and the prime-order subgroup counts that T3.2, T3.3 and T5.1
-read.
+powers once (``epgraph.cyclic``); the walks and the element orders are
+the group's cyclic structure: ``epgraph.epg`` builds the enhanced power
+graph from the walks, and T3.2, T3.3 and T5.1 read the prime-order
+subgroup counts off them.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .cyclic import _maximal_walks, _walk_cyclic_subgroups
+from .cyclic import _walk_cyclic_subgroups
 from .errors import GroupParameterError, GroupSizeError
 
 DEFAULT_MAX_ORDER = 512
@@ -65,21 +64,19 @@ class FiniteGroup:
     ``table[i, j]`` is the index of the product i*j and element 0 is the
     identity. The constructor walks the powers of one generator of each
     distinct cyclic subgroup once: ``walks[c]`` is that subgroup in
-    generation order g, g^2, ..., identity, ``walk_of[x]`` is the c with
-    <x> = <g>, ``orders[x]`` is the order of x, and ``maximal[c]`` tells
-    whether walk c lies in no other cyclic subgroup. The constructor trusts
-    ``table`` to be a group; only the Cayley-file reader checks one.
+    generation order g, g^2, ..., identity, and ``orders[x]`` is the order
+    of x, so the generators of walk c are its members of order
+    ``len(walks[c])``. The constructor trusts ``table`` to be a group; only
+    the Cayley-file reader checks one.
     """
 
-    __slots__ = ("order", "table", "orders", "walks", "walk_of", "maximal", "spec",
-                 "_invs", "_center")
+    __slots__ = ("order", "table", "orders", "walks", "spec", "_invs", "_center")
 
     def __init__(self, table: np.ndarray, spec=None):
         self.order = int(table.shape[0])
         table.setflags(write=False)
         self.table = table
-        self.orders, self.walks, self.walk_of = _walk_cyclic_subgroups(table)
-        self.maximal = _maximal_walks(self.walks, self.walk_of)
+        self.orders, self.walks = _walk_cyclic_subgroups(table)
         self.spec = spec
         self._invs: Optional[tuple[int, ...]] = None
         self._center: Optional[tuple[int, ...]] = None

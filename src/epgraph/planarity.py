@@ -229,13 +229,6 @@ class _LRState:
                 self.ref[P.right.low] = P.left.low
                 P.right.low = None
             self.S.append(P)
-        if lowpt[e] < self.height[u] and self.S:  # e has a return edge
-            hl = _top(self.S).left.high
-            hr = _top(self.S).right.high
-            if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]):
-                self.ref[e] = hl
-            else:
-                self.ref[e] = hr
 
 
 def planarity_verdict(graph: SimpleGraph) -> tuple[bool, str]:

@@ -21,15 +21,16 @@ most once per graph, whichever checks ask: T2.2 and C2.3 share one cycle
 search, T3.1-T3.4 one cone-vertex scan, and T5.1-T5.3 one connectivity
 test. A report asks for a star only of a tree and for connectivity only
 when every degree is even. T2.1 reads the graph by bitmasks: one mask per
-generator class (the elements with one ``walk_of`` value) and one union
-per subgroup size, so each generator's row is tested once.
+generator class (a walk's members whose order is the walk's length) and
+one union per subgroup size, so each generator's row is tested once.
 
 Every ``applies`` and group side reads only the group, never a graph, so a
 fault in graph construction cannot move both sides of a check together.
-They read the group's power walks: T2.4's "cyclic" is some element of
-order |G|, T4.1's group side is the largest element order, T3.2, T3.3 and
-T5.1 read the prime-order subgroup counts, and T5.3 marks the order-p
-elements of each walk whose length is not a power of p.
+T3.1 applies by the group's spec, to a product whose last factor is a
+coprime Z_n. The rest read the group's power walks: T2.4's "cyclic" is
+some element of order |G|, T4.1's group side is the largest element
+order, T3.2, T3.3 and T5.1 read the prime-order subgroup counts, and T5.3
+marks the order-p elements of each walk whose length is not a power of p.
 """
 
 from __future__ import annotations
@@ -200,18 +201,17 @@ def _primes_of(n: int) -> set[int]:
 def _no_cross_edges_between_equal_order_classes(bundle: EpgBundle) -> bool:
     """No adjacency between generator classes of equal order but distinct subgroups.
 
-    Walk c's generator class is every x with ``walk_of[x] == c``. Each class
-    is one bitmask, and the classes of one subgroup size are OR-ed into one
-    union; a generator's row may meet that union only inside its own class.
-    A size with a single class has nothing to cross.
+    A walk of length k generates <g>, whose generators are exactly its
+    members of order k. Each class is one bitmask, and the classes of one
+    subgroup size are OR-ed into one union; a generator's row may meet that
+    union only inside its own class. A size with a single class has
+    nothing to cross.
     """
     group, rows = bundle.group, bundle.epg.rows
-    gen_class: list[list[int]] = [[] for _ in group.walks]
-    for x, c in enumerate(group.walk_of):
-        gen_class[c].append(x)
     by_size: dict[int, list[list[int]]] = {}
-    for walk, gens in zip(group.walks, gen_class):
-        by_size.setdefault(len(walk), []).append(gens)
+    for walk in group.walks:
+        k = len(walk)
+        by_size.setdefault(k, []).append([x for x in walk if group.orders[x] == k])
     for classes in by_size.values():
         if len(classes) < 2:
             continue
@@ -275,20 +275,18 @@ def _t31_roster(max_order: int) -> list[GroupSpec]:
     return out
 
 
-def _t31_graph_side(bundle: EpgBundle) -> bool:
-    # the product packs (identity, generator of the appended Z_n) at index 1
-    return 1 in bundle.report.cone_vertices
+def _t31_applies(bundle: EpgBundle) -> bool:
+    """The spec is a product H x Z_n, n >= 2, with gcd(|H|, n) = 1.
 
-
-def _t42_graph_side(bundle: EpgBundle) -> dict:
-    report = bundle.report
-    return {"eulerian": report.eulerian, "all_degrees_even": report.odd_degree_vertex is None}
-
-
-def _t42_agrees(graph_value: dict, group_value: bool) -> bool:
-    if graph_value["eulerian"] != group_value:
+    A product packs (h, z) at index h * n + z, and element 1 of Z_n
+    generates it, so index 1 is (identity, generator of Z_n): the vertex
+    the graph side reads.
+    """
+    spec = bundle.group.spec
+    if spec is None or spec.family != "product" or spec.params[-1].family != "cyclic":
         return False
-    return not group_value or graph_value["all_degrees_even"]
+    n = spec.params[-1].params[0]
+    return n >= 2 and math.gcd(bundle.group.order // n, n) == 1
 
 
 def _c23_graph_side(bundle: EpgBundle) -> list[bool]:
@@ -326,7 +324,8 @@ CHECKS: tuple[TheoremCheck, ...] = (
     TheoremCheck(
         "T3.1", "implies",
         "G x Z_n with gcd(|G|, n) = 1 makes (identity, generator) a cone vertex",
-        _const_true, _t31_graph_side, _const_true, roster=_t31_roster,
+        _t31_applies, lambda b: 1 in b.report.cone_vertices, _const_true,
+        roster=_t31_roster,
     ),
     TheoremCheck(
         "T3.2", "iff",
@@ -360,7 +359,7 @@ CHECKS: tuple[TheoremCheck, ...] = (
     TheoremCheck(
         "T4.2", "iff",
         "Eulerian iff the group order is odd (with even degrees throughout)",
-        _const_true, _t42_graph_side, lambda b: b.group.order % 2 == 1, agrees=_t42_agrees,
+        _const_true, lambda b: b.report.eulerian, lambda b: b.group.order % 2 == 1,
     ),
     TheoremCheck(
         "T5.1", "iff",

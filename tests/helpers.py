@@ -640,6 +640,17 @@ def _t53_applies(bundle) -> bool:
     return len(_prime_set(bundle.group.order)) >= 2 and z > 1 and len(_prime_set(z)) == 1
 
 
+def _t31_applies(bundle) -> bool:
+    """The serialized spec ends in a factor cyclic:n, n >= 2, sharing no prime
+    with the order of the factors before it."""
+    spec = bundle.group.spec
+    found = spec is not None and re.fullmatch(r"product:.+,cyclic:(\d+)", spec.serialize())
+    if not found:
+        return False
+    n = int(found.group(1))
+    return n >= 2 and not any((bundle.group.order // n) % p == 0 for p in _prime_set(n))
+
+
 def _even_degrees(graph) -> bool:
     return all(d % 2 == 0 for d in graph.degrees())
 
@@ -673,7 +684,7 @@ REFERENCE_SIDES = {
         lambda b: frozenset(range(b.group.order)) in brute_cyclic_subgroups(b.group),
     ),
     "T3.1": (
-        _always,
+        _t31_applies,
         lambda b: b.epg.n > 1 and b.epg.rows[1] == ((1 << b.epg.n) - 1) ^ 0b10,
         _always,
     ),
@@ -699,10 +710,7 @@ REFERENCE_SIDES = {
     ),
     "T4.2": (
         _always,
-        lambda b: {
-            "eulerian": brute_connected(b.epg) and _even_degrees(b.epg),
-            "all_degrees_even": _even_degrees(b.epg),
-        },
+        lambda b: brute_connected(b.epg) and _even_degrees(b.epg),
         lambda b: b.group.order % 2 == 1,
     ),
     "T5.1": (

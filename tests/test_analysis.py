@@ -48,7 +48,7 @@ def bundle_for(text):
 
 
 def report(graph):
-    return PropertyReport(graph, graph)
+    return PropertyReport(graph)
 
 
 # -- components -----------------------------------------------------------------
@@ -433,7 +433,7 @@ def test_report_json_matches_pinned_roster_49_128(bundle_of):
 def test_full_report_runs_each_decider_once(decider_calls, text, deleted):
     # is_connected never runs: connected is read off component_reps
     b = bundle_for(text)
-    r = PropertyReport(b.deleted if deleted else b.epg, b.epg)
+    r = PropertyReport(b.deleted, PropertyReport(b.epg)) if deleted else PropertyReport(b.epg)
     first = r.to_dict()
     assert r.to_dict() == first
     assert decider_calls == {**dict.fromkeys(decider_calls, 1), "is_connected": 0}
@@ -471,3 +471,13 @@ def test_fields_decide_only_what_they_need(decider_calls):
 def test_analyze_decides_every_field_before_returning(decider_calls):
     analyze(bundle_for("metacyclic:3:2:2"), deleted=True)
     assert decider_calls == {**dict.fromkeys(decider_calls, 1), "is_connected": 0}
+
+
+@pytest.mark.parametrize("text", ["dicyclic:3", "cyclic:6", "metacyclic:3:2:2"])
+def test_both_reports_of_a_bundle_find_the_cone_vertices_once(decider_calls, text):
+    # a vertex is universal in the deleted graph exactly when it is a cone vertex
+    b = bundle_for(text)
+    analyze(b)
+    analyze(b, deleted=True)
+    assert decider_calls["cone_vertices"] == 1
+    assert b.deleted_report.cone_vertices == b.report.cone_vertices

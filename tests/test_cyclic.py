@@ -5,26 +5,41 @@ from collections import Counter
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from epgraph import GroupSpec, ingest_cayley, prime_subgroup_counts, roster_generate
+from epgraph import (
+    CHECKS_BY_ID,
+    GroupSpec,
+    build_bundle,
+    ingest_cayley,
+    prime_subgroup_counts,
+    roster_generate,
+)
 
 from helpers import (
     brute_cyclic_subgroups,
     brute_lattice,
     cayley_file_text,
     is_prime,
+    lattice_epg_rows,
     table_of,
     totient,
 )
 
 
+def generators(group, walk):
+    """The generators of the walk's subgroup: its members of the walk's order."""
+    return {y for y in walk if group.orders[y] == len(walk)}
+
+
 def gen_class(group, x):
-    """Every y with <y> = <x>: the elements sharing x's walk index."""
-    return {y for y, c in enumerate(group.walk_of) if c == group.walk_of[x]}
+    """Every y with <y> = <x>: the generators of the one walk of x's order
+    holding x."""
+    (walk,) = [w for w in group.walks if len(w) == group.orders[x] and x in w]
+    return generators(group, walk)
 
 
 def assert_lattice_matches_brute_force(group):
-    """The walks, walk_of, orders, maximal flags and prime-order subgroup
-    counts against ``brute_lattice``."""
+    """The walks, their generator classes, the orders and the prime-order
+    subgroup counts against ``brute_lattice``."""
     want = brute_lattice(group)
     table = table_of(group)
     # each walk is its first element's powers x, x^2, ..., identity
@@ -38,9 +53,14 @@ def assert_lattice_matches_brute_force(group):
     rank = {s: i for i, s in enumerate(want["subgroups"])}
     ranked = [rank[tuple(sorted(walk))] for walk in group.walks]
     assert sorted(ranked) == list(range(len(want["subgroups"])))
-    assert tuple(ranked[c] for c in group.walk_of) == want["class_of"]
-    assert tuple(want["maximal_flags"][r] for r in ranked) == group.maximal
     assert group.orders == want["orders"]
+    # each element generates exactly one walk, the brute-force class of <x>
+    class_of = [None] * group.order
+    for r, walk in zip(ranked, group.walks):
+        for y in generators(group, walk):
+            assert class_of[y] is None
+            class_of[y] = r
+    assert tuple(class_of) == want["class_of"]
     # a subgroup of prime order is cyclic, so the brute-force scan finds them all
     sizes = Counter(len(s) for s in want["subgroups"])
     assert prime_subgroup_counts(group) == {q: k for q, k in sizes.items() if is_prime(q)}
@@ -61,9 +81,7 @@ def test_q8_subgroups():
 def test_trivial_group_lattice():
     g = GroupSpec.cyclic(1).realize()
     assert g.walks == ((0,),)
-    assert g.walk_of == (0,)
     assert g.orders == (1,)
-    assert g.maximal == (True,)
 
 
 def test_gen_class_examples():
@@ -90,28 +108,16 @@ def test_partition_identity_over_roster(roster_groups_48):
     # the generator classes partition the group: sum of phi(|C|) = |G|
     for group in roster_groups_48:
         assert sum(totient(len(w)) for w in group.walks) == group.order
-        sizes = [0] * len(group.walks)
-        for c in group.walk_of:
-            sizes[c] += 1
-        assert sizes == [totient(len(w)) for w in group.walks]
+        classes = [generators(group, w) for w in group.walks]
+        assert [len(c) for c in classes] == [totient(len(w)) for w in group.walks]
+        assert set().union(*classes) == set(range(group.order))
 
 
 def test_class_subgroup_size_is_element_order(roster_groups_48):
+    # x generates exactly one walk, and that walk's length is the order of x
     for group in roster_groups_48:
         for x in range(group.order):
-            assert len(group.walks[group.walk_of[x]]) == group.orders[x]
-
-
-def test_maximality_flags(roster_groups_48):
-    for group in roster_groups_48:
-        sets = [frozenset(w) for w in group.walks]
-        maximal = [s for s, flag in zip(sets, group.maximal) if flag]
-        # every element lies in at least one maximal cyclic subgroup
-        for x in range(group.order):
-            assert any(x in s for s in maximal)
-        # no maximal subgroup is contained in a different cyclic subgroup
-        for s in maximal:
-            assert not any(s < t for t in sets)
+            assert [len(w) for w in group.walks if x in generators(group, w)] == [group.orders[x]]
 
 
 def test_equal_order_subgroups_intersect_properly(roster_groups_48):
@@ -132,15 +138,6 @@ def test_lattice_matches_brute_force_over_roster(roster_groups_64):
         assert_lattice_matches_brute_force(group)
 
 
-def test_group_maximal_flags_in_rank_order_are_the_lattice_flags(roster_groups_64):
-    for group in roster_groups_64:
-        want = brute_lattice(group)
-        ranked = [None] * len(want["subgroups"])
-        for walk, flag in zip(group.walks, group.maximal):
-            ranked[want["subgroups"].index(tuple(sorted(walk)))] = flag
-        assert tuple(ranked) == want["maximal_flags"], group
-
-
 _ROSTER_64 = roster_generate(64)
 
 
@@ -149,10 +146,16 @@ _ROSTER_64 = roster_generate(64)
 @settings(max_examples=max(40, settings.default.max_examples), deadline=None)
 def test_lattice_matches_brute_force_on_relabelled_tables(data):
     # a relabelling fixing the identity makes index order differ from
-    # construction order, so walks start from other generators
+    # construction order, so walks start from other generators; the graph
+    # built from the walks must still be the union of the brute-force
+    # maximal cliques
     table = data.draw(st.sampled_from(_ROSTER_64)).realize().table
     n = table.shape[0]
     perm = np.array([0] + data.draw(st.permutations(range(1, n))), dtype=np.int64)
     relabelled = np.empty_like(table)
     relabelled[np.ix_(perm, perm)] = perm[table]
-    assert_lattice_matches_brute_force(ingest_cayley(cayley_file_text(relabelled.tolist())))
+    group = ingest_cayley(cayley_file_text(relabelled.tolist()))
+    assert_lattice_matches_brute_force(group)
+    bundle = build_bundle(group)
+    assert bundle.epg.rows == lattice_epg_rows(group)
+    assert CHECKS_BY_ID["T2.1"].graph_side(bundle)

@@ -93,7 +93,8 @@ def test_clique_union_matches_oracle(spec_text):
 
 
 def test_maximal_cliques_give_every_subgroup_clique(roster_bundles_48):
-    # cliques over the maximal subgroups only: same edges as over all of them
+    # build_epg's cliques over the walks: the cliques of every cyclic
+    # subgroup that a brute-force scan of the table finds
     for bundle in roster_bundles_48:
         subgroups = [sorted(members) for members in brute_cyclic_subgroups(bundle.group)]
         full = graph_from_edges(bundle.group.order, clique_edges(*subgroups))
@@ -101,7 +102,7 @@ def test_maximal_cliques_give_every_subgroup_clique(roster_bundles_48):
 
 
 def test_walk_graph_matches_lattice_cliques(bundle_of):
-    # build_epg reads the maximal walks; the reference adds one clique per
+    # build_epg ORs in every walk; the reference adds one clique per
     # maximal subgroup that a brute-force scan of the table finds
     for spec in roster_generate(128):
         group = bundle_of(spec).group

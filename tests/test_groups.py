@@ -747,13 +747,15 @@ def test_one_walk_per_cyclic_subgroup():
     z2_9 = GroupSpec.product([GroupSpec.cyclic(2)] * 9).realize()
     assert len(z2_9.walks) == 512  # the identity plus 511 subgroups of order 2
     for g in (z512, z2_9, GroupSpec.dihedral(12).realize()):
-        for x in range(g.order):
-            walk = g.walks[g.walk_of[x]]
-            assert x in walk and len(walk) == g.orders[x]
+        generated = []
+        for walk in g.walks:
             powers = [walk[0]]
             while powers[-1] != 0:
                 powers.append(int(g.table[powers[-1], walk[0]]))
             assert walk == tuple(powers)
+            generated += [x for x in walk if g.orders[x] == len(walk)]
+        # each element generates exactly one walk, of its own order
+        assert sorted(generated) == list(range(g.order))
 
 
 @pytest.mark.parametrize("text", [

@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 from epgraph import (
+    FiniteGroup,
     GroupParameterError,
     SimpleGraph,
     build_bundle,
@@ -169,6 +170,34 @@ def test_t31_roster_contents(bundle_of):
     assert all(name.startswith("product:") for name in names)
     for spec in roster:
         assert bundle_of(spec).group.order <= 32
+
+
+@pytest.mark.parametrize("text, applies", [
+    ("product:dihedral:3,cyclic:5", True),
+    ("product:cyclic:2,cyclic:2,cyclic:3", True),
+    ("product:cyclic:3,cyclic:2", True),
+    ("product:dihedral:3,cyclic:3", False),  # gcd(6, 3) = 3
+    ("product:cyclic:5,dihedral:3", False),  # the last factor is not cyclic
+    ("product:cyclic:2,cyclic:2", False),
+    ("cyclic:6", False),
+])
+def test_t31_applies_only_to_a_coprime_cyclic_last_factor(bundle_of, text, applies):
+    assert CHECKS_BY_ID["T3.1"].applies(bundle_of(parse_spec(text))) is applies
+
+
+def test_t31_applies_to_no_group_without_a_spec():
+    table = parse_spec("product:dihedral:3,cyclic:5").realize().table
+    assert not CHECKS_BY_ID["T3.1"].applies(build_bundle(FiniteGroup(table)))
+
+
+def test_t31_finds_no_counterexample_on_the_standard_roster():
+    # vertex 1 is (identity, generator of Z_n) only under a coprime cyclic
+    # last factor; elsewhere the graph side would read an unrelated element
+    check = CHECKS_BY_ID["T3.1"]
+    report = run_check(check, roster_generate(64), max_order=64)
+    assert report.counterexamples == [] and report.tested == report.passed == 16
+    own = run_check(check, check.roster(256), max_order=256)
+    assert own.counterexamples == [] and own.tested == len(check.roster(256)) == 99
 
 
 def test_t34_filter_excludes_abelian_simple(bundle_of):
