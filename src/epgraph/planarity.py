@@ -1,15 +1,33 @@
-"""Planarity testing via the left-right criterion.
+"""Planarity: two exact certificates first, the left-right test as fallback.
 
-Three phases: an Euler-formula edge-count reject on the graph's shared
-degree list (``SimpleGraph.edge_count``), a DFS orientation that
-computes lowpoints and a nesting order, and the LR partition test, which
-maintains a stack of conflict pairs of back-edge intervals and fails
-exactly when two back edges are forced onto the same side of the DFS tree
-while being T-opposite. Only the boolean verdict is produced; no embedding
-or Kuratowski certificate is extracted.
+``planarity_verdict`` decides in four steps, each on the graph's rows and
+its shared degree list (``SimpleGraph.degrees``):
+
+1. the Euler-formula reject: more than 3n - 6 edges;
+2. ``blocks_of_three``: every block has at most three vertices, after
+   removing one vertex adjacent to all others if there is one, which
+   proves the graph planar (the shape of every planar enhanced power
+   graph: the identity joined to edges and triangles);
+3. ``find_k5``: a greedy search for five pairwise adjacent vertices,
+   which proves the graph nonplanar (every element of order >= 5 spans
+   a K5 with its cyclic subgroup);
+4. ``left_right_planar``, the complete test, only when neither settles it.
+
+The left-right test runs a DFS orientation that computes lowpoints and a
+nesting order, then the LR partition test, which maintains a stack of
+conflict pairs of back-edge intervals and fails exactly when two back
+edges are forced onto the same side of the DFS tree while being
+T-opposite (Brandes, "The Left-Right Planarity Test", 2009). It yields
+only the boolean verdict; no embedding or Kuratowski subdivision is
+extracted, and the K5 that ``find_k5`` returns is the only one found. A
+nonplanar verdict's reject reason is ``edge-count`` after the Euler
+reject and ``left-right`` otherwise, whether the K5 search or the
+left-right test settled it.
 """
 
 from __future__ import annotations
+
+from typing import Iterator, Optional
 
 from .simplegraph import SimpleGraph
 
@@ -231,12 +249,109 @@ class _LRState:
             self.S.append(P)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
+
+
+def _component_count(rows: list[int], alive: int) -> int:
+    """Components of the subgraph the vertices of ``alive`` induce: one
+    bitmask expansion per component."""
+    count = 0
+    while alive:
+        reached = frontier = alive & -alive
+        while frontier:
+            grown = 0
+            for v in _bits(frontier):
+                grown |= rows[v]
+            frontier = grown & alive & ~reached
+            reached |= frontier
+        alive ^= reached
+        count += 1
+    return count
+
+
+def blocks_of_three(graph: SimpleGraph) -> bool:
+    """True only of a planar graph: H, the graph less one vertex u adjacent
+    to all others if there is one, else the graph itself, has every edge in
+    at most one triangle and ``edges == vertices - components + triangles``.
+    False says nothing.
+
+    Proof that such a graph is planar:
+
+    1. Edge-disjoint triangles are independent cycles: each has edges no
+       other has. H's cycle space has dimension edges - vertices +
+       components, so the equality makes the triangles span it.
+    2. Every simple cycle of H is then a sum of triangles, that is, the
+       union of edge-disjoint triangles; a cycle holds no shorter cycle,
+       so it is one triangle. A block on four or more vertices is
+       2-connected and holds a cycle of length >= 4, so every block of H
+       is K1, K2 or K3.
+    3. A graph whose blocks are K1, K2 or K3 is outerplanar: draw the
+       blocks one at a time, each in the outer face at its cut vertex.
+    4. A cone over an outerplanar graph is planar: u goes in the outer
+       face, which every vertex of H borders. So the graph is planar.
+
+    One pass over H's edges, a mask AND each, and one expansion per
+    component.
+    """
+    n, rows = graph.n, graph.rows
+    degrees = graph.degrees()
+    alive, edges, vertices = graph.universe, graph.edge_count(), n
+    if n - 1 in degrees:
+        alive ^= 1 << degrees.index(n - 1)
+        edges -= n - 1
+        vertices -= 1
+    corners = 0  # each triangle counted once per edge
+    for v in _bits(alive):
+        row = rows[v] & alive
+        for w in _bits(row >> (v + 1) << (v + 1)):
+            common = row & rows[w]
+            if common & (common - 1):
+                return False  # edge {v, w} lies in two triangles
+            corners += common != 0
+    return edges == vertices - _component_count(rows, alive) + corners // 3
+
+
+def find_k5(graph: SimpleGraph) -> Optional[tuple[int, int, int, int, int]]:
+    """Five pairwise adjacent vertices, ascending, or None if the greedy
+    search finds none (None does not prove the graph K5-free).
+
+    Each edge {v, w}, v < w, is extended by the lowest common neighbour of
+    the clique so far above its last vertex, until the clique holds five:
+    O(m) starts of at most three steps each.
+    """
+    rows = graph.rows
+    for v in range(graph.n):
+        for w in _bits(rows[v] >> (v + 1) << (v + 1)):
+            clique, common, last = [v, w], rows[v] & rows[w], w
+            while len(clique) < 5:
+                common = common >> (last + 1) << (last + 1)
+                if not common:
+                    break
+                last = (common & -common).bit_length() - 1
+                clique.append(last)
+                common &= rows[last]
+            else:
+                return tuple(clique)
+    return None
+
+
+def left_right_planar(graph: SimpleGraph) -> bool:
+    """The left-right test alone: exact on every graph, with no shortcut."""
+    adjs = [list(graph.neighbors(v)) for v in range(graph.n)]
+    return _LRState(graph.n, adjs).run()
+
+
 def planarity_verdict(graph: SimpleGraph) -> tuple[bool, str]:
     """(planar, reject reason); reason is 'edge-count', 'left-right', or ''."""
     n = graph.n
     if n > 2 and graph.edge_count() > 3 * n - 6:
         return False, "edge-count"
-    adjs = [list(graph.neighbors(v)) for v in range(n)]
-    if _LRState(n, adjs).run():
+    if blocks_of_three(graph):
         return True, ""
-    return False, "left-right"
+    if find_k5(graph) is not None or not left_right_planar(graph):
+        return False, "left-right"
+    return True, ""

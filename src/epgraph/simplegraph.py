@@ -79,7 +79,9 @@ def to_edgelist_lines(graph: SimpleGraph) -> list[str]:
 
 def to_dot(graph: SimpleGraph) -> str:
     """Graphviz source: one node per element, labeled 'g<i> (o=<order>)'."""
-    name = graph.name or "graph"
+    # backslashes doubled before quotes are escaped, so a trailing backslash
+    # in the name cannot escape the closing quote
+    name = (graph.name or "graph").replace("\\", "\\\\").replace('"', '\\"')
     lines = [f'graph "{name}" {{']
     for v in range(graph.n):
         lines.append(f'  n{v} [label="{_vertex_label(graph, v)}"];')

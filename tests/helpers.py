@@ -15,7 +15,7 @@ import numpy as np
 
 from epgraph import CayleyParseError, GroupSizeError, SimpleGraph, build_bundle
 from epgraph.analysis import _join_tree_paths
-from epgraph.planarity import planarity_verdict
+from epgraph.planarity import left_right_planar
 from epgraph.theorems import (
     CHECKS,
     CHECKS_BY_ID,
@@ -705,7 +705,7 @@ REFERENCE_SIDES = {
     ),
     "T4.1": (
         _always,
-        lambda b: planarity_verdict(b.epg)[0],
+        lambda b: left_right_planar(b.epg),
         lambda b: set(orders_multiset(b.group)) <= {1, 2, 3, 4},
     ),
     "T4.2": (

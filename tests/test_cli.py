@@ -39,6 +39,33 @@ def test_build_dot_q8(capsys):
     assert out.startswith('graph "Q8"')
 
 
+def _dot_graph_id(header: str) -> tuple[str, str]:
+    """The quoted ID opening a DOT header, unescaped, and the text after it,
+    scanned as Graphviz does: backslash-quote and backslash-backslash are
+    one token each, and the first other quote closes the ID."""
+    assert header.startswith('graph "')
+    i, chars = len('graph "'), []
+    while header[i] != '"':
+        if header[i] == "\\" and header[i + 1] in '"\\':
+            i += 1
+        chars.append(header[i])
+        i += 1
+    return "".join(chars), header[i + 1:]
+
+
+@pytest.mark.parametrize("file_name", ['z6 "q".cayley', "z6\\", 'q"\\'])
+@pytest.mark.parametrize("deleted", [False, True])
+def test_build_dot_quotes_a_file_name(tmp_path, capsys, file_name, deleted):
+    path = tmp_path / file_name
+    path.write_text(cayley_file_text([[(i + j) % 6 for j in range(6)] for i in range(6)]))
+    argv = ["build", "--group", f"file:{path}", "--format", "dot"]
+    code, out, _ = run_cli(argv + ["--deleted"] * deleted, capsys)
+    assert code == 0
+    name, rest = _dot_graph_id(out.splitlines()[0])
+    assert name == file_name + "*" * deleted
+    assert rest == " {"
+
+
 def test_build_rejects_oversized(capsys):
     code, _, err = run_cli(["build", "--group", "cyclic:9999"], capsys)
     assert code == 2

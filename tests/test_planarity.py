@@ -1,5 +1,7 @@
-"""Left-right planarity: base cases, subdivisions, exhaustive and randomized
-differentials against an independent Kuratowski-pattern oracle."""
+"""Planarity: base cases, subdivisions, exhaustive and randomized
+differentials against an independent Kuratowski-pattern oracle, and the
+blocks-of-three and K5 certificates against the left-right test alone and
+networkx."""
 
 import itertools
 import random
@@ -11,8 +13,11 @@ from epgraph import (
     GroupSpec,
     SimpleGraph,
     build_bundle,
+    planarity,
     planarity_verdict,
 )
+from epgraph.planarity import blocks_of_three, find_k5, left_right_planar
+from epgraph.theorems import CHECKS_BY_ID, roster_generate
 
 from helpers import (
     clique_edges,
@@ -203,3 +208,151 @@ def test_graphs_containing_k33_nonplanar(labels, extra):
     k33 = [(u, v) for u in labels[:3] for v in labels[3:6]]
     g = graph_from_edges(9, k33 + [(u, v) for u, v in extra if u != v])
     assert not planarity_verdict(g)[0]
+
+
+# -- the certificates --------------------------------------------------------
+
+
+@st.composite
+def _triangle_cactus_cone(draw):
+    """A cone over a random forest of edges and triangles, optionally with one
+    planted chord or 4-cycle, its vertices shuffled."""
+    edges, n = [], 1  # vertex 0 is the cone's apex until the shuffle
+    for _ in range(draw(st.integers(0, 8))):
+        at = draw(st.integers(0, n - 1))  # the apex starts a new component
+        if draw(st.booleans()):
+            edges += [(at, n), (at, n + 1), (n, n + 1)]
+            n += 2
+        else:
+            edges.append((at, n))
+            n += 1
+    plant = draw(st.sampled_from(["none", "chord", "4-cycle"]))
+    if plant != "none" and n >= 3:
+        a, b = draw(st.lists(st.integers(1, n - 1), min_size=2, max_size=2, unique=True))
+        if plant == "chord":
+            edges.append((a, b))
+        else:  # a - n - b - n + 1 - a
+            edges += [(a, n), (n, b), (b, n + 1), (n + 1, a)]
+            n += 2
+    if draw(st.booleans()):
+        edges += [(0, v) for v in range(1, n)]
+    labels = draw(st.permutations(range(n)))
+    return graph_from_edges(n, [(labels[u], labels[v]) for u, v in edges])
+
+
+@st.composite
+def _k5_with_tail(draw):
+    """K5 on five drawn vertices, a random tree through the others, and up
+    to three more edges: sparse enough to pass the edge-count reject."""
+    n = draw(st.integers(6, 16))
+    labels = draw(st.permutations(range(n)))
+    edges = clique_edges(labels[:5])
+    for i in range(5, n):
+        edges.append((labels[i], labels[draw(st.integers(0, i - 1))]))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges += [(u, v) for u, v in draw(st.lists(pairs, max_size=3)) if u != v]
+    return graph_from_edges(n, edges)
+
+
+@st.composite
+def _random_graph(draw):
+    n = draw(st.integers(0, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return graph_from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+_certificate_graphs = st.one_of(_random_graph(), _triangle_cactus_cone(), _k5_with_tail())
+# 1000 examples under `--hypothesis-profile=ci`
+_CERTIFICATE_SETTINGS = settings(max_examples=max(150, settings.default.max_examples),
+                                 deadline=None)
+
+
+def _assert_certificates_agree(graph, planar):
+    """The verdict is ``planar``; a blocks-of-three pass or a K5 found never
+    contradicts it, and every K5 found is five pairwise adjacent vertices."""
+    assert planarity_verdict(graph)[0] == planar
+    if blocks_of_three(graph):
+        assert planar
+    k5 = find_k5(graph)
+    if k5 is not None:
+        assert not planar
+        assert list(k5) == sorted(set(k5)) and len(k5) == 5
+        assert all(graph.rows[a] >> b & 1 for a, b in itertools.combinations(k5, 2))
+
+
+@given(_certificate_graphs)
+@_CERTIFICATE_SETTINGS
+def test_certificates_match_left_right(graph):
+    _assert_certificates_agree(graph, left_right_planar(graph))
+
+
+@given(_certificate_graphs)
+@_CERTIFICATE_SETTINGS
+def test_certificates_match_networkx(graph):
+    nx = pytest.importorskip("networkx")
+    reference = nx.Graph()
+    reference.add_nodes_from(range(graph.n))
+    reference.add_edges_from(graph.edges())
+    _assert_certificates_agree(graph, nx.check_planarity(reference)[0])
+
+
+def test_certificate_cases():
+    cactus = clique_edges([0, 1, 2], [0, 3, 4], [4, 5])
+    assert blocks_of_three(graph_from_edges(7, cactus + [(6, v) for v in range(6)]))
+    # a 4-cycle and two disjoint K4s are planar, but each has a block on four
+    # vertices, so the left-right test decides them
+    assert not blocks_of_three(graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    assert not blocks_of_three(graph_from_edges(8, clique_edges(range(4), range(4, 8))))
+    assert blocks_of_three(complete_graph(4))  # a cone over a triangle
+    # the equality fails on two triangles that share no edge but close a 4-cycle
+    bowtie_ring = graph_from_edges(6, clique_edges([0, 1, 2], [3, 4, 5]) + [(0, 3), (1, 4)])
+    assert not blocks_of_three(bowtie_ring)
+    assert find_k5(complete_graph(5)) == (0, 1, 2, 3, 4)
+    assert find_k5(complete_bipartite(3, 3)) is None
+    assert find_k5(complete_graph(4)) is None
+
+
+def _has_k4_component(graph) -> bool:
+    """Some vertex's closed neighbourhood is four vertices, each of which has
+    that same closed neighbourhood: a component that is K4, hence a K4 block."""
+    for v in range(graph.n):
+        closed = graph.rows[v] | 1 << v
+        if closed.bit_count() == 4 and all(
+            graph.rows[w] | 1 << w == closed for w in range(graph.n) if closed >> w & 1
+        ):
+            return True
+    return False
+
+
+def test_no_full_epg_reaches_the_left_right_test(monkeypatch):
+    reached = {"full": [], "deleted": []}
+    side = "full"
+
+    def recording(graph):
+        reached[side].append(graph)
+        return left_right_planar(graph)
+
+    monkeypatch.setattr(planarity, "left_right_planar", recording)
+    specs = roster_generate(256) + CHECKS_BY_ID["T3.1"].roster(256)
+    largest_order_5 = []
+    for spec in specs:
+        bundle = build_bundle(spec.realize())
+        side = "full"
+        if planarity_verdict(bundle.epg)[1] == "left-right":  # within the Euler bound
+            k5 = find_k5(bundle.epg)
+            assert k5 is not None
+            assert all(bundle.epg.has_edge(a, b) for a, b in itertools.combinations(k5, 2))
+        side = "deleted"
+        planarity_verdict(bundle.deleted)
+        if max(bundle.group.orders) == 5 and bundle.group.order > 5:
+            largest_order_5.append(bundle.deleted.name)
+    assert reached["full"] == []
+    # what reaches the test is planar with a K4 block, the non-identity
+    # elements of a cyclic subgroup of order 5, and no K5 to find; Z5's
+    # deleted graph is that K4 alone, a cone over a triangle
+    names = [graph.name for graph in reached["deleted"]]
+    assert names == largest_order_5
+    assert "Z5xZ5*" in names
+    assert all(_has_k4_component(graph) for graph in reached["deleted"])
+    assert all(left_right_planar(graph) for graph in reached["deleted"])
