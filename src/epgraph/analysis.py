@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 from .planarity import planarity_verdict
-from .simplegraph import SimpleGraph
+from .simplegraph import SimpleGraph, component
 
 if TYPE_CHECKING:
     from .epg import EpgBundle
@@ -44,30 +44,9 @@ REPORT_FIELDS = ("connected", "components", "complete", "cycle", "forest", "tree
                  "star", "bipartite", "eulerian", "planar", "cone_vertices")
 
 
-def _component(graph: SimpleGraph, s: int) -> int:
-    """Bitmask of the component of vertex s.
-
-    The frontier grows by the union of its members' rows; the expansion
-    stops once the component covers ``graph.universe``, so a connected
-    graph costs no more than reaching every vertex once.
-    """
-    rows, universe = graph.rows, graph.universe
-    comp = frontier = 1 << s
-    while frontier and comp != universe:
-        grown = 0
-        m = frontier
-        while m:
-            b = m & -m
-            grown |= rows[b.bit_length() - 1]
-            m ^= b
-        frontier = grown & ~comp
-        comp |= frontier
-    return comp
-
-
 def is_connected(graph: SimpleGraph) -> bool:
     """One expansion from vertex 0; no other component is looked for."""
-    return graph.n == 0 or _component(graph, 0) == graph.universe
+    return graph.n == 0 or component(graph, 0) == graph.universe
 
 
 def component_reps(graph: SimpleGraph) -> list[int]:
@@ -77,7 +56,7 @@ def component_reps(graph: SimpleGraph) -> list[int]:
     while seen != universe:
         s = ((seen + 1) & ~seen).bit_length() - 1  # lowest vertex not yet reached
         reps.append(s)
-        seen |= _component(graph, s)
+        seen |= component(graph, s)
     return reps
 
 
@@ -302,9 +281,15 @@ class PropertyReport:
     def to_dict(self) -> dict:
         """Every field in ``REPORT_FIELDS`` order, then each negative verdict's witness.
 
-        The component reps are found first, so ``connected`` costs no
-        expansion of its own.
+        The fields are gathered once, on the first call; each call returns
+        a new dict over them.
         """
+        return dict(self._fields)
+
+    @cached_property
+    def _fields(self) -> dict:
+        """The component reps are found first, so ``connected`` costs no
+        expansion of its own."""
         _ = self.component_reps
         out = {name: getattr(self, name) for name in REPORT_FIELDS}
         witnesses = {

@@ -27,9 +27,9 @@ left-right test settled it.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
-from .simplegraph import SimpleGraph
+from .simplegraph import SimpleGraph, bits, component
 
 
 class _Interval:
@@ -249,30 +249,6 @@ class _LRState:
             self.S.append(P)
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
-
-
-def _component_count(rows: list[int], alive: int) -> int:
-    """Components of the subgraph the vertices of ``alive`` induce: one
-    bitmask expansion per component."""
-    count = 0
-    while alive:
-        reached = frontier = alive & -alive
-        while frontier:
-            grown = 0
-            for v in _bits(frontier):
-                grown |= rows[v]
-            frontier = grown & alive & ~reached
-            reached |= frontier
-        alive ^= reached
-        count += 1
-    return count
-
-
 def blocks_of_three(graph: SimpleGraph) -> bool:
     """True only of a planar graph: H, the graph less one vertex u adjacent
     to all others if there is one, else the graph itself, has every edge in
@@ -305,14 +281,18 @@ def blocks_of_three(graph: SimpleGraph) -> bool:
         edges -= n - 1
         vertices -= 1
     corners = 0  # each triangle counted once per edge
-    for v in _bits(alive):
+    for v in bits(alive):
         row = rows[v] & alive
-        for w in _bits(row >> (v + 1) << (v + 1)):
+        for w in bits(row >> (v + 1) << (v + 1)):
             common = row & rows[w]
             if common & (common - 1):
                 return False  # edge {v, w} lies in two triangles
             corners += common != 0
-    return edges == vertices - _component_count(rows, alive) + corners // 3
+    components, rest = 0, alive
+    while rest:
+        rest &= ~component(graph, (rest & -rest).bit_length() - 1, alive)
+        components += 1
+    return edges == vertices - components + corners // 3
 
 
 def find_k5(graph: SimpleGraph) -> Optional[tuple[int, int, int, int, int]]:
@@ -325,7 +305,7 @@ def find_k5(graph: SimpleGraph) -> Optional[tuple[int, int, int, int, int]]:
     """
     rows = graph.rows
     for v in range(graph.n):
-        for w in _bits(rows[v] >> (v + 1) << (v + 1)):
+        for w in bits(rows[v] >> (v + 1) << (v + 1)):
             clique, common, last = [v, w], rows[v] & rows[w], w
             while len(clique) < 5:
                 common = common >> (last + 1) << (last + 1)

@@ -62,7 +62,7 @@ def test_components_deleted_s3():
     b = bundle_for("metacyclic:3:2:2")
     reps = component_reps(b.deleted)
     assert len(reps) == 4
-    sizes = [analysis._component(b.deleted, r).bit_count() for r in reps]
+    sizes = [analysis.component(b.deleted, r).bit_count() for r in reps]
     assert sorted(sizes) == [1, 1, 1, 2]
 
 
@@ -435,7 +435,8 @@ def test_full_report_runs_each_decider_once(decider_calls, text, deleted):
     b = bundle_for(text)
     r = PropertyReport(b.deleted, PropertyReport(b.epg)) if deleted else PropertyReport(b.epg)
     first = r.to_dict()
-    assert r.to_dict() == first
+    again = r.to_dict()
+    assert again == first and again is not first  # each call hands out its own dict
     assert decider_calls == {**dict.fromkeys(decider_calls, 1), "is_connected": 0}
 
 
@@ -447,8 +448,8 @@ def test_connected_full_report_expands_once(monkeypatch):
         calls.append(s)
         return component(graph, s)
 
-    component = analysis._component
-    monkeypatch.setattr(analysis, "_component", counting)
+    component = analysis.component
+    monkeypatch.setattr(analysis, "component", counting)
     b = bundle_for("dicyclic:3")
     report(b.epg).to_dict()
     assert calls == [0]
