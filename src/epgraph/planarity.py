@@ -18,11 +18,12 @@ nesting order, then the LR partition test, which maintains a stack of
 conflict pairs of back-edge intervals and fails exactly when two back
 edges are forced onto the same side of the DFS tree while being
 T-opposite (Brandes, "The Left-Right Planarity Test", 2009). It yields
-only the boolean verdict; no embedding or Kuratowski subdivision is
-extracted, and the K5 that ``find_k5`` returns is the only one found. A
-nonplanar verdict's reject reason is ``edge-count`` after the Euler
-reject and ``left-right`` otherwise, whether the K5 search or the
-left-right test settled it.
+only the boolean verdict: it runs the paper's testing phase alone and
+keeps no embedding state, only the side references that trim intervals.
+No embedding or Kuratowski subdivision is extracted, and the K5 that
+``find_k5`` returns is the only one found. A nonplanar verdict's reject
+reason is ``edge-count`` after the Euler reject and ``left-right``
+otherwise, whether the K5 search or the left-right test settled it.
 """
 
 from __future__ import annotations
@@ -43,9 +44,6 @@ class _Interval:
 
     def empty(self) -> bool:
         return self.low is None and self.high is None
-
-    def copy(self) -> "_Interval":
-        return _Interval(self.low, self.high)
 
     def conflicting(self, edge, lowpt) -> bool:
         return not self.empty() and lowpt[self.high] > lowpt[edge]
@@ -90,7 +88,6 @@ class _LRState:
         self.ref: dict = {}
         self.S: list[_ConflictPair] = []
         self.stack_bottom: dict = {}
-        self.lowpt_edge: dict = {}
 
     def run(self) -> bool:
         # one DFS state per phase, shared by the roots' disjoint trees: O(n), not O(n) per root
@@ -171,14 +168,12 @@ class _LRState:
                         descended = True
                         break
                     # back edge
-                    self.lowpt_edge[ei] = ei
                     self.S.append(_ConflictPair(right=_Interval(ei, ei)))
 
-                if self.lowpt[ei] < self.height[v]:  # ei has a return edge
-                    if w == adj[0]:
-                        self.lowpt_edge[e] = self.lowpt_edge[ei]
-                    elif not self._add_constraints(ei, e):
-                        return False
+                # ei has a return edge, and is not the first out-edge of v
+                if (self.lowpt[ei] < self.height[v] and w != adj[0]
+                        and not self._add_constraints(ei, e)):
+                    return False
                 ind[v] += 1
             if not descended and e is not None:
                 self._remove_back_edges(e)
@@ -195,13 +190,11 @@ class _LRState:
             if not Q.left.empty():
                 return False  # not planar
             if lowpt[Q.right.low] > lowpt[e]:
-                if P.right.empty():  # topmost interval
-                    P.right = Q.right.copy()
+                if P.right.empty():  # topmost interval; Q is dropped, so P takes it
+                    P.right = Q.right
                 else:
                     self.ref[P.right.low] = Q.right.high
                 P.right.low = Q.right.low
-            else:  # align
-                self.ref[Q.right.low] = self.lowpt_edge[e]
             if _top(self.S) is self.stack_bottom[ei]:
                 break
         # merge conflicting return edges of earlier siblings into P.left
@@ -220,7 +213,7 @@ class _LRState:
             if Q.right.low is not None:
                 P.right.low = Q.right.low
             if P.left.empty():  # topmost interval
-                P.left = Q.left.copy()
+                P.left = Q.left
             else:
                 self.ref[P.left.low] = Q.left.high
             P.left.low = Q.left.low
@@ -238,13 +231,11 @@ class _LRState:
             P = self.S.pop()
             while P.left.high is not None and P.left.high[1] == u:
                 P.left.high = self.ref.get(P.left.high)
-            if P.left.high is None and P.left.low is not None:
-                self.ref[P.left.low] = P.right.low
+            if P.left.high is None:  # the interval is empty
                 P.left.low = None
             while P.right.high is not None and P.right.high[1] == u:
                 P.right.high = self.ref.get(P.right.high)
-            if P.right.high is None and P.right.low is not None:
-                self.ref[P.right.low] = P.left.low
+            if P.right.high is None:
                 P.right.low = None
             self.S.append(P)
 

@@ -10,6 +10,11 @@ One flat grammar serves the CLI, reports, and roster listings:
     perm:DEGREE:<gen>,<gen>,...   with cycle-notation generators like (0 1 2)
     file:PATH                 (Cayley table file)
 
+The four integer families are described once, in ``_INT_FAMILIES``: the
+grammar of their parameters, the order those fix, and the table builder.
+Parsing, serialization, ``known_order`` and the table each read them in one
+branch off that table.
+
 Nested products flatten, so serialization round-trips. A spec is the only
 way to build a group: ``GroupSpec`` checks each family's parameter laws when
 it is made, and ``realize`` checks the order cap before it calls a table
@@ -21,7 +26,9 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,41 +47,44 @@ from .groups import (
 
 FAMILIES = ("cyclic", "product", "dihedral", "dicyclic", "metacyclic", "perm", "file")
 
+
+class _IntFamily(NamedTuple):
+    names: tuple[str, ...]  # the grammar: one integer per name after "family:"
+    order: Callable[..., int]
+    build: Callable[..., np.ndarray]
+
+
+_INT_FAMILIES = {
+    "cyclic": _IntFamily(("n",), lambda n: n, cyclic_table),
+    "dihedral": _IntFamily(("m",), lambda m: 2 * m, lambda m: metacyclic_table(m, 2, m - 1)),
+    "dicyclic": _IntFamily(("m",), lambda m: 4 * m, dicyclic_table),
+    "metacyclic": _IntFamily(("m", "n", "k"), lambda m, n, k: m * n, metacyclic_table),
+}
+
 # ASCII: \d and \s would also match non-ASCII digits and spaces
 _CYCLE_RE = re.compile(r"\(([^()]*)\)", re.ASCII)
 _GEN_RE = re.compile(r"^(\(\s*(\d+(\s+\d+)*)?\s*\))+$", re.ASCII)
 _INT_RE = re.compile(r"-?[0-9]+")
 
 
+@dataclass(frozen=True, slots=True)
 class GroupSpec:
     """A group construction: family name plus family-specific parameters.
 
-    Instances are immutable and hashable. The parameters are checked against
-    the family's laws when the spec is made, raising GroupParameterError; the
-    family-named classmethods only shape them.
+    Instances are immutable and hashable. The parameters are checked when
+    the spec is made, raising GroupParameterError: an integer family takes
+    exactly as many ``int`` parameters as its grammar in ``_INT_FAMILIES``
+    names, and every family's parameters obey its laws. The family-named
+    classmethods only shape them.
     """
 
-    __slots__ = ("family", "params")
+    family: str
+    params: tuple
 
-    def __init__(self, family: str, params: tuple):
-        if family not in FAMILIES:
-            raise GroupParameterError(f"unknown family {family!r}")
-        _check_laws(family, params)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "params", params)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupSpec is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupSpec)
-            and self.family == other.family
-            and self.params == other.params
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.family, self.params))
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise GroupParameterError(f"unknown family {self.family!r}")
+        _check_laws(self.family, self.params)
 
     def __repr__(self) -> str:
         return f"GroupSpec({self.serialize()!r})"
@@ -120,32 +130,19 @@ class GroupSpec:
     def known_order(self) -> int | None:
         """The group order when it is determined by the parameters alone."""
         f = self.family
-        if f == "cyclic":
-            return self.params[0]
+        if f in _INT_FAMILIES:
+            return _INT_FAMILIES[f].order(*self.params)
         if f == "product":
             orders = [c.known_order() for c in self.params]
             return None if any(o is None for o in orders) else math.prod(orders)
-        if f == "dihedral":
-            return 2 * self.params[0]
-        if f == "dicyclic":
-            return 4 * self.params[0]
-        if f == "metacyclic":
-            return self.params[0] * self.params[1]
         return None
 
     def serialize(self) -> str:
         f = self.family
-        if f == "cyclic":
-            return f"cyclic:{self.params[0]}"
+        if f in _INT_FAMILIES:
+            return f"{f}:" + ":".join(map(str, self.params))
         if f == "product":
             return "product:" + ",".join(c.serialize() for c in self.params)
-        if f == "dihedral":
-            return f"dihedral:{self.params[0]}"
-        if f == "dicyclic":
-            return f"dicyclic:{self.params[0]}"
-        if f == "metacyclic":
-            m, n, k = self.params
-            return f"metacyclic:{m}:{n}:{k}"
         if f == "perm":
             degree, gens = self.params
             return f"perm:{degree}:" + ",".join(cycle_notation(g) for g in gens)
@@ -186,14 +183,8 @@ class GroupSpec:
         """The multiplication table; a product folds its factors' tables."""
         self._check_cap(max_order)
         f, p = self.family, self.params
-        if f == "cyclic":
-            return cyclic_table(p[0])
-        if f == "dihedral":
-            return metacyclic_table(p[0], 2, p[0] - 1)
-        if f == "dicyclic":
-            return dicyclic_table(p[0])
-        if f == "metacyclic":
-            return metacyclic_table(*p)
+        if f in _INT_FAMILIES:
+            return _INT_FAMILIES[f].build(*p)
         if f == "perm":
             return closure_table(*p, max_order=max_order)
         if f == "file":
@@ -220,7 +211,14 @@ class GroupSpec:
 
 
 def _check_laws(family: str, params: tuple) -> None:
-    """Raise GroupParameterError unless ``params`` obey the family's laws."""
+    """Raise GroupParameterError unless ``params`` obey the family's laws; an
+    integer family's are first checked to be as many ``int`` values as its
+    grammar names."""
+    if family in _INT_FAMILIES:
+        names = _INT_FAMILIES[family].names
+        if len(params) != len(names) or not all(type(p) is int for p in params):
+            grammar = ":".join(names)
+            raise GroupParameterError(f"{family} needs int parameters {grammar}, got {params!r}")
     if family == "cyclic":
         if params[0] < 1:
             raise GroupParameterError(f"cyclic order must be >= 1, got {params[0]}")
@@ -328,18 +326,8 @@ def _parse_one(chunks: list[str], i: int) -> tuple[GroupSpec, int]:
         raise SpecSyntaxError("empty group spec")
     head, _, rest = chunk.partition(":")
     try:
-        if head == "cyclic":
-            return GroupSpec.cyclic(_int_param(rest, chunk)), i + 1
-        if head == "dihedral":
-            return GroupSpec.dihedral(_int_param(rest, chunk)), i + 1
-        if head == "dicyclic":
-            return GroupSpec.dicyclic(_int_param(rest, chunk)), i + 1
-        if head == "metacyclic":
-            parts = rest.split(":")
-            if len(parts) != 3:
-                raise SpecSyntaxError(f"metacyclic needs m:n:k, got {chunk!r}")
-            m, n, k = (_int_param(p, chunk) for p in parts)
-            return GroupSpec.metacyclic(m, n, k), i + 1
+        if head in _INT_FAMILIES:  # GroupSpec checks the parameter count
+            return GroupSpec(head, tuple([_int_param(p, chunk) for p in rest.split(":")])), i + 1
         if head == "file":
             if not rest:
                 raise SpecSyntaxError("file spec needs a path")

@@ -194,10 +194,6 @@ def _orders_at_most_2(bundle: EpgBundle) -> bool:
     return all(o <= 2 for o in bundle.group.orders)
 
 
-def _primes_of(n: int) -> set[int]:
-    return set(prime_factors(n)) if n > 1 else set()
-
-
 def _no_cross_edges_between_equal_order_classes(bundle: EpgBundle) -> bool:
     """No adjacency between generator classes of equal order but distinct subgroups.
 
@@ -232,10 +228,7 @@ def _is_power_of(n: int, p: int) -> bool:
 
 def _t53_applies(bundle: EpgBundle) -> bool:
     group = bundle.group
-    if len(_primes_of(group.order)) < 2:
-        return False
-    z = len(group.center())
-    return z > 1 and len(_primes_of(z)) == 1
+    return len(prime_factors(group.order)) >= 2 and len(prime_factors(len(group.center()))) == 1
 
 
 def _t53_group_side(bundle: EpgBundle) -> bool:
@@ -249,7 +242,7 @@ def _t53_group_side(bundle: EpgBundle) -> bool:
     """
     group = bundle.group
     center = group.center()
-    p = next(iter(_primes_of(len(center))))
+    p = next(iter(prime_factors(len(center))))
     unmarked = {x for x, o in enumerate(group.orders) if o == p}.difference(center)
     for walk in group.walks:
         k = len(walk)
@@ -371,7 +364,7 @@ CHECKS: tuple[TheoremCheck, ...] = (
     TheoremCheck(
         "T5.2", "implies",
         "two or more primes in |Z(G)| force the deleted graph connected",
-        lambda b: len(_primes_of(len(b.group.center()))) >= 2,
+        lambda b: len(prime_factors(len(b.group.center()))) >= 2,
         lambda b: b.deleted_report.connected, _const_true,
     ),
     TheoremCheck(

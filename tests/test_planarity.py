@@ -1,7 +1,7 @@
 """Planarity: base cases, subdivisions, exhaustive and randomized
-differentials against an independent Kuratowski-pattern oracle, and the
-blocks-of-three and K5 certificates against the left-right test alone and
-networkx."""
+differentials against an independent Kuratowski-pattern oracle, for the
+full verdict and the left-right test alone, and the blocks-of-three and K5
+certificates against the left-right test alone and networkx."""
 
 import itertools
 import random
@@ -114,23 +114,33 @@ def test_degenerate():
     assert planarity_verdict(SimpleGraph(7))[0]  # isolated vertices
 
 
-def test_exhaustive_five_vertices():
+# the certificates settle most small graphs, so the left-right test alone
+# meets the oracles too
+_DECIDERS = pytest.mark.parametrize("planar", [
+    lambda g: planarity_verdict(g)[0],
+    left_right_planar,
+], ids=["planarity_verdict", "left_right_planar"])
+
+
+@_DECIDERS
+def test_exhaustive_five_vertices(planar):
     # the only non-planar graph on five vertices is K5 itself
     pairs = list(itertools.combinations(range(5), 2))
     full = (1 << 10) - 1
     for mask in range(1 << 10):
         g = graph_from_edges(5, [pairs[i] for i in range(10) if mask >> i & 1])
-        assert planarity_verdict(g)[0] == (mask != full), f"mask {mask}"
+        assert planar(g) == (mask != full), f"mask {mask}"
 
 
-def test_randomized_six_vertices_against_pattern_oracle():
+@_DECIDERS
+def test_randomized_six_vertices_against_pattern_oracle(planar):
     pairs = list(itertools.combinations(range(6), 2))
     rng = random.Random(20240809)
     masks = set(rng.sample(range(1 << 15), 4000))
     masks.update(m for m in range(1 << 15) if bin(m).count("1") >= 12)
     for mask in masks:
         g = graph_from_edges(6, [pairs[i] for i in range(15) if mask >> i & 1])
-        assert planarity_verdict(g)[0] == tiny_planarity_oracle(g), f"mask {mask}"
+        assert planar(g) == tiny_planarity_oracle(g), f"mask {mask}"
 
 
 # one component after hundreds of isolated vertices: every isolated vertex
@@ -294,7 +304,9 @@ def test_certificates_match_networkx(graph):
     reference = nx.Graph()
     reference.add_nodes_from(range(graph.n))
     reference.add_edges_from(graph.edges())
-    _assert_certificates_agree(graph, nx.check_planarity(reference)[0])
+    planar = nx.check_planarity(reference)[0]
+    assert left_right_planar(graph) == planar
+    _assert_certificates_agree(graph, planar)
 
 
 def test_certificate_cases():

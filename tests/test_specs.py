@@ -4,6 +4,7 @@ import pytest
 
 from epgraph import GroupParameterError, GroupSpec, SpecSyntaxError, parse_spec
 from epgraph.specs import cycle_notation, parse_generator
+from epgraph.theorems import CHECKS_BY_ID, roster_generate
 
 
 ROUND_TRIP_CASES = [
@@ -26,6 +27,18 @@ def test_serialize_round_trip(text):
     spec = parse_spec(text)
     assert spec.serialize() == text
     assert parse_spec(spec.serialize()) == spec
+
+
+def test_roster_round_trips():
+    # every integer family's serialize and parse run through one generic
+    # branch each, so the whole roster guards them, not only the cases above
+    specs = list(dict.fromkeys(roster_generate(256) + CHECKS_BY_ID["T3.1"].roster(256)))
+    assert len(specs) == 782
+    for spec in specs:
+        again = parse_spec(spec.serialize())
+        assert again == spec and hash(again) == hash(spec), spec.serialize()
+        if spec.known_order() is not None:
+            assert spec.known_order() == spec.realize().order, spec.serialize()
 
 
 def test_nested_products_flatten():
@@ -136,10 +149,16 @@ def test_spec_constructors_validate():
     ("perm", (3, ((0, 0, 1),))),
     ("product", ()),
     ("file", ("",)),
+    # an integer family takes exactly its grammar's count of ints
+    ("cyclic", (6, 7)),
+    ("metacyclic", (4, 2)),
+    ("dihedral", ()),
+    ("cyclic", ("6",)),
 ])
 def test_raw_spec_checks_laws_when_made(family, params):
-    # the laws live in GroupSpec itself, so a spec made without the
-    # family-named classmethods is refused before realize is reached
+    # the laws and the parameter count live in GroupSpec itself, so a spec
+    # made without the family-named classmethods is refused before realize
+    # is reached
     with pytest.raises(GroupParameterError):
         GroupSpec(family, params)
 
