@@ -5,10 +5,14 @@ Each property has one decider, which asks only what its property needs:
 covers every vertex, ``component_reps`` expands each component once, and
 ``find_missing_edge``, ``find_cycle``, ``bipartite_coloring`` and
 ``odd_degree_vertex`` stop at their first witness; ``planarity_verdict``
-and ``cone_vertices`` complete the set. The two searches keep frames
-[remaining mask, parent, depth], one per expanded vertex rather than one
-entry per neighbor, so the identity, adjacent to every vertex of an
-enhanced power graph, costs one frame and not n - 1 pushes.
+and ``cone_vertices`` complete the set. ``planarity_verdict`` decides
+enhanced power graphs and their deleted graphs, the only graphs a bundle
+holds; on another graph that its certificates leave open it raises
+ValueError, and so does reading that report's ``planar``. The two
+searches keep frames [remaining mask, parent, depth], one per expanded
+vertex rather than one entry per neighbor, so the identity, adjacent to
+every vertex of an enhanced power graph, costs one frame and not n - 1
+pushes.
 ``find_missing_edge``, ``odd_degree_vertex``, ``cone_vertices``, the star
 verdict and planarity's edge-count reject all read the graph's one degree
 list (``SimpleGraph.degrees``), so a graph's degrees are counted once, and

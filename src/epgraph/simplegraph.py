@@ -45,9 +45,6 @@ class SimpleGraph:
             self._degrees = list(map(int.bit_count, self.rows))
         return self._degrees
 
-    def neighbors(self, u: int) -> Iterator[int]:
-        return bits(self.rows[u])
-
     def edge_count(self) -> int:
         return sum(self.degrees()) // 2
 

@@ -211,9 +211,10 @@ class GroupSpec:
 
 
 def _check_laws(family: str, params: tuple) -> None:
-    """Raise GroupParameterError unless ``params`` obey the family's laws; an
-    integer family's are first checked to be as many ``int`` values as its
-    grammar names."""
+    """Raise GroupParameterError unless ``params`` obey the family's laws.
+    Their shape is checked first: an integer family takes as many ``int``
+    values as its grammar names, ``perm`` an ``int`` degree and a tuple of
+    ``int`` tuples, and ``file`` one ``str``."""
     if family in _INT_FAMILIES:
         names = _INT_FAMILIES[family].names
         if len(params) != len(names) or not all(type(p) is int for p in params):
@@ -239,6 +240,12 @@ def _check_laws(family: str, params: tuple) -> None:
                 f"metacyclic needs gcd(k, m) = 1 and k^n = 1 (mod m), got {params}"
             )
     elif family == "perm":
+        shaped = len(params) == 2 and type(params[0]) is int and type(params[1]) is tuple
+        if not shaped or not all(type(g) is tuple and all(type(x) is int for x in g)
+                                 for g in params[1]):
+            raise GroupParameterError(
+                f"perm needs an int degree and a tuple of int tuples, got {params!r}"
+            )
         degree, gens = params
         if degree < 1:
             raise GroupParameterError(f"permutation degree must be >= 1, got {degree}")
@@ -247,6 +254,8 @@ def _check_laws(family: str, params: tuple) -> None:
         for g in gens:
             if sorted(g) != list(range(degree)):
                 raise GroupParameterError(f"{g} is not a permutation of 0..{degree - 1}")
+    elif len(params) != 1 or type(params[0]) is not str:
+        raise GroupParameterError(f"file needs one str path, got {params!r}")
     elif not params[0]:
         raise GroupParameterError("file spec needs a path")
 

@@ -5,8 +5,8 @@ from epgraph import analysis, build_bundle
 from epgraph.theorems import roster_generate
 
 # `--hypothesis-profile=ci` raises the random-graph tests of test_analysis.py
-# and test_planarity.py's certificate and left-right differentials (against
-# the left-right test alone and networkx) from 150 examples each,
+# and test_planarity.py's certificate differential against networkx from 150
+# examples each,
 # test_cyclic.py's relabelled tables and test_cayley_io.py's roster texts
 # and law-oracle tables from 100, and test_groups.py's metacyclic and
 # product reference tables from 80, to 1000

@@ -1,7 +1,7 @@
-"""Planarity: base cases, subdivisions, exhaustive and randomized
-differentials against an independent Kuratowski-pattern oracle, for the
-full verdict and the left-right test alone, and the blocks-of-three and K5
-certificates against the left-right test alone and networkx."""
+"""Planarity: base cases, graphs that no certificate settles, exhaustive
+and randomized differentials against an independent Kuratowski-pattern
+oracle and networkx for the verdict and each certificate, and the
+certificates' completeness on every roster graph up to order 512."""
 
 import itertools
 import random
@@ -9,14 +9,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epgraph import (
-    GroupSpec,
-    SimpleGraph,
-    build_bundle,
-    planarity,
-    planarity_verdict,
-)
-from epgraph.planarity import blocks_of_three, find_k5, left_right_planar
+from epgraph import GroupSpec, SimpleGraph, build_bundle, planarity_verdict
+from epgraph.planarity import blocks_of_three, find_k5
 from epgraph.theorems import CHECKS_BY_ID, roster_generate
 
 from helpers import (
@@ -24,8 +18,28 @@ from helpers import (
     complete_bipartite,
     complete_graph,
     graph_from_edges,
+    networkx_planar,
     tiny_planarity_oracle,
+    verdict_or_none,
 )
+
+
+def _verdict_or_none(graph):
+    return verdict_or_none(graph)[0]
+
+
+def _certificates_alone(graph):
+    """True on a blocks-of-three pass, False on a K5 found, else None."""
+    if blocks_of_three(graph):
+        return True
+    return False if find_k5(graph) is not None else None
+
+
+def _unsettled(graph):
+    """No certificate settles ``graph``, which is no enhanced power graph
+    and no deleted graph, so the verdict raises."""
+    with pytest.raises(ValueError, match="no planarity certificate settles"):
+        planarity_verdict(graph)
 
 
 def test_small_complete_graphs():
@@ -36,22 +50,26 @@ def test_small_complete_graphs():
 
 
 def test_k33_and_near_misses():
-    assert not planarity_verdict(complete_bipartite(3, 3))[0]
-    assert planarity_verdict(complete_bipartite(2, 3))[0]
+    # each holds a 4-cycle and no K5, so neither certificate settles it
+    _unsettled(complete_bipartite(3, 3))
+    _unsettled(complete_bipartite(2, 3))
     k33_minus = complete_bipartite(3, 3)
     k33_minus.rows[0] &= ~(1 << 3)
     k33_minus.rows[3] &= ~(1 << 0)
-    assert planarity_verdict(k33_minus)[0]
+    _unsettled(k33_minus)
 
 
 def test_k5_minus_edge_planar():
+    # planar, but an edge in two triangles remains after removing a cone vertex
     edges = [e for e in itertools.combinations(range(5), 2) if e != (0, 1)]
-    assert planarity_verdict(graph_from_edges(5, edges))[0]
+    _unsettled(graph_from_edges(5, edges))
 
 
 def test_verdict_reasons():
     assert planarity_verdict(complete_graph(5)) == (False, "edge-count")
-    assert planarity_verdict(complete_bipartite(3, 3)) == (False, "left-right")
+    # a K5 with a tail is within the Euler bound: the K5 certificate rejects it
+    k5_tail = graph_from_edges(6, clique_edges(range(5)) + [(4, 5)])
+    assert planarity_verdict(k5_tail) == (False, "left-right")
     assert planarity_verdict(complete_graph(4)) == (True, "")
 
 
@@ -66,10 +84,11 @@ def _subdivide_all(n, edges):
 
 
 def test_subdivisions_stay_nonplanar():
+    # nonplanar with no K5: no certificate settles a subdivision
     n, edges = _subdivide_all(5, list(itertools.combinations(range(5), 2)))
-    assert not planarity_verdict(graph_from_edges(n, edges))[0]
+    _unsettled(graph_from_edges(n, edges))
     n, edges = _subdivide_all(6, [(u, v) for u in range(3) for v in range(3, 6)])
-    assert not planarity_verdict(graph_from_edges(n, edges))[0]
+    _unsettled(graph_from_edges(n, edges))
 
 
 def test_petersen_nonplanar():
@@ -78,7 +97,7 @@ def test_petersen_nonplanar():
         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
         + [(i, i + 5) for i in range(5)]
     )
-    assert not planarity_verdict(graph_from_edges(10, edges))[0]
+    _unsettled(graph_from_edges(10, edges))  # nonplanar, with no triangle
 
 
 def test_grid_planar():
@@ -91,7 +110,9 @@ def test_grid_planar():
                 edges.append((v, v + 1))
             if i + 1 < rows:
                 edges.append((v, v + cols))
-    assert planarity_verdict(graph_from_edges(rows * cols, edges))[0]
+    # planar, but its blocks and C5's have more than three vertices
+    _unsettled(graph_from_edges(rows * cols, edges))
+    _unsettled(graph_from_edges(5, [(v, (v + 1) % 5) for v in range(5)]))
 
 
 def test_clique_book_planar():
@@ -102,7 +123,7 @@ def test_clique_book_planar():
 
 def test_disjoint_and_shared_components():
     two_k4 = graph_from_edges(8, clique_edges(range(4), range(4, 8)))
-    assert planarity_verdict(two_k4)[0]
+    assert planarity_verdict(two_k4) == (True, "")  # K4 components
 
     shared = graph_from_edges(9, clique_edges(range(5), [0, 5, 6, 7, 8]))
     assert not planarity_verdict(shared)[0]
@@ -114,12 +135,11 @@ def test_degenerate():
     assert planarity_verdict(SimpleGraph(7))[0]  # isolated vertices
 
 
-# the certificates settle most small graphs, so the left-right test alone
-# meets the oracles too
-_DECIDERS = pytest.mark.parametrize("planar", [
-    lambda g: planarity_verdict(g)[0],
-    left_right_planar,
-], ids=["planarity_verdict", "left_right_planar"])
+# most small graphs are no enhanced power graph and go unsettled; every
+# verdict returned, and each certificate without the Euler reject before it,
+# must match the oracle
+_DECIDERS = pytest.mark.parametrize("planar", [_verdict_or_none, _certificates_alone],
+                                    ids=["planarity_verdict", "certificates"])
 
 
 @_DECIDERS
@@ -127,9 +147,14 @@ def test_exhaustive_five_vertices(planar):
     # the only non-planar graph on five vertices is K5 itself
     pairs = list(itertools.combinations(range(5), 2))
     full = (1 << 10) - 1
+    settled = 0
     for mask in range(1 << 10):
         g = graph_from_edges(5, [pairs[i] for i in range(10) if mask >> i & 1])
-        assert planar(g) == (mask != full), f"mask {mask}"
+        verdict = planar(g)
+        assert verdict in (None, mask != full), f"mask {mask}"
+        settled += verdict is not None
+    assert planar(graph_from_edges(5, pairs)) is False
+    assert settled >= 700  # of 1024
 
 
 @_DECIDERS
@@ -138,13 +163,17 @@ def test_randomized_six_vertices_against_pattern_oracle(planar):
     rng = random.Random(20240809)
     masks = set(rng.sample(range(1 << 15), 4000))
     masks.update(m for m in range(1 << 15) if bin(m).count("1") >= 12)
+    settled = 0
     for mask in masks:
         g = graph_from_edges(6, [pairs[i] for i in range(15) if mask >> i & 1])
-        assert planar(g) == tiny_planarity_oracle(g), f"mask {mask}"
+        verdict = planar(g)
+        assert verdict in (None, tiny_planarity_oracle(g)), f"mask {mask}"
+        settled += verdict is not None
+    assert settled >= 1400  # of 4507
 
 
-# one component after hundreds of isolated vertices: every isolated vertex
-# is a DFS root of its own, and the component's root comes last
+# one component after hundreds of isolated vertices, which the certificates
+# scan first; only the K5 is settled
 _LAST_COMPONENTS = {
     "K5": (5, list(itertools.combinations(range(5), 2))),
     "K33": (6, [(u, v) for u in range(3) for v in range(3, 6)]),
@@ -164,19 +193,19 @@ def _after_isolated(isolated, name):
 @pytest.mark.parametrize("name", sorted(_LAST_COMPONENTS))
 def test_many_roots_match_pattern_oracle(name, isolated):
     graph, component = _after_isolated(isolated, name)
-    assert planarity_verdict(graph)[0] == tiny_planarity_oracle(component)
-    assert planarity_verdict(graph)[0] == (name == "octahedron")
+    verdict = _verdict_or_none(graph)
+    assert verdict in (None, tiny_planarity_oracle(component))
+    assert verdict is (False if name == "K5" else None)
 
 
 @pytest.mark.parametrize("isolated", [300, 700])
 @pytest.mark.parametrize("name", sorted(_LAST_COMPONENTS))
 def test_many_roots_match_networkx(name, isolated):
-    nx = pytest.importorskip("networkx")
+    pytest.importorskip("networkx")
     graph, _ = _after_isolated(isolated, name)
-    reference = nx.Graph()
-    reference.add_nodes_from(range(graph.n))
-    reference.add_edges_from(graph.edges())
-    assert planarity_verdict(graph)[0] == nx.check_planarity(reference)[0]
+    verdict = _verdict_or_none(graph)
+    assert verdict in (None, networkx_planar(graph))
+    assert verdict is (False if name == "K5" else None)
 
 
 def test_deleted_graph_of_elementary_abelian_is_planar():
@@ -206,7 +235,7 @@ def _planar_subgraph(draw):
 @given(_planar_subgraph())
 @settings(max_examples=120, deadline=None)
 def test_subgraphs_of_triangulation_planar(graph):
-    assert planarity_verdict(graph)[0]
+    assert _verdict_or_none(graph) in (None, True)
 
 
 @given(
@@ -217,7 +246,7 @@ def test_subgraphs_of_triangulation_planar(graph):
 def test_graphs_containing_k33_nonplanar(labels, extra):
     k33 = [(u, v) for u in labels[:3] for v in labels[3:6]]
     g = graph_from_edges(9, k33 + [(u, v) for u, v in extra if u != v])
-    assert not planarity_verdict(g)[0]
+    assert _verdict_or_none(g) in (None, False)
 
 
 # -- the certificates --------------------------------------------------------
@@ -226,7 +255,8 @@ def test_graphs_containing_k33_nonplanar(labels, extra):
 @st.composite
 def _triangle_cactus_cone(draw):
     """A cone over a random forest of edges and triangles, optionally with one
-    planted chord or 4-cycle, its vertices shuffled."""
+    planted chord or 4-cycle and up to two K4 components, its vertices
+    shuffled."""
     edges, n = [], 1  # vertex 0 is the cone's apex until the shuffle
     for _ in range(draw(st.integers(0, 8))):
         at = draw(st.integers(0, n - 1))  # the apex starts a new component
@@ -244,6 +274,9 @@ def _triangle_cactus_cone(draw):
         else:  # a - n - b - n + 1 - a
             edges += [(a, n), (n, b), (b, n + 1), (n + 1, a)]
             n += 2
+    for _ in range(draw(st.integers(0, 2))):
+        edges += clique_edges(range(n, n + 4))
+        n += 4
     if draw(st.booleans()):
         edges += [(0, v) for v in range(1, n)]
     labels = draw(st.permutations(range(n)))
@@ -279,92 +312,67 @@ _CERTIFICATE_SETTINGS = settings(max_examples=max(150, settings.default.max_exam
 
 
 def _assert_certificates_agree(graph, planar):
-    """The verdict is ``planar``; a blocks-of-three pass or a K5 found never
-    contradicts it, and every K5 found is five pairwise adjacent vertices."""
-    assert planarity_verdict(graph)[0] == planar
+    """A verdict returned is ``planar``, a blocks-of-three pass or a K5
+    found never contradicts it, and every K5 found is five ascending,
+    pairwise adjacent vertices."""
+    assert _verdict_or_none(graph) in (None, planar)
     if blocks_of_three(graph):
         assert planar
     k5 = find_k5(graph)
     if k5 is not None:
         assert not planar
-        assert list(k5) == sorted(set(k5)) and len(k5) == 5
-        assert all(graph.rows[a] >> b & 1 for a, b in itertools.combinations(k5, 2))
+        _assert_k5(graph, k5)
 
 
-@given(_certificate_graphs)
-@_CERTIFICATE_SETTINGS
-def test_certificates_match_left_right(graph):
-    _assert_certificates_agree(graph, left_right_planar(graph))
+def _assert_k5(graph, k5):
+    assert list(k5) == sorted(set(k5)) and len(k5) == 5
+    assert all(graph.rows[a] >> b & 1 for a, b in itertools.combinations(k5, 2))
 
 
 @given(_certificate_graphs)
 @_CERTIFICATE_SETTINGS
 def test_certificates_match_networkx(graph):
-    nx = pytest.importorskip("networkx")
-    reference = nx.Graph()
-    reference.add_nodes_from(range(graph.n))
-    reference.add_edges_from(graph.edges())
-    planar = nx.check_planarity(reference)[0]
-    assert left_right_planar(graph) == planar
-    _assert_certificates_agree(graph, planar)
+    pytest.importorskip("networkx")
+    _assert_certificates_agree(graph, networkx_planar(graph))
 
 
 def test_certificate_cases():
     cactus = clique_edges([0, 1, 2], [0, 3, 4], [4, 5])
     assert blocks_of_three(graph_from_edges(7, cactus + [(6, v) for v in range(6)]))
-    # a 4-cycle and two disjoint K4s are planar, but each has a block on four
-    # vertices, so the left-right test decides them
+    # a 4-cycle is planar, but its block has four vertices
     assert not blocks_of_three(graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
-    assert not blocks_of_three(graph_from_edges(8, clique_edges(range(4), range(4, 8))))
-    assert blocks_of_three(complete_graph(4))  # a cone over a triangle
+    # K4 components are set aside, a cone over a triangle is one
+    assert blocks_of_three(graph_from_edges(8, clique_edges(range(4), range(4, 8))))
+    assert blocks_of_three(graph_from_edges(9, clique_edges(range(4), [4, 5, 6], [6, 7])))
+    assert blocks_of_three(complete_graph(4))
+    # but not under a cone, which would make each a K5
+    assert not blocks_of_three(graph_from_edges(9, clique_edges(range(4), range(4, 8))
+                                                + [(8, v) for v in range(8)]))
     # the equality fails on two triangles that share no edge but close a 4-cycle
     bowtie_ring = graph_from_edges(6, clique_edges([0, 1, 2], [3, 4, 5]) + [(0, 3), (1, 4)])
     assert not blocks_of_three(bowtie_ring)
     assert find_k5(complete_graph(5)) == (0, 1, 2, 3, 4)
+    assert find_k5(complete_graph(7)) == (0, 1, 2, 3, 4)
     assert find_k5(complete_bipartite(3, 3)) is None
     assert find_k5(complete_graph(4)) is None
+    # a K5 each of whose vertices has a neighbour outside it is not found:
+    # None does not prove a graph K5-free
+    spiky = clique_edges(range(5)) + [(v, v + 5) for v in range(5)]
+    assert find_k5(graph_from_edges(10, spiky)) is None
 
 
-def _has_k4_component(graph) -> bool:
-    """Some vertex's closed neighbourhood is four vertices, each of which has
-    that same closed neighbourhood: a component that is K4, hence a K4 block."""
-    for v in range(graph.n):
-        closed = graph.rows[v] | 1 << v
-        if closed.bit_count() == 4 and all(
-            graph.rows[w] | 1 << w == closed for w in range(graph.n) if closed >> w & 1
-        ):
-            return True
-    return False
-
-
-def test_no_full_epg_reaches_the_left_right_test(monkeypatch):
-    reached = {"full": [], "deleted": []}
-    side = "full"
-
-    def recording(graph):
-        reached[side].append(graph)
-        return left_right_planar(graph)
-
-    monkeypatch.setattr(planarity, "left_right_planar", recording)
-    specs = roster_generate(256) + CHECKS_BY_ID["T3.1"].roster(256)
-    largest_order_5 = []
-    for spec in specs:
-        bundle = build_bundle(spec.realize())
-        side = "full"
-        if planarity_verdict(bundle.epg)[1] == "left-right":  # within the Euler bound
-            k5 = find_k5(bundle.epg)
-            assert k5 is not None
-            assert all(bundle.epg.has_edge(a, b) for a, b in itertools.combinations(k5, 2))
-        side = "deleted"
-        planarity_verdict(bundle.deleted)
-        if max(bundle.group.orders) == 5 and bundle.group.order > 5:
-            largest_order_5.append(bundle.deleted.name)
-    assert reached["full"] == []
-    # what reaches the test is planar with a K4 block, the non-identity
-    # elements of a cyclic subgroup of order 5, and no K5 to find; Z5's
-    # deleted graph is that K4 alone, a cone over a triangle
-    names = [graph.name for graph in reached["deleted"]]
-    assert names == largest_order_5
-    assert "Z5xZ5*" in names
-    assert all(_has_k4_component(graph) for graph in reached["deleted"])
-    assert all(left_right_planar(graph) for graph in reached["deleted"])
+def test_certificates_settle_every_roster_graph_to_512():
+    """The certificates are complete on enhanced power graphs and deleted
+    graphs: each gets a verdict, and the K5 certificate fires exactly when
+    the largest element order is at least 5 (full) or 6 (deleted), that is,
+    exactly on the nonplanar ones (T4.1)."""
+    specs = roster_generate(512) + CHECKS_BY_ID["T3.1"].roster(512)
+    for spec in {spec.serialize(): spec for spec in specs}.values():
+        bundle = build_bundle(spec.realize(max_order=512))
+        largest = max(bundle.group.orders)
+        for graph, bound in ((bundle.epg, 5), (bundle.deleted, 6)):
+            planar, _ = planarity_verdict(graph)
+            k5 = find_k5(graph)
+            assert planar == (k5 is None) == (largest < bound), graph.name
+            if k5 is not None:
+                _assert_k5(graph, k5)

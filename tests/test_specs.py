@@ -154,6 +154,16 @@ def test_spec_constructors_validate():
     ("metacyclic", (4, 2)),
     ("dihedral", ()),
     ("cyclic", ("6",)),
+    # so do perm, an int degree and a tuple of int tuples, and file, one str
+    ("perm", ()),
+    ("perm", (3,)),
+    ("perm", (3, ((1, 0, 2),), 4)),
+    ("perm", (3.0, ((1, 0, 2),))),
+    ("perm", (3, [(1, 0, 2)])),
+    ("perm", (3, ((1.0, 0, 2),))),
+    ("file", ()),
+    ("file", (5,)),
+    ("file", ("a", "b")),
 ])
 def test_raw_spec_checks_laws_when_made(family, params):
     # the laws and the parameter count live in GroupSpec itself, so a spec
