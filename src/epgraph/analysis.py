@@ -39,7 +39,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 from .planarity import planarity_verdict
-from .simplegraph import SimpleGraph, component
+from .simplegraph import SimpleGraph, component, component_reps
 
 if TYPE_CHECKING:
     from .epg import EpgBundle
@@ -51,17 +51,6 @@ REPORT_FIELDS = ("connected", "components", "complete", "cycle", "forest", "tree
 def is_connected(graph: SimpleGraph) -> bool:
     """One expansion from vertex 0; no other component is looked for."""
     return graph.n == 0 or component(graph, 0) == graph.universe
-
-
-def component_reps(graph: SimpleGraph) -> list[int]:
-    """Each component's smallest vertex, ascending: one expansion per component."""
-    universe, seen = graph.universe, 0
-    reps: list[int] = []
-    while seen != universe:
-        s = ((seen + 1) & ~seen).bit_length() - 1  # lowest vertex not yet reached
-        reps.append(s)
-        seen |= component(graph, s)
-    return reps
 
 
 def find_missing_edge(graph: SimpleGraph) -> Optional[tuple[int, int]]:

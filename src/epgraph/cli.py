@@ -139,11 +139,10 @@ def _cmd_verify(args) -> int:
         ids = None
     else:
         unknown = [i for i in ids if i not in CHECKS_BY_ID]
-        if unknown:
-            raise GroupError(
-                f"unknown theorem ids: {', '.join(unknown)}; "
-                f"known: {', '.join(c.check_id for c in CHECKS)} or 'all'"
-            )
+        if unknown or not ids:
+            what = (f"unknown theorem ids: {', '.join(unknown)}" if unknown
+                    else f"no theorem ids in {args.theorem!r}")
+            raise GroupError(f"{what}; known: {', '.join(c.check_id for c in CHECKS)} or 'all'")
     reports = run_all(args.roster_max, check_ids=ids)
     failed = any(
         r.counterexamples or (r.vacuous and CHECKS_BY_ID[r.theorem].direction == "iff")

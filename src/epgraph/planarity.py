@@ -46,7 +46,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Optional
 
-from .simplegraph import SimpleGraph, bits, component
+from .simplegraph import SimpleGraph, bits, component_reps
 
 
 def blocks_of_three(graph: SimpleGraph) -> bool:
@@ -100,11 +100,7 @@ def blocks_of_three(graph: SimpleGraph) -> bool:
             if common & (common - 1):
                 return False  # edge {v, w} lies in two triangles
             corners += common != 0
-    components, rest = 0, alive
-    while rest:
-        rest &= ~component(graph, (rest & -rest).bit_length() - 1, alive)
-        components += 1
-    return edges == vertices - components + corners // 3
+    return edges == vertices - len(component_reps(graph, alive)) + corners // 3
 
 
 def find_k5(graph: SimpleGraph) -> Optional[tuple[int, int, int, int, int]]:

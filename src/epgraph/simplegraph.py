@@ -6,9 +6,10 @@ compares. A builder assigns ``rows`` once, before any read (those of
 ``epgraph.epg`` assign the rows they compute), and the graph is immutable
 from then on, so any number of readers may share one. The degree list is
 counted once, on the first ``degrees()`` call, and every reader shares it.
-``bits`` lists a mask's vertices and ``component`` expands one component,
-a whole frontier of rows at a time, within an optional vertex mask; the
-analysis deciders and the planarity certificates share both.
+``bits`` lists a mask's vertices, ``component`` expands one component, a
+whole frontier of rows at a time, within an optional vertex mask, and
+``component_reps`` lists every component by its smallest vertex; the
+analysis deciders and the planarity certificates share all three.
 """
 
 from __future__ import annotations
@@ -87,6 +88,17 @@ def component(graph: SimpleGraph, s: int, alive: Optional[int] = None) -> int:
         frontier = grown & alive & ~comp
         comp |= frontier
     return comp
+
+
+def component_reps(graph: SimpleGraph, alive: Optional[int] = None) -> list[int]:
+    """Each component's smallest vertex, ascending, in the subgraph that the
+    vertices of ``alive`` (by default all) induce: one expansion per component."""
+    reps: list[int] = []
+    rest = graph.universe if alive is None else alive
+    while rest:
+        reps.append((rest & -rest).bit_length() - 1)  # lowest vertex not yet reached
+        rest &= ~component(graph, reps[-1], alive)
+    return reps
 
 
 # -- serialization -----------------------------------------------------------

@@ -15,11 +15,14 @@ grammar of their parameters, the order those fix, and the table builder.
 Parsing, serialization, ``known_order`` and the table each read them in one
 branch off that table.
 
-Nested products flatten, so serialization round-trips. A spec is the only
-way to build a group: ``GroupSpec`` checks each family's parameter laws when
-it is made, and ``realize`` checks the order cap before it calls a table
-builder of ``epgraph.groups`` (``cayley_io.cayley_table`` for a file) and
-wraps the table in one ``FiniteGroup``.
+``parse_spec`` reads a spec in one pass and checks its syntax only. Each
+factor drops its "product:" prefixes, so products flatten at any depth, and
+a product made directly refuses a product factor: serialization
+round-trips. A spec is the only way to build a group: ``GroupSpec`` checks
+each family's parameter laws when it is made, and ``realize`` checks the
+order cap before it calls a table builder of ``epgraph.groups``
+(``cayley_io.cayley_table`` for a file) and wraps the table in one
+``FiniteGroup``.
 """
 
 from __future__ import annotations
@@ -65,6 +68,8 @@ _INT_FAMILIES = {
 _CYCLE_RE = re.compile(r"\(([^()]*)\)", re.ASCII)
 _GEN_RE = re.compile(r"^(\(\s*(\d+(\s+\d+)*)?\s*\))+$", re.ASCII)
 _INT_RE = re.compile(r"-?[0-9]+")
+# "product:" prefixes in one linear match; \s matches what str.strip strips
+_PRODUCTS_RE = re.compile(r"(?:product:\s*)*")
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,8 +229,9 @@ def _check_laws(family: str, params: tuple) -> None:
         if params[0] < 1:
             raise GroupParameterError(f"cyclic order must be >= 1, got {params[0]}")
     elif family == "product":
-        if not all(isinstance(c, GroupSpec) for c in params):
-            raise GroupParameterError("product children must be GroupSpec values")
+        # flat, as GroupSpec.product makes it, so its text parses back to it
+        if not all(isinstance(c, GroupSpec) and c.family != "product" for c in params):
+            raise GroupParameterError("product factors must be GroupSpec values, none a product")
         if not params:
             raise GroupParameterError("product needs at least one factor")
     elif family in ("dihedral", "dicyclic"):
@@ -299,28 +305,6 @@ def parse_generator(text: str, degree: int) -> tuple[int, ...]:
     return tuple(mapping)
 
 
-def _split_top_level(text: str) -> list[str]:
-    chunks = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise SpecSyntaxError(f"unbalanced parentheses in {text!r}")
-        if ch == "," and depth == 0:
-            chunks.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise SpecSyntaxError(f"unbalanced parentheses in {text!r}")
-    chunks.append("".join(current))
-    return chunks
-
-
 def _int_param(tok: str, context: str) -> int:
     """An ASCII decimal integer, minus sign allowed; not what int() also
     takes (spaces, a plus sign, underscores, non-ASCII digits)."""
@@ -329,51 +313,45 @@ def _int_param(tok: str, context: str) -> int:
     return int(tok)
 
 
-def _parse_one(chunks: list[str], i: int) -> tuple[GroupSpec, int]:
-    chunk = chunks[i].strip()
-    if not chunk:
+def _parse_factor(text: str, *gens: str) -> GroupSpec:
+    """One factor, its leading "product:" prefixes dropped: an integer
+    family, a ``perm`` whose further generators are ``gens``, or a
+    ``file``. Only the syntax is checked here; GroupSpec checks the laws."""
+    text = text[_PRODUCTS_RE.match(text).end():]
+    if not text:
         raise SpecSyntaxError("empty group spec")
-    head, _, rest = chunk.partition(":")
-    try:
-        if head in _INT_FAMILIES:  # GroupSpec checks the parameter count
-            return GroupSpec(head, tuple([_int_param(p, chunk) for p in rest.split(":")])), i + 1
-        if head == "file":
-            if not rest:
-                raise SpecSyntaxError("file spec needs a path")
-            return GroupSpec.file(rest), i + 1
-        if head == "perm":
-            deg_tok, _, first_gen = rest.partition(":")
-            degree = _int_param(deg_tok, chunk)
-            if not first_gen:
-                raise SpecSyntaxError(f"perm spec needs generators, got {chunk!r}")
-            gen_texts = [first_gen]
-            j = i + 1
-            while j < len(chunks) and chunks[j].strip().startswith("("):
-                gen_texts.append(chunks[j].strip())
-                j += 1
-            gens = [parse_generator(t, degree) for t in gen_texts]
-            return GroupSpec.perm(degree, gens), j
-        if head == "product":
-            if not rest:
-                raise SpecSyntaxError("product spec needs factors")
-            sub = [rest] + chunks[i + 1:]
-            children = []
-            j = 0
-            while j < len(sub):
-                child, j = _parse_one(sub, j)
-                children.append(child)
-            return GroupSpec.product(children), len(chunks)
-    except GroupParameterError as exc:
-        raise SpecSyntaxError(str(exc)) from None
-    raise SpecSyntaxError(f"unknown group family in {chunk!r}")
+    head, _, rest = text.partition(":")
+    if head == "perm":
+        deg_tok, _, first_gen = rest.partition(":")
+        degree = _int_param(deg_tok, text)
+        return GroupSpec.perm(degree, [parse_generator(g, degree) for g in (first_gen, *gens)])
+    if gens:
+        raise SpecSyntaxError(f"trailing content after spec: {','.join(gens)!r}")
+    if head in _INT_FAMILIES:  # GroupSpec checks the parameter count
+        return GroupSpec(head, tuple([_int_param(p, text) for p in rest.split(":")]))
+    if head == "file":
+        return GroupSpec.file(rest)
+    raise SpecSyntaxError(f"unknown group family in {text!r}")
 
 
 def parse_spec(text: str) -> GroupSpec:
-    """Parse a textual group spec; raises SpecSyntaxError on malformed input."""
-    if not isinstance(text, str) or not text.strip():
+    """Parse a textual group spec; raises SpecSyntaxError on malformed input.
+    Of the pieces between commas, one that opens with '(' is a generator of
+    the piece before it; a product is a spec opening with "product:"."""
+    if not isinstance(text, str):
         raise SpecSyntaxError("empty group spec")
-    chunks = _split_top_level(text.strip())
-    spec, nxt = _parse_one(chunks, 0)
-    if nxt != len(chunks):
-        raise SpecSyntaxError(f"trailing content after spec: {','.join(chunks[nxt:])!r}")
-    return spec
+    factors: list[list[str]] = []  # a factor's text, then its further generators
+    for piece in map(str.strip, text.split(",")):
+        if factors and piece.startswith("("):
+            factors[-1].append(piece)
+        else:
+            factors.append([piece])
+    product = factors[0][0].startswith("product:")
+    if len(factors) > 1 and not product:
+        rest = ",".join(",".join(f) for f in factors[1:])
+        raise SpecSyntaxError(f"trailing content after spec: {rest!r}")
+    try:
+        specs = [_parse_factor(*f) for f in factors]
+        return GroupSpec.product(specs) if product else specs[0]
+    except GroupParameterError as exc:
+        raise SpecSyntaxError(str(exc)) from None

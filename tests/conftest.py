@@ -7,9 +7,9 @@ from epgraph.theorems import roster_generate
 # `--hypothesis-profile=ci` raises the random-graph tests of test_analysis.py
 # and test_planarity.py's certificate differential against networkx from 150
 # examples each,
-# test_cyclic.py's relabelled tables and test_cayley_io.py's roster texts
-# and law-oracle tables from 100, and test_groups.py's metacyclic and
-# product reference tables from 80, to 1000
+# test_cyclic.py's relabelled tables, test_cayley_io.py's roster texts and
+# law-oracle tables and test_specs.py's drawn spec round trips from 100, and
+# test_groups.py's metacyclic and product reference tables from 80, to 1000
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 

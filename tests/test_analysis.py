@@ -21,6 +21,7 @@ from epgraph import (
     is_connected,
     odd_degree_vertex,
     parse_spec,
+    simplegraph,
 )
 from epgraph.analysis import REPORT_FIELDS
 from epgraph.theorems import roster_generate
@@ -446,15 +447,19 @@ def test_full_report_runs_each_decider_once(decider_calls, text, deleted):
 
 
 def test_connected_full_report_expands_once(monkeypatch):
-    # connected is read off the component reps, not found by a second expansion
+    # connected is read off the component reps, not found by a second
+    # expansion; only expansions over the whole graph count, as planarity's
+    # blocks_of_three also expands, within its own vertex mask
     calls = []
 
-    def counting(graph, s):
-        calls.append(s)
-        return component(graph, s)
+    def counting(graph, s, alive=None):
+        if alive is None:
+            calls.append(s)
+        return component(graph, s, alive)
 
     component = analysis.component
     monkeypatch.setattr(analysis, "component", counting)
+    monkeypatch.setattr(simplegraph, "component", counting)
     b = bundle_for("dicyclic:3")
     report(b.epg).to_dict()
     assert calls == [0]

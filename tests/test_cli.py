@@ -231,9 +231,11 @@ def test_verify_duplicate_ids_print_twice(capsys):
 
 
 def test_verify_empty_id_list(capsys):
-    code, out, _ = run_cli(["verify", "--theorem", ",", "--max-order", "16"], capsys)
-    assert code == 0
-    assert out == "\n"
+    # a list naming no check verifies nothing, so it is a usage error
+    for theorem in (",", "", " , "):
+        code, out, err = run_cli(["verify", "--theorem", theorem, "--max-order", "16"], capsys)
+        assert code == 2 and out == ""
+        assert "no theorem ids" in err and "known: T2.1," in err
 
 
 def test_verify_vacuous_iff_check_fails(capsys):

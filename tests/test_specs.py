@@ -1,6 +1,9 @@
 """Group spec grammar: parsing, serialization round-trips, realization."""
 
+import math
+
 import pytest
+from hypothesis import given, strategies as st
 
 from epgraph import GroupParameterError, GroupSpec, SpecSyntaxError, parse_spec
 from epgraph.specs import cycle_notation, parse_generator
@@ -45,6 +48,37 @@ def test_nested_products_flatten():
     spec = parse_spec("product:cyclic:2,product:cyclic:3,cyclic:5")
     assert spec.serialize() == "product:cyclic:2,cyclic:3,cyclic:5"
     assert len(spec.params) == 3
+    # the prefixes drop in one linear match, not one call frame each
+    deep = parse_spec("product:" * 100_000 + "cyclic:2")
+    assert deep == GroupSpec.product([GroupSpec.cyclic(2)])
+
+
+@st.composite
+def _metacyclic_specs(draw):
+    m, n = draw(st.integers(1, 64)), draw(st.integers(1, 16))
+    valid = [k for k in range(1, 2 * m + 1) if math.gcd(k, m) == 1 and pow(k, n, m) == 1 % m]
+    return GroupSpec.metacyclic(m, n, draw(st.sampled_from(valid)))  # k = 1 is always valid
+
+
+_FACTOR_SPECS = st.one_of(
+    st.integers(1, 10**6).map(GroupSpec.cyclic),
+    st.integers(2, 10**6).map(GroupSpec.dihedral),
+    st.integers(2, 10**6).map(GroupSpec.dicyclic),
+    _metacyclic_specs(),
+    st.integers(1, 6).flatmap(lambda d: st.lists(
+        st.permutations(range(d)), min_size=1, max_size=3,
+    ).map(lambda gens: GroupSpec.perm(d, gens))),
+    # the grammar ends a file path at a comma and strips the space that ends
+    # it, so a path holding a comma or ending in space has no spec text
+    st.text(min_size=1).filter(lambda path: "," not in path and path == path.rstrip())
+    .map(GroupSpec.file),
+)
+
+
+@given(st.one_of(_FACTOR_SPECS, st.lists(_FACTOR_SPECS, min_size=1, max_size=4).map(
+    GroupSpec.product)))
+def test_drawn_specs_round_trip(spec):
+    assert parse_spec(spec.serialize()) == spec
 
 
 def test_known_orders():
@@ -164,6 +198,10 @@ def test_spec_constructors_validate():
     ("file", ()),
     ("file", (5,)),
     ("file", ("a", "b")),
+    # a product's factors are flat: GroupSpec.product flattens, and a raw
+    # product factor would serialize to text that parses to another spec
+    ("product", (GroupSpec.product([GroupSpec.cyclic(2), GroupSpec.cyclic(3)]),
+                 GroupSpec.cyclic(5))),
 ])
 def test_raw_spec_checks_laws_when_made(family, params):
     # the laws and the parameter count live in GroupSpec itself, so a spec
