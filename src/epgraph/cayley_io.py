@@ -8,22 +8,34 @@ that runs to the end of the line and blank lines are skipped; any other
 text, other ASCII whitespace and non-ASCII digits or spaces included, is a
 parse error. A file that cannot be read or is not UTF-8 raises GroupError.
 
-A file's table is untrusted, and this module alone checks group laws. An
-order above the cap is rejected at the order line, and each law is checked
-exactly before the table is used, the first broken one named, in the order
-closure, identity, latin-square, associativity. Each law is one flat numpy
-pass over the table (associativity one per generator), and every witness
-is named in the file's own labels. An entry outside [0, n), negative or of
-any size, breaks closure: the table is read in int64 and becomes int16 only
-once it is a Latin square. The identity may sit at any index; the cast
-renumbers it to index 0. Associativity is Light's test, O(n^2 log n) for a
-group.
+The order line is read on its own, so an order above the cap is rejected
+before any row is scanned. The rows are then read in blocks of whole
+lines, ``BLOCK`` characters at most, each in a few numpy passes: comments
+and the carriage return before a line feed go first; a byte outside the
+grammar names its line; the tokens of each line are counted before any
+token's value is built, so a line of the wrong length is refused without
+its values, and the first broken line wins as in a line-by-line reading.
+A line longer than a block is read in slices cut at a space or tab, and
+its values are kept only while it holds at most n tokens. A value is
+built from its digit places, one pass over the block per place, up to 19
+places in uint64; a token beyond int64, of either sign, saturates to the
+int64 maximum.
+
+A file's table is untrusted, and this module alone checks group laws. Each
+law is checked exactly before the table is used, the first broken one
+named, in the order closure, identity, latin-square, associativity. Each
+law is one flat numpy pass over the table (associativity one per
+generator), and every witness is named in the file's own labels. An entry
+outside [0, n), negative or of any size, breaks closure: the table is read
+in int64 and becomes int16 only once it is a Latin square. The identity
+may sit at any index; the cast renumbers it to index 0. Associativity is
+Light's test, O(n^2 log n) for a group.
 """
 
 from __future__ import annotations
 
 import re
-import warnings
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -31,52 +43,192 @@ import numpy as np
 from .errors import CayleyParseError, CayleyValidationError, GroupError, GroupSizeError
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup, table_cap
 
-# np.fromstring reads a lone sign as a number ("- 1" -> [-1]), so a line
-# holding a sign must also match the grammar
-_SIGNED_LINE = re.compile(r"\s*[+-]?[0-9]+(?:\s+[+-]?[0-9]+)*\s*", re.ASCII)
+BLOCK = 1 << 20  # characters of text read as one block of whole lines
+
+# the blank and comment lines before the order line, and any spaces or
+# tabs that open it: runs of them take one step, not one per line
+_BLANK_LINES = re.compile(r"(?:[ \t\n]+|#[^\n]*\n|\r\n)*")
+_COMMENT = re.compile(rb"#[^\n]*")
+_PAD = 19  # spaces put before scanned bytes: 19 digit places stay in range
+_INT64_MAX = np.iinfo(np.int64).max
+_SEPARATOR = "a separator other than space or tab"
+_TOKEN = "non-integer token"
+
+# a scan's token count per line, its first line that breaks the grammar as
+# (index, message) or None, and the function that builds its values
+_Scan = tuple[np.ndarray, "tuple[int, str] | None", Callable[[], np.ndarray]]
+
+
+def _clean(lines: str) -> bytes:
+    """Whole lines of text as ASCII bytes, each comment and the carriage
+    return before each line feed (or at the end) dropped; a non-ASCII
+    character becomes ``?``, which no token holds."""
+    raw = lines.encode("ascii", "replace")
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").removesuffix(b"\r")
+    if b"#" in raw:
+        raw = _COMMENT.sub(b"", raw)
+    return raw
+
+
+def _scan(raw: bytes) -> _Scan:
+    """Scan the lines of ``raw + b"\\n"``; the values are the tokens' int64
+    values. A token is a run of digits; the grammar holds a sign only right
+    before one."""
+    buf = np.frombuffer(b" " * _PAD + raw + b"\n", dtype=np.uint8)
+    chars = buf[_PAD:]
+    digit = buf >= 48
+    line_ends = np.flatnonzero(chars == 10)
+    bad, signed = None, False
+    # without a sign, the grammar holds iff each byte is a digit, space, tab or line feed
+    spaces = np.count_nonzero(chars == 32) + np.count_nonzero(chars == 9)
+    if chars.max() > 57 or np.count_nonzero(digit) + spaces + len(line_ends) != len(chars):
+        bad, signed = _first_bad(chars, line_ends), True
+    run = digit[_PAD:]
+    last = np.flatnonzero(run[:-1] > run[1:])  # each token's last digit
+    counts = np.diff(np.searchsorted(last, line_ends), prepend=0)
+    return counts, bad, lambda: _values(buf, digit, last, signed)
+
+
+def _first_bad(chars: np.ndarray, line_ends: np.ndarray) -> tuple[int, str] | None:
+    """(index, message) for the first line of ``chars`` holding a byte
+    outside the grammar, or None."""
+    digit = (chars - 48) < 10
+    space = (chars == 32) | (chars == 9) | (chars == 10)
+    ok = digit | space
+    # a sign opens a token: a space or the line's start before it, a digit after it
+    ok[:-1] |= (((chars[:-1] == 43) | (chars[:-1] == 45))
+                & np.append(True, space[:-2]) & digit[1:])
+    if ok.all():
+        return None
+    k = int(np.searchsorted(line_ends, np.argmin(ok)))
+    line = chars[line_ends[k - 1] + 1 if k else 0:line_ends[k]]
+    sep = ((line == 13) | (line == 11) | (line == 12)).any()
+    return k, _SEPARATOR if sep else _TOKEN
+
+
+def _values(buf: np.ndarray, digit: np.ndarray, last: np.ndarray,
+            signed: bool) -> np.ndarray:
+    """The int64 values of the tokens whose last digits sit at ``last``,
+    past the ``_PAD`` spaces of ``buf``. Place k of every token is added
+    in one pass over the bytes, up to 19 places; a token beyond int64
+    saturates to the int64 maximum, whatever its sign."""
+    size = len(buf) - _PAD
+    # digit values, read only where run is set, in the accumulator's dtype:
+    # numpy < 2 would keep a uint8 digit times 10**k in uint8
+    places = (buf - 48).astype(np.uint16)
+    run = digit[_PAD:]  # run[i]: bytes i - k .. i are all digits
+    value = places[_PAD:].copy()
+    for k in range(1, 19):
+        run = run & digit[_PAD - k:_PAD - k + size]
+        if not run.any():
+            break
+        if k in (4, 9):
+            dtype = np.uint32 if k == 4 else np.uint64
+            places, value = places.astype(dtype), value.astype(dtype)
+        place = places[_PAD - k:_PAD - k + size] * run
+        place *= place.dtype.type(10**k)
+        value += place
+    wide = run.any()  # a token of 19 digits or more
+    if not (signed or wide):
+        return value.take(last).astype(np.int64)
+    m = value.take(last).astype(np.uint64)
+    first = np.flatnonzero(digit[_PAD:] > digit[_PAD - 1:-1])  # each token's first digit
+    neg = buf.take(first + _PAD - 1) == 45
+    over = m > np.where(neg, np.uint64(2**63), np.uint64(_INT64_MAX))
+    long = np.flatnonzero(last - first >= 19)
+    if len(long):  # a digit other than 0 before the last 19 places
+        nonzero = np.concatenate(([0], np.cumsum(buf[_PAD:] > 48)))
+        over[long] |= nonzero[last[long] - 18] > nonzero[first[long]]
+    value = m.view(np.int64)  # m < 10**19, so -m fits in uint64
+    np.negative(value, out=value, where=neg)
+    value[over] = _INT64_MAX
+    return value
+
+
+def _scan_long(text: str, pos: int, stop: int, n: int) -> _Scan:
+    """``_scan`` of the one line ``text[pos:stop]``, longer than a block:
+    read in slices cut at a space or tab, its values kept only while it
+    holds at most n tokens."""
+    end = stop - (text[stop - 1] == "\n")
+    comment = text.find("#", pos, end)
+    if comment >= 0:
+        end = comment
+    elif text[end - 1] == "\r":
+        end -= 1
+    count, parts = 0, []
+    p = pos
+    while p < end:
+        q = min(p + BLOCK, end)
+        if q < end:
+            q = max(text.rfind(" ", p + 1, q), text.rfind("\t", p + 1, q))
+            if q < 0:  # a token longer than a block runs to the next space or tab
+                q = min(i for i in (text.find(" ", p + 1, end), text.find("\t", p + 1, end),
+                                    end) if i >= 0)
+        counts, bad, values = _scan(text[p:q].encode("ascii", "replace"))
+        if bad:
+            sep = any(text.find(c, pos, end) >= 0 for c in "\r\x0b\x0c")
+            return counts, (0, _SEPARATOR if sep else _TOKEN), None
+        count += int(counts[0])
+        if count <= n:
+            parts.append(values())
+        p = q
+    return np.array([count, 0]), None, lambda: np.concatenate(parts)
+
+
+def _count_rows(counts: np.ndarray, bad: tuple[int, str] | None, n: int, filled: int,
+                lineno: int) -> int:
+    """The number of table rows among lines whose token counts are
+    ``counts``, the first at line ``lineno``, with ``filled`` rows read
+    before them; raises the parse error of the first line that breaks the
+    grammar, as a line-by-line reader would."""
+    rows = np.flatnonzero(counts[:len(counts) if bad is None else bad[0]])
+    wrong = np.flatnonzero(counts[rows] != n)
+    if len(wrong) and wrong[0] <= n - filled:
+        i = rows[wrong[0]]
+        raise CayleyParseError(f"line {lineno + i}: expected {n} entries, got {counts[i]}")
+    if len(rows) > n - filled:
+        raise CayleyParseError(f"line {lineno + rows[n - filled]}: more than {n} table rows")
+    if bad:
+        raise CayleyParseError(f"line {lineno + bad[0]}: {bad[1]}")
+    return len(rows)
 
 
 def _read_table(text: str, max_order: int) -> np.ndarray:
-    """The raw n x n int64 table (see ``parse_cayley_text``). np.fromstring
-    saturates a token beyond int64 to the int64 maximum; closure rejects it."""
-    table, n, filled = None, 0, 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)  # numpy < 2 warns on bad text
-        # not str.splitlines, which also ends a line at \x0b, \x0c, \x1c-\x1e,
-        # U+0085, U+2028 and U+2029
-        for lineno, raw in enumerate(text.split("\n"), start=1):
-            line = raw.removesuffix("\r").split("#", 1)[0]
-            if not line.strip(" \t"):
-                continue
-            # np.fromstring would take these as separators, and a line of them as [0]
-            if "\r" in line or "\x0b" in line or "\x0c" in line:
-                raise CayleyParseError(f"line {lineno}: a separator other than space or tab")
-            try:
-                if ("+" in line or "-" in line) and not _SIGNED_LINE.fullmatch(line):
-                    raise ValueError
-                values = np.fromstring(line, dtype=np.int64, sep=" ")
-            except (ValueError, DeprecationWarning):
-                raise CayleyParseError(f"line {lineno}: non-integer token") from None
-            if table is None:
-                if len(values) != 1:
-                    raise CayleyParseError(
-                        f"line {lineno}: expected a single order, got {values.tolist()}")
-                n = int(values[0])
-                if n < 1:
-                    raise CayleyParseError(f"line {lineno}: order must be >= 1, got {n}")
-                cap = table_cap(max_order)
-                if n > cap:
-                    raise GroupSizeError(f"group order {n} exceeds the cap of {cap}")
-                table = np.empty((n, n), dtype=np.int64)
-                continue
-            if len(values) != n:
-                raise CayleyParseError(f"line {lineno}: expected {n} entries, got {len(values)}")
-            if filled == n:
-                raise CayleyParseError(f"line {lineno}: more than {n} table rows")
-            table[filled] = values
-            filled += 1
-    if table is None:
+    """The raw n x n int64 table (see ``parse_cayley_text``)."""
+    pos = text.rfind("\n", 0, _BLANK_LINES.match(text).end()) + 1
+    lineno = text.count("\n", 0, pos) + 1
+    stop = text.find("\n", pos) + 1 or len(text)
+    counts, bad, values = _scan(_clean(text[pos:stop]))
+    if bad:
+        raise CayleyParseError(f"line {lineno}: {bad[1]}")
+    if not counts.any():  # a blank last line
         raise CayleyParseError("empty file: no order line found")
+    order = values()
+    if len(order) != 1:
+        raise CayleyParseError(f"line {lineno}: expected a single order, got {order.tolist()}")
+    n = int(order[0])
+    if n < 1:
+        raise CayleyParseError(f"line {lineno}: order must be >= 1, got {n}")
+    cap = table_cap(max_order)
+    if n > cap:
+        raise GroupSizeError(f"group order {n} exceeds the cap of {cap}")
+    table = np.empty((n, n), dtype=np.int64)
+    filled = 0
+    pos, lineno = stop, lineno + 1
+    while pos < len(text):
+        stop = len(text) if len(text) - pos <= BLOCK else text.rfind("\n", pos, pos + BLOCK) + 1
+        if stop:
+            counts, bad, values = _scan(_clean(text[pos:stop]))
+        else:  # a line longer than a block
+            stop = text.find("\n", pos) + 1 or len(text)
+            counts, bad, values = _scan_long(text, pos, stop, n)
+        rows = _count_rows(counts, bad, n, filled, lineno)
+        if rows:
+            table[filled:filled + rows] = values().reshape(rows, n)
+        filled += rows
+        lineno += len(counts) - 1
+        pos = stop
     if filled != n:
         raise CayleyParseError(f"expected {n} table rows, found {filled}")
     return table
@@ -94,7 +246,7 @@ def parse_cayley_text(text: str, max_order: int = DEFAULT_MAX_ORDER) -> list[lis
     """Parse the raw file into an n x n list of ints (no group laws checked).
 
     Raises GroupSizeError at the order line when n exceeds
-    ``table_cap(max_order)``, before any table row is read.
+    ``table_cap(max_order)``, before any table row is scanned.
     """
     return _read_table(text, max_order).tolist()
 

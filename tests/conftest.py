@@ -8,8 +8,10 @@ from epgraph.theorems import roster_generate
 # and test_planarity.py's certificate differential against networkx from 150
 # examples each,
 # test_cyclic.py's relabelled tables, test_cayley_io.py's roster texts and
-# law-oracle tables and test_specs.py's drawn spec round trips from 100, and
-# test_groups.py's metacyclic and product reference tables from 80, to 1000
+# law-oracle tables and test_specs.py's drawn spec round trips from 100,
+# test_groups.py's metacyclic and product reference tables and
+# test_cayley_io.py's mutated texts from 80, and test_cayley_io.py's valid
+# texts from 60, to 1000
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 

@@ -3,8 +3,9 @@
 import json
 import random
 import re
-import warnings
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from epgraph import (
     parse_cayley_text,
     roster_generate,
 )
+from epgraph import cayley_io
 from epgraph.analysis import REPORT_FIELDS
 from epgraph.cayley_io import _read_table, cayley_table
 
@@ -38,6 +40,16 @@ from helpers import (
 
 DATA = Path(__file__).parent / "data"
 
+# the reader's default block, and a block of a few bytes: most lines then
+# span blocks and are read in slices, so line numbers, row counts and
+# errors are pinned across block boundaries
+_BLOCKS = (cayley_io.BLOCK, 16)
+
+
+def _block(size: int):
+    """Context: the reader reads in blocks of ``size`` characters."""
+    return mock.patch.object(cayley_io, "BLOCK", size)
+
 
 def test_ingest_z2():
     g = ingest_cayley("2\n0 1\n1 0\n")
@@ -46,7 +58,7 @@ def test_ingest_z2():
 
 
 def test_comments_and_blank_lines():
-    # np.fromstring reads a whitespace-only line as [0]; it must stay blank
+    # a line of spaces and tabs is blank
     text = "# tiny group\n\n2\n0 1  # row for identity\n \t \n1 0\n"
     assert ingest_cayley(text).order == 2
     assert parse_cayley_text(text) == parse_cayley_reference(text) == [[0, 1], [1, 0]]
@@ -91,10 +103,17 @@ def test_parse_errors():
         "2\n0 1\n1 0\n0 1\n": "line 4: more than 2 table rows",
         "2 3\n": "line 1: expected a single order, got [2, 3]",
         "0\n": "line 1: order must be >= 1, got 0",
+        "\n# c\n\n2\n\n0 1\n# c\n1 0 0\n": "line 8: expected 2 entries, got 3",
+        "2\n0 1\n\n\n1 0\n\n 0 1 # c\n": "line 7: more than 2 table rows",
+        "2\n0 1\n1 0 0 0 0 0 0 x\n": "line 3: non-integer token",  # tokens, then the count
+        "2\n0 1 0 0 0 0 0\n1 x\n": "line 2: expected 2 entries, got 7",  # an earlier line first
+        "2\n0 1\n1 0 0 x 0\r0 0\n": "line 3: a separator other than space or tab",
     }
-    for text, message in cases.items():
-        with pytest.raises(CayleyParseError, match=re.escape(message)):
-            parse_cayley_text(text)
+    for block in _BLOCKS:
+        with _block(block):
+            for text, message in cases.items():
+                with pytest.raises(CayleyParseError, match=re.escape(message)):
+                    parse_cayley_text(text)
 
 
 def test_oversize_order_rejected_at_order_line():
@@ -143,15 +162,72 @@ def test_parse_returns_python_int_lists():
 )
 def test_huge_entry_breaks_closure(token):
     text = f"2\n0 {token}\n1 0\n"
-    # np.fromstring saturates a token beyond int64 instead of wrapping it
-    # (2**64 would wrap to 0); the closure check relies on it
-    assert _read_table(text, 512)[0, 1] not in (0, 1)
-    if not token.startswith("-"):
-        assert _read_table(text, 512)[0, 1] == np.iinfo(np.int64).max
+    # a token beyond int64 saturates to the int64 maximum, whatever its sign,
+    # instead of wrapping (2**64 would wrap to 0); the closure check relies on it
+    assert _read_table(text, 512)[0, 1] == np.iinfo(np.int64).max
     with pytest.raises(CayleyValidationError) as exc:
         ingest_cayley(text)
     assert exc.value.law == "closure"
     assert "entry at (0, 1)" in str(exc.value)
+
+
+@pytest.mark.parametrize("token, value", [
+    ("999999999999999999", 10**18 - 1),
+    ("1000000000000000000", 10**18),  # 19 digits
+    ("9223372036854775807", 2**63 - 1),
+    ("-9223372036854775808", -(2**63)),
+    ("9223372036854775808", 2**63 - 1),  # beyond int64: saturates
+    ("-9223372036854775809", 2**63 - 1),  # ... to the maximum, whatever the sign
+    ("9999999999999999999", 2**63 - 1),
+    ("0" * 30 + "7", 7),  # leading zeros past 19 digits
+    ("-" + "0" * 21 + "9223372036854775808", -(2**63)),
+    ("+" + "0" * 20 + "1000000000000000000", 10**18),
+    ("0" * 20 + "10000000000000000000", 2**63 - 1),  # 10**19
+])
+def test_tokens_of_19_digits_and_more(token, value):
+    for block in _BLOCKS:
+        with _block(block):
+            assert parse_cayley_text(f"2\n0 {token}\n1 0\n") == [[0, value], [1, 0]]
+
+
+def test_order_512_table_reads_back():
+    # entries up to 511 need more than 8 bits: numpy < 2 keeps a uint8 digit
+    # times a uint64 scalar in uint8, and this would overflow there; at a
+    # block of 1000 characters each row is read in slices
+    table = table_of(GroupSpec.dihedral(256).realize())
+    for block in (cayley_io.BLOCK, 1000):
+        with _block(block):
+            assert parse_cayley_text(cayley_file_text(table)) == table
+
+
+_ROW_TOKENS = 5_000_000  # one line of 10 MB of "0 "
+
+
+def _rejection_peak(text: str) -> tuple[int, Exception]:
+    """The tracemalloc peak of rejecting ``text`` at the default cap, and the error."""
+    tracemalloc.start()
+    try:
+        with pytest.raises((CayleyParseError, GroupSizeError)) as exc:
+            parse_cayley_text(text)
+        return tracemalloc.get_traced_memory()[1], exc.value
+    finally:
+        tracemalloc.stop()
+
+
+def test_oversize_order_is_rejected_before_a_row_is_scanned():
+    row = "0 " * _ROW_TOKENS
+    peak, exc = _rejection_peak("100000\n" + row + "\n")
+    assert isinstance(exc, GroupSizeError)
+    assert peak < len(row) / 100, peak
+
+
+def test_single_row_peak_stays_near_the_text():
+    # a line longer than a block is counted in slices, and no value is built
+    # past its n-th token
+    text = "2\n" + "0 " * _ROW_TOKENS + "\n"
+    peak, exc = _rejection_peak(text)
+    assert str(exc) == f"line 2: expected 2 entries, got {_ROW_TOKENS}"
+    assert peak <= 5 * len(text), peak / len(text)
 
 
 def test_closure_violation_named_in_file_coordinates():
@@ -302,12 +378,16 @@ def _render(table: list[list[int]], rng: random.Random) -> str:
     return rng.choice(["\n", "\r\n"]).join(lines) + "\n"
 
 
+# 60 examples in tier-1; the ci profile (conftest.py) draws 1000
 @given(st.sampled_from(_ROSTER_48), st.integers(0, 2**32))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=max(60, settings.default.max_examples), deadline=None)
 def test_reader_matches_reference_on_valid_texts(spec, seed):
     table = table_of(spec.realize())
     text = _render(table, random.Random(seed))
-    assert parse_cayley_text(text) == parse_cayley_reference(text) == table
+    assert parse_cayley_reference(text) == table
+    for block in _BLOCKS:
+        with _block(block):
+            assert parse_cayley_text(text) == table, block
 
 
 _BAD_TOKENS = ["1.5", "0x1", "1_0", "5-3"]
@@ -332,18 +412,24 @@ def _mutate(text: str, rng: random.Random, mutation: str) -> str:
     return "\n".join(lines)
 
 
+# 80 examples in tier-1; the ci profile (conftest.py) draws 1000
 @given(
     st.sampled_from(_ROSTER_48),
     st.sampled_from(["extra token", "missing token", "extra row", "missing row"]
                     + _BAD_TOKENS),
     st.integers(0, 2**32),
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=max(80, settings.default.max_examples), deadline=None)
 def test_reader_rejects_mutated_texts(spec, mutation, seed):
     table = table_of(spec.realize())
     text = _mutate(cayley_file_text(table, comment="roster"), random.Random(seed), mutation)
-    with pytest.raises(CayleyParseError):
-        parse_cayley_text(text)
+    messages = []
+    for block in _BLOCKS:
+        with _block(block), pytest.raises(CayleyParseError) as exc:
+            parse_cayley_text(text)
+        messages.append(str(exc.value))
+    # the same line and error, whatever the block boundaries
+    assert messages == messages[:1] * len(_BLOCKS), messages
     if mutation == "1_0":
         # int() reads digit-grouping underscores, so the reference takes it
         # as 10; the grammar allows decimal digits only
@@ -352,27 +438,12 @@ def test_reader_rejects_mutated_texts(spec, mutation, seed):
         parse_cayley_reference(text)
 
 
-def test_numpy_deprecation_warning_is_a_parse_error(monkeypatch):
-    # numpy < 2 warns on unmatched text and returns the row read so far
-    fromstring = np.fromstring
-
-    def warning_fromstring(line, dtype, sep):
-        if "x" not in line:
-            return fromstring(line, dtype=dtype, sep=sep)
-        warnings.warn("string or file could not be read to its end", DeprecationWarning)
-        return np.array([0, 1], dtype=dtype)
-
-    monkeypatch.setattr(np, "fromstring", warning_fromstring)
-    with pytest.raises(CayleyParseError, match="line 3: non-integer token"):
-        parse_cayley_text("2\n0 1\n1 0 x\n")
-
-
 @pytest.mark.parametrize(
     "text",
     [
-        "1\n-\n",  # np.fromstring reads a lone sign as 0
-        "2\n- 1 0\n1 0\n",  # ... and "- 1" as -1
-        "2\n0 + 1\n1 0\n",  # ... and "+ 1" as 1
+        "1\n-\n",  # a sign opens a token, so a digit must follow it
+        "2\n- 1 0\n1 0\n",
+        "2\n0 + 1\n1 0\n",
         "2\n0 1\n1 0 -\n",
         "2\n0 1\n1 +0 +\n",
     ],
@@ -409,18 +480,23 @@ def test_only_line_feed_ends_a_line(brk):
 
 
 def test_error_line_numbers_count_line_feeds_only():
-    for text in ("# one\u2028comment line\n2\n0 1\n1 x\n", "# one\r\n2\r\n0 1\r\n1 x\r\n"):
-        with pytest.raises(CayleyParseError, match=r"\bline 4: non-integer token"):
-            parse_cayley_text(text)
+    for block in _BLOCKS:
+        with _block(block):
+            for text in ("# one\u2028comment line\n2\n0 1\n1 x\n",
+                         "# one\r\n2\r\n0 1\r\n1 x\r\n"):
+                with pytest.raises(CayleyParseError, match=r"\bline 4: non-integer token"):
+                    parse_cayley_text(text)
 
 
 @pytest.mark.parametrize("text", [
     "2\n0\x0b1\n1 0\n",
     "2\n0\x0c1\n1 0\n",
     "2\n0\r1\n1 0\n",
-    "2\n\x0b\n0 1\n1 0\n",  # np.fromstring reads a line of it as [0]
+    "2\n\x0b\n0 1\n1 0\n",  # a line of it is not blank
     "1\n\r\r\n0\n",  # only one carriage return ends a line
 ])
 def test_only_spaces_and_tabs_separate(text):
-    with pytest.raises(CayleyParseError, match=r"\bline 2: a separator other than space or tab"):
-        parse_cayley_text(text)
+    for block in _BLOCKS:
+        with _block(block), pytest.raises(
+                CayleyParseError, match=r"\bline 2: a separator other than space or tab"):
+            parse_cayley_text(text)
