@@ -2,15 +2,17 @@
 
 Vertices are element indices; two distinct elements are adjacent iff some
 cyclic subgroup contains both, so the graph is the union of cliques over
-the cyclic subgroups, which are exactly the group's power walks. A bundle
-builds its identity-deleted graph and the property report on each graph
-on first read; all readers share the two reports, so a decider runs at
-most once per graph, and the deleted graph's report reads its cone
-vertices off the other. A report holds its graph, and the deleted one
-the other report, but never the bundle, so a dropped bundle is freed at
-once. The pairwise oracle re-derives adjacency straight from the
-definition (some z has both x and y among its powers) and exists purely
-to cross-check the clique-union construction.
+the cyclic subgroups, which are exactly the group's power walks. Both
+graphs share the group's ``orders`` tuple, from which only the exports
+derive vertex labels (``epgraph.simplegraph``). A bundle builds its
+identity-deleted graph and the property report on each graph on first
+read; all readers share the two reports, so a decider runs at most once
+per graph, and the deleted graph's report reads its cone vertices off the
+other. A report holds its graph, and the deleted one the other report,
+but never the bundle, so a dropped bundle is freed at once. The pairwise
+oracle re-derives adjacency straight from the definition (some z has both
+x and y among its powers) and exists purely to cross-check the
+clique-union construction.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def build_epg(group: FiniteGroup) -> SimpleGraph:
     row clears the diagonal at the end.
     """
     name = group.spec.display() if group.spec is not None else f"order-{group.order}"
-    graph = SimpleGraph(group.order, labels=list(enumerate(group.orders)), name=name)
+    graph = SimpleGraph(group.order, orders=group.orders, name=name)
     rows = graph.rows
     for walk in group.walks:
         mask = 0
@@ -70,9 +72,9 @@ def build_epg(group: FiniteGroup) -> SimpleGraph:
 
 
 def build_deleted(epg: SimpleGraph) -> SimpleGraph:
-    """The graph with the identity vertex (vertex 0) removed: each row drops bit 0."""
-    labels = None if epg.labels is None else epg.labels[1:]
-    out = SimpleGraph(epg.n - 1, labels=labels, name=f"{epg.name}*" if epg.name else "*")
+    """The graph with the identity vertex (vertex 0) removed: each row drops
+    bit 0. It shares the group's orders, so vertex i is labeled element i + 1."""
+    out = SimpleGraph(epg.n - 1, orders=epg.orders, name=f"{epg.name}*" if epg.name else "*")
     out.rows = [m >> 1 for m in epg.rows[1:]]
     return out
 

@@ -10,17 +10,18 @@ wraps one builder's table as it is. Each builder writes its table once,
 with no temporary near its size: closed forms copy strided windows of the
 run 0..n-1, 0..n-1 (no modular arithmetic per entry), a metacyclic block
 that is no window gathers Z_m's columns once, a product folds its factors'
-tables left, pair by pair, and the permutation closure gathers each row
-from an earlier one through a left multiplication. At order 4,096,
-``realize`` peaks at 1.02-1.06x the table for windows and closures and
-1.25x for a gathered semidihedral block or a product holding a
-2,048-element table. Every table here is trusted: the one kind of
-untrusted table, a Cayley file's, has its group laws checked by its reader
-(``epgraph.cayley_io``) before it gets here. Building a group walks its
-powers once (``epgraph.cyclic``); the walks and the element orders are
-the group's cyclic structure: ``epgraph.epg`` builds the enhanced power
-graph from the walks, and T3.2, T3.3 and T5.1 read the prime-order
-subgroup counts off them.
+tables right, adding one factor in front of the product of those after it,
+and the permutation closure gathers each row from an earlier one through a
+left multiplication. At order 4,096, ``realize`` peaks at 1.01-1.03x the
+table for windows and closures, 1.25x for a gathered semidihedral block or
+a product holding a 2,048-element table, and 1.31x for Z_2 x Z_2 x Z_1024,
+whose last step holds Z_2 x Z_1024 and Z_1024 beside the output. Every
+table here is trusted: the one kind of untrusted table, a Cayley file's,
+has its group laws checked by its reader (``epgraph.cayley_io``) before it
+gets here. Building a group walks its powers once (``epgraph.cyclic``);
+the walks and the element orders are the group's cyclic structure:
+``epgraph.epg`` builds the enhanced power graph from the walks, and T3.2,
+T3.3 and T5.1 read the prime-order subgroup counts off them.
 """
 
 from __future__ import annotations
@@ -160,15 +161,19 @@ def _scaled(table: np.ndarray, k: int) -> np.ndarray:
 
 
 def product_table(tables: Sequence[np.ndarray]) -> np.ndarray:
-    """Componentwise product; pair (a, b) gets index a*|H| + b, folded left.
+    """Componentwise product; pair (a, b) gets index a*|H| + b, folded right.
 
-    ``realize`` peaks at order 4,096 at 1.01x the table for Z_64 x Z_64 and
-    1.25-1.26x for Z_2 x Z_2048, Z_2048 x Z_2 and Z_2^12: each holds a
-    2,048-element table (a factor, or the fold it extends) beside the output.
+    The layout is associative, so t1 x (t2 x (... x tk)) is the table of the
+    left fold, byte for byte; each step adds one factor in front of the
+    product of the factors after it, so its inner rows are that product's
+    long rows. ``realize`` peaks at order 4,096 at 1.02x the table for
+    Z_64 x Z_64, 1.25-1.26x for Z_2 x Z_2048, Z_2048 x Z_2 and Z_2^12, and
+    1.31x for Z_2 x Z_2 x Z_1024: each holds a 2,048-element table (a
+    factor, or the fold it extends) beside the output.
     """
-    table = tables[0]
-    for t in tables[1:]:
-        table = _product2(table, t)
+    table = tables[-1]
+    for t in reversed(tables[:-1]):
+        table = _product2(t, table)
     return table
 
 

@@ -8,8 +8,11 @@ from then on, so any number of readers may share one. The degree list is
 counted once, on the first ``degrees()`` call, and every reader shares it.
 ``bits`` lists a mask's vertices, ``component`` expands one component, a
 whole frontier of rows at a time, within an optional vertex mask, and
-``component_reps`` lists every component by its smallest vertex; the
-analysis deciders and the planarity certificates share all three.
+``component_reps`` lists every component by its smallest vertex, setting
+the degree-0 vertices of the whole graph aside at once; the analysis
+deciders and the planarity certificates share all three. A graph on a
+group's elements holds the group's ``orders`` tuple, not a label per
+vertex: the exports derive each vertex's (element, order) from it.
 """
 
 from __future__ import annotations
@@ -19,15 +22,16 @@ from typing import Iterator, Optional
 
 
 class SimpleGraph:
-    __slots__ = ("n", "rows", "labels", "name", "_degrees")
+    __slots__ = ("n", "rows", "orders", "name", "_degrees")
 
-    def __init__(self, n: int, labels=None, name: str = ""):
+    def __init__(self, n: int, orders: Optional[tuple[int, ...]] = None, name: str = ""):
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         self.n = n
         self.rows: list[int] = [0] * n
-        # optional per-vertex (element index, element order) annotation
-        self.labels: Optional[list[tuple[int, int]]] = labels
+        # the group's element orders when the vertices are its elements; the
+        # deleted graph shares them, one vertex short (see ``_labels``)
+        self.orders = orders
         self.name = name
         self._degrees: Optional[list[int]] = None
 
@@ -92,23 +96,37 @@ def component(graph: SimpleGraph, s: int, alive: Optional[int] = None) -> int:
 
 def component_reps(graph: SimpleGraph, alive: Optional[int] = None) -> list[int]:
     """Each component's smallest vertex, ascending, in the subgraph that the
-    vertices of ``alive`` (by default all) induce: one expansion per component."""
+    vertices of ``alive`` (by default all) induce: one expansion per component
+    of two or more vertices.
+
+    Over the whole graph, a vertex of degree 0 is its own component: when
+    the shared degree list holds a 0, all such vertices are set aside in
+    one step and only the rest are expanded.
+    """
     reps: list[int] = []
     rest = graph.universe if alive is None else alive
+    if alive is None and not all(graph.degrees()):  # some vertex has degree 0
+        reps = [v for v, d in enumerate(graph.degrees()) if not d]
+        rest ^= sum(1 << v for v in reps)
     while rest:
         reps.append((rest & -rest).bit_length() - 1)  # lowest vertex not yet reached
         rest &= ~component(graph, reps[-1], alive)
+    reps.sort()  # the isolated vertices came first; two ascending runs to merge
     return reps
 
 
 # -- serialization -----------------------------------------------------------
 
 
-def _vertex_label(graph: SimpleGraph, v: int) -> str:
-    if graph.labels is not None:
-        element, order = graph.labels[v]
-        return f"g{element} (o={order})"
-    return f"g{v}"
+def _labels(graph: SimpleGraph) -> Optional[list[tuple[int, int]]]:
+    """(element, order) for each vertex, derived from ``graph.orders`` on
+    export; None when the vertices are no group's elements. A graph with
+    one vertex fewer than the group is the deleted graph: its vertex v is
+    element v + 1."""
+    if graph.orders is None:
+        return None
+    first = len(graph.orders) - graph.n
+    return list(enumerate(graph.orders[first:], first))
 
 
 def to_edgelist_lines(graph: SimpleGraph) -> list[str]:
@@ -122,8 +140,10 @@ def to_dot(graph: SimpleGraph) -> str:
     # in the name cannot escape the closing quote
     name = (graph.name or "graph").replace("\\", "\\\\").replace('"', '\\"')
     lines = [f'graph "{name}" {{']
+    labeled = _labels(graph)
     for v in range(graph.n):
-        lines.append(f'  n{v} [label="{_vertex_label(graph, v)}"];')
+        label = f"g{v}" if labeled is None else "g{} (o={})".format(*labeled[v])
+        lines.append(f'  n{v} [label="{label}"];')
     for u, v in graph.edges():
         lines.append(f"  n{u} -- n{v};")
     lines.append("}")
@@ -131,10 +151,11 @@ def to_dot(graph: SimpleGraph) -> str:
 
 
 def to_json_dict(graph: SimpleGraph) -> dict:
+    labeled = _labels(graph)
     return {
         "name": graph.name,
         "vertices": graph.n,
-        "labels": [list(lab) for lab in graph.labels] if graph.labels else None,
+        "labels": [list(lab) for lab in labeled] if labeled else None,
         "edges": [[u, v] for u, v in graph.edges()],
     }
 

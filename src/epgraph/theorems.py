@@ -40,6 +40,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
+from .cyclic import _generator_positions
 from .epg import EpgBundle, build_bundle
 from .errors import GroupParameterError
 from .groups import (
@@ -197,17 +198,18 @@ def _orders_at_most_2(bundle: EpgBundle) -> bool:
 def _no_cross_edges_between_equal_order_classes(bundle: EpgBundle) -> bool:
     """No adjacency between generator classes of equal order but distinct subgroups.
 
-    A walk of length k generates <g>, whose generators are exactly its
-    members of order k. Each class is one bitmask, and the classes of one
-    subgroup size are OR-ed into one union; a generator's row may meet that
-    union only inside its own class. A size with a single class has
-    nothing to cross.
+    A walk of length k generates <g>, whose generators are its members
+    x^j with gcd(j, k) = 1, at the positions the walk itself gives orders
+    to (``cyclic._generator_positions``). Each class is one bitmask, and
+    the classes of one subgroup size are OR-ed into one union; a
+    generator's row may meet that union only inside its own class. A size
+    with a single class has nothing to cross.
     """
-    group, rows = bundle.group, bundle.epg.rows
+    rows = bundle.epg.rows
     by_size: dict[int, list[list[int]]] = {}
-    for walk in group.walks:
+    for walk in bundle.group.walks:
         k = len(walk)
-        by_size.setdefault(k, []).append([x for x in walk if group.orders[x] == k])
+        by_size.setdefault(k, []).append([walk[j] for j in _generator_positions(k)])
     for classes in by_size.values():
         if len(classes) < 2:
             continue

@@ -365,6 +365,20 @@ def networkx_planar(graph: SimpleGraph) -> bool:
     return nx.check_planarity(reference)[0]
 
 
+def networkx_component_reps(graph: SimpleGraph, alive=None) -> list[int]:
+    """Each component's smallest vertex, ascending, by
+    ``networkx.connected_components`` over the subgraph that the vertices of
+    ``alive`` (by default all) induce; networkx is imported on the first call."""
+    import networkx as nx
+
+    reference = nx.Graph()
+    reference.add_nodes_from(range(graph.n))
+    reference.add_edges_from(graph.edges())
+    if alive is not None:
+        reference = reference.subgraph(v for v in range(graph.n) if alive >> v & 1)
+    return sorted(min(c) for c in nx.connected_components(reference))
+
+
 # -- associativity oracle and non-associative loop search ------------------------
 
 

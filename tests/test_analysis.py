@@ -34,6 +34,7 @@ from helpers import (
     graph_from_edges,
     loop_bipartite_coloring,
     loop_find_cycle,
+    networkx_component_reps,
     verdict_or_none,
 )
 
@@ -99,6 +100,41 @@ def test_connectivity_matches_union_find_on_roster(roster_bundles_48):
     for graph in _traversal_cases(roster_bundles_48):
         assert component_reps(graph) == [p[0] for p in brute_components(graph)], graph.name
         assert is_connected(graph) == brute_connected(graph), graph.name
+
+
+@st.composite
+def _graphs_with_isolated_vertices(draw, max_n=40):
+    """A random graph on the vertices left after a drawn share is set apart
+    as isolated vertices, spread among the rest."""
+    n = draw(st.integers(0, max_n))
+    isolated = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    rest = [v for v in range(n) if v not in isolated]
+    pairs = [(u, v) for i, u in enumerate(rest) for v in rest[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * len(rest))) if pairs else []
+    return graph_from_edges(n, edges)
+
+
+@RANDOM_GRAPHS
+@given(_graphs_with_isolated_vertices(), st.data())
+def test_component_reps_match_networkx_on_random_graphs(graph, data):
+    # isolated vertices are set aside at once only over the whole graph; a
+    # mask makes the reps those of the induced subgraph, expanded one by one
+    pytest.importorskip("networkx")
+    alive = data.draw(st.none() | st.integers(0, graph.universe))
+    assert component_reps(graph, alive) == networkx_component_reps(graph, alive)
+
+
+# every roster group up to order 48 in tier-1; the ci profile takes the
+# roster to 256, building one bundle at a time
+COMPONENT_ROSTER_BOUND = 256 if settings.default.max_examples >= 1000 else 48
+
+
+def test_component_reps_match_networkx_on_roster():
+    pytest.importorskip("networkx")
+    for spec in roster_generate(COMPONENT_ROSTER_BOUND):
+        bundle = build_bundle(spec.realize())
+        for graph in (bundle.epg, bundle.deleted):
+            assert component_reps(graph) == networkx_component_reps(graph), graph.name
 
 
 @RANDOM_GRAPHS
@@ -467,7 +503,9 @@ def test_connected_full_report_expands_once(monkeypatch):
     assert report(b.epg).connected and calls == [0]  # no reps asked for: one expansion
     calls.clear()
     s3 = bundle_for("metacyclic:3:2:2")
-    assert report(s3.deleted).to_dict()["connected"] is False and calls == [0, 2, 3, 4]
+    # the three reflections (deleted vertices 2-4) are isolated, so they are
+    # set aside at once and only the rotations' component is expanded
+    assert report(s3.deleted).to_dict()["connected"] is False and calls == [0]
 
 
 def test_fields_decide_only_what_they_need(decider_calls):

@@ -3,6 +3,7 @@
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from epgraph import (
@@ -10,6 +11,7 @@ from epgraph import (
     GroupSpec,
     build_bundle,
     ingest_cayley,
+    parse_spec,
     prime_subgroup_counts,
     roster_generate,
 )
@@ -131,6 +133,23 @@ def test_equal_order_subgroups_intersect_properly(roster_groups_48):
                 for b in group_list[i + 1:]:
                     meet = a & b
                     assert len(meet) < size
+
+
+@pytest.mark.parametrize("text, involutions", [
+    ("product:" + ",".join(["cyclic:2"] * 6), 63),  # every non-identity element
+    ("dihedral:9", 9),  # the reflections only
+    ("dihedral:10", 11),  # and r^5, inside the rotations' longer walks
+    ("dicyclic:4", 1),  # Q16: one involution, inside every longer walk
+    ("metacyclic:7:3:2", 0),  # odd order: no involution
+])
+def test_involution_walks_match_brute_force(text, involutions):
+    # involutions are read off the table's diagonal, each as the walk
+    # (x, identity); the rest are walked one power at a time
+    group = parse_spec(text).realize()
+    assert_lattice_matches_brute_force(group)
+    assert group.orders.count(2) == involutions
+    assert sorted(w for w in group.walks if len(w) == 2) == [
+        (x, 0) for x, o in enumerate(group.orders) if o == 2]
 
 
 def test_lattice_matches_brute_force_over_roster(roster_groups_64):

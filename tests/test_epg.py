@@ -19,6 +19,7 @@ from epgraph import (
     roster_generate,
     to_dot,
     to_edgelist_lines,
+    to_json_dict,
 )
 
 from helpers import (
@@ -249,3 +250,16 @@ def test_dot_export_deleted_keeps_element_labels():
     dot = to_dot(b.deleted)
     # vertex 0 of the deleted graph is element 1
     assert 'n0 [label="g1' in dot
+
+
+def test_json_export_labels_are_element_and_order():
+    # S3 as metacyclic:3:2:2: elements 1 and 2 are the rotations, 3-5 the
+    # reflections; the deleted graph's vertex i is element i + 1
+    b = bundle_for("metacyclic:3:2:2")
+    assert to_json_dict(b.epg)["labels"] == [[0, 1], [1, 3], [2, 3], [3, 2], [4, 2], [5, 2]]
+    data = to_json_dict(b.deleted)
+    assert data["name"] == "Meta(3,2,2)*" and data["vertices"] == 5
+    assert data["labels"] == [[1, 3], [2, 3], [3, 2], [4, 2], [5, 2]]
+    assert data["edges"] == [[0, 1]]
+    # the trivial group's deleted graph has no vertex and so no labels
+    assert to_json_dict(bundle_for("cyclic:1").deleted)["labels"] is None
