@@ -23,13 +23,16 @@ int64 maximum.
 
 A file's table is untrusted, and this module alone checks group laws. Each
 law is checked exactly before the table is used, the first broken one
-named, in the order closure, identity, latin-square, associativity. Each
-law is one flat numpy pass over the table (associativity one per
-generator), and every witness is named in the file's own labels. An entry
-outside [0, n), negative or of any size, breaks closure: the table is read
-in int64 and becomes int16 only once it is a Latin square. The identity
-may sit at any index; the cast renumbers it to index 0. Associativity is
-Light's test, O(n^2 log n) for a group.
+named, in the order closure, identity, latin-square, associativity, and
+every witness is named in the file's own labels. An entry outside [0, n),
+negative or of any size, breaks closure: the table is read in int64, and
+that copy lives only through the identity check. The identity may sit at
+any index; the cast to int16 renumbers it to index 0, and the int64 copy
+is dropped. Associativity is Light's test, one flat numpy pass per generator,
+O(n^2 log n). An accepted table is not scanned for the Latin square: every
+row holding the identity gives every element a right inverse, and with
+associativity that makes a group. Only a table that fails is scanned, so
+that a repeated entry is named before a failing triple.
 """
 
 from __future__ import annotations
@@ -252,9 +255,17 @@ def parse_cayley_text(text: str, max_order: int = DEFAULT_MAX_ORDER) -> list[lis
 
 
 def cayley_table(text: str, max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray:
-    """Parse; check closure, locate the identity e and check the Latin-square
-    property on the file's table; renumber e to 0 in the cast to int16 and
-    check associativity: the int16 table of a group, not yet walked."""
+    """Parse; check closure and locate the identity e on the file's table;
+    renumber e to 0 in the cast to int16 and check the Latin-square property
+    and associativity: the int16 table of a group, not yet walked.
+
+    The int64 table lives only through the identity check. A row of the
+    int16 table that holds the identity is an element with a right
+    inverse; when every row holds it and Light's test passes, the table is
+    an associative finite monoid with right inverses, so a group, so a
+    Latin square, and no line is scanned. A table that fails either test
+    is scanned for a repeated entry, which wins over a failing triple.
+    """
     arr = _read_table(text, max_order)
     n = arr.shape[0]
     # as uint64, a negative entry (saturated or not) is at least 2**63
@@ -267,34 +278,57 @@ def cayley_table(text: str, max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray:
             break
     else:
         raise CayleyValidationError("identity", "no two-sided identity element found")
-    offsets = np.arange(0, n * n, n)
-    for axis, offset in (("row", offsets[:, None]), ("column", offsets)):
-        seen = np.zeros(n * n, dtype=bool)
-        seen[arr + offset] = True  # seen[i*n + v]: value v occurs in line i
-        full = seen.reshape(n, n).all(axis=1)
-        if not full.all():
-            raise CayleyValidationError(
-                "latin-square", f"{axis} {np.argmin(full)} repeats an entry")
     # sigma swaps labels 0 and e; it is its own inverse, so it also maps a
     # renumbered witness back to the file's labels
     sigma = expect.astype(np.int16)
     sigma[[0, e]] = e, 0
-    arr = sigma.take(arr)
-    arr[[0, e]] = arr[[e, 0]]
-    arr[:, [0, e]] = arr[:, [e, 0]]
-    _check_associative(arr, sigma)
-    return arr
+    table = sigma.take(arr)
+    del arr
+    table[[0, e]] = table[[e, 0]]
+    table[:, [0, e]] = table[:, [e, 0]]
+    if not (table == 0).any(axis=1).all():
+        _check_latin(table, sigma)
+    try:
+        _check_associative(table, sigma)
+    except CayleyValidationError:
+        _check_latin(table, sigma)
+        raise
+    return table
+
+
+def _check_latin(table: np.ndarray, sigma: np.ndarray) -> None:
+    """Raise the latin-square violation of the renumbered ``table``, if it
+    has one: the file's first row, else its first column, that repeats an
+    entry. Line i of ``table`` is line sigma[i] of the file."""
+    n = table.shape[0]
+    offsets = np.arange(0, n * n, n)
+    for axis, offset in (("row", offsets[:, None]), ("column", offsets)):
+        seen = np.zeros(n * n, dtype=bool)
+        seen[table + offset] = True  # seen[i*n + v]: value v occurs in line i
+        full = seen.reshape(n, n).all(axis=1)[sigma]
+        if not full.all():
+            raise CayleyValidationError(
+                "latin-square", f"{axis} {np.argmin(full)} repeats an entry")
 
 
 def _check_associative(arr: np.ndarray, sigma: np.ndarray) -> None:
     """Light's associativity test over a greedily chosen generating set S;
     a failing triple is named through the relabelling ``sigma``.
 
-    The elements s with (x*s)*y == x*(s*y) for all x, y are closed under
-    products, so checking each s in S covers every element S generates.
     S grows by the first element not yet reached, and the reached set is
-    closed under right multiplication by S; for a group each new generator
-    at least doubles it, so |S| <= log2 n and the test costs O(n^2 log n).
+    closed under right multiplication by S. The caller has seen the
+    identity 0 in every row of ``arr``, so every element has a right
+    inverse, and the test stops within floor(log2 n) + 1 rounds,
+    O(n^2 log n), Latin square or not:
+    1. each s in S that passes lies in the middle nucleus
+       N = {s : (x*s)*y == x*(s*y) for all x, y}, which is closed under
+       products, so the reached set lies in N and is associative: once it
+       holds every element, the table is;
+    2. such an s has a right inverse y, so s^b*y == s^(b-1) with powers
+       taken left to right; as s^a == s^b for some a < b, cancelling y on
+       the right down to a == 0 gives s^m == 0 for m = b - a;
+    3. the reached set is therefore a subgroup, and each new generator t
+       at least doubles it, the coset reached*t lying outside it.
     """
     n = arr.shape[0]
     reached = [True] + [False] * (n - 1)

@@ -28,6 +28,7 @@ from epgraph.cayley_io import _read_table, cayley_table
 
 from helpers import (
     assert_frozen_int16,
+    associative,
     cayley_file_text,
     find_nonassociative_loop,
     first_broken_law,
@@ -87,10 +88,66 @@ def test_no_identity_rejected():
 
 
 def test_nonassociative_loop_rejected():
+    # a Latin square with an identity: every row holds it, and Light's test names the triple
     table = find_nonassociative_loop(5)
     with pytest.raises(CayleyValidationError) as exc:
         ingest_cayley(cayley_file_text(table, comment="non-associative loop"))
     assert exc.value.law == "associativity"
+    assert witness_breaks_law(table, exc.value.law, str(exc.value))
+
+
+def _first_repeat(table: list[list[int]]) -> str:
+    """The latin-square message for ``table``: its first row, else its
+    first column, that repeats an entry."""
+    n = len(table)
+    for axis, lines in (("row", table), ("column", [list(c) for c in zip(*table)])):
+        for i, line in enumerate(lines):
+            if len(set(line)) < n:
+                return f"{axis} {i} repeats an entry"
+    raise AssertionError("a Latin square")
+
+
+def _relabelled(table, perm: np.ndarray) -> np.ndarray:
+    """``table`` with element x renamed perm[x]."""
+    out = np.empty((len(perm), len(perm)), dtype=perm.dtype)
+    out[np.ix_(perm, perm)] = perm[np.asarray(table)]
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 6, 9])
+def test_multiplicative_monoid_names_a_repeated_row(n):
+    # x*y = xy mod n: associative with identity 1, but no row of a zero
+    # divisor holds the identity, so the table is no group and no Latin square
+    table = [[x * y % n for y in range(n)] for x in range(n)]
+    assert two_sided_identity(table) == 1 and associative(table)
+    with pytest.raises(CayleyValidationError) as exc:
+        cayley_table(cayley_file_text(table))
+    assert exc.value.law == "latin-square"
+    assert str(exc.value) == _first_repeat(table)
+    assert witness_breaks_law(table, exc.value.law, str(exc.value))
+
+
+@pytest.mark.parametrize("e", [0, 2, 6])
+def test_rows_holding_the_identity_name_a_repeat_before_a_triple(e):
+    # Z_7 with row 3's entries rotated outside the identity column and the
+    # identity itself: every row still holds the identity and is a
+    # permutation, but columns repeat and associativity fails, so Light's
+    # test fails first and the repeated column must still win
+    n = 7
+    table = [[(x + y) % n for y in range(n)] for x in range(n)]
+    cols = [y for y in range(1, n) if table[3][y] != 0]
+    vals = [table[3][y] for y in cols]
+    for y, v in zip(cols, vals[1:] + vals[:1]):
+        table[3][y] = v
+    table = _relabelled(table, (3 * np.arange(n) + e) % n).tolist()  # the identity becomes e
+    assert two_sided_identity(table) == e and all(e in row for row in table)
+    assert not associative(table)
+    with pytest.raises(CayleyValidationError) as exc:
+        cayley_table(cayley_file_text(table))
+    assert exc.value.law == "latin-square"
+    assert str(exc.value) == _first_repeat(table)
+    assert str(exc.value).startswith("column")
+    assert witness_breaks_law(table, exc.value.law, str(exc.value))
 
 
 def test_parse_errors():
@@ -230,6 +287,26 @@ def test_single_row_peak_stays_near_the_text():
     assert peak <= 5 * len(text), peak / len(text)
 
 
+def test_accepting_a_table_peaks_at_the_reader():
+    # the int64 table is dropped once renumbered to int16, and an accepted
+    # table is never scanned for the Latin square, so checking the laws
+    # allocates no more than reading the text did
+    group = GroupSpec.dihedral(1024).realize(max_order=2048)
+    relabelled = _relabelled(group.table, np.random.default_rng(1).permutation(group.order))
+    # written a row at a time: a list of 4M ints would dwarf the tables measured
+    text = f"{group.order}\n" + "".join(" ".join(map(str, row.tolist())) + "\n"
+                                        for row in relabelled)
+    peaks = []
+    for read in (_read_table, cayley_table):
+        tracemalloc.start()
+        try:
+            read(text, 2048)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], peaks[1] / peaks[0]
+
+
 def test_closure_violation_named_in_file_coordinates():
     table = parse_cayley_reference((DATA / "z6_identity_at_3.cayley").read_text())
     table[4][1] = 6
@@ -265,9 +342,7 @@ def test_roster_text_reports_match_the_spec(data):
     # relabelled, the identity anywhere: the label-free facts must survive
     # a drawn seed, not a drawn permutation, so that a failure shrinks quickly
     perm = np.random.default_rng(data.draw(st.integers(0, 2**32))).permutation(group.order)
-    relabelled = np.empty_like(group.table)
-    relabelled[np.ix_(perm, perm)] = perm[group.table]
-    h = ingest_cayley(cayley_file_text(relabelled.tolist()))
+    h = ingest_cayley(cayley_file_text(_relabelled(group.table, perm).tolist()))
     assert sorted(h.orders) == sorted(group.orders), spec
     for g_report, h_report in zip(want, _reports(h)):
         # a witness is present exactly when its verdict is negative
@@ -280,7 +355,7 @@ def test_roster_text_reports_match_the_spec(data):
 
 _ROSTER_64 = roster_generate(64)
 _BREAKS = ["none", "out of range", "no identity", "row repeat", "column repeat",
-           "intercalate"]
+           "intercalate", "row shuffle", "row copy"]
 
 
 def _break(table: list[list[int]], how: str, data) -> list[list[int]]:
@@ -302,6 +377,18 @@ def _break(table: list[list[int]], how: str, data) -> list[list[int]]:
         table[r][c], table[other][c] = table[other][c], table[r][c]
     elif how == "column repeat":  # two entries of a row swapped: rows stay Latin
         table[r][c], table[r][other] = table[r][other], table[r][c]
+    elif how in ("row shuffle", "row copy") and n > 2:
+        # every row keeps the identity, so Light's test runs on a table
+        # whose columns, or the copied row, repeat an entry
+        away = st.sampled_from([x for x in range(n) if x != e])
+        r, other = data.draw(away), data.draw(away)
+        cols = [x for x in range(n) if x != e]
+        if how == "row shuffle":  # the row's entries outside the identity column permuted
+            values = data.draw(st.permutations([table[r][x] for x in cols]))
+        else:  # row other's entries outside the identity column written over row r's
+            values = [table[other][x] for x in cols]
+        for x, v in zip(cols, values):
+            table[r][x] = v
     elif how == "intercalate":
         involutions = [t for t in range(n) if t != e and table[t][t] == e]
         if involutions and n > 2:
@@ -319,9 +406,8 @@ def test_validator_matches_plain_loop_oracle(data):
     n = group.order
     # relabelled by a drawn seed, so the identity sits anywhere
     perm = np.random.default_rng(data.draw(st.integers(0, 2**32))).permutation(n)
-    relabelled = np.empty_like(group.table)
-    relabelled[np.ix_(perm, perm)] = perm[group.table]
-    table = _break(relabelled.tolist(), data.draw(st.sampled_from(_BREAKS)), data)
+    table = _break(_relabelled(group.table, perm).tolist(), data.draw(st.sampled_from(_BREAKS)),
+                   data)
     law = first_broken_law(table)
     try:
         got = cayley_table(cayley_file_text(table))
