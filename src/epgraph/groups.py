@@ -7,15 +7,16 @@ passes; ``table_cap`` is the cap in force, checked before any table is
 allocated. A group is built only through ``GroupSpec.realize``
 (``epgraph.specs``), which checks the parameters and the order cap and
 wraps one builder's table as it is. Each builder writes its table once,
-with no temporary near its size: closed forms copy strided windows of the
-run 0..n-1, 0..n-1 (no modular arithmetic per entry), a metacyclic block
-that is no window gathers Z_m's columns once, a product folds its factors'
-tables right, adding one factor in front of the product of those after it,
-and the permutation closure gathers each row from an earlier one through a
-left multiplication. At order 4,096, ``realize`` peaks at 1.01-1.03x the
-table for windows and closures, 1.25x for a gathered semidihedral block or
-a product holding a 2,048-element table, and 1.31x for Z_2 x Z_2 x Z_1024,
-whose last step holds Z_2 x Z_1024 and Z_1024 beside the output. Every
+with no temporary near its size: the closed form of every integer family
+adds shifts to strided windows of a short run (no modular arithmetic per
+entry), gathering their columns unless b acts as a -> a^(+-1), a product
+folds its factors' tables right, adding one factor in front of the product
+of those after it, and the permutation closure gathers each row from an
+earlier one through a left multiplication. At order 4,096, ``realize``
+peaks at 1.01-1.03x the table for windows and closures, 1.25x for a
+gathered semidihedral block or a product holding a 2,048-element table,
+and 1.31x for Z_2 x Z_2 x Z_1024, whose last step holds Z_2 x Z_1024 and
+Z_1024 beside the output. Every
 table here is trusted: the one kind of untrusted table, a Cayley file's,
 has its group laws checked by its reader (``epgraph.cayley_io``) before it
 gets here. Building a group walks its powers once (``epgraph.cyclic``);
@@ -120,7 +121,7 @@ class FiniteGroup:
 
 # -- table builders ----------------------------------------------------------
 # ``GroupSpec.realize`` is their one caller: it checks the parameter laws and
-# the order cap, so the closed forms check nothing and only the closure, whose
+# the order cap, so the closed form checks nothing and only the closure, whose
 # order is found while building, takes the cap. Every builder writes its int16
 # table once, straight into the array it returns.
 
@@ -143,14 +144,6 @@ def _window(run: np.ndarray, n: int, start: int, step: int) -> np.ndarray:
     (i + j) mod n, and start n with step -1 gives (i - j) mod n.
     """
     return np.ndarray((n, n), np.int16, run, 2 * start, (2, 2 * step))
-
-
-def cyclic_table(n: int) -> np.ndarray:
-    """Z_n's table: row i is 0..n-1 rotated left by i, one window copied.
-
-    ``realize`` peaks at 1.02x the table at order 4,096, the walks included.
-    """
-    return _window(_run(n), n, 0, 1).copy()
 
 
 def _scaled(table: np.ndarray, k: int) -> np.ndarray:
@@ -178,6 +171,11 @@ def product_table(tables: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _product2(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """t1 x t2 by the path faster on its shapes: short rows when t1 is the
+    larger (D_1024 x Z_2: 37 ms against 113 ms by broadcast), else a
+    broadcast (Z_2 x D_1024: 14 against 18 ms). Short rows alone slowed
+    roster 512's product folds from 31 to 38 ms, and Z_2 x Z_2048's realize
+    peak from 1.25x to 1.75x the table (2 cores)."""
     n1, n2 = t1.shape[0], t2.shape[0]
     n = n1 * n2
     out = np.empty((n1, n2, n1, n2), dtype=np.int16)  # [a, b, c, d]
@@ -193,53 +191,41 @@ def _product2(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return out.reshape(n, n)
 
 
-def dicyclic_table(m: int) -> np.ndarray:
-    """The dicyclic group of order 4m on pairs (i, j), i in Z_{2m}, j in {0, 1}.
+def metacyclic_table(m: int, n: int, k: int, t: int) -> np.ndarray:
+    """<a, b | a^m = 1, b^n = a^t, bab^-1 = a^k> on pairs a^i b^j at j*m + i.
 
-    Products: (i1,0)(i2,j2) = (i1+i2, j2); (i1,1)(i2,0) = (i1-i2, 1);
-    (i1,1)(i2,1) = (i1-i2+m, 0), all mod 2m. For m a power of two this is
-    the generalized quaternion group Q_{4m}. Pair (i, j) gets index j*2m + i.
-    Each quarter is a window of Z_{2m}'s run, written once: ``realize``
-    peaks at 1.02x the table at order 4,096.
-    """
-    n, two_m = 4 * m, 2 * m
-    run = _run(two_m, 3)  # (i1 - i2 + m) mod 2m starts at 3m: three copies
-    z = _window(run, two_m, 0, 1)
-    out = np.empty((2, two_m, 2, two_m), dtype=np.int16)  # [j1, i1, j2, i2]
-    np.copyto(out[0, :, 0], z)
-    np.copyto(out[1, :, 1], _window(run, two_m, 3 * m, -1))
-    np.add(z, two_m, out=out[0, :, 1])
-    np.add(_window(run, two_m, two_m, -1), two_m, out=out[1, :, 0])
-    return out.reshape(n, n)
-
-
-def metacyclic_table(m: int, n: int, k: int) -> np.ndarray:
-    """The metacyclic group Z_m x| Z_n with (i1,j1)(i2,j2) = (i1 + k^j1*i2, j1+j2).
-
-    Requires k^n = 1 (mod m) and gcd(k, m) = 1. Pair (i, j) gets index
-    j*m + i. Dihedral groups arise as (m, 2, m-1).
-
-    Row block j1 is (i1 + c*i2) mod m, c = k^j1 mod m, plus m*((j1+j2) mod n),
-    added straight into the table. For c = 1 or c = -1 the block is a window
-    of Z_m's run; any other c gathers Z_m's columns c*i2 once per j1, an
-    m x m block, 1/n^2 of the table, that the add reads. ``realize`` peaks
-    at order 4,096 at 1.02x the table for dihedral groups, 1.25x for the
-    semidihedral SD4096 (n = 2) and 1.03-1.06x for n = 4 and 8.
+    Requires gcd(k, m) = 1, k^n = 1 and t(k - 1) = 0 (mod m), 0 <= t < m.
+    (i1, j1)(i2, j2) = (i1 + k^j1*i2 + t*[j1 + j2 >= n], (j1 + j2) mod n),
+    i mod m. n = 1 is Z_m, one window copied. Otherwise row block j1 is
+    ``_block`` for c = k^j1 mod m plus m*((j1 + j2) mod n), in one broadcast
+    add, or two when t != 0, split where j1 + j2 reaches n and the block
+    starts at t: O(n) numpy calls. ``realize`` peaks at order 4,096 at 1.02x
+    the table for cyclic, dihedral and dicyclic groups, 1.25x for the
+    semidihedral SD4096 (n = 2), whose gathered block is 1/n^2 of the
+    table, and 1.02-1.06x for n = 4 and 8.
     """
     order = m * n
-    run = _run(m)
-    z, shift = _window(run, m, 0, 1), (m * (np.arange(2 * n) % n)).astype(np.int16)
+    if n == 1:  # no shift to add: a copy, at a third of a broadcast add's fixed cost
+        return _window(_run(m), m, 0, 1).copy()
+    shift = np.arange(0, order, m, dtype=np.int16)  # m*j, j < n; n >= 2, so the step m fits int16
+    run, shift = _run(m, 3), np.concatenate((shift, shift))  # m*((j1 + j2) mod n)
     out = np.empty((n, m, n, m), dtype=np.int16)  # [j1, i1, j2, i2]
     for j1 in range(n):
-        c = pow(k, j1, m)
-        if c == 1 % m:
-            block = z
-        elif c == m - 1:
-            block = _window(run, m, m, -1)
-        else:
-            block = z[:, c * np.arange(m) % m]
-        np.add(block[:, None, :], shift[j1:j1 + n, None], out=out[j1])
+        c, cut = pow(k, j1, m), n - j1 if t else n
+        np.add(_block(run, m, c, 0)[:, None, :], shift[j1:j1 + cut, None], out=out[j1, :, :cut])
+        if cut < n:
+            np.add(_block(run, m, c, t)[:, None, :], shift[:j1, None], out=out[j1, :, cut:])
     return out.reshape(order, order)
+
+
+def _block(run: np.ndarray, m: int, c: int, start: int) -> np.ndarray:
+    """(i1 + c*i2 + start) mod m over ``run`` = ``_run(m, 3)``, 0 <= c, start < m:
+    a window for c = 1 or -1 (mod m), else the rising one, columns gathered."""
+    if c == 1 % m:
+        return _window(run, m, start, 1)
+    if c == m - 1:
+        return _window(run, m, start + m, -1)
+    return _window(run, m, start, 1)[:, c * np.arange(m) % m]
 
 
 def closure_table(degree: int, generators: Iterable[Sequence[int]],

@@ -11,9 +11,12 @@ One flat grammar serves the CLI, reports, and roster listings:
     file:PATH                 (Cayley table file)
 
 The four integer families are described once, in ``_INT_FAMILIES``: the
-grammar of their parameters, the order those fix, and the table builder.
-Parsing, serialization, ``known_order`` and the table each read them in one
-branch off that table.
+grammar of their parameters and the presentation (m, n, k, t) of
+<a, b | a^m = 1, b^n = a^t, bab^-1 = a^k> that they name, the input of
+``groups.metacyclic_table``, the one closed-form builder: cyclic:N is
+(N, 1, 1, 0), dihedral:M (M, 2, M-1, 0), dicyclic:M (2M, 2, 2M-1, M) and
+metacyclic:M:N:K (M, N, K, 0), each of order m*n. Parsing, serialization,
+``known_order`` and the table each read them in one branch off that table.
 
 ``parse_spec`` reads a spec in one pass and checks its syntax only. Each
 factor drops its "product:" prefixes, so products flatten at any depth, and
@@ -41,8 +44,6 @@ from .groups import (
     DEFAULT_MAX_ORDER,
     FiniteGroup,
     closure_table,
-    cyclic_table,
-    dicyclic_table,
     metacyclic_table,
     product_table,
     table_cap,
@@ -53,15 +54,14 @@ FAMILIES = ("cyclic", "product", "dihedral", "dicyclic", "metacyclic", "perm", "
 
 class _IntFamily(NamedTuple):
     names: tuple[str, ...]  # the grammar: one integer per name after "family:"
-    order: Callable[..., int]
-    build: Callable[..., np.ndarray]
+    presentation: Callable[..., tuple[int, int, int, int]]  # metacyclic_table's (m, n, k, t)
 
 
 _INT_FAMILIES = {
-    "cyclic": _IntFamily(("n",), lambda n: n, cyclic_table),
-    "dihedral": _IntFamily(("m",), lambda m: 2 * m, lambda m: metacyclic_table(m, 2, m - 1)),
-    "dicyclic": _IntFamily(("m",), lambda m: 4 * m, dicyclic_table),
-    "metacyclic": _IntFamily(("m", "n", "k"), lambda m, n, k: m * n, metacyclic_table),
+    "cyclic": _IntFamily(("n",), lambda n: (n, 1, 1, 0)),
+    "dihedral": _IntFamily(("m",), lambda m: (m, 2, m - 1, 0)),
+    "dicyclic": _IntFamily(("m",), lambda m: (2 * m, 2, 2 * m - 1, m)),
+    "metacyclic": _IntFamily(("m", "n", "k"), lambda m, n, k: (m, n, k, 0)),
 }
 
 # ASCII: \d and \s would also match non-ASCII digits and spaces
@@ -136,7 +136,8 @@ class GroupSpec:
         """The group order when it is determined by the parameters alone."""
         f = self.family
         if f in _INT_FAMILIES:
-            return _INT_FAMILIES[f].order(*self.params)
+            m, n, _, _ = _INT_FAMILIES[f].presentation(*self.params)
+            return m * n
         if f == "product":
             orders = [c.known_order() for c in self.params]
             return None if any(o is None for o in orders) else math.prod(orders)
@@ -189,7 +190,7 @@ class GroupSpec:
         self._check_cap(max_order)
         f, p = self.family, self.params
         if f in _INT_FAMILIES:
-            return _INT_FAMILIES[f].build(*p)
+            return metacyclic_table(*_INT_FAMILIES[f].presentation(*p))
         if f == "perm":
             return closure_table(*p, max_order=max_order)
         if f == "file":
@@ -219,7 +220,7 @@ def _check_laws(family: str, params: tuple) -> None:
     """Raise GroupParameterError unless ``params`` obey the family's laws.
     Their shape is checked first: an integer family takes as many ``int``
     values as its grammar names, ``perm`` an ``int`` degree and a tuple of
-    ``int`` tuples, and ``file`` one ``str``."""
+    ``int`` tuples, and ``file`` one ``str``, a path its spec text names."""
     if family in _INT_FAMILIES:
         names = _INT_FAMILIES[family].names
         if len(params) != len(names) or not all(type(p) is int for p in params):
@@ -262,8 +263,10 @@ def _check_laws(family: str, params: tuple) -> None:
                 raise GroupParameterError(f"{g} is not a permutation of 0..{degree - 1}")
     elif len(params) != 1 or type(params[0]) is not str:
         raise GroupParameterError(f"file needs one str path, got {params!r}")
-    elif not params[0]:
-        raise GroupParameterError("file spec needs a path")
+    elif not params[0] or "," in params[0] or params[0] != params[0].rstrip():
+        # the grammar ends a path at a comma and strips the whitespace ending it
+        raise GroupParameterError(f"no spec text names the file path {params[0]!r}: it is "
+                                  "empty, holds a comma or ends in whitespace")
 
 
 def cycle_notation(perm) -> str:

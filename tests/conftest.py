@@ -10,7 +10,8 @@ from epgraph.theorems import roster_generate
 # networkx from order 48 to 256),
 # test_cyclic.py's relabelled tables, test_cayley_io.py's roster texts and
 # law-oracle tables and test_specs.py's drawn spec round trips from 100,
-# test_groups.py's metacyclic and product reference tables and
+# test_groups.py's metacyclic and product reference tables and drawn
+# presentations, and
 # test_cayley_io.py's mutated texts from 80, and test_cayley_io.py's valid
 # texts from 60, to 1000
 settings.register_profile("ci", max_examples=1000, deadline=None)

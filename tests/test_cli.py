@@ -320,6 +320,16 @@ def test_ingest_missing_file(tmp_path, capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("name", ["z2.cayley ", "z2,cayley"])
+def test_ingest_refuses_a_path_no_spec_names(tmp_path, capsys, name):
+    # the file exists and holds Z2, but "file:PATH" would name another path
+    path = tmp_path / name
+    path.write_text("2\n0 1\n1 0\n")
+    code, out, err = run_cli(["ingest", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert repr(str(path)) in err
+
+
 def _unreadable(tmp_path, kind: str) -> Path:
     if kind == "missing":
         return tmp_path / "nope.cayley"

@@ -26,6 +26,7 @@ from epgraph import (
     roster_generate,
 )
 from epgraph.cayley_io import cayley_table
+from epgraph.specs import _INT_FAMILIES
 from epgraph.theorems import CHECKS_BY_ID
 from helpers import (
     abelian_shape_reference,
@@ -124,9 +125,9 @@ def test_int16_limit_overrides_a_larger_cap():
 
 def test_scaling_by_two_to_the_fifteen_stays_int16():
     # Z_1 x Z_32768 scales Z_1's table by 2**15, which int16 cannot hold as a scalar
-    scaled = groups_module._scaled(groups_module.cyclic_table(1), 2**15)
+    scaled = groups_module._scaled(groups_module.metacyclic_table(1, 1, 1, 0), 2**15)
     assert scaled.dtype == np.int16 and scaled.tolist() == [[0]]
-    scaled = groups_module._scaled(groups_module.cyclic_table(4), 8)
+    scaled = groups_module._scaled(groups_module.metacyclic_table(4, 1, 1, 0), 8)
     assert scaled.dtype == np.int16
     assert scaled.tolist() == (8 * reference_table("cyclic", (4,))).tolist()
 
@@ -156,6 +157,27 @@ def test_windows_at_the_int16_cap_do_not_wrap():
     for i in (0, 1, m, 2 * m - 1):
         assert np.array_equal(shifted[i], (i - idx[:2 * m] + m) % (2 * m))
         assert np.array_equal(shifted[:, i], (idx[:2 * m] - i + m) % (2 * m))
+
+
+@pytest.mark.parametrize("text", ["dihedral:16384", "dicyclic:8192"])
+def test_blocks_at_the_int16_cap_do_not_wrap(text):
+    # the blocks metacyclic_table adds its shifts to, for the presentations
+    # with n >= 2 at the int16 cap (n = 1, Z_32768, is the window above):
+    # dicyclic:8192 reads its falling window from m + t = 24576, row and
+    # column at a time
+    spec = parse_spec(text)
+    m, n, k, t = _INT_FAMILIES[spec.family].presentation(*spec.params)
+    assert m * n == groups_module.MAX_TABLE_ORDER
+    run = groups_module._run(m, 3)
+    assert run.tolist() == list(range(m)) * 3
+    idx = np.arange(m)
+    for j1 in sorted({0, 1, n - 1}):
+        c = pow(k, j1, m)
+        for start in sorted({0, t}):
+            block = groups_module._block(run, m, c, start)
+            for i in (0, 1, m // 2, m - 1):
+                assert np.array_equal(block[i], (i + c * idx + start) % m)
+                assert np.array_equal(block[:, i], (idx + c * i + start) % m)
 
 
 @pytest.mark.parametrize("text", ["cyclic:1", "cyclic:2", "cyclic:9", "metacyclic:1:1:1",
@@ -328,6 +350,54 @@ def _metacyclic_params(draw, max_order=512):
 @given(_metacyclic_params())
 def test_metacyclic_tables_match_reference(params):
     _assert_reference_table(GroupSpec.metacyclic(*params))
+
+
+@st.composite
+def _presentations(draw):
+    """(m, n, k, t) with gcd(k, m) = 1, k^n = 1 and t(k - 1) = 0 (mod m),
+    0 <= t < m: ``metacyclic_table``'s whole precondition, with the t != 0
+    that among the specs only the dicyclic family reaches."""
+    m = draw(st.integers(1, 24))
+    n = draw(st.integers(1, max(1, min(8, 96 // m))))
+    k = draw(st.sampled_from([k for k in range(1, m + 1)
+                              if math.gcd(k, m) == 1 and pow(k, n, m) == 1 % m]))
+    t = draw(st.sampled_from([t for t in range(m) if t * (k - 1) % m == 0]))
+    return m, n, k, t
+
+
+def _presentation_formula(m, n, k, t):
+    """(i1, j1)(i2, j2) = (i1 + k^j1 i2 + t [j1 + j2 >= n], (j1 + j2) mod n),
+    i mod m, on pairs at j*m + i, entry by entry."""
+    idx = np.arange(m * n)
+    i, j = idx % m, idx // m
+    kpow = np.array([pow(k, e, m) for e in range(n)])
+    wrap = j[:, None] + j[None, :]
+    return wrap % n * m + (i[:, None] + kpow[j][:, None] * i[None, :] + t * (wrap >= n)) % m
+
+
+@REFERENCE_TABLES
+@given(_presentations())
+def test_drawn_presentation_tables_match_their_formula(params):
+    table = groups_module.metacyclic_table(*params)
+    assert table.dtype == np.int16 and table.flags.c_contiguous
+    assert np.array_equal(table, _presentation_formula(*params)), params
+    # a group with identity 0: associative, and 0 is a two-sided identity
+    idx = np.arange(table.shape[0])
+    assert np.array_equal(table[0], idx) and np.array_equal(table[:, 0], idx), params
+    assert np.array_equal(table[table], table[:, table]), params
+
+
+@pytest.mark.parametrize("params", [(1, 512, 1, 0), (2, 256, 1, 0), (3, 170, 2, 0),
+                                    (5, 100, 2, 0), (4, 64, 1, 2), (2, 2, 1, 1)])
+def test_long_presentations_build_a_block_or_two_per_row_block(params, monkeypatch):
+    # O(n) numpy calls per table, not one per (j1, j2) block: metacyclic:1:512:1
+    # would take 262,144 of those; t != 0 splits a row block in two from j1 = 1 on
+    block, calls = groups_module._block, []
+    monkeypatch.setattr(groups_module, "_block", lambda *a: calls.append(a) or block(*a))
+    table = groups_module.metacyclic_table(*params)
+    assert np.array_equal(table, _presentation_formula(*params)), params
+    _, n, _, t = params
+    assert len(calls) == (2 * n - 1 if t else n)
 
 
 def _factor_specs(cap: int):
@@ -580,6 +650,16 @@ def test_generalized_quaternion_detection():
     assert is_generalized_quaternion(GroupSpec.dicyclic(4).realize()) is True
     assert is_generalized_quaternion(GroupSpec.dihedral(8).realize()) is False
     assert is_generalized_quaternion(GroupSpec.cyclic(8).realize()) is False
+
+
+@pytest.mark.parametrize("text, quaternion", [
+    ("dicyclic:2", True), ("dicyclic:4", True), ("dicyclic:8", True),
+    # Z4 and Z8 have one involution each: only their being abelian rules them out
+    ("cyclic:4", False), ("cyclic:8", False),
+    ("dicyclic:3", False), ("dihedral:4", False), ("metacyclic:8:2:3", False),
+])
+def test_is_generalized_quaternion(text, quaternion):
+    assert is_generalized_quaternion(parse_spec(text).realize()) is quaternion
 
 
 def test_generalized_quaternion_across_families(roster_groups_48):

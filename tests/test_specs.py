@@ -60,6 +60,24 @@ def _metacyclic_specs(draw):
     return GroupSpec.metacyclic(m, n, draw(st.sampled_from(valid)))  # k = 1 is always valid
 
 
+def _file_spec(path: str):
+    """GroupSpec.file(path), or None when it refuses the path, naming it. It
+    refuses exactly the paths that the spec text ``file:PATH`` does not
+    parse back to: the grammar ends a path at a comma and strips the
+    whitespace that ends it."""
+    try:
+        named = parse_spec("file:" + path).params == (path,)
+    except SpecSyntaxError:
+        named = False
+    try:
+        spec = GroupSpec.file(path)
+    except GroupParameterError as exc:
+        assert not named and repr(path) in str(exc), (path, str(exc))
+        return None
+    assert named, path
+    return spec
+
+
 _FACTOR_SPECS = st.one_of(
     st.integers(1, 10**6).map(GroupSpec.cyclic),
     st.integers(2, 10**6).map(GroupSpec.dihedral),
@@ -68,10 +86,9 @@ _FACTOR_SPECS = st.one_of(
     st.integers(1, 6).flatmap(lambda d: st.lists(
         st.permutations(range(d)), min_size=1, max_size=3,
     ).map(lambda gens: GroupSpec.perm(d, gens))),
-    # the grammar ends a file path at a comma and strips the space that ends
-    # it, so a path holding a comma or ending in space has no spec text
-    st.text(min_size=1).filter(lambda path: "," not in path and path == path.rstrip())
-    .map(GroupSpec.file),
+    # any text, drawing commas and whitespace often
+    st.text(st.characters() | st.sampled_from(", \t\r\n\x85\u3000"))
+    .map(_file_spec).filter(lambda spec: spec is not None),
 )
 
 
@@ -202,6 +219,11 @@ def test_spec_constructors_validate():
     # product factor would serialize to text that parses to another spec
     ("product", (GroupSpec.product([GroupSpec.cyclic(2), GroupSpec.cyclic(3)]),
                  GroupSpec.cyclic(5))),
+    # a path that no spec text names: the grammar ends a path at a comma and
+    # strips the whitespace that ends it
+    ("file", ("a ",)),
+    ("file", ("\r",)),
+    ("file", ("a,b",)),
 ])
 def test_raw_spec_checks_laws_when_made(family, params):
     # the laws and the parameter count live in GroupSpec itself, so a spec
