@@ -9,30 +9,25 @@ text, other ASCII whitespace and non-ASCII digits or spaces included, is a
 parse error. A file that cannot be read or is not UTF-8 raises GroupError.
 
 The order line is read on its own, so an order above the cap is rejected
-before any row is scanned. The rows are then read in blocks of whole
-lines, ``BLOCK`` characters at most, each in a few numpy passes: comments
-and the carriage return before a line feed go first; a byte outside the
-grammar names its line; the tokens of each line are counted before any
-token's value is built, so a line of the wrong length is refused without
-its values, and the first broken line wins as in a line-by-line reading.
-A line longer than a block is read in slices cut at a space or tab, and
-its values are kept only while it holds at most n tokens. A value is
-built from its digit places, one pass over the block per place, up to 19
+before any row is scanned. One loop then reads the rows in blocks of at
+most ``BLOCK`` characters (see ``_cut``) and writes their values in token
+order into one n x n int16 table. Each line's tokens are counted before
+any value is built, so a line of the wrong length is refused without its
+values, and the first broken line wins as in a line-by-line reading. A
+value is built from its digit places, one numpy pass per place, up to 19
 places in uint64; a token beyond int64, of either sign, saturates to the
 int64 maximum.
 
-A file's table is untrusted, and this module alone checks group laws. Each
-law is checked exactly before the table is used, the first broken one
-named, in the order closure, identity, latin-square, associativity, and
-every witness is named in the file's own labels. An entry outside [0, n),
-negative or of any size, breaks closure: the table is read in int64, and
-that copy lives only through the identity check. The identity may sit at
-any index; the cast to int16 renumbers it to index 0, and the int64 copy
-is dropped. Associativity is Light's test, one flat numpy pass per generator,
-O(n^2 log n). An accepted table is not scanned for the Latin square: every
-row holding the identity gives every element a right inverse, and with
-associativity that makes a group. Only a table that fails is scanned, so
-that a repeated entry is named before a failing triple.
+A file's table is untrusted, and this module alone checks group laws,
+each exactly and before the table is used. The first broken law is named,
+in the order closure, identity, latin-square, associativity, with its
+witness in the file's own labels. An entry outside [0, n), negative or of
+any size, breaks closure, raised once the whole text has parsed so that a
+parse error still wins. The identity, at any index, is renumbered to 0 in
+place. Associativity is Light's test, O(n^2 log n). An accepted table is
+not scanned for the Latin square (see ``cayley_table``); only a table that
+fails is, so that a repeated entry is named before a failing triple. No
+law check makes an n x n temporary: each runs over blocks of rows.
 """
 
 from __future__ import annotations
@@ -46,38 +41,31 @@ import numpy as np
 from .errors import CayleyParseError, CayleyValidationError, GroupError, GroupSizeError
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup, table_cap
 
-BLOCK = 1 << 20  # characters of text read as one block of whole lines
+BLOCK = 1 << 20  # characters of text read as one block, and entries of a block of rows
 
 # the blank and comment lines before the order line, and any spaces or
 # tabs that open it: runs of them take one step, not one per line
 _BLANK_LINES = re.compile(r"(?:[ \t\n]+|#[^\n]*\n|\r\n)*")
 _COMMENT = re.compile(rb"#[^\n]*")
+_TOKEN_END = re.compile(r"[^ \t\n#]*\n?")  # a token, and the line feed right after it
+_STRAY = re.compile(r"[^#\n]*?(?:[\x0b\x0c]|\r(?!\n))")  # a separator before the comment
 _PAD = 19  # spaces put before scanned bytes: 19 digit places stay in range
 _INT64_MAX = np.iinfo(np.int64).max
 _SEPARATOR = "a separator other than space or tab"
 _TOKEN = "non-integer token"
 
-# a scan's token count per line, its first line that breaks the grammar as
-# (index, message) or None, and the function that builds its values
-_Scan = tuple[np.ndarray, "tuple[int, str] | None", Callable[[], np.ndarray]]
 
-
-def _clean(lines: str) -> bytes:
-    """Whole lines of text as ASCII bytes, each comment and the carriage
-    return before each line feed (or at the end) dropped; a non-ASCII
-    character becomes ``?``, which no token holds."""
+def _scan(lines: str) -> tuple[np.ndarray, tuple[int, str] | None, Callable[[], np.ndarray]]:
+    """Scan the lines of ``lines + "\\n"``, comments and the carriage return
+    before each line feed dropped, a non-ASCII character read as ``?``: the
+    token count of each line, the first line that breaks the grammar as
+    (index, message) or None, and a function building the tokens' int64
+    values. A token is a run of digits, a sign allowed right before it."""
     raw = lines.encode("ascii", "replace")
     if b"\r" in raw:
-        raw = raw.replace(b"\r\n", b"\n").removesuffix(b"\r")
+        raw = raw.replace(b"\r\n", b"\n")
     if b"#" in raw:
         raw = _COMMENT.sub(b"", raw)
-    return raw
-
-
-def _scan(raw: bytes) -> _Scan:
-    """Scan the lines of ``raw + b"\\n"``; the values are the tokens' int64
-    values. A token is a run of digits; the grammar holds a sign only right
-    before one."""
     buf = np.frombuffer(b" " * _PAD + raw + b"\n", dtype=np.uint8)
     chars = buf[_PAD:]
     digit = buf >= 48
@@ -149,34 +137,24 @@ def _values(buf: np.ndarray, digit: np.ndarray, last: np.ndarray,
     return value
 
 
-def _scan_long(text: str, pos: int, stop: int, n: int) -> _Scan:
-    """``_scan`` of the one line ``text[pos:stop]``, longer than a block:
-    read in slices cut at a space or tab, its values kept only while it
-    holds at most n tokens."""
-    end = stop - (text[stop - 1] == "\n")
-    comment = text.find("#", pos, end)
-    if comment >= 0:
-        end = comment
-    elif text[end - 1] == "\r":
-        end -= 1
-    count, parts = 0, []
-    p = pos
-    while p < end:
-        q = min(p + BLOCK, end)
-        if q < end:
-            q = max(text.rfind(" ", p + 1, q), text.rfind("\t", p + 1, q))
-            if q < 0:  # a token longer than a block runs to the next space or tab
-                q = min(i for i in (text.find(" ", p + 1, end), text.find("\t", p + 1, end),
-                                    end) if i >= 0)
-        counts, bad, values = _scan(text[p:q].encode("ascii", "replace"))
-        if bad:
-            sep = any(text.find(c, pos, end) >= 0 for c in "\r\x0b\x0c")
-            return counts, (0, _SEPARATOR if sep else _TOKEN), None
-        count += int(counts[0])
-        if count <= n:
-            parts.append(values())
-        p = q
-    return np.array([count, 0]), None, lambda: np.concatenate(parts)
+def _cut(text: str, pos: int, end: int) -> tuple[int, int]:
+    """Where the block of ``text[:end]`` at ``pos`` stops and the next one
+    starts: after its last line feed; in a line longer than a block, at its
+    comment (skipped to the line feed), else after its last space or tab,
+    else after its token and a line feed right after it."""
+    limit = pos + BLOCK
+    if limit >= end:
+        return end, end
+    stop = text.rfind("\n", pos, limit) + 1
+    if not stop:
+        comment = text.find("#", pos, limit)
+        if comment >= 0:
+            line_end = text.find("\n", comment, end)
+            return comment, end if line_end < 0 else line_end
+        stop = max(text.rfind(" ", pos, limit), text.rfind("\t", pos, limit)) + 1
+        if not stop:
+            stop = _TOKEN_END.match(text, pos, end).end()
+    return stop, stop
 
 
 def _count_rows(counts: np.ndarray, bad: tuple[int, str] | None, n: int, filled: int,
@@ -198,11 +176,14 @@ def _count_rows(counts: np.ndarray, bad: tuple[int, str] | None, n: int, filled:
 
 
 def _read_table(text: str, max_order: int) -> np.ndarray:
-    """The raw n x n int64 table (see ``parse_cayley_text``)."""
-    pos = text.rfind("\n", 0, _BLANK_LINES.match(text).end()) + 1
+    """The n x n int16 table of a Cayley file's text; raises the parse error
+    of its first broken line, else the closure violation of its first entry
+    outside [0, n)."""
+    end = len(text) - text.endswith("\r")  # a carriage return ending the text ends its line
+    pos = text.rfind("\n", 0, _BLANK_LINES.match(text, 0, end).end()) + 1
     lineno = text.count("\n", 0, pos) + 1
-    stop = text.find("\n", pos) + 1 or len(text)
-    counts, bad, values = _scan(_clean(text[pos:stop]))
+    stop = text.find("\n", pos, end) + 1 or end
+    counts, bad, values = _scan(text[pos:stop])
     if bad:
         raise CayleyParseError(f"line {lineno}: {bad[1]}")
     if not counts.any():  # a blank last line
@@ -216,25 +197,35 @@ def _read_table(text: str, max_order: int) -> np.ndarray:
     cap = table_cap(max_order)
     if n > cap:
         raise GroupSizeError(f"group order {n} exceeds the cap of {cap}")
-    table = np.empty((n, n), dtype=np.int64)
-    filled = 0
+    table = np.empty(n * n, dtype=np.int16)
+    at = filled = carry = 0  # tokens and rows read, and the tokens of a cut line
+    outside = None  # the index of the first entry outside [0, n)
     pos, lineno = stop, lineno + 1
-    while pos < len(text):
-        stop = len(text) if len(text) - pos <= BLOCK else text.rfind("\n", pos, pos + BLOCK) + 1
-        if stop:
-            counts, bad, values = _scan(_clean(text[pos:stop]))
-        else:  # a line longer than a block
-            stop = text.find("\n", pos) + 1 or len(text)
-            counts, bad, values = _scan_long(text, pos, stop, n)
-        rows = _count_rows(counts, bad, n, filled, lineno)
-        if rows:
-            table[filled:filled + rows] = values().reshape(rows, n)
-        filled += rows
+    while pos < end:
+        stop, resume = _cut(text, pos, end)
+        counts, bad, values = _scan(text[pos:stop])
+        tokens = int(counts.sum())
+        counts[0] += carry
+        carry = int(counts[-1]) if resume < end else 0  # a line cut at the block's end
+        counts[-1] -= carry
+        if resume < end and bad and bad[0] == len(counts) - 1 and _STRAY.match(text, resume, end):
+            bad = bad[0], _SEPARATOR  # a separator later in the cut line
+        filled += _count_rows(counts, bad, n, filled, lineno)
+        # past a table's worth of tokens, or n in a line, the text is refused once read
+        if tokens and carry <= n and at + tokens <= n * n:
+            entries = values()
+            if outside is None and entries.view(np.uint64).max() >= n:
+                outside = at + int(np.argmax(entries.view(np.uint64) >= n))
+            table[at:at + tokens] = entries
+        at += tokens
         lineno += len(counts) - 1
-        pos = stop
+        pos = resume
     if filled != n:
         raise CayleyParseError(f"expected {n} table rows, found {filled}")
-    return table
+    if outside is not None:
+        x, y = divmod(outside, n)
+        raise CayleyValidationError("closure", f"entry at ({x}, {y}) is outside [0, {n})")
+    return table.reshape(n, n)
 
 
 def read_cayley_file(path: str) -> str:
@@ -246,47 +237,52 @@ def read_cayley_file(path: str) -> str:
 
 
 def parse_cayley_text(text: str, max_order: int = DEFAULT_MAX_ORDER) -> list[list[int]]:
-    """Parse the raw file into an n x n list of ints (no group laws checked).
-
-    Raises GroupSizeError at the order line when n exceeds
-    ``table_cap(max_order)``, before any table row is scanned.
-    """
+    """Parse the raw file into an n x n list of ints in [0, n), raising a
+    closure violation once it has parsed; no other law is checked. Raises
+    GroupSizeError at the order line when n exceeds ``table_cap(max_order)``,
+    before any table row is scanned."""
     return _read_table(text, max_order).tolist()
 
 
-def cayley_table(text: str, max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray:
-    """Parse; check closure and locate the identity e on the file's table;
-    renumber e to 0 in the cast to int16 and check the Latin-square property
-    and associativity: the int16 table of a group, not yet walked.
+def _row_blocks(n: int) -> list[slice]:
+    """The rows of an n x n table in blocks of about ``BLOCK`` entries."""
+    step = max(1, BLOCK // n)
+    return [slice(i, i + step) for i in range(0, n, step)]
 
-    The int64 table lives only through the identity check. A row of the
-    int16 table that holds the identity is an element with a right
-    inverse; when every row holds it and Light's test passes, the table is
-    an associative finite monoid with right inverses, so a group, so a
-    Latin square, and no line is scanned. A table that fails either test
-    is scanned for a repeated entry, which wins over a failing triple.
+
+def cayley_table(text: str, max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray:
+    """Read the table, its closure checked; renumber the identity e to 0
+    in place, swapping the values 0 and e and then their rows and columns;
+    check the Latin-square property and associativity: the int16 table of
+    a group, not yet walked.
+
+    A row that holds the identity is an element with a right inverse; when
+    every row holds it and Light's test passes, the table is an associative
+    finite monoid with right inverses, so a group, so a Latin square, and
+    no line is scanned. A table that fails either test is scanned for a
+    repeated entry, which wins over a failing triple.
     """
-    arr = _read_table(text, max_order)
-    n = arr.shape[0]
-    # as uint64, a negative entry (saturated or not) is at least 2**63
-    if arr.view(np.uint64).max() >= n:
-        x, y = divmod(int(np.argmax(arr.view(np.uint64) >= n)), n)
-        raise CayleyValidationError("closure", f"entry at ({x}, {y}) is outside [0, {n})")
+    table = _read_table(text, max_order)
+    n = len(table)
     expect = np.arange(n)
-    for e in np.flatnonzero(arr[:, 0] == 0).tolist():  # the identity has e*0 == 0
-        if np.array_equal(arr[e], expect) and np.array_equal(arr[:, e], expect):
+    for e in np.flatnonzero(table[:, 0] == 0).tolist():  # the identity has e*0 == 0
+        if np.array_equal(table[e], expect) and np.array_equal(table[:, e], expect):
             break
     else:
         raise CayleyValidationError("identity", "no two-sided identity element found")
-    # sigma swaps labels 0 and e; it is its own inverse, so it also maps a
-    # renumbered witness back to the file's labels
-    sigma = expect.astype(np.int16)
-    sigma[[0, e]] = e, 0
-    table = sigma.take(arr)
-    del arr
+    inverses = True  # every row holds the identity
+    for rows in _row_blocks(n):
+        block = table[rows]
+        is_e = block == e
+        inverses = inverses and bool(is_e.any(axis=1).all())
+        if e:
+            block[block == 0] = e
+            block[is_e] = 0
     table[[0, e]] = table[[e, 0]]
     table[:, [0, e]] = table[:, [e, 0]]
-    if not (table == 0).any(axis=1).all():
+    sigma = expect  # swaps labels 0 and e: its own inverse, it maps witnesses back
+    sigma[[0, e]] = e, 0
+    if not inverses:
         _check_latin(table, sigma)
     try:
         _check_associative(table, sigma)
@@ -297,15 +293,15 @@ def cayley_table(text: str, max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray:
 
 
 def _check_latin(table: np.ndarray, sigma: np.ndarray) -> None:
-    """Raise the latin-square violation of the renumbered ``table``, if it
-    has one: the file's first row, else its first column, that repeats an
-    entry. Line i of ``table`` is line sigma[i] of the file."""
-    n = table.shape[0]
-    offsets = np.arange(0, n * n, n)
-    for axis, offset in (("row", offsets[:, None]), ("column", offsets)):
-        seen = np.zeros(n * n, dtype=bool)
-        seen[table + offset] = True  # seen[i*n + v]: value v occurs in line i
-        full = seen.reshape(n, n).all(axis=1)[sigma]
+    """Raise the latin-square violation of the renumbered ``table``, its
+    entries in [0, n), if it has one: the file's first row, else its first
+    column, that repeats an entry. Line i of ``table`` is line sigma[i] of
+    the file."""
+    expect = np.arange(len(table))
+    for axis, lines in (("row", table), ("column", table.T)):
+        # sorted in C order, each line is contiguous
+        full = np.concatenate([(np.sort(np.ascontiguousarray(lines[rows])) == expect).all(axis=1)
+                               for rows in _row_blocks(len(table))])[sigma]
         if not full.all():
             raise CayleyValidationError(
                 "latin-square", f"{axis} {np.argmin(full)} repeats an entry")
@@ -313,7 +309,8 @@ def _check_latin(table: np.ndarray, sigma: np.ndarray) -> None:
 
 def _check_associative(arr: np.ndarray, sigma: np.ndarray) -> None:
     """Light's associativity test over a greedily chosen generating set S;
-    a failing triple is named through the relabelling ``sigma``.
+    a failing triple is named through the relabelling ``sigma``. Each
+    generator's products are compared a block of rows at a time.
 
     S grows by the first element not yet reached, and the reached set is
     closed under right multiplication by S. The caller has seen the
@@ -337,13 +334,14 @@ def _check_associative(arr: np.ndarray, sigma: np.ndarray) -> None:
     while len(members) < n:
         s = reached.index(False)
         col = arr[:, s]
-        lhs = arr.take(col, axis=0)     # lhs[x, y] = (x*s)*y
-        rhs = arr.take(arr[s], axis=1)  # rhs[x, y] = x*(s*y)
-        if not np.array_equal(lhs, rhs):
-            x, y, s = sigma[[*np.argwhere(lhs != rhs)[0], s]].tolist()
-            raise CayleyValidationError(
-                "associativity", f"({x}*{s})*{y} != {x}*({s}*{y})"
-            )
+        for rows in _row_blocks(n):
+            lhs = arr.take(col[rows], axis=0)     # lhs[x, y] = (x*s)*y
+            rhs = arr[rows].take(arr[s], axis=1)  # rhs[x, y] = x*(s*y)
+            if not np.array_equal(lhs, rhs):
+                x, y = np.argwhere(lhs != rhs)[0].tolist()
+                x, y, s = sigma[[rows.start + x, y, s]].tolist()
+                raise CayleyValidationError("associativity",
+                                            f"({x}*{s})*{y} != {x}*({s}*{y})")
         cols.append(col.tolist())
         # members reached before s still need s; later ones need every generator
         old = len(members)

@@ -12,8 +12,8 @@ from epgraph.theorems import roster_generate
 # law-oracle tables and test_specs.py's drawn spec round trips from 100,
 # test_groups.py's metacyclic and product reference tables and drawn
 # presentations, and
-# test_cayley_io.py's mutated texts from 80, and test_cayley_io.py's valid
-# texts from 60, to 1000
+# test_cayley_io.py's mutated texts from 80, test_cayley_io.py's valid
+# texts from 60 and its texts with lines longer than a block from 100, to 1000
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 

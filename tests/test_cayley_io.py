@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from epgraph import (
     CayleyParseError,
@@ -218,12 +218,12 @@ def test_parse_returns_python_int_lists():
      "18446744073709551616", "18446744073709551617"],  # 2**64 and 2**64 + 1
 )
 def test_huge_entry_breaks_closure(token):
-    text = f"2\n0 {token}\n1 0\n"
     # a token beyond int64 saturates to the int64 maximum, whatever its sign,
     # instead of wrapping (2**64 would wrap to 0); the closure check relies on it
-    assert _read_table(text, 512)[0, 1] == np.iinfo(np.int64).max
+    _, bad, values = cayley_io._scan(f"0 {token}")
+    assert bad is None and values()[1] == np.iinfo(np.int64).max
     with pytest.raises(CayleyValidationError) as exc:
-        ingest_cayley(text)
+        ingest_cayley(f"2\n0 {token}\n1 0\n")
     assert exc.value.law == "closure"
     assert "entry at (0, 1)" in str(exc.value)
 
@@ -242,9 +242,22 @@ def test_huge_entry_breaks_closure(token):
     ("0" * 20 + "10000000000000000000", 2**63 - 1),  # 10**19
 ])
 def test_tokens_of_19_digits_and_more(token, value):
+    # a block's values, in int64 before any entry is checked against the order
+    counts, bad, values = cayley_io._scan(f"0 {token}\n{token}")
+    assert bad is None and counts.tolist() == [2, 1]
+    assert values().tolist() == [0, value, value]
+
+
+@pytest.mark.parametrize("zero, one", [
+    ("-" + "0" * 25, "0" * 30 + "1"),  # leading zeros past 19 digits, signed zeros
+    ("+" + "0" * 40, "+" + "0" * 20 + "1"),
+])
+def test_long_in_range_tokens_read_back(zero, one):
+    text = f"2\n{zero} {one}\n{one} {zero}\n"
     for block in _BLOCKS:
         with _block(block):
-            assert parse_cayley_text(f"2\n0 {token}\n1 0\n") == [[0, value], [1, 0]]
+            assert parse_cayley_text(text) == [[0, 1], [1, 0]]
+            assert ingest_cayley(text).order == 2
 
 
 def test_order_512_table_reads_back():
@@ -287,15 +300,20 @@ def test_single_row_peak_stays_near_the_text():
     assert peak <= 5 * len(text), peak / len(text)
 
 
-def test_accepting_a_table_peaks_at_the_reader():
-    # the int64 table is dropped once renumbered to int16, and an accepted
-    # table is never scanned for the Latin square, so checking the laws
-    # allocates no more than reading the text did
-    group = GroupSpec.dihedral(1024).realize(max_order=2048)
+def _relabelled_text(group) -> str:
+    """Cayley text of ``group`` relabelled by a fixed permutation, written a
+    row at a time: a list of 4M ints would dwarf the tables measured."""
     relabelled = _relabelled(group.table, np.random.default_rng(1).permutation(group.order))
-    # written a row at a time: a list of 4M ints would dwarf the tables measured
-    text = f"{group.order}\n" + "".join(" ".join(map(str, row.tolist())) + "\n"
-                                        for row in relabelled)
+    return f"{group.order}\n" + "".join(" ".join(map(str, row.tolist())) + "\n"
+                                       for row in relabelled)
+
+
+def test_accepting_a_table_peaks_at_the_reader():
+    # the identity is renumbered in place, Light's test compares blocks of
+    # rows, and an accepted table is never scanned for the Latin square, so
+    # checking the laws allocates no more than reading the text did
+    group = GroupSpec.dihedral(1024).realize(max_order=2048)
+    text = _relabelled_text(group)
     peaks = []
     for read in (_read_table, cayley_table):
         tracemalloc.start()
@@ -305,6 +323,21 @@ def test_accepting_a_table_peaks_at_the_reader():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.05 * peaks[0], peaks[1] / peaks[0]
+
+
+def test_reading_a_table_peaks_at_one_int16_table_and_its_blocks():
+    # the values go straight into the int16 table, a block at a time, and no
+    # law check makes an n x n temporary: at order 2048 the table is 8 MB
+    # and a block of text 1 MB
+    group = GroupSpec.dihedral(1024).realize(max_order=2048)
+    text = _relabelled_text(group)
+    tracemalloc.start()
+    try:
+        cayley_table(text, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= group.table.nbytes + 20 * cayley_io.BLOCK, peak / 2**20
 
 
 def test_closure_violation_named_in_file_coordinates():
@@ -586,3 +619,62 @@ def test_only_spaces_and_tabs_separate(text):
         with _block(block), pytest.raises(
                 CayleyParseError, match=r"\bline 2: a separator other than space or tab"):
             parse_cayley_text(text)
+
+
+# -- lines longer than a block ----------------------------------------------------
+
+_KLEIN = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+_STRAYS = ["\r", "\r\n", "\n", "\x0b", "\x0c", "\u00a0", "#", " ", "\t", "x", "-", "0" * 25]
+
+
+@pytest.mark.parametrize("text, want", [
+    # a stray carriage return before a space, in a line cut after that space
+    ("4\n0 1 2 3\n1 0 3 2\n2 3\r 0 1\n3 2 1 0\n", "line 4: a separator other than space or tab"),
+    ("4\n0 1 2 3\n1 0 3 2\n2 3 0 1\r\r\n3 2 1 0\n", "line 4: a separator other than space or tab"),
+    # a comment that opens inside a long line: skipped, stray bytes and all
+    ("4\n0 1 2 3  # the identity's row\n1 0 3 2\n2 3 0 1#\x0b\r\r\n3 2 1 0 #", _KLEIN),
+    ("2\n0 1\n1 0 # a comment longer than a block, and no line feed", [[0, 1], [1, 0]]),
+    ("4\n0 1 2 3 0  # a token too many\n1 0 3 2\n", "line 2: expected 4 entries, got 5"),
+    ("4\n0 1 2 3 x # a bad token\n1 0 3 2\n", "line 2: non-integer token"),
+    ("4\n0 1 x 3 0 1 2\x0b# a separator before the comment\n", "line 2: a separator other than"),
+    # a token longer than a block right before a CRLF line end
+    ("2\r\n0 " + "0" * 30 + "1\r\n+" + "0" * 30 + "1 -" + "0" * 20 + "\r\n", [[0, 1], [1, 0]]),
+    ("2\r\n0 " + "0" * 30 + "1\r\r\n1 0\r\n", "line 2: a separator other than space or tab"),
+])
+def test_long_lines_read_alike_at_small_blocks(text, want):
+    for block in (cayley_io.BLOCK, *range(3, 9), 16):
+        with _block(block):
+            if isinstance(want, list):
+                assert parse_cayley_text(text) == want, block
+            else:
+                with pytest.raises(CayleyParseError, match=re.escape(want)):
+                    parse_cayley_text(text)
+
+
+def _outcome(text: str) -> tuple:
+    """``cayley_table``'s table and dtype, or its error's class, law and message."""
+    try:
+        table = cayley_table(text)
+    except (CayleyParseError, CayleyValidationError, GroupSizeError) as exc:
+        return type(exc), getattr(exc, "law", None), str(exc)
+    return table.dtype, table.tobytes()
+
+
+# the hypothesis default in tier-1; the ci profile (conftest.py) draws 1000
+@given(st.sampled_from(_ROSTER_48), st.integers(0, 2**32), st.integers(3, 40))
+@settings(deadline=None)
+def test_long_lines_read_alike_at_any_block(spec, seed, block):
+    # a relabelled table in every form the grammar allows, with up to two
+    # stray pieces put anywhere: the outcome at a block of 3-40 characters,
+    # cut within lines, is the default block's, table or error
+    rng = random.Random(seed)
+    group = spec.realize()
+    table = _relabelled(group.table, np.random.default_rng(seed).permutation(group.order))
+    text = _render(table.tolist(), rng)
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice(_STRAYS) + text[at:]
+    assume(max(map(len, text.split("\n"))) > block)
+    want = _outcome(text)
+    with _block(block):
+        assert _outcome(text) == want

@@ -698,7 +698,7 @@ def test_constructed_roster_groups_validate(roster_groups_48):
 
 
 def test_ingested_table_is_frozen_int16():
-    # validated in int64, then cast once
+    # read straight into int16, the identity renumbered in place
     for table in ([[0, 1], [1, 0]], [[0]], table_of(GroupSpec.dicyclic(3).realize())):
         group = ingest_cayley(cayley_file_text(table))
         assert_frozen_int16(group.table, repr(group))
