@@ -24,6 +24,10 @@ class CayleyValidationError(GroupError):
         super().__init__(message)
         self.law = law
 
+    def __reduce__(self):
+        # pickle and copy rebuild an exception from its args, which hold the message only
+        return type(self), (self.law, str(self))
+
 
 class CayleyParseError(GroupError):
     """A Cayley table file is syntactically malformed."""

@@ -7,12 +7,18 @@ one-way implication for every roster group passing the check's filter.
 A counterexample on any roster group signals an implementation bug, never
 new mathematics: each check encodes a proved statement.
 
-Verification is group-major, with no bundle cache: the standard roster is
-streamed once for every check that uses it, and a check with a roster of
-its own (T3.1's products) gets a pass of its own. Each group is realized
-and its bundle built once per pass, every check of the pass runs on it,
-and it is dropped before the next group's is built, so memory stays that
-of one group however long the roster.
+Verification is group-major, with no bundle cache, over one job list:
+each distinct spec of the rosters the selected checks use (the standard
+roster, T3.1's products) once, with every check that reads it. Each
+group is realized and its bundle built once, its checks run on it, and
+it is dropped before the next group's is built, so memory stays that of
+one group however long the roster. The jobs are split over the usable
+CPUs: job i goes to shard i mod w, the caller streams shard 0 and a
+forked child each other shard, and the shards' reports are summed, with
+the counterexamples put back in roster order, so the output is the same
+for every w apart from ``ms``, the predicate time summed over shards. A
+process with a second live thread, or a platform without ``os.fork``,
+streams every job itself.
 
 Every graph side but T2.1's reads a field of the bundle's lazy
 ``PropertyReport`` on its enhanced power graph (``bundle.report``) or on
@@ -36,9 +42,14 @@ marks the order-p elements of each walk whose length is not a power of p.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 import time
+import traceback
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, BinaryIO, Callable, Optional, Sequence
 
 from .cyclic import _generator_positions
 from .epg import EpgBundle, build_bundle
@@ -386,26 +397,30 @@ CHECKS: tuple[TheoremCheck, ...] = (
 
 CHECKS_BY_ID: dict[str, TheoremCheck] = {c.check_id: c for c in CHECKS}
 
+# one roster spec and the indices of the checks that read it
+_Job = tuple[GroupSpec, list[int]]
+
 
 def _stream(
-    checks: Sequence[TheoremCheck], roster: Sequence[GroupSpec], max_order: int
+    checks: Sequence[TheoremCheck], jobs: Sequence[_Job], max_order: int
 ) -> list[TheoremReport]:
-    """Build each roster group's bundle once, run every check on it, drop it.
+    """Build each job's bundle once, run the checks it names on it, drop it.
 
-    Reports follow ``checks`` one to one, so a check listed twice gets two
-    reports. ``ms`` covers each check's own predicates only; building the
-    bundles they read is not charged to any check, so the deleted graph,
-    which a bundle builds on first read, is read here first. A property
-    field that several checks read is decided once, on the bundle's report,
-    and its cost is charged to the first check that reads it. A report
-    holds no reference to its bundle, so each bundle is freed when dropped.
+    Reports follow ``checks`` one to one, with ``ms`` unrounded and
+    ``vacuous`` unset: ``_run`` settles both once the shards are summed.
+    ``ms`` covers each check's own predicates only; building the bundles
+    they read is not charged to any check, so the deleted graph, which a
+    bundle builds on first read, is read here first. A property field that
+    several checks read is decided once, on the bundle's report, and its
+    cost is charged to the first check that reads it. A report holds no
+    reference to its bundle, so each bundle is freed when dropped.
     """
     reports = [TheoremReport(c.check_id, 0, 0, False) for c in checks]
-    seconds = [0.0] * len(checks)
-    for spec in roster:
+    for spec, indices in jobs:
         bundle = build_bundle(spec.realize(max_order=max_order))
         _ = bundle.deleted
-        for i, (check, report) in enumerate(zip(checks, reports)):
+        for i in indices:
+            check, report = checks[i], reports[i]
             start = time.perf_counter()
             if check.applies(bundle):
                 report.tested += 1
@@ -417,11 +432,132 @@ def _stream(
                     report.counterexamples.append(
                         Counterexample(spec.serialize(), graph_value, group_value)
                     )
-            seconds[i] += time.perf_counter() - start
+            report.ms += (time.perf_counter() - start) * 1000.0
         del bundle  # freed before the next group's bundle is built
-    for report, spent in zip(reports, seconds):
+    return reports
+
+
+def _shard_count(jobs: int) -> int:
+    """One shard per usable CPU, at most one per job, and one where forking is unsafe.
+
+    A process with a second live thread is never forked, and a platform
+    without ``os.fork`` or ``os.sched_getaffinity`` runs one shard.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), jobs))
+
+
+def _fork_shard(
+    checks: Sequence[TheoremCheck], jobs: Sequence[_Job], max_order: int
+) -> tuple[int, BinaryIO]:
+    """Stream ``jobs`` in a forked child; returns its pid and the read end of its pipe.
+
+    The child sends ``(reports, None, None)`` pickled, or ``(None, error,
+    traceback text)`` for the exception that stopped it, and leaves by
+    ``os._exit`` whatever happens, so it never returns into the caller.
+    """
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_end)
+        return pid, os.fdopen(read_end, "rb")
+    code = 1
+    try:
+        os.close(read_end)
+        try:
+            payload = pickle.dumps((_stream(checks, jobs, max_order), None, None))
+        except BaseException as exc:
+            payload = pickle.dumps((None, exc, traceback.format_exc()))
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _stream_shards(
+    checks: Sequence[TheoremCheck], shards: Sequence[Sequence[_Job]], max_order: int
+) -> list[list[TheoremReport]]:
+    """Stream shard 0 here and each other shard in a forked child, in parallel.
+
+    A shard whose fork fails is streamed here too. Every child is reaped
+    before this returns or raises, and on a raise one still running is
+    killed first. An exception that stopped a child is raised here,
+    chained to the child's traceback; a child that ended without sending
+    its reports raises RuntimeError.
+    """
+    here = list(shards[0])
+    children: list[tuple[int, BinaryIO]] = []
+    statuses: list[int] = []
+    try:
+        for jobs in shards[1:]:
+            try:
+                children.append(_fork_shard(checks, jobs, max_order))
+            except OSError:  # out of processes or memory
+                here += jobs
+        parts = [_stream(checks, here, max_order)]
+        payloads = [pipe.read() for _, pipe in children]
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)  # a child that has exited is a zombie until reaped
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (pid, _), payload, status in zip(children, payloads, statuses):
+        try:
+            reports, error, trace = pickle.loads(payload)
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError(
+                f"verify shard in process {pid} ended without its reports "
+                f"(exit status {status})"
+            ) from None
+        if error is not None:
+            raise error from RuntimeError(f"in verify shard process {pid}:\n{trace}")
+        parts.append(reports)
+    return parts
+
+
+def _run(
+    checks: Sequence[TheoremCheck],
+    passes: Sequence[tuple[Sequence[GroupSpec], Sequence[int]]],
+    max_order: int,
+) -> list[TheoremReport]:
+    """Run each pass's checks (indices into ``checks``) over the pass's roster.
+
+    The job list holds each distinct spec once, in order of first
+    appearance, with every check of every pass that reads it; a spec listed
+    twice in one roster is checked twice. Job i goes to shard i mod w, w
+    from ``_shard_count``. The shards' reports are summed, and each check's
+    counterexamples put back in its roster's order.
+    """
+    by_spec: dict[GroupSpec, list[int]] = {}
+    for roster, indices in passes:
+        for spec in roster:
+            by_spec.setdefault(spec, []).extend(indices)
+    jobs = [(spec, sorted(indices)) for spec, indices in by_spec.items()]
+    w = _shard_count(len(jobs))
+    parts = _stream_shards(checks, [jobs[k::w] for k in range(w)], max_order)
+
+    reports = [TheoremReport(c.check_id, 0, 0, False) for c in checks]
+    for part in parts:
+        for report, got in zip(reports, part):
+            report.tested += got.tested
+            report.passed += got.passed
+            report.counterexamples += got.counterexamples
+            report.ms += got.ms
+    for report in reports:
         report.vacuous = report.tested == 0
-        report.ms = round(spent * 1000.0, 3)
+        report.ms = round(report.ms, 3)
+    for roster, indices in passes:
+        failed = [reports[i].counterexamples for i in indices if reports[i].counterexamples]
+        if failed:
+            place: dict[str, int] = {}
+            for p, spec in enumerate(roster):
+                place.setdefault(spec.serialize(), p)
+            for counterexamples in failed:
+                counterexamples.sort(key=lambda c: place[c.spec])
     return reports
 
 
@@ -432,7 +568,7 @@ def run_check(
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> TheoremReport:
     """Evaluate one check over a roster, recording any disagreements."""
-    return _stream((check,), roster, max_order)[0]
+    return _run((check,), [(roster, (0,))], max_order)[0]
 
 
 def run_all(
@@ -440,20 +576,17 @@ def run_all(
 ) -> list[TheoremReport]:
     """Run every registered check (or a subset, in the order given) with its roster.
 
-    The checks are grouped by roster, in order of first use: the standard
-    roster is streamed once for every check that uses it, and a check with
-    its own roster (T3.1's products) gets a pass of its own, so at most one
-    bundle is alive at a time. A roster no selected check uses is never
-    realized.
+    The checks are grouped by roster, in order of first use, and a spec in
+    two rosters (a T3.1 product that is also a standard-roster group) is
+    built once for the checks of both. A roster no selected check uses is
+    never realized.
     """
     checks = CHECKS if check_ids is None else tuple(CHECKS_BY_ID[i] for i in check_ids)
     by_roster: dict[Any, list[int]] = {}
     for i, check in enumerate(checks):
         by_roster.setdefault(check.roster, []).append(i)
-    reports: list[Optional[TheoremReport]] = [None] * len(checks)
-    for own_roster, indices in by_roster.items():
-        roster = roster_generate(max_order) if own_roster is None else own_roster(max_order)
-        streamed = _stream([checks[i] for i in indices], roster, max_order)
-        for i, report in zip(indices, streamed):
-            reports[i] = report
-    return reports
+    passes = [
+        (roster_generate(max_order) if own is None else own(max_order), indices)
+        for own, indices in by_roster.items()
+    ]
+    return _run(checks, passes, max_order)

@@ -1,16 +1,26 @@
 """Roster generation and the theorem-check harness."""
 
+import copy
 import dataclasses
 import itertools
 import json
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
+import threading
 import time
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from epgraph import (
+    CayleyValidationError,
     FiniteGroup,
+    GroupError,
     GroupParameterError,
     SimpleGraph,
     build_bundle,
@@ -295,7 +305,13 @@ def _record_builds(monkeypatch):
     return built
 
 
-def test_run_all_realizes_only_the_rosters_it_needs(monkeypatch):
+@pytest.fixture
+def one_shard(monkeypatch):
+    """Runs the whole job list in this process, where a monkeypatch sees every build."""
+    monkeypatch.setattr(theorems, "_shard_count", lambda jobs: 1)
+
+
+def test_run_all_realizes_only_the_rosters_it_needs(monkeypatch, one_shard):
     built = _record_builds(monkeypatch)
     run_all(64, check_ids=["T3.1"])
     assert built == serialized(CHECKS_BY_ID["T3.1"].roster(64))
@@ -304,12 +320,16 @@ def test_run_all_realizes_only_the_rosters_it_needs(monkeypatch):
     assert built == serialized(roster_generate(64))
     built.clear()
     assert run_all(64, check_ids=[]) == [] and built == []
-    # one build per roster entry: a T3.1 product also in the standard roster is built twice
+    # one build per distinct spec: a T3.1 product also in the standard roster
+    # is built once, for the checks of both rosters
     run_all(48)
-    assert built == serialized(roster_generate(48) + CHECKS_BY_ID["T3.1"].roster(48))
+    standard = serialized(roster_generate(48))
+    products = serialized(CHECKS_BY_ID["T3.1"].roster(48))
+    assert set(standard) & set(products)
+    assert built == standard + [s for s in products if s not in standard]
 
 
-def test_run_all_holds_one_bundle_at_a_time(monkeypatch):
+def test_run_all_holds_one_bundle_at_a_time(monkeypatch, one_shard):
     live = peak = 0
 
     def released():
@@ -329,12 +349,166 @@ def test_run_all_holds_one_bundle_at_a_time(monkeypatch):
     assert peak == 1
 
 
-def test_run_all_runs_each_decider_once_per_graph(decider_graphs):
+def test_run_all_runs_each_decider_once_per_graph(one_shard, decider_graphs):
     # the checks share the bundle's two reports, so no property is decided twice
     run_all(64)
     calls = Counter((name, id(graph)) for name, graph in decider_graphs)
     twice = [(name, graph.name) for name, graph in decider_graphs if calls[name, id(graph)] > 1]
     assert calls and not twice, twice[:6]
+
+
+def test_run_check_checks_a_spec_listed_twice_twice():
+    cyclic4 = parse_spec("cyclic:4")
+    report = run_check(CHECKS_BY_ID["T2.4"], [cyclic4, cyclic4])
+    assert report.tested == report.passed == 2
+
+
+# -- shards: the job list split between the caller and forked children ------------
+
+
+def _shards(monkeypatch, w):
+    monkeypatch.setattr(theorems, "_shard_count", lambda jobs: w)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("check_ids", [None, ["T5.1", "T3.1", "T2.4"], ["T2.4", "T2.4"], []])
+def test_two_shards_report_what_one_shard_does(monkeypatch, check_ids):
+    _shards(monkeypatch, 1)
+    one = _zero_ms(run_all(64, check_ids=check_ids))
+    _shards(monkeypatch, 2)
+    assert _zero_ms(run_all(64, check_ids=check_ids)) == one
+    _no_child_left()
+
+
+def test_counterexamples_keep_each_rosters_order_across_shards(monkeypatch, bundle_of):
+    # T2.4 planted to fail on some groups of each shard, T3.1 on every product;
+    # the children inherit the planted checks through the fork
+    planted = dict(CHECKS_BY_ID)
+    planted["T2.4"] = dataclasses.replace(
+        planted["T2.4"], group_side=lambda b: b.group.order % 3 == 0)
+    planted["T3.1"] = dataclasses.replace(planted["T3.1"], graph_side=lambda b: False)
+    monkeypatch.setattr(theorems, "CHECKS_BY_ID", planted)
+    reports = {}
+    for w in (1, 2):
+        _shards(monkeypatch, w)
+        reports[w] = _zero_ms(run_all(64, check_ids=["T2.4", "T3.1"]))
+    _no_child_left()
+    assert reports[2] == reports[1]
+    t24, t31 = reports[1]
+    standard = roster_generate(64)
+    failing = [s.serialize() for s in standard
+               if bundle_of(s).report.complete != (bundle_of(s).group.order % 3 == 0)]
+    assert len(failing) >= 2 and [c["spec"] for c in t24["counterexamples"]] == failing
+    # the products shared with the standard roster are built in its order, which is not T3.1's
+    products = serialized(CHECKS_BY_ID["T3.1"].roster(64))
+    shared = [s for s in products if s in set(serialized(standard))]
+    assert shared != [s for s in serialized(standard) if s in set(shared)]
+    assert [c["spec"] for c in t31["counterexamples"]] == products
+
+
+@pytest.mark.parametrize("where", ["caller", "child"])
+def test_a_shard_error_reaches_the_caller(monkeypatch, where):
+    # with two shards, job 0 runs in the caller and job 1 in the child; a
+    # caller that raises first kills its child, asleep here, instead of waiting
+    roster = roster_generate(16)
+    failing, sleeping = (roster[0], roster[1]) if where == "caller" else (roster[1], None)
+
+    def planted(group):
+        if group.spec == failing:
+            raise CayleyValidationError("associativity", f"planted at {failing.serialize()}")
+        if group.spec == sleeping:
+            time.sleep(60)
+        return build_bundle(group)
+
+    monkeypatch.setattr(theorems, "build_bundle", planted)
+    _shards(monkeypatch, 2)
+    start = time.perf_counter()
+    with pytest.raises(CayleyValidationError) as raised:
+        run_all(16)
+    assert time.perf_counter() - start < 30
+    _no_child_left()
+    assert type(raised.value) is CayleyValidationError
+    assert str(raised.value) == f"planted at {failing.serialize()}"
+    assert raised.value.law == "associativity"
+
+
+def test_a_child_that_dies_makes_run_all_raise():
+    # in a process of its own, so a hang ends at the timeout, not in the test run
+    script = textwrap.dedent("""
+        import os, signal
+        from epgraph import build_bundle, run_all, theorems
+
+        def dying(group):
+            if group.spec.serialize() == "cyclic:2":  # job 1, the child's first
+                os.kill(os.getpid(), signal.SIGKILL)
+            return build_bundle(group)
+
+        theorems._shard_count = lambda jobs: 2
+        theorems.build_bundle = dying
+        try:
+            run_all(16)
+        except RuntimeError as exc:
+            print("raised:", exc)
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            print("no child left")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("raised: verify shard in process ")
+    assert lines[0].endswith("ended without its reports (exit status -9)")
+    assert lines[1:] == ["no child left"]
+
+
+def test_a_shard_that_cannot_fork_runs_in_the_caller(monkeypatch):
+    def no_fork():
+        raise BlockingIOError("planted: no process left")
+
+    _shards(monkeypatch, 1)
+    one = _zero_ms(run_all(32))
+    _shards(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _zero_ms(run_all(32)) == one
+
+
+def test_shard_count_is_one_with_a_second_thread_alive():
+    cpus = len(os.sched_getaffinity(0))
+    assert theorems._shard_count(10**6) == cpus
+    assert theorems._shard_count(1) == theorems._shard_count(0) == 1
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert theorems._shard_count(10**6) == 1
+    finally:
+        release.set()
+        thread.join()
+
+
+def _group_errors(cls=GroupError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _group_errors(sub)
+
+
+@pytest.mark.parametrize("cls", list(_group_errors()), ids=lambda cls: cls.__name__)
+def test_every_group_error_survives_pickle_and_copy(cls):
+    # an error raised in a child reaches the caller pickled
+    args = ("associativity", "planted") if cls is CayleyValidationError else ("planted",)
+    error = cls(*args)
+    for twin in (pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)):
+        assert type(twin) is cls and str(twin) == "planted"
+        assert getattr(twin, "law", None) == getattr(error, "law", None)
 
 
 # -- predicates against their reference formulations ------------------------------
