@@ -14,7 +14,6 @@ from .analysis import (
     cone_vertices,
     find_cycle,
     find_missing_edge,
-    is_connected,
     odd_degree_vertex,
 )
 from .cayley_io import ingest_cayley, parse_cayley_text
@@ -78,7 +77,6 @@ __all__ = [
     "find_missing_edge",
     "has_unique_minimal_subgroup",
     "ingest_cayley",
-    "is_connected",
     "is_generalized_quaternion",
     "is_simple",
     "normal_closure",

@@ -1,18 +1,17 @@
 """Graph-property deciders and the lazy per-graph property report.
 
 Each property has one decider, which asks only what its property needs:
-``is_connected`` expands one component from vertex 0 and stops once it
-covers every vertex, ``component_reps`` expands each component once, and
-``find_missing_edge``, ``find_cycle``, ``bipartite_coloring`` and
-``odd_degree_vertex`` stop at their first witness; ``planarity_verdict``
-and ``cone_vertices`` complete the set. ``planarity_verdict`` decides
-enhanced power graphs and their deleted graphs, the only graphs a bundle
-holds; on another graph that its certificates leave open it raises
-ValueError, and so does reading that report's ``planar``. The two
-searches keep frames [remaining mask, parent, depth], one per expanded
-vertex rather than one entry per neighbor, so the identity, adjacent to
-every vertex of an enhanced power graph, costs one frame and not n - 1
-pushes.
+``component_reps`` expands each component once and settles connectivity
+and the component count, and ``find_missing_edge``, ``find_cycle``,
+``bipartite_coloring`` and ``odd_degree_vertex`` stop at their first
+witness; ``planarity_verdict`` and ``cone_vertices`` complete the set.
+``planarity_verdict`` decides enhanced power graphs and their deleted
+graphs, the only graphs a bundle holds; on another graph that its
+certificates leave open it raises ValueError, and so does reading that
+report's ``planar``. The two searches keep frames [remaining mask, parent,
+depth], one per expanded vertex rather than one entry per neighbor, so the
+identity, adjacent to every vertex of an enhanced power graph, costs one
+frame and not n - 1 pushes.
 ``find_missing_edge``, ``odd_degree_vertex``, ``cone_vertices``, the star
 verdict and planarity's edge-count reject all read the graph's one degree
 list (``SimpleGraph.degrees``), so a graph's degrees are counted once, and
@@ -20,11 +19,10 @@ the deleted graph's report reads its cone vertices off the enhanced power
 graph's report, so they are found once per bundle.
 ``PropertyReport(graph, epg_report)`` runs each decider on the first read
 of a field that needs it, at most once per report, and is the one place that
-defines tree, star and Eulerian; a report that finds the component reps
-reads ``connected`` off them, so a connected graph is expanded once. A
-bundle holds one report per graph (``EpgBundle.report`` and
-``deleted_report``), which ``analyze``, the CLI and every theorem check
-read, so a decider runs at most once per graph whoever asks.
+defines connected, tree, star and Eulerian. A bundle holds one report per
+graph (``EpgBundle.report`` and ``deleted_report``), which ``analyze``, the
+CLI and every theorem check read, so a decider runs at most once per graph
+whoever asks.
 
 Conventions for degenerate graphs: the empty graph counts as connected,
 a forest, Eulerian, and not a star; a single vertex counts as complete,
@@ -39,18 +37,13 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 from .planarity import planarity_verdict
-from .simplegraph import SimpleGraph, component, component_reps
+from .simplegraph import SimpleGraph, component_reps
 
 if TYPE_CHECKING:
     from .epg import EpgBundle
 
 REPORT_FIELDS = ("connected", "components", "complete", "cycle", "forest", "tree",
                  "star", "bipartite", "eulerian", "planar", "cone_vertices")
-
-
-def is_connected(graph: SimpleGraph) -> bool:
-    """One expansion from vertex 0; no other component is looked for."""
-    return graph.n == 0 or component(graph, 0) == graph.universe
 
 
 def find_missing_edge(graph: SimpleGraph) -> Optional[tuple[int, int]]:
@@ -211,13 +204,6 @@ class PropertyReport:
     # -- the deciders, each run at most once per report -----------------------
 
     @cached_property
-    def connected(self) -> bool:
-        """Read off ``component_reps`` once those are known, else one expansion."""
-        if "component_reps" in vars(self):
-            return len(self.component_reps) <= 1
-        return is_connected(self.graph)
-
-    @cached_property
     def component_reps(self) -> list[int]:
         return component_reps(self.graph)
 
@@ -249,6 +235,7 @@ class PropertyReport:
 
     # -- verdicts and witnesses read off the deciders --------------------------
 
+    connected = property(lambda self: len(self.component_reps) <= 1)
     components = property(lambda self: len(self.component_reps))
     complete = property(lambda self: self.missing_edge is None)
     cycle = property(lambda self: self.cycle_witness is not None)
@@ -281,9 +268,6 @@ class PropertyReport:
 
     @cached_property
     def _fields(self) -> dict:
-        """The component reps are found first, so ``connected`` costs no
-        expansion of its own."""
-        _ = self.component_reps
         out = {name: getattr(self, name) for name in REPORT_FIELDS}
         witnesses = {
             "component_reps": None if self.connected else self.component_reps,

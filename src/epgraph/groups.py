@@ -72,7 +72,7 @@ class FiniteGroup:
     the Cayley-file reader checks one.
     """
 
-    __slots__ = ("order", "table", "orders", "walks", "spec", "_invs", "_center")
+    __slots__ = ("order", "table", "orders", "walks", "spec", "_center")
 
     def __init__(self, table: np.ndarray, spec=None):
         self.order = int(table.shape[0])
@@ -80,7 +80,6 @@ class FiniteGroup:
         self.table = table
         self.orders, self.walks = _walk_cyclic_subgroups(table)
         self.spec = spec
-        self._invs: Optional[tuple[int, ...]] = None
         self._center: Optional[tuple[int, ...]] = None
 
     # -- basic accessors ---------------------------------------------------
@@ -92,12 +91,6 @@ class FiniteGroup:
     def _check_index(self, x: int) -> None:
         if not 0 <= x < self.order:
             raise IndexError(f"element index {x} out of range [0, {self.order})")
-
-    def inverses(self) -> tuple[int, ...]:
-        """The inverse of every element, indexed by element (cached)."""
-        if self._invs is None:
-            self._invs = tuple(np.nonzero(self.table == 0)[1].tolist())
-        return self._invs
 
     # -- structure predicates ----------------------------------------------
 
@@ -299,7 +292,7 @@ def normal_closure(group: FiniteGroup, x: int) -> frozenset[int]:
 def _conjugates(group: FiniteGroup, x: int) -> np.ndarray:
     """g*x*g^-1 for every g, repeats included: the conjugacy class of x."""
     table = group.table
-    return table[table[:, x], group.inverses()]
+    return table[table[:, x], np.nonzero(table == 0)[1]]
 
 
 def is_simple(group: FiniteGroup) -> bool:

@@ -17,8 +17,8 @@ CPUs: job i goes to shard i mod w, the caller streams shard 0 and a
 forked child each other shard, and the shards' reports are summed, with
 the counterexamples put back in roster order, so the output is the same
 for every w apart from ``ms``, the predicate time summed over shards. A
-process with a second live thread, or a platform without ``os.fork``,
-streams every job itself.
+process with a second live Python thread, or a platform without
+``os.fork``, streams every job itself.
 
 Every graph side but T2.1's reads a field of the bundle's lazy
 ``PropertyReport`` on its enhanced power graph (``bundle.report``) or on
@@ -440,8 +440,11 @@ def _stream(
 def _shard_count(jobs: int) -> int:
     """One shard per usable CPU, at most one per job, and one where forking is unsafe.
 
-    A process with a second live thread is never forked, and a platform
-    without ``os.fork`` or ``os.sched_getaffinity`` runs one shard.
+    A process with a second live Python thread is never forked, and a
+    platform without ``os.fork`` or ``os.sched_getaffinity`` runs one shard.
+    Only Python threads are counted: numpy's OpenBLAS pool thread is alive
+    from ``import numpy``, so the fork relies on OpenBLAS's own
+    ``pthread_atfork`` handling.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1

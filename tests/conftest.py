@@ -61,7 +61,7 @@ def roster_groups_64(roster_bundles_64):
     return [bundle.group for bundle in roster_bundles_64]
 
 
-ANALYSIS_DECIDERS = ("is_connected", "component_reps", "find_missing_edge", "find_cycle",
+ANALYSIS_DECIDERS = ("component_reps", "find_missing_edge", "find_cycle",
                      "bipartite_coloring", "odd_degree_vertex", "planarity_verdict",
                      "cone_vertices")
 

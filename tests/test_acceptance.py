@@ -11,7 +11,6 @@ from epgraph import (
     adjacent_oracle,
     component_reps,
     cone_vertices,
-    is_connected,
     is_simple,
     parse_spec,
     roster_generate,
@@ -168,7 +167,7 @@ def test_c10_worked_examples(bundle_of):
         assert s3.deleted.edge_count() == 1
         assert len(component_reps(s3.deleted)) == 4
         z6 = bundle_of(parse_spec("cyclic:6"))
-        assert is_connected(z6.deleted)
+        assert z6.deleted_report.connected
 
 
 def test_c11_run_all_32(bundle_of):

@@ -18,7 +18,6 @@ from epgraph import (
     component_reps,
     cone_vertices,
     find_cycle,
-    is_connected,
     odd_degree_vertex,
     parse_spec,
     simplegraph,
@@ -65,7 +64,7 @@ def test_components_deleted_s3():
     b = bundle_for("metacyclic:3:2:2")
     reps = component_reps(b.deleted)
     assert len(reps) == 4
-    sizes = [analysis.component(b.deleted, r).bit_count() for r in reps]
+    sizes = [simplegraph.component(b.deleted, r).bit_count() for r in reps]
     assert sorted(sizes) == [1, 1, 1, 2]
 
 
@@ -93,13 +92,13 @@ def _traversal_cases(roster_bundles_48):
 @given(_random_graphs())
 def test_connectivity_matches_union_find_on_random_graphs(graph):
     assert component_reps(graph) == [p[0] for p in brute_components(graph)]
-    assert is_connected(graph) == brute_connected(graph)
+    assert PropertyReport(graph).connected == brute_connected(graph)
 
 
 def test_connectivity_matches_union_find_on_roster(roster_bundles_48):
     for graph in _traversal_cases(roster_bundles_48):
         assert component_reps(graph) == [p[0] for p in brute_components(graph)], graph.name
-        assert is_connected(graph) == brute_connected(graph), graph.name
+        assert PropertyReport(graph).connected == brute_connected(graph), graph.name
 
 
 @st.composite
@@ -473,18 +472,18 @@ def test_report_json_matches_pinned_roster_49_128(bundle_of):
 @pytest.mark.parametrize("text", ["cyclic:6", "metacyclic:3:2:2", "dicyclic:4"])
 @pytest.mark.parametrize("deleted", [False, True])
 def test_full_report_runs_each_decider_once(decider_calls, text, deleted):
-    # is_connected never runs: connected is read off component_reps
+    # connected and components are both read off the one component_reps call
     b = bundle_for(text)
     r = PropertyReport(b.deleted, PropertyReport(b.epg)) if deleted else PropertyReport(b.epg)
     first = r.to_dict()
     again = r.to_dict()
     assert again == first and again is not first  # each call hands out its own dict
-    assert decider_calls == {**dict.fromkeys(decider_calls, 1), "is_connected": 0}
+    assert decider_calls == dict.fromkeys(decider_calls, 1)
 
 
 def test_connected_full_report_expands_once(monkeypatch):
-    # connected is read off the component reps, not found by a second
-    # expansion; only expansions over the whole graph count, as planarity's
+    # connected is read off the component reps, which expand each component
+    # once; only expansions over the whole graph count, as planarity's
     # blocks_of_three also expands, within its own vertex mask
     calls = []
 
@@ -493,14 +492,13 @@ def test_connected_full_report_expands_once(monkeypatch):
             calls.append(s)
         return component(graph, s, alive)
 
-    component = analysis.component
-    monkeypatch.setattr(analysis, "component", counting)
+    component = simplegraph.component
     monkeypatch.setattr(simplegraph, "component", counting)
     b = bundle_for("dicyclic:3")
     report(b.epg).to_dict()
     assert calls == [0]
     calls.clear()
-    assert report(b.epg).connected and calls == [0]  # no reps asked for: one expansion
+    assert report(b.epg).connected and calls == [0]  # connected alone: the same one expansion
     calls.clear()
     s3 = bundle_for("metacyclic:3:2:2")
     # the three reflections (deleted vertices 2-4) are isolated, so they are
@@ -514,12 +512,12 @@ def test_fields_decide_only_what_they_need(decider_calls):
     assert decider_calls["odd_degree_vertex"] == 1
     assert sum(decider_calls.values()) == 1
     assert r.star is False  # a cycle rules out a tree before connectivity is asked
-    assert decider_calls["find_cycle"] == 1 and decider_calls["is_connected"] == 0
+    assert decider_calls["find_cycle"] == 1 and decider_calls["component_reps"] == 0
 
 
 def test_analyze_decides_every_field_before_returning(decider_calls):
     analyze(bundle_for("metacyclic:3:2:2"), deleted=True)
-    assert decider_calls == {**dict.fromkeys(decider_calls, 1), "is_connected": 0}
+    assert decider_calls == dict.fromkeys(decider_calls, 1)
 
 
 @pytest.mark.parametrize("text", ["dicyclic:3", "cyclic:6", "metacyclic:3:2:2"])

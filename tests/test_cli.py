@@ -180,11 +180,19 @@ def test_check_props_decide_only_what_they_name(decider_calls, capsys):
     assert decider_calls["planarity_verdict"] == 1
     assert decider_calls["find_cycle"] == decider_calls["bipartite_coloring"] == 0
 
+    # the four reflections of D4 are isolated in its deleted graph; its
+    # connectivity is read off one component_reps call and nothing else
+    decider_calls.update(dict.fromkeys(decider_calls, 0))
+    code, out, _ = run_cli(["check", "--group", "dihedral:4", "--props", "connected",
+                            "--deleted"], capsys)
+    assert code == 0 and json.loads(out) == {"connected": False}
+    assert decider_calls == {**dict.fromkeys(decider_calls, 0), "component_reps": 1}
+
 
 def test_check_full_report_runs_each_decider_once(decider_calls, capsys):
     code, _, _ = run_cli(["check", "--group", "dicyclic:3", "--deleted"], capsys)
     assert code == 0
-    assert decider_calls == {**dict.fromkeys(decider_calls, 1), "is_connected": 0}
+    assert decider_calls == dict.fromkeys(decider_calls, 1)  # component_reps included
 
 
 # -- verify --------------------------------------------------------------------

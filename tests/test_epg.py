@@ -14,7 +14,6 @@ from epgraph import (
     build_bundle,
     build_deleted,
     build_epg,
-    is_connected,
     parse_spec,
     roster_generate,
     to_dot,
@@ -158,7 +157,7 @@ def test_deleted_s3():
 def test_deleted_z6_connected():
     b = bundle_for("cyclic:6")
     assert b.deleted.n == 5
-    assert is_connected(b.deleted)
+    assert b.deleted_report.connected
 
 
 def test_deleted_z2_isolated_vertex():
