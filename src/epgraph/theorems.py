@@ -28,15 +28,17 @@ search, T3.1-T3.4 one cone-vertex scan, and T5.1-T5.3 one connectivity
 test. A report asks for a star only of a tree and for connectivity only
 when every degree is even. T2.1 reads the graph by bitmasks: one mask per
 generator class (a walk's members whose order is the walk's length) and
-one union per subgroup size, so each generator's row is tested once.
+one union per subgroup size, so each generator's row is tested once, in
+plain loops that stop at the first cross edge.
 
 Every ``applies`` and group side reads only the group, never a graph, so a
 fault in graph construction cannot move both sides of a check together.
 T3.1 applies by the group's spec, to a product whose last factor is a
 coprime Z_n. The rest read the group's power walks: T2.4's "cyclic" is
 some element of order |G|, T4.1's group side is the largest element
-order, T3.2, T3.3 and T5.1 read the prime-order subgroup counts, and T5.3
-marks the order-p elements of each walk whose length is not a power of p.
+order, T3.2, T3.3 and T5.1 read the prime-order subgroup counts, as
+T3.4's simplicity test does before any normal closure, and T5.3 marks
+the order-p elements of each walk whose length is not a power of p.
 """
 
 from __future__ import annotations
@@ -214,22 +216,29 @@ def _no_cross_edges_between_equal_order_classes(bundle: EpgBundle) -> bool:
     to (``cyclic._generator_positions``). Each class is one bitmask, and
     the classes of one subgroup size are OR-ed into one union; a
     generator's row may meet that union only inside its own class. A size
-    with a single class has nothing to cross.
+    with a single class has nothing to cross. Plain loops build the masks
+    and test the rows, returning at the first cross edge.
     """
     rows = bundle.epg.rows
-    by_size: dict[int, list[list[int]]] = {}
+    by_size: dict[int, list[tuple[int, ...]]] = {}
     for walk in bundle.group.walks:
-        k = len(walk)
-        by_size.setdefault(k, []).append([walk[j] for j in _generator_positions(k)])
-    for classes in by_size.values():
-        if len(classes) < 2:
+        by_size.setdefault(len(walk), []).append(walk)
+    for k, walks in by_size.items():
+        if len(walks) < 2:
             continue
-        masks = [sum(1 << x for x in gens) for gens in classes]
+        positions = _generator_positions(k)
+        masks = []
+        for walk in walks:
+            mask = 0
+            for j in positions:
+                mask |= 1 << walk[j]
+            masks.append(mask)
         union = sum(masks)  # the classes are disjoint
-        for gens, mask in zip(classes, masks):
-            others = union & ~mask
-            if any(rows[x] & others for x in gens):
-                return False
+        for walk, mask in zip(walks, masks):
+            others = union ^ mask
+            for j in positions:
+                if rows[walk[j]] & others:
+                    return False
     return True
 
 

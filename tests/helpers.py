@@ -113,6 +113,49 @@ def lattice_epg_rows(group) -> list[int]:
     return graph_from_edges(group.order, clique_edges(*maximal)).rows
 
 
+def power_masks(group) -> list[int]:
+    """Bit y of entry x is set iff y is a power of x, by repeated
+    multiplication over the table, not read off the power walks."""
+    table = table_of(group)
+    masks = []
+    for x in range(len(table)):
+        mask, y = 1 << x, x
+        while y:
+            y = table[y][x]
+            mask |= 1 << y
+        masks.append(mask)
+    return masks
+
+
+def power_graph_rows(powers: list[int]) -> list[int]:
+    """The power graph's rows from ``power_masks``: x ~ y iff one of them is
+    a power of the other."""
+    rows = list(powers)
+    for x, mask in enumerate(powers):
+        for y in bits(mask):
+            rows[y] |= 1 << x
+    return [row & ~(1 << x) for x, row in enumerate(rows)]
+
+
+def commuting_graph_rows(group) -> list[int]:
+    """The commuting graph's rows: x ~ y iff xy = yx, from ``t == t.T``."""
+    table = np.asarray(group.table)
+    packed = np.packbits(table == table.T, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") & ~(1 << x) for x, row in enumerate(packed)]
+
+
+def has_noncyclic_commuting_pair(powers: list[int], commuting: list[int]) -> bool:
+    """Some two commuting elements of one prime order p generate different
+    subgroups, that is, G holds a Z_p x Z_p; from ``power_masks`` and
+    ``commuting_graph_rows``."""
+    orders = [bin(mask).count("1") for mask in powers]
+    for p in {o for o in orders if is_prime(o)}:
+        of_order_p = sum(1 << x for x, o in enumerate(orders) if o == p)
+        if any(commuting[x] & of_order_p & ~powers[x] for x in bits(of_order_p)):
+            return True
+    return False
+
+
 def assert_frozen_int16(table: np.ndarray, where: str) -> None:
     """A group's table as every constructor leaves it: int16, C-contiguous, read-only."""
     assert table.dtype == np.int16 and table.flags.c_contiguous, where

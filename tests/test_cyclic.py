@@ -20,6 +20,8 @@ from helpers import (
     brute_cyclic_subgroups,
     brute_lattice,
     cayley_file_text,
+    clique_edges,
+    graph_from_edges,
     is_prime,
     lattice_epg_rows,
     table_of,
@@ -66,6 +68,31 @@ def assert_lattice_matches_brute_force(group):
     # a subgroup of prime order is cyclic, so the brute-force scan finds them all
     sizes = Counter(len(s) for s in want["subgroups"])
     assert prime_subgroup_counts(group) == {q: k for q, k in sizes.items() if is_prime(q)}
+
+
+def assert_walks_are_slices_of_taken_walks(group):
+    """Every walk is ``t[s-1::s]`` for a taken walk t, and the taken walks'
+    cliques give the brute-force enhanced power graph."""
+    slices = {t[s - 1::s] for t in group.taken for s in range(1, len(t) + 1) if len(t) % s == 0}
+    assert set(group.taken) <= set(group.walks)
+    assert set(group.walks) <= slices
+    taken_rows = graph_from_edges(group.order, clique_edges(*group.taken)).rows
+    assert taken_rows == lattice_epg_rows(group)
+
+
+def test_cyclic_group_takes_the_identity_and_one_generator():
+    # the generator's walk hands every other subgroup down by slicing, the
+    # involution's (256, 0) among them
+    group = GroupSpec.cyclic(512).realize()
+    assert len(group.taken) == 2 and group.taken[0] == (0,)
+    assert len(group.taken[1]) == 512 and group.orders[group.taken[1][0]] == 512
+    assert len(group.walks) == 10  # one per divisor of 512
+    assert (256, 0) in group.walks
+
+
+def test_walks_are_slices_of_taken_walks_over_roster(roster_groups_48):
+    for group in roster_groups_48:
+        assert_walks_are_slices_of_taken_walks(group)
 
 
 def test_z6_subgroups():
@@ -144,12 +171,17 @@ def test_equal_order_subgroups_intersect_properly(roster_groups_48):
 ])
 def test_involution_walks_match_brute_force(text, involutions):
     # involutions are read off the table's diagonal, each as the walk
-    # (x, identity); the rest are walked one power at a time
+    # (x, identity); the rest are walked one power at a time or sliced
+    # from a walk taken
     group = parse_spec(text).realize()
     assert_lattice_matches_brute_force(group)
     assert group.orders.count(2) == involutions
     assert sorted(w for w in group.walks if len(w) == 2) == [
         (x, 0) for x, o in enumerate(group.orders) if o == 2]
+    # an involution's walk is taken only when no longer taken walk holds it
+    held = {y for t in group.taken if len(t) > 2 for y in t}
+    assert sorted(t for t in group.taken if len(t) == 2) == [
+        (x, 0) for x, o in enumerate(group.orders) if o == 2 and x not in held]
 
 
 def test_lattice_matches_brute_force_over_roster(roster_groups_64):
@@ -165,8 +197,9 @@ _ROSTER_64 = roster_generate(64)
 @settings(max_examples=max(40, settings.default.max_examples), deadline=None)
 def test_lattice_matches_brute_force_on_relabelled_tables(data):
     # a relabelling fixing the identity makes index order differ from
-    # construction order, so walks start from other generators; the graph
-    # built from the walks must still be the union of the brute-force
+    # construction order, so walks start from other generators and other
+    # walks are taken; every walk must still be a slice of a taken one, and
+    # the graph built from the taken walks the union of the brute-force
     # maximal cliques
     table = data.draw(st.sampled_from(_ROSTER_64)).realize().table
     n = table.shape[0]
@@ -175,6 +208,7 @@ def test_lattice_matches_brute_force_on_relabelled_tables(data):
     relabelled[np.ix_(perm, perm)] = perm[table]
     group = ingest_cayley(cayley_file_text(relabelled.tolist()))
     assert_lattice_matches_brute_force(group)
+    assert_walks_are_slices_of_taken_walks(group)
     bundle = build_bundle(group)
     assert bundle.epg.rows == lattice_epg_rows(group)
     assert CHECKS_BY_ID["T2.1"].graph_side(bundle)

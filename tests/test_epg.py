@@ -5,6 +5,7 @@ import dataclasses
 import tracemalloc
 
 import pytest
+from hypothesis import settings
 
 import epgraph.epg as epg_module
 from epgraph import (
@@ -25,8 +26,13 @@ from helpers import (
     brute_cyclic_subgroups,
     brute_lattice,
     clique_edges,
+    commuting_graph_rows,
     graph_from_edges,
+    has_noncyclic_commuting_pair,
+    is_prime,
     lattice_epg_rows,
+    power_graph_rows,
+    power_masks,
 )
 
 
@@ -122,6 +128,41 @@ def test_bundle_and_reports_leave_row_lists_unbuilt(spec_text):
     finally:
         tracemalloc.stop()
     assert peak < 8 * b.group.order ** 2
+
+
+# every roster group up to order 64 in tier-1; the ci profile takes the
+# roster to 256, building one bundle at a time
+SANDWICH_ROSTER_BOUND = 256 if settings.default.max_examples >= 1000 else 64
+
+
+def _is_prime_power(n: int) -> bool:
+    return len([p for p in range(2, n + 1) if n % p == 0 and is_prime(p)]) <= 1
+
+
+def test_epg_lies_between_power_and_commuting_graphs_on_roster():
+    # a second oracle for build_epg, sharing no code with the power walks:
+    # the power graph (x ~ y iff one is a power of the other) and the
+    # commuting graph (x ~ y iff xy = yx) come from the table alone, and
+    # (1) PG <= EPG <= CG as edge sets,
+    # (2) EPG = PG iff every element order is a prime power, and
+    # (3) EPG = CG iff G holds no Z_p x Z_p: no two commuting elements of one
+    #     prime order p generate different subgroups
+    specs = roster_generate(SANDWICH_ROSTER_BOUND)
+    seen = {"EPG = PG": 0, "EPG = CG": 0}
+    for spec in specs:
+        group = spec.realize()
+        epg = build_epg(group).rows
+        powers = power_masks(group)
+        pg, cg = power_graph_rows(powers), commuting_graph_rows(group)
+        name = spec.serialize()
+        assert all(p & ~e == 0 and e & ~c == 0 for p, e, c in zip(pg, epg, cg)), name
+        prime_powers = all(_is_prime_power(bin(m).count("1")) for m in powers)
+        assert (epg == pg) == prime_powers, name
+        assert (epg == cg) == (not has_noncyclic_commuting_pair(powers, cg)), name
+        seen["EPG = PG"] += epg == pg
+        seen["EPG = CG"] += epg == cg
+    # both outcomes of each identity occur
+    assert 0 < min(seen.values()) and max(seen.values()) < len(specs), seen
 
 
 def test_deleted_graph_is_built_on_first_read(monkeypatch):

@@ -531,6 +531,42 @@ def test_is_simple_matches_all_elements_oracle(roster_groups_64):
     assert simple == [60, 360]
 
 
+@pytest.mark.parametrize("text", [
+    "dihedral:3", "dihedral:5", "dihedral:9", "dihedral:15", "dihedral:21",
+    "metacyclic:7:3:2",
+])
+def test_is_simple_rejects_a_unique_prime_order_subgroup_before_any_closure(text, monkeypatch):
+    # a unique subgroup of prime order p < |G| is characteristic, so normal
+    # and proper: D_m for odd m has one of each order p | m, Z_7 x| Z_3 one of
+    # order 7
+    def no_closure(group, x):
+        raise AssertionError("normal_closure called")
+
+    group = parse_spec(text).realize()
+    monkeypatch.setattr(groups_module, "normal_closure", no_closure)
+    assert 1 in prime_subgroup_counts(group).values()
+    assert is_simple(group) is False
+
+
+@pytest.mark.parametrize("spec, simple", [
+    (GroupSpec.perm(4, [(1, 2, 0, 3), (0, 2, 3, 1)]), False),  # A4
+    (GroupSpec.perm(4, [(1, 0, 2, 3), (1, 2, 3, 0)]), False),  # S4
+    (GroupSpec.perm(5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)]), True),  # A5
+    (parse_spec("product:cyclic:2,cyclic:2"), False),
+    (GroupSpec.cyclic(5), True),  # prime order: its one subgroup of order 5 is G
+])
+def test_is_simple_without_a_proper_unique_prime_order_subgroup_takes_closures(
+        spec, simple, monkeypatch):
+    closed = []
+    closure = groups_module.normal_closure
+    monkeypatch.setattr(groups_module, "normal_closure",
+                        lambda group, x: closed.append(x) or closure(group, x))
+    group = spec.realize()
+    assert is_simple(group) is simple
+    assert simple == brute_is_simple(group)
+    assert closed
+
+
 def test_is_simple_trivial_group_errors():
     with pytest.raises(GroupParameterError):
         is_simple(GroupSpec.cyclic(1).realize())
@@ -719,9 +755,10 @@ def test_validation_catches_broken_tables():
 
 
 def test_walk_rejects_powers_that_never_reach_the_identity():
-    # the constructor trusts its table; column 1 sends 1 -> 2 -> 1, never to 0
+    # the constructor trusts its table; element 1 is walked along row 1,
+    # which sends 1 -> 2 -> 1, never to 0
     with pytest.raises(CayleyValidationError) as exc:
-        FiniteGroup(np.array([[0, 1, 2], [1, 2, 0], [2, 1, 0]], dtype=np.int64))
+        FiniteGroup(np.array([[0, 1, 2], [1, 2, 1], [2, 0, 0]], dtype=np.int64))
     assert exc.value.law == "order"
     assert "element 1 " in str(exc.value)
 
