@@ -14,9 +14,9 @@ most ``BLOCK`` characters (see ``_cut``) and writes their values in token
 order into one n x n int16 table. Each line's tokens are counted before
 any value is built, so a line of the wrong length is refused without its
 values, and the first broken line wins as in a line-by-line reading. A
-value is built from its digit places, one numpy pass per place, up to 19
-places in uint64; a token beyond int64, of either sign, saturates to the
-int64 maximum.
+value is built from its digit places, one numpy pass per place, up to nine
+places in int32 (uint16 for the first four); a token with a digit other
+than 0 before its last nine places reads as 2**31 - 1 with its own sign.
 
 A file's table is untrusted, and this module alone checks group laws,
 each exactly and before the table is used. The first broken law is named,
@@ -49,8 +49,7 @@ _BLANK_LINES = re.compile(r"(?:[ \t\n]+|#[^\n]*\n|\r\n)*")
 _COMMENT = re.compile(rb"#[^\n]*")
 _TOKEN_END = re.compile(r"[^ \t\n#]*\n?")  # a token, and the line feed right after it
 _STRAY = re.compile(r"[^#\n]*?(?:[\x0b\x0c]|\r(?!\n))")  # a separator before the comment
-_PAD = 19  # spaces put before scanned bytes: 19 digit places stay in range
-_INT64_MAX = np.iinfo(np.int64).max
+_PAD = 9  # spaces put before scanned bytes: nine digit places stay in range
 _SEPARATOR = "a separator other than space or tab"
 _TOKEN = "non-integer token"
 
@@ -59,7 +58,7 @@ def _scan(lines: str) -> tuple[np.ndarray, tuple[int, str] | None, Callable[[], 
     """Scan the lines of ``lines + "\\n"``, comments and the carriage return
     before each line feed dropped, a non-ASCII character read as ``?``: the
     token count of each line, the first line that breaks the grammar as
-    (index, message) or None, and a function building the tokens' int64
+    (index, message) or None, and a function building the tokens' int32
     values. A token is a run of digits, a sign allowed right before it."""
     raw = lines.encode("ascii", "replace")
     if b"\r" in raw:
@@ -100,40 +99,37 @@ def _first_bad(chars: np.ndarray, line_ends: np.ndarray) -> tuple[int, str] | No
 
 def _values(buf: np.ndarray, digit: np.ndarray, last: np.ndarray,
             signed: bool) -> np.ndarray:
-    """The int64 values of the tokens whose last digits sit at ``last``,
+    """The int32 values of the tokens whose last digits sit at ``last``,
     past the ``_PAD`` spaces of ``buf``. Place k of every token is added
-    in one pass over the bytes, up to 19 places; a token beyond int64
-    saturates to the int64 maximum, whatever its sign."""
+    in one pass over the bytes, up to nine places, which fit in int32 with
+    either sign; a token with a digit other than 0 before its last nine
+    places saturates to 2**31 - 1, its sign kept."""
     size = len(buf) - _PAD
     # digit values, read only where run is set, in the accumulator's dtype:
     # numpy < 2 would keep a uint8 digit times 10**k in uint8
     places = (buf - 48).astype(np.uint16)
     run = digit[_PAD:]  # run[i]: bytes i - k .. i are all digits
     value = places[_PAD:].copy()
-    for k in range(1, 19):
+    for k in range(1, _PAD):
         run = run & digit[_PAD - k:_PAD - k + size]
         if not run.any():
             break
-        if k in (4, 9):
-            dtype = np.uint32 if k == 4 else np.uint64
-            places, value = places.astype(dtype), value.astype(dtype)
+        if k == 4:  # 9 * 10**4 does not fit in uint16
+            places, value = places.astype(np.int32), value.astype(np.int32)
         place = places[_PAD - k:_PAD - k + size] * run
         place *= place.dtype.type(10**k)
         value += place
-    wide = run.any()  # a token of 19 digits or more
+    wide = run.any()  # a token of nine digits or more
+    value = value.take(last).astype(np.int32)
     if not (signed or wide):
-        return value.take(last).astype(np.int64)
-    m = value.take(last).astype(np.uint64)
+        return value
     first = np.flatnonzero(digit[_PAD:] > digit[_PAD - 1:-1])  # each token's first digit
-    neg = buf.take(first + _PAD - 1) == 45
-    over = m > np.where(neg, np.uint64(2**63), np.uint64(_INT64_MAX))
-    long = np.flatnonzero(last - first >= 19)
-    if len(long):  # a digit other than 0 before the last 19 places
-        nonzero = np.concatenate(([0], np.cumsum(buf[_PAD:] > 48)))
-        over[long] |= nonzero[last[long] - 18] > nonzero[first[long]]
-    value = m.view(np.int64)  # m < 10**19, so -m fits in uint64
-    np.negative(value, out=value, where=neg)
-    value[over] = _INT64_MAX
+    long = np.flatnonzero(last - first >= _PAD)
+    if len(long):  # a digit other than 0 before the last nine places
+        # nonzero[i]: the digits other than 0 before byte i
+        nonzero = np.cumsum(buf[_PAD - 1:] > 48, dtype=np.int32)
+        value[long[nonzero[last[long] - _PAD + 1] > nonzero[first[long]]]] = 2**31 - 1
+    np.negative(value, out=value, where=buf.take(first + _PAD - 1) == 45)
     return value
 
 
@@ -214,8 +210,8 @@ def _read_table(text: str, max_order: int) -> np.ndarray:
         # past a table's worth of tokens, or n in a line, the text is refused once read
         if tokens and carry <= n and at + tokens <= n * n:
             entries = values()
-            if outside is None and entries.view(np.uint64).max() >= n:
-                outside = at + int(np.argmax(entries.view(np.uint64) >= n))
+            if outside is None and entries.view(np.uint32).max() >= n:
+                outside = at + int(np.argmax(entries.view(np.uint32) >= n))
             table[at:at + tokens] = entries
         at += tokens
         lineno += len(counts) - 1

@@ -422,6 +422,19 @@ def networkx_component_reps(graph: SimpleGraph, alive=None) -> list[int]:
     return sorted(min(c) for c in nx.connected_components(reference))
 
 
+def networkx_clique_and_independence_numbers(graph: SimpleGraph) -> tuple[int, int]:
+    """The largest clique and the largest independent set of ``graph``, by
+    ``networkx.max_weight_clique`` on it and on its complement; networkx is
+    imported on the first call."""
+    import networkx as nx
+
+    reference = nx.Graph()
+    reference.add_nodes_from(range(graph.n))
+    reference.add_edges_from(graph.edges())
+    return (nx.max_weight_clique(reference, weight=None)[1],
+            nx.max_weight_clique(nx.complement(reference), weight=None)[1])
+
+
 # -- associativity oracle and non-associative loop search ------------------------
 
 

@@ -212,16 +212,20 @@ def test_parse_returns_python_int_lists():
     assert rows == [[0, 1], [1, 0]]
 
 
+_INT32_MAX = 2**31 - 1
+
+
 @pytest.mark.parametrize(
     "token",
     ["99999999999999999999", "-99999999999999999999",
      "18446744073709551616", "18446744073709551617"],  # 2**64 and 2**64 + 1
 )
 def test_huge_entry_breaks_closure(token):
-    # a token beyond int64 saturates to the int64 maximum, whatever its sign,
-    # instead of wrapping (2**64 would wrap to 0); the closure check relies on it
+    # a token with a digit other than 0 before its last nine places
+    # saturates to 2**31 - 1 with its own sign, instead of wrapping (2**64
+    # would wrap to 0); the closure check relies on it
     _, bad, values = cayley_io._scan(f"0 {token}")
-    assert bad is None and values()[1] == np.iinfo(np.int64).max
+    assert bad is None and values()[1] == (-_INT32_MAX if token[0] == "-" else _INT32_MAX)
     with pytest.raises(CayleyValidationError) as exc:
         ingest_cayley(f"2\n0 {token}\n1 0\n")
     assert exc.value.law == "closure"
@@ -229,27 +233,45 @@ def test_huge_entry_breaks_closure(token):
 
 
 @pytest.mark.parametrize("token, value", [
-    ("999999999999999999", 10**18 - 1),
-    ("1000000000000000000", 10**18),  # 19 digits
-    ("9223372036854775807", 2**63 - 1),
-    ("-9223372036854775808", -(2**63)),
-    ("9223372036854775808", 2**63 - 1),  # beyond int64: saturates
-    ("-9223372036854775809", 2**63 - 1),  # ... to the maximum, whatever the sign
-    ("9999999999999999999", 2**63 - 1),
-    ("0" * 30 + "7", 7),  # leading zeros past 19 digits
-    ("-" + "0" * 21 + "9223372036854775808", -(2**63)),
-    ("+" + "0" * 20 + "1000000000000000000", 10**18),
-    ("0" * 20 + "10000000000000000000", 2**63 - 1),  # 10**19
+    ("999999999", 999999999),  # nine digits: exact
+    ("-999999999", -999999999),
+    ("1000000000", _INT32_MAX),  # ten: saturates, its sign kept
+    ("-1000000000", -_INT32_MAX),
+    ("0" * 30 + "7", 7),  # leading zeros past nine digits
+    ("-" + "0" * 21 + "123456789", -123456789),
+    ("+" + "0" * 20 + "1000000000", _INT32_MAX),
+    # tokens of 19 and 20 digits, past int64 or not, saturate alike
+    ("9223372036854775807", _INT32_MAX),
+    ("-9223372036854775808", -_INT32_MAX),
+    ("9223372036854775808", _INT32_MAX),
+    ("-9223372036854775809", -_INT32_MAX),
+    ("9999999999999999999", _INT32_MAX),
+    ("0" * 20 + "10000000000000000000", _INT32_MAX),
 ])
-def test_tokens_of_19_digits_and_more(token, value):
-    # a block's values, in int64 before any entry is checked against the order
+def test_tokens_of_nine_digits_and_more(token, value):
+    # a block's values, in int32 before any entry is checked against the order
     counts, bad, values = cayley_io._scan(f"0 {token}\n{token}")
     assert bad is None and counts.tolist() == [2, 1]
-    assert values().tolist() == [0, value, value]
+    got = values()
+    assert got.dtype == np.int32 and got.tolist() == [0, value, value]
+
+
+@pytest.mark.parametrize("order, error, message", [
+    ("999999999", GroupSizeError, "group order 999999999 exceeds the cap of 512"),
+    ("1000000000", GroupSizeError, "group order 2147483647 exceeds the cap of 512"),
+    ("-1000000000", CayleyParseError, "line 1: order must be >= 1, got -2147483647"),
+    ("-" + "9" * 25, CayleyParseError, "line 1: order must be >= 1, got -2147483647"),
+], ids=["9 digits", "10 digits", "10 digits, negative", "25 digits, negative"])
+def test_order_line_reads_nine_digits(order, error, message):
+    # the order line's value is built like an entry's: a token past nine
+    # significant digits prints as 2**31 - 1 with its own sign
+    with pytest.raises(error) as exc:
+        ingest_cayley(f"{order}\n")
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 @pytest.mark.parametrize("zero, one", [
-    ("-" + "0" * 25, "0" * 30 + "1"),  # leading zeros past 19 digits, signed zeros
+    ("-" + "0" * 25, "0" * 30 + "1"),  # leading zeros past nine digits, signed zeros
     ("+" + "0" * 40, "+" + "0" * 20 + "1"),
 ])
 def test_long_in_range_tokens_read_back(zero, one):
@@ -298,6 +320,24 @@ def test_single_row_peak_stays_near_the_text():
     peak, exc = _rejection_peak(text)
     assert str(exc) == f"line 2: expected 2 entries, got {_ROW_TOKENS}"
     assert peak <= 5 * len(text), peak / len(text)
+
+
+@pytest.mark.parametrize("lead, law", [("", None), ("1", "closure")], ids=["zeros", "closure"])
+def test_long_token_peak_stays_near_the_text(lead, law):
+    # a token of a million digits builds nine digit places at most, in int32
+    text = "2\n0 1\n1 " + lead + "0" * 1_000_000 + "\n"
+    tracemalloc.start()
+    try:
+        if law is None:
+            cayley_table(text)
+        else:
+            with pytest.raises(CayleyValidationError) as exc:
+                cayley_table(text)
+            assert exc.value.law == law
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * len(text), peak / len(text)
 
 
 def _relabelled_text(group) -> str:

@@ -31,6 +31,7 @@ from helpers import (
     has_noncyclic_commuting_pair,
     is_prime,
     lattice_epg_rows,
+    networkx_clique_and_independence_numbers,
     power_graph_rows,
     power_masks,
 )
@@ -163,6 +164,28 @@ def test_epg_lies_between_power_and_commuting_graphs_on_roster():
         seen["EPG = CG"] += epg == cg
     # both outcomes of each identity occur
     assert 0 < min(seen.values()) and max(seen.values()) < len(specs), seen
+
+
+# every roster group up to order 32 in tier-1; the ci profile takes the
+# roster to 48 (about 2 s)
+CLIQUE_ROSTER_BOUND = 48 if settings.default.max_examples >= 1000 else 32
+
+
+def test_epg_clique_and_independence_numbers_on_roster():
+    # networkx's exact clique search on the enhanced power graph and on its
+    # complement, against the group:
+    # (4) omega(EPG) is the largest element order: a clique generates an
+    #     abelian group whose Sylow subgroups are chains, so a cyclic group;
+    # (5) alpha(EPG) is the number of maximal cyclic subgroups, read off the
+    #     walks: their cliques cover the vertices, and one generator of each
+    #     makes an independent set
+    pytest.importorskip("networkx")
+    for spec in roster_generate(CLIQUE_ROSTER_BOUND):
+        group = spec.realize()
+        subgroups = [frozenset(walk) for walk in group.walks]
+        maximal = sum(not any(s < t for t in subgroups) for s in subgroups)
+        assert networkx_clique_and_independence_numbers(build_epg(group)) == (
+            max(group.orders), maximal), spec.serialize()
 
 
 def test_deleted_graph_is_built_on_first_read(monkeypatch):
