@@ -23,12 +23,11 @@ gets here. Building a group walks its powers once (``epgraph.cyclic``);
 the walks and the element orders are the group's cyclic structure:
 ``epgraph.epg`` builds the enhanced power graph from the walks taken, of
 which every other walk is a slice, and T3.2, T3.3, T3.4 and T5.1 read the
-prime-order subgroup counts off them.
+prime-order subgroup counts off the orders.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -304,11 +303,11 @@ def is_simple(group: FiniteGroup) -> bool:
 
     A group of composite order with a unique subgroup of some prime order
     p is not simple: that subgroup is characteristic, so normal, and
-    proper. This reads the walks' prime-order counts and rejects most
-    groups with a trivial center before any closure. Otherwise conjugate
-    elements have the same normal closure, so one closure per conjugacy
-    class decides it: each class is marked seen when its first member is
-    closed over.
+    proper. This reads the prime-order counts off the element orders and
+    rejects most groups with a trivial center before any closure.
+    Otherwise conjugate elements have the same normal closure, so one
+    closure per conjugacy class decides it: each class is marked seen when
+    its first member is closed over.
     """
     if group.order < 2:
         raise GroupParameterError("simplicity is undefined for the trivial group")
@@ -327,9 +326,9 @@ def is_simple(group: FiniteGroup) -> bool:
 
 def prime_subgroup_counts(group: FiniteGroup) -> dict[int, int]:
     """The number of subgroups of order p for each prime p dividing |G| (by
-    Cauchy, at least one): each is cyclic, so it is one walk of length p."""
-    lengths = Counter(len(walk) for walk in group.walks)
-    return {p: lengths[p] for p in prime_factors(group.order)}
+    Cauchy, at least one): each holds p - 1 elements of order p, and two of
+    them meet only in the identity, so it is the order-p count over p - 1."""
+    return {p: group.orders.count(p) // (p - 1) for p in prime_factors(group.order)}
 
 
 def has_unique_minimal_subgroup(group: FiniteGroup) -> bool:

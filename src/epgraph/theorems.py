@@ -31,14 +31,14 @@ generator class (a walk's members whose order is the walk's length) and
 one union per subgroup size, so each generator's row is tested once, in
 plain loops that stop at the first cross edge.
 
-Every ``applies`` and group side reads only the group, never a graph, so a
-fault in graph construction cannot move both sides of a check together.
-T3.1 applies by the group's spec, to a product whose last factor is a
-coprime Z_n. The rest read the group's power walks: T2.4's "cyclic" is
-some element of order |G|, T4.1's group side is the largest element
-order, T3.2, T3.3 and T5.1 read the prime-order subgroup counts, as
-T3.4's simplicity test does before any normal closure, and T5.3 marks
-the order-p elements of each walk whose length is not a power of p.
+Every ``applies`` and group side reads only the group, never a graph or
+a spec, so a fault in graph construction cannot move both sides of a
+check together, and a check means the same on any group. T2.4's "cyclic"
+is some element of order |G|, T4.1's group side is the largest element
+order, T3.1 applies when some central z has order n coprime to |G|/n,
+T3.2, T3.3 and T5.1 read the prime-order subgroup counts, as T3.4's
+simplicity test does before any normal closure, and T5.3 marks the
+order-p elements of each taken walk whose length is not a power of p.
 """
 
 from __future__ import annotations
@@ -256,17 +256,17 @@ def _t53_applies(bundle: EpgBundle) -> bool:
 def _t53_group_side(bundle: EpgBundle) -> bool:
     """Every non-central order-p element touches a non-p-element (p from the center).
 
-    An x of order p touches one exactly when x lies in a cyclic subgroup,
-    that is a walk, whose length k is not a power of p. The walk's order-p
-    elements are ``walk[j * k / p - 1]`` for j = 1..p-1; each such walk
-    strikes its own off the non-central ones, and the side holds when none
-    is left. It reads the walks only, never the graph.
+    An x of order p touches one exactly when x lies in a walk, and so in a
+    taken walk (of which every walk is a slice), whose length k is not a
+    power of p. Its order-p elements are ``walk[j * k / p - 1]``, 0 < j < p;
+    each such walk strikes its own off the non-central ones, and the side
+    holds when none is left. It reads the taken walks, never the graph.
     """
     group = bundle.group
     center = group.center()
     p = next(iter(prime_factors(len(center))))
     unmarked = {x for x, o in enumerate(group.orders) if o == p}.difference(center)
-    for walk in group.walks:
+    for walk in group.taken:
         k = len(walk)
         if k % p == 0 and not _is_power_of(k, p):
             unmarked.difference_update(walk[j * (k // p) - 1] for j in range(1, p))
@@ -290,18 +290,16 @@ def _t31_roster(max_order: int) -> list[GroupSpec]:
     return out
 
 
-def _t31_applies(bundle: EpgBundle) -> bool:
-    """The spec is a product H x Z_n, n >= 2, with gcd(|H|, n) = 1.
+def _coprime_central(bundle: EpgBundle) -> list[int]:
+    """The central z != 1 whose order n is coprime to |G|/n: each is a cone vertex.
 
-    A product packs (h, z) at index h * n + z, and element 1 of Z_n
-    generates it, so index 1 is (identity, generator of Z_n): the vertex
-    the graph side reads.
+    For any g, <g, z> is abelian; its Sylow p-subgroup is <z>'s, all of G's
+    p-part, for p | n, and embeds in the cyclic <g, z>/<z> for any other p.
+    So <g, z> is cyclic. In H x Z_n with gcd(|H|, n) = 1, z = (identity,
+    generator) is one.
     """
-    spec = bundle.group.spec
-    if spec is None or spec.family != "product" or spec.params[-1].family != "cyclic":
-        return False
-    n = spec.params[-1].params[0]
-    return n >= 2 and math.gcd(bundle.group.order // n, n) == 1
+    group, orders = bundle.group, bundle.group.orders
+    return [z for z in group.center()[1:] if math.gcd(orders[z], group.order // orders[z]) == 1]
 
 
 def _c23_graph_side(bundle: EpgBundle) -> list[bool]:
@@ -338,8 +336,9 @@ CHECKS: tuple[TheoremCheck, ...] = (
     ),
     TheoremCheck(
         "T3.1", "implies",
-        "G x Z_n with gcd(|G|, n) = 1 makes (identity, generator) a cone vertex",
-        _t31_applies, lambda b: 1 in b.report.cone_vertices, _const_true,
+        "a central z of order n coprime to |G|/n is a cone vertex, as in H x Z_n",
+        lambda b: bool(_coprime_central(b)),
+        lambda b: set(_coprime_central(b)).issubset(b.report.cone_vertices), _const_true,
         roster=_t31_roster,
     ),
     TheoremCheck(

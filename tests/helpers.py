@@ -736,15 +736,20 @@ def _t53_applies(bundle) -> bool:
     return len(_prime_set(bundle.group.order)) >= 2 and z > 1 and len(_prime_set(z)) == 1
 
 
-def _t31_applies(bundle) -> bool:
-    """The serialized spec ends in a factor cyclic:n, n >= 2, sharing no prime
-    with the order of the factors before it."""
-    spec = bundle.group.spec
-    found = spec is not None and re.fullmatch(r"product:.+,cyclic:(\d+)", spec.serialize())
-    if not found:
-        return False
-    n = int(found.group(1))
-    return n >= 2 and not any((bundle.group.order // n) % p == 0 for p in _prime_set(n))
+def _t31_central(bundle) -> list[int]:
+    """Every central z != 1 whose order n shares no prime with |G| / n, from
+    the brute-force center and the orders found by table scans."""
+    group = bundle.group
+    orders = table_orders(group)
+    return [
+        z for z in sorted(brute_center(group))
+        if z != 0 and not _prime_set(orders[z]) & _prime_set(group.order // orders[z])
+    ]
+
+
+def _t31_graph_side(bundle) -> bool:
+    full = (1 << bundle.epg.n) - 1
+    return all(bundle.epg.rows[z] == full ^ (1 << z) for z in _t31_central(bundle))
 
 
 def _even_degrees(graph) -> bool:
@@ -780,8 +785,8 @@ REFERENCE_SIDES = {
         lambda b: frozenset(range(b.group.order)) in brute_cyclic_subgroups(b.group),
     ),
     "T3.1": (
-        _t31_applies,
-        lambda b: b.epg.n > 1 and b.epg.rows[1] == ((1 << b.epg.n) - 1) ^ 0b10,
+        lambda b: bool(_t31_central(b)),
+        _t31_graph_side,
         _always,
     ),
     "T3.2": (

@@ -38,9 +38,11 @@ from epgraph.theorems import CHECKS, CHECKS_BY_ID, Counterexample, TheoremReport
 from helpers import (
     REFERENCE_SIDES,
     brute_lattice,
+    cayley_file_text,
     column_major_run_all,
     complete_graph,
     pairwise_no_cross_edges,
+    table_of,
 )
 
 
@@ -186,26 +188,59 @@ def test_t31_roster_contents(bundle_of):
     ("product:dihedral:3,cyclic:5", True),
     ("product:cyclic:2,cyclic:2,cyclic:3", True),
     ("product:cyclic:3,cyclic:2", True),
-    ("product:dihedral:3,cyclic:3", False),  # gcd(6, 3) = 3
-    ("product:cyclic:5,dihedral:3", False),  # the last factor is not cyclic
+    ("product:cyclic:5,dihedral:3", True),  # z = 6, (generator, identity)
+    ("cyclic:6", True),
+    ("cyclic:4", True),  # a generator: order 4, |G|/4 = 1
+    ("product:dihedral:3,cyclic:3", False),  # Z(G) = Z_3, and gcd(3, 6) = 3
     ("product:cyclic:2,cyclic:2", False),
-    ("cyclic:6", False),
+    ("cyclic:1", False),  # no z != 1
+    ("dicyclic:2", False),  # Z(G) = Z_2, and gcd(2, 4) = 2
+    ("dicyclic:3", False),
+    ("dihedral:6", False),
+    ("perm:4:(0 1 2),(1 2 3)", False),  # A4: a trivial center
 ])
-def test_t31_applies_only_to_a_coprime_cyclic_last_factor(bundle_of, text, applies):
+def test_t31_applies_to_a_coprime_central_element(bundle_of, text, applies):
     assert CHECKS_BY_ID["T3.1"].applies(bundle_of(parse_spec(text))) is applies
 
 
-def test_t31_applies_to_no_group_without_a_spec():
+def test_t31_applies_to_a_group_without_a_spec():
     table = parse_spec("product:dihedral:3,cyclic:5").realize().table
-    assert not CHECKS_BY_ID["T3.1"].applies(build_bundle(FiniteGroup(table)))
+    bundle = build_bundle(FiniteGroup(table))
+    assert theorems._coprime_central(bundle) == [1, 2, 3, 4]
+    assert CHECKS_BY_ID["T3.1"].applies(bundle)
+
+
+def test_t31_graph_side_reads_every_coprime_central_element():
+    # vertex 1 stays a cone vertex, but 3, another element of order 5, is
+    # struck off: the graph side must see it
+    bundle = build_bundle(parse_spec("product:dihedral:3,cyclic:5").realize())
+    check = CHECKS_BY_ID["T3.1"]
+    assert check.graph_side(bundle)
+    bundle.report.cone_vertices = [v for v in bundle.report.cone_vertices if v != 3]
+    assert 1 in bundle.report.cone_vertices and not check.graph_side(bundle)
+
+
+def test_t31_holds_on_a_cayley_file(tmp_path):
+    # Z_5 x S3 laid out with Z_5 first: element 1 is no cone vertex, and the
+    # coprime central elements, 6, 12, 18 and 24, are read off the table alone
+    path = tmp_path / "z5_s3.txt"
+    path.write_text(cayley_file_text(table_of(parse_spec("product:cyclic:5,dihedral:3").realize())))
+    spec = parse_spec(f"file:{path}")
+    bundle = build_bundle(spec.realize())
+    assert theorems._coprime_central(bundle) == [6, 12, 18, 24]
+    assert 1 not in bundle.report.cone_vertices
+    report = run_check(CHECKS_BY_ID["T3.1"], [spec])
+    assert report.counterexamples == [] and report.tested == report.passed == 1
 
 
 def test_t31_finds_no_counterexample_on_the_standard_roster():
-    # vertex 1 is (identity, generator of Z_n) only under a coprime cyclic
-    # last factor; elsewhere the graph side would read an unrelated element
+    # every roster group with a central z of order n coprime to |G|/n: the
+    # 63 cyclic groups but Z_1, and 24 abelian products with a cyclic Sylow
+    # subgroup, such as Z_2 x Z_3 x Z_3 (z of order 2); the roster's
+    # non-abelian groups up to 64 have none
     check = CHECKS_BY_ID["T3.1"]
     report = run_check(check, roster_generate(64), max_order=64)
-    assert report.counterexamples == [] and report.tested == report.passed == 16
+    assert report.counterexamples == [] and report.tested == report.passed == 87
     own = run_check(check, check.roster(256), max_order=256)
     assert own.counterexamples == [] and own.tested == len(check.roster(256)) == 99
 
