@@ -45,7 +45,6 @@ from .theorems import (
     TheoremReport,
     roster_generate,
     run_all,
-    run_check,
 )
 
 __all__ = [
@@ -87,7 +86,6 @@ __all__ = [
     "prime_subgroup_counts",
     "roster_generate",
     "run_all",
-    "run_check",
     "to_dot",
     "to_edgelist_lines",
     "to_json_dict",

@@ -7,18 +7,19 @@ one-way implication for every roster group passing the check's filter.
 A counterexample on any roster group signals an implementation bug, never
 new mathematics: each check encodes a proved statement.
 
-Verification is group-major, with no bundle cache, over one job list:
-each distinct spec of the rosters the selected checks use (the standard
-roster, T3.1's products) once, with every check that reads it. Each
-group is realized and its bundle built once, its checks run on it, and
-it is dropped before the next group's is built, so memory stays that of
-one group however long the roster. The jobs are split over the usable
-CPUs: job i goes to shard i mod w, the caller streams shard 0 and a
-forked child each other shard, and the shards' reports are summed, with
-the counterexamples put back in roster order, so the output is the same
-for every w apart from ``ms``, the predicate time summed over shards. A
-process with a second live Python thread, or a platform without
-``os.fork``, streams every job itself.
+``run_all`` is the one verify loop. It runs the selected checks over a
+caller's list of specs, or else each over its own roster (the standard
+roster, T3.1's products). Verification is group-major, with no bundle
+cache, over one job list: each distinct spec once, with every check that
+reads it. Each group is realized and its bundle built once, its checks
+run on it, and it is dropped before the next group's is built, so memory
+stays that of one group however long the roster. The jobs are split over
+the usable CPUs: job i goes to shard i mod w, the caller streams shard 0
+and a forked child each other shard, and the shards' reports are summed,
+with the counterexamples put back in roster order, so the output is the
+same for every w apart from ``ms``, the predicate time summed over
+shards. A process with a second live Python thread, or a platform
+without ``os.fork``, streams every job itself.
 
 Every graph side but T2.1's reads a field of the bundle's lazy
 ``PropertyReport`` on its enhanced power graph (``bundle.report``) or on
@@ -57,7 +58,6 @@ from .cyclic import _generator_positions
 from .epg import EpgBundle, build_bundle
 from .errors import GroupParameterError
 from .groups import (
-    DEFAULT_MAX_ORDER,
     has_unique_minimal_subgroup,
     is_generalized_quaternion,
     is_simple,
@@ -100,7 +100,7 @@ def _abelian_noncyclic_shapes(max_order: int) -> list[tuple[int, ...]]:
             shape.pop()
 
     grow(0, 1, [])
-    return sorted(set(shapes), key=lambda s: (math.prod(s), s))
+    return shapes
 
 
 def roster_generate(max_order: int) -> list[GroupSpec]:
@@ -572,27 +572,26 @@ def _run(
     return reports
 
 
-def run_check(
-    check: TheoremCheck,
-    roster: Sequence[GroupSpec],
-    *,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> TheoremReport:
-    """Evaluate one check over a roster, recording any disagreements."""
-    return _run((check,), [(roster, (0,))], max_order)[0]
-
-
 def run_all(
-    max_order: int, *, check_ids: Optional[Sequence[str]] = None
+    max_order: int,
+    *,
+    check_ids: Optional[Sequence[str]] = None,
+    specs: Optional[Sequence[GroupSpec]] = None,
 ) -> list[TheoremReport]:
-    """Run every registered check (or a subset, in the order given) with its roster.
+    """Run every registered check (or a subset, in the order given) over ``specs``.
 
-    The checks are grouped by roster, in order of first use, and a spec in
-    two rosters (a T3.1 product that is also a standard-roster group) is
-    built once for the checks of both. A roster no selected check uses is
-    never realized.
+    Each group is realized under the order cap ``max_order``. With
+    ``specs``, every selected check runs over that list: each spec is built
+    once for all of them, one listed twice is checked twice, and the
+    counterexamples follow the list's order. Without it, each check runs
+    over its own roster to ``max_order``, the rosters in order of first use,
+    and a spec in two rosters (a T3.1 product that is also a
+    standard-roster group) is built once for the checks of both. A roster
+    no selected check uses is never realized.
     """
     checks = CHECKS if check_ids is None else tuple(CHECKS_BY_ID[i] for i in check_ids)
+    if specs is not None:
+        return _run(checks, [(specs, range(len(checks)))] if checks else [], max_order)
     by_roster: dict[Any, list[int]] = {}
     for i, check in enumerate(checks):
         by_roster.setdefault(check.roster, []).append(i)

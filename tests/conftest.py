@@ -9,7 +9,7 @@ from epgraph.theorems import roster_generate
 # examples each (and test_analysis.py's roster of component reps against
 # networkx from order 48 to 256, test_epg.py's power and commuting graph
 # sandwich from 64 to 256 and its clique and independence numbers from 32
-# to 48),
+# to 64),
 # test_cyclic.py's relabelled tables, test_cayley_io.py's roster texts and
 # law-oracle tables and test_specs.py's drawn spec round trips from 100,
 # test_groups.py's metacyclic and product reference tables and drawn

@@ -16,7 +16,6 @@ from epgraph import (
     roster_generate,
     run_all,
     planarity_verdict,
-    run_check,
 )
 from epgraph.theorems import CHECKS_BY_ID
 
@@ -53,7 +52,7 @@ def test_c01_oracle_equivalence(roster_bundles_48):
 
 def test_c02_completeness_iff_cyclic(roster_specs_64):
     with criterion("C2 T2.4 complete <=> cyclic (<=64)", 30):
-        report = run_check(CHECKS_BY_ID["T2.4"], roster_specs_64)
+        report = run_all(512, check_ids=["T2.4"], specs=roster_specs_64)[0]
         assert report.counterexamples == []
         assert report.tested == len(roster_specs_64)
         assert not report.vacuous
@@ -61,7 +60,7 @@ def test_c02_completeness_iff_cyclic(roster_specs_64):
 
 def test_c03_eulerian_iff_odd_order(roster_specs_64, roster_bundles_64):
     with criterion("C3 T4.2 Eulerian <=> odd order (<=64)", 30):
-        report = run_check(CHECKS_BY_ID["T4.2"], roster_specs_64)
+        report = run_all(512, check_ids=["T4.2"], specs=roster_specs_64)[0]
         assert report.counterexamples == []
         assert report.tested == len(roster_specs_64)
         for bundle in roster_bundles_64:
@@ -71,7 +70,7 @@ def test_c03_eulerian_iff_odd_order(roster_specs_64, roster_bundles_64):
 
 def test_c04_planarity_iff_small_orders(bundle_of, roster_specs_64):
     with criterion("C4 T4.1 planar <=> orders within {1,2,3,4} (<=64)", 60):
-        report = run_check(CHECKS_BY_ID["T4.1"], roster_specs_64)
+        report = run_all(512, check_ids=["T4.1"], specs=roster_specs_64)[0]
         assert report.counterexamples == []
         assert report.tested == len(roster_specs_64)
         s4 = bundle_of(parse_spec("perm:4:(0 1),(0 1 2 3)"))
@@ -86,7 +85,7 @@ def test_c04_planarity_iff_small_orders(bundle_of, roster_specs_64):
 
 def test_c05_bipartite_tree_star_equivalence(roster_specs_64):
     with criterion("C5 C2.3 bipartite <=> tree <=> star <=> exponent 2 (<=64)", 30):
-        report = run_check(CHECKS_BY_ID["C2.3"], roster_specs_64)
+        report = run_all(512, check_ids=["C2.3"], specs=roster_specs_64)[0]
         assert report.counterexamples == []
         assert report.tested == len(roster_specs_64)
         names = {s.serialize() for s in roster_specs_64}
@@ -100,7 +99,7 @@ def test_c06_abelian_cone_iff_cyclic_sylow(bundle_of):
         names = {s.serialize() for s in roster}
         assert "product:cyclic:2,cyclic:2,cyclic:3" in names
         assert "product:cyclic:2,cyclic:2,cyclic:3,cyclic:3" in names
-        report = run_check(CHECKS_BY_ID["T3.2"], roster)
+        report = run_all(512, check_ids=["T3.2"], specs=roster)[0]
         assert report.counterexamples == []
         assert report.tested == len(roster) - 1  # all but the trivial group
         # the named cases land on the expected sides
@@ -115,7 +114,7 @@ def test_c07_nonabelian_2group_cone_iff_quaternion(bundle_of):
         check = CHECKS_BY_ID["T3.3"]
         roster = [s for s in roster_generate(64)
                   if s.family in ("dihedral", "metacyclic", "dicyclic")]
-        report = run_check(check, roster)
+        report = run_all(512, check_ids=["T3.3"], specs=roster)[0]
         assert report.counterexamples == []
         two_groups = {
             spec.serialize()
@@ -146,7 +145,7 @@ def test_c08_a5_simple_without_cone(bundle_of):
 def test_c09_pgroup_deleted_connectivity(bundle_of, roster_specs_64):
     with criterion("C9 T5.1 deleted connected <=> unique minimal (p-groups <=64)", 60):
         check = CHECKS_BY_ID["T5.1"]
-        report = run_check(check, roster_specs_64)
+        report = run_all(512, check_ids=["T5.1"], specs=roster_specs_64)[0]
         assert report.counterexamples == []
         applied = {
             spec.serialize(): bool(check.graph_side(bundle_of(spec)))

@@ -167,8 +167,8 @@ def test_epg_lies_between_power_and_commuting_graphs_on_roster():
 
 
 # every roster group up to order 32 in tier-1; the ci profile takes the
-# roster to 48 (about 2 s)
-CLIQUE_ROSTER_BOUND = 48 if settings.default.max_examples >= 1000 else 32
+# roster to 64 (about 4 s)
+CLIQUE_ROSTER_BOUND = 64 if settings.default.max_examples >= 1000 else 32
 
 
 def test_epg_clique_and_independence_numbers_on_roster():

@@ -29,7 +29,6 @@ from epgraph import (
     parse_spec,
     roster_generate,
     run_all,
-    run_check,
 )
 import epgraph.epg as epg_module
 from epgraph import theorems
@@ -110,42 +109,42 @@ def test_roster_rejects_bad_input():
         roster_generate(0)
 
 
-# -- run_check ----------------------------------------------------------------------
+# -- run_all over a list of specs ---------------------------------------------------
 
 
-def test_run_check_t24():
-    report = run_check(CHECKS_BY_ID["T2.4"], roster_generate(32))
+def test_run_all_over_specs_t24():
+    report = run_all(512, check_ids=["T2.4"], specs=roster_generate(32))[0]
     assert report.counterexamples == []
     assert report.tested == len(roster_generate(32))
     assert report.passed == report.tested
     assert not report.vacuous
 
 
-def test_run_check_vacuous_flag():
-    report = run_check(CHECKS_BY_ID["T3.2"], roster_generate(1))
+def test_run_all_over_specs_vacuous_flag():
+    report = run_all(512, check_ids=["T3.2"], specs=roster_generate(1))[0]
     assert report.vacuous and report.tested == 0
 
 
-def test_run_check_ms_excludes_bundle_building(monkeypatch):
+def test_run_all_over_specs_ms_excludes_bundle_building(monkeypatch):
     def slow_build(group):
         time.sleep(0.05)
         return build_bundle(group)
 
     monkeypatch.setattr(theorems, "build_bundle", slow_build)
     roster = roster_generate(4)
-    report = run_check(CHECKS_BY_ID["T2.4"], roster)
+    report = run_all(512, check_ids=["T2.4"], specs=roster)[0]
     assert report.tested == len(roster)
     assert report.ms < 50
 
 
-def test_run_check_ms_excludes_deleted_graph_building(monkeypatch):
+def test_run_all_over_specs_ms_excludes_deleted_graph_building(monkeypatch):
     def slow_deleted(graph):
         time.sleep(0.05)
         return build_deleted(graph)
 
     monkeypatch.setattr(epg_module, "build_deleted", slow_deleted)
     roster = roster_generate(4)
-    report = run_check(CHECKS_BY_ID["T5.4"], roster)
+    report = run_all(512, check_ids=["T5.4"], specs=roster)[0]
     assert report.tested == len(roster)
     assert report.ms < 50
 
@@ -154,7 +153,7 @@ def test_t33_positive_set_is_generalized_quaternion(bundle_of):
     check = CHECKS_BY_ID["T3.3"]
     roster = [s for s in roster_generate(32)
               if s.family in ("dihedral", "dicyclic", "metacyclic")]
-    report = run_check(check, roster)
+    report = run_all(512, check_ids=["T3.3"], specs=roster)[0]
     assert report.counterexamples == []
     positives = {
         spec.serialize()
@@ -229,8 +228,15 @@ def test_t31_holds_on_a_cayley_file(tmp_path):
     bundle = build_bundle(spec.realize())
     assert theorems._coprime_central(bundle) == [6, 12, 18, 24]
     assert 1 not in bundle.report.cone_vertices
-    report = run_check(CHECKS_BY_ID["T3.1"], [spec])
-    assert report.counterexamples == [] and report.tested == report.passed == 1
+    # every check reads only the group, so the file gets all 14 in one call
+    reports = run_all(512, specs=[spec])
+    assert [r.theorem for r in reports] == [c.check_id for c in CHECKS]
+    for report in reports:
+        assert report.counterexamples == [] and report.tested == report.passed, report.theorem
+    tested = {r.theorem: r.tested for r in reports}
+    # non-abelian, not a p-group, with a center Z_5: T3.2-T3.4, T5.1 and T5.2 skip it
+    assert [i for i, n in tested.items() if n == 0] == ["T3.2", "T3.3", "T3.4", "T5.1", "T5.2"]
+    assert tested["T3.1"] == 1
 
 
 def test_t31_finds_no_counterexample_on_the_standard_roster():
@@ -239,9 +245,9 @@ def test_t31_finds_no_counterexample_on_the_standard_roster():
     # subgroup, such as Z_2 x Z_3 x Z_3 (z of order 2); the roster's
     # non-abelian groups up to 64 have none
     check = CHECKS_BY_ID["T3.1"]
-    report = run_check(check, roster_generate(64), max_order=64)
+    report = run_all(64, check_ids=["T3.1"], specs=roster_generate(64))[0]
     assert report.counterexamples == [] and report.tested == report.passed == 87
-    own = run_check(check, check.roster(256), max_order=256)
+    own = run_all(256, check_ids=["T3.1"], specs=check.roster(256))[0]
     assert own.counterexamples == [] and own.tested == len(check.roster(256)) == 99
 
 
@@ -392,10 +398,39 @@ def test_run_all_runs_each_decider_once_per_graph(one_shard, decider_graphs):
     assert calls and not twice, twice[:6]
 
 
-def test_run_check_checks_a_spec_listed_twice_twice():
+def test_run_all_checks_a_spec_listed_twice_twice(monkeypatch, one_shard):
+    built = _record_builds(monkeypatch)
     cyclic4 = parse_spec("cyclic:4")
-    report = run_check(CHECKS_BY_ID["T2.4"], [cyclic4, cyclic4])
+    report = run_all(512, check_ids=["T2.4"], specs=[cyclic4, cyclic4])[0]
     assert report.tested == report.passed == 2
+    assert built == ["cyclic:4"]  # built once, checked twice
+
+
+def test_run_all_over_no_specs_builds_nothing(monkeypatch, one_shard):
+    built = _record_builds(monkeypatch)
+    reports = run_all(64, specs=[])
+    assert [r.theorem for r in reports] == [c.check_id for c in CHECKS]
+    assert all(r.vacuous and r.tested == 0 for r in reports)
+    assert run_all(64, check_ids=[], specs=roster_generate(8)) == []
+    assert built == []
+
+
+def _standard_and_t31_specs(max_order):
+    """The standard roster plus T3.1's products, each spec once."""
+    return list(dict.fromkeys(roster_generate(max_order) + CHECKS_BY_ID["T3.1"].roster(max_order)))
+
+
+def test_every_check_over_the_standard_roster_and_t31_products():
+    # the other 13 checks see T3.1's 65 non-abelian products, and T3.1 the
+    # whole standard roster: 198 distinct specs at 64, each built once
+    specs = _standard_and_t31_specs(64)
+    assert len(specs) == 198
+    reports = run_all(64, specs=specs)
+    assert all(r.counterexamples == [] and r.passed == r.tested for r in reports)
+    tested = {r.theorem: r.tested for r in reports}
+    assert tested == dict.fromkeys(tested, 198) | {
+        "T3.1": 113, "T3.2": 121, "T3.3": 12, "T3.4": 1, "T5.1": 67, "T5.2": 79, "T5.3": 30,
+    }
 
 
 # -- shards: the job list split between the caller and forked children ------------
@@ -412,11 +447,12 @@ def _no_child_left():
 
 @pytest.mark.parametrize("check_ids", [None, ["T5.1", "T3.1", "T2.4"], ["T2.4", "T2.4"], []])
 def test_two_shards_report_what_one_shard_does(monkeypatch, check_ids):
-    _shards(monkeypatch, 1)
-    one = _zero_ms(run_all(64, check_ids=check_ids))
-    _shards(monkeypatch, 2)
-    assert _zero_ms(run_all(64, check_ids=check_ids)) == one
-    _no_child_left()
+    for specs in (None, _standard_and_t31_specs(64)):
+        _shards(monkeypatch, 1)
+        one = _zero_ms(run_all(64, check_ids=check_ids, specs=specs))
+        _shards(monkeypatch, 2)
+        assert _zero_ms(run_all(64, check_ids=check_ids, specs=specs)) == one
+        _no_child_left()
 
 
 def test_counterexamples_keep_each_rosters_order_across_shards(monkeypatch, bundle_of):
@@ -443,6 +479,21 @@ def test_counterexamples_keep_each_rosters_order_across_shards(monkeypatch, bund
     shared = [s for s in products if s in set(serialized(standard))]
     assert shared != [s for s in serialized(standard) if s in set(shared)]
     assert [c["spec"] for c in t31["counterexamples"]] == products
+    # over a caller's specs, here the standard roster reversed with T3.1's
+    # products appended, both checks' counterexamples follow that list
+    specs = list(dict.fromkeys(standard[::-1] + CHECKS_BY_ID["T3.1"].roster(64)))
+    for w in (1, 2):
+        _shards(monkeypatch, w)
+        reports[w] = _zero_ms(run_all(64, check_ids=["T2.4", "T3.1"], specs=specs))
+    _no_child_left()
+    assert reports[2] == reports[1]
+    t24, t31 = reports[1]
+    failing = [s.serialize() for s in specs
+               if bundle_of(s).report.complete != (bundle_of(s).group.order % 3 == 0)]
+    applying = [s.serialize() for s in specs if planted["T3.1"].applies(bundle_of(s))]
+    assert len(applying) > len(products)
+    assert [c["spec"] for c in t24["counterexamples"]] == failing
+    assert [c["spec"] for c in t31["counterexamples"]] == applying
 
 
 @pytest.mark.parametrize("where", ["caller", "child"])
