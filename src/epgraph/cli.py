@@ -60,8 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--theorem", required=True,
                           help="check id like T2.4, a comma-separated list, or 'all'")
     p_verify.add_argument("--max-order", type=int, default=32, dest="roster_max",
-                          help="roster order bound (default 32): every roster "
-                               "group up to this order is checked")
+                          help="roster order bound (default 32): every check "
+                               "runs over each roster group and coprime product "
+                               "H x Z_n up to this order")
     p_verify.add_argument("--output", type=Path, default=None)
 
     p_ingest = sub.add_parser("ingest", help="validate a Cayley file and report properties "

@@ -2,24 +2,25 @@
 
 Every check pairs a graph-side predicate (computed on the enhanced power
 graph or its deleted variant) with a group-side predicate (computed from
-the multiplication table), and asserts either their equivalence or a
-one-way implication for every roster group passing the check's filter.
+the multiplication table), and asserts that the two are equal on every
+roster group passing the check's filter; a one-way implication puts its
+hypothesis in the filter, and its group side is true.
 A counterexample on any roster group signals an implementation bug, never
 new mathematics: each check encodes a proved statement.
 
-``run_all`` is the one verify loop. It runs the selected checks over a
-caller's list of specs, or else each over its own roster (the standard
-roster, T3.1's products). Verification is group-major, with no bundle
-cache, over one job list: each distinct spec once, with every check that
-reads it. Each group is realized and its bundle built once, its checks
-run on it, and it is dropped before the next group's is built, so memory
-stays that of one group however long the roster. The jobs are split over
-the usable CPUs: job i goes to shard i mod w, the caller streams shard 0
-and a forked child each other shard, and the shards' reports are summed,
-with the counterexamples put back in roster order, so the output is the
-same for every w apart from ``ms``, the predicate time summed over
-shards. A process with a second live Python thread, or a platform
-without ``os.fork``, streams every job itself.
+``run_all`` is the one verify loop. It runs every selected check over
+one list of specs: a caller's, or else the standard roster followed by
+the coprime products T3.1 adds to it. Verification is group-major, with
+no bundle cache, over one job list: each distinct spec once, with every
+selected check. Each group is realized and its bundle built once, its
+checks run on it, and it is dropped before the next group's is built, so
+memory stays that of one group however long the roster. The jobs are
+split over the usable CPUs: job i goes to shard i mod w, the caller
+streams shard 0 and a forked child each other shard, and the shards'
+reports are summed, with the counterexamples put back in the list's
+order, so the output is the same for every w apart from ``ms``, the
+predicate time summed over shards. A process with a second live Python
+thread, or a platform without ``os.fork``, streams every job itself.
 
 Every graph side but T2.1's reads a field of the bundle's lazy
 ``PropertyReport`` on its enhanced power graph (``bundle.report``) or on
@@ -148,11 +149,14 @@ def roster_generate(max_order: int) -> list[GroupSpec]:
 
 @dataclass(frozen=True)
 class TheoremCheck:
-    """One checkable statement: filter, two sides, and a direction.
+    """One checkable statement: a filter and two sides that must be equal.
 
-    ``direction`` is "iff" (sides must agree) or "implies" (the group side
-    holding forces the graph side). ``agrees`` overrides the comparison
-    for checks whose sides are not plain booleans.
+    A check holds on a group it applies to when its graph side equals its
+    group side. An "implies" check puts its hypothesis in ``applies`` and
+    has the group side ``_const_true``; ``direction`` ("iff" or "implies")
+    only decides whether a check that tested no group makes ``verify`` exit
+    1, as a vacuous "iff" check does. ``roster`` names the groups this
+    check adds to the one roster.
     """
 
     check_id: str
@@ -161,15 +165,7 @@ class TheoremCheck:
     applies: Callable[[EpgBundle], bool]
     graph_side: Callable[[EpgBundle], Any]
     group_side: Callable[[EpgBundle], Any]
-    agrees: Optional[Callable[[Any, Any], bool]] = None
     roster: Optional[Callable[[int], list[GroupSpec]]] = None
-
-    def holds(self, graph_value: Any, group_value: Any) -> bool:
-        if self.agrees is not None:
-            return self.agrees(graph_value, group_value)
-        if self.direction == "iff":
-            return bool(graph_value) == bool(group_value)
-        return bool(graph_value) or not bool(group_value)
 
 
 @dataclass
@@ -202,10 +198,6 @@ def _const_true(_bundle: EpgBundle) -> bool:
 
 def _is_cyclic(bundle: EpgBundle) -> bool:
     return bundle.group.order in bundle.group.orders
-
-
-def _orders_at_most_2(bundle: EpgBundle) -> bool:
-    return all(o <= 2 for o in bundle.group.orders)
 
 
 def _no_cross_edges_between_equal_order_classes(bundle: EpgBundle) -> bool:
@@ -307,8 +299,8 @@ def _c23_graph_side(bundle: EpgBundle) -> list[bool]:
     return [report.bipartite, report.tree, report.star]
 
 
-def _c23_agrees(graph_value: list[bool], group_value: bool) -> bool:
-    return all(v == group_value for v in graph_value)
+def _c23_group_side(bundle: EpgBundle) -> list[bool]:
+    return [all(o <= 2 for o in bundle.group.orders)] * 3
 
 
 CHECKS: tuple[TheoremCheck, ...] = (
@@ -327,7 +319,7 @@ CHECKS: tuple[TheoremCheck, ...] = (
     TheoremCheck(
         "C2.3", "iff",
         "bipartite = tree = star = every non-identity element has order 2",
-        _const_true, _c23_graph_side, _orders_at_most_2, agrees=_c23_agrees,
+        _const_true, _c23_graph_side, _c23_group_side,
     ),
     TheoremCheck(
         "T2.4", "iff",
@@ -434,7 +426,7 @@ def _stream(
                 report.tested += 1
                 graph_value = check.graph_side(bundle)
                 group_value = check.group_side(bundle)
-                if check.holds(graph_value, group_value):
+                if graph_value == group_value:
                     report.passed += 1
                 else:
                     report.counterexamples.append(
@@ -531,22 +523,19 @@ def _stream_shards(
 
 
 def _run(
-    checks: Sequence[TheoremCheck],
-    passes: Sequence[tuple[Sequence[GroupSpec], Sequence[int]]],
-    max_order: int,
+    checks: Sequence[TheoremCheck], specs: Sequence[GroupSpec], max_order: int
 ) -> list[TheoremReport]:
-    """Run each pass's checks (indices into ``checks``) over the pass's roster.
+    """Run every check over ``specs``.
 
     The job list holds each distinct spec once, in order of first
-    appearance, with every check of every pass that reads it; a spec listed
-    twice in one roster is checked twice. Job i goes to shard i mod w, w
-    from ``_shard_count``. The shards' reports are summed, and each check's
-    counterexamples put back in its roster's order.
+    appearance, with every check; a spec listed twice is checked twice. Job
+    i goes to shard i mod w, w from ``_shard_count``. The shards' reports
+    are summed, and each check's counterexamples put back in the order of
+    ``specs``.
     """
     by_spec: dict[GroupSpec, list[int]] = {}
-    for roster, indices in passes:
-        for spec in roster:
-            by_spec.setdefault(spec, []).extend(indices)
+    for spec in specs:
+        by_spec.setdefault(spec, []).extend(range(len(checks)))
     jobs = [(spec, sorted(indices)) for spec, indices in by_spec.items()]
     w = _shard_count(len(jobs))
     parts = _stream_shards(checks, [jobs[k::w] for k in range(w)], max_order)
@@ -561,15 +550,26 @@ def _run(
     for report in reports:
         report.vacuous = report.tested == 0
         report.ms = round(report.ms, 3)
-    for roster, indices in passes:
-        failed = [reports[i].counterexamples for i in indices if reports[i].counterexamples]
-        if failed:
-            place: dict[str, int] = {}
-            for p, spec in enumerate(roster):
-                place.setdefault(spec.serialize(), p)
-            for counterexamples in failed:
-                counterexamples.sort(key=lambda c: place[c.spec])
+    if any(report.counterexamples for report in reports):
+        place: dict[str, int] = {}
+        for p, spec in enumerate(specs):
+            place.setdefault(spec.serialize(), p)
+        for report in reports:
+            report.counterexamples.sort(key=lambda c: place[c.spec])
     return reports
+
+
+def _roster(max_order: int) -> list[GroupSpec]:
+    """``roster_generate(max_order)`` and then every check's own groups, each spec once.
+
+    The extra groups come from every registered check, whichever run, so a
+    check's ``tested`` count does not depend on the others selected.
+    """
+    specs = roster_generate(max_order)
+    for check in CHECKS:
+        if check.roster is not None:
+            specs += check.roster(max_order)
+    return list(dict.fromkeys(specs))
 
 
 def run_all(
@@ -580,23 +580,14 @@ def run_all(
 ) -> list[TheoremReport]:
     """Run every registered check (or a subset, in the order given) over ``specs``.
 
-    Each group is realized under the order cap ``max_order``. With
-    ``specs``, every selected check runs over that list: each spec is built
-    once for all of them, one listed twice is checked twice, and the
-    counterexamples follow the list's order. Without it, each check runs
-    over its own roster to ``max_order``, the rosters in order of first use,
-    and a spec in two rosters (a T3.1 product that is also a
-    standard-roster group) is built once for the checks of both. A roster
-    no selected check uses is never realized.
+    Each group is realized under the order cap ``max_order``. Every selected
+    check runs over the one list: ``specs``, or else the standard roster to
+    ``max_order`` followed by the coprime products that T3.1 adds, each
+    spec once. Each spec is built once for all the checks, one listed twice
+    is checked twice, and the counterexamples follow the list's order. No
+    check selected builds nothing.
     """
     checks = CHECKS if check_ids is None else tuple(CHECKS_BY_ID[i] for i in check_ids)
-    if specs is not None:
-        return _run(checks, [(specs, range(len(checks)))] if checks else [], max_order)
-    by_roster: dict[Any, list[int]] = {}
-    for i, check in enumerate(checks):
-        by_roster.setdefault(check.roster, []).append(i)
-    passes = [
-        (roster_generate(max_order) if own is None else own(max_order), indices)
-        for own, indices in by_roster.items()
-    ]
-    return _run(checks, passes, max_order)
+    if not checks:
+        return []
+    return _run(checks, _roster(max_order) if specs is None else specs, max_order)

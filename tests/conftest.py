@@ -7,7 +7,8 @@ from epgraph.theorems import roster_generate
 # `--hypothesis-profile=ci` raises the random-graph tests of test_analysis.py
 # and test_planarity.py's certificate differential against networkx from 150
 # examples each (and test_analysis.py's roster of component reps against
-# networkx from order 48 to 256, test_epg.py's power and commuting graph
+# networkx from order 48 to 256, and its cone-vertex sets against the table
+# from 64 to 256, test_epg.py's power and commuting graph
 # sandwich from 64 to 256 and its clique and independence numbers from 32
 # to 64),
 # test_cyclic.py's relabelled tables, test_cayley_io.py's roster texts and

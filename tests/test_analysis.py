@@ -23,6 +23,7 @@ from epgraph import (
     simplegraph,
 )
 from epgraph.analysis import REPORT_FIELDS
+from epgraph import theorems
 from epgraph.theorems import roster_generate
 
 from helpers import (
@@ -34,6 +35,7 @@ from helpers import (
     loop_bipartite_coloring,
     loop_find_cycle,
     networkx_component_reps,
+    table_cone_vertices,
     verdict_or_none,
 )
 
@@ -338,6 +340,25 @@ def test_cone_matches_full_degree_in_deleted(roster_bundles_48):
         full = b.deleted.n - 1
         from_deleted = [v + 1 for v, d in enumerate(b.deleted.degrees()) if d == full]
         assert cones == from_deleted
+
+
+# run_all's roster (the standard roster and T3.1's products) to 64 in
+# tier-1; the ci profile takes it to 256, building one bundle at a time
+CONE_ROSTER_BOUND = 256 if settings.default.max_examples >= 1000 else 64
+
+
+def test_cone_vertices_are_the_central_elements_with_nested_p_parts():
+    # T3.1-T3.4 each cover one class of groups and three of them read only
+    # whether a cone vertex exists; this compares the whole set on every group
+    with_cone = 0
+    for spec in theorems._roster(CONE_ROSTER_BOUND):
+        bundle = build_bundle(spec.realize())
+        expected, exists = table_cone_vertices(bundle.group)
+        cones = bundle.report.cone_vertices
+        assert cones == expected, spec.serialize()
+        assert bool(cones) == exists, spec.serialize()
+        with_cone += exists
+    assert with_cone == {64: 128, 256: 548}[CONE_ROSTER_BOUND]
 
 
 # -- property report -----------------------------------------------------------------------

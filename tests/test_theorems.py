@@ -352,22 +352,20 @@ def one_shard(monkeypatch):
     monkeypatch.setattr(theorems, "_shard_count", lambda jobs: 1)
 
 
-def test_run_all_realizes_only_the_rosters_it_needs(monkeypatch, one_shard):
-    built = _record_builds(monkeypatch)
-    run_all(64, check_ids=["T3.1"])
-    assert built == serialized(CHECKS_BY_ID["T3.1"].roster(64))
-    built.clear()
-    run_all(64, check_ids=["T2.4", "T5.1"])
-    assert built == serialized(roster_generate(64))
-    built.clear()
-    assert run_all(64, check_ids=[]) == [] and built == []
-    # one build per distinct spec: a T3.1 product also in the standard roster
-    # is built once, for the checks of both rosters
-    run_all(48)
+def test_run_all_builds_each_spec_of_the_one_roster_once(monkeypatch, one_shard):
+    # the standard roster, then the T3.1 products it lacks, whatever the
+    # selection, so a check's tested count does not depend on the others
+    # selected; a product that is also a standard-roster group is built once
     standard = serialized(roster_generate(48))
     products = serialized(CHECKS_BY_ID["T3.1"].roster(48))
     assert set(standard) & set(products)
-    assert built == standard + [s for s in products if s not in standard]
+    one_roster = standard + [s for s in products if s not in standard]
+    built = _record_builds(monkeypatch)
+    for check_ids in (None, ["T3.1"], ["T2.4", "T5.1"]):
+        run_all(48, check_ids=check_ids)
+        assert built == one_roster, check_ids
+        built.clear()
+    assert run_all(48, check_ids=[]) == [] and built == []
 
 
 def test_run_all_holds_one_bundle_at_a_time(monkeypatch, one_shard):
@@ -415,17 +413,10 @@ def test_run_all_over_no_specs_builds_nothing(monkeypatch, one_shard):
     assert built == []
 
 
-def _standard_and_t31_specs(max_order):
-    """The standard roster plus T3.1's products, each spec once."""
-    return list(dict.fromkeys(roster_generate(max_order) + CHECKS_BY_ID["T3.1"].roster(max_order)))
-
-
 def test_every_check_over_the_standard_roster_and_t31_products():
     # the other 13 checks see T3.1's 65 non-abelian products, and T3.1 the
     # whole standard roster: 198 distinct specs at 64, each built once
-    specs = _standard_and_t31_specs(64)
-    assert len(specs) == 198
-    reports = run_all(64, specs=specs)
+    reports = run_all(64)
     assert all(r.counterexamples == [] and r.passed == r.tested for r in reports)
     tested = {r.theorem: r.tested for r in reports}
     assert tested == dict.fromkeys(tested, 198) | {
@@ -447,7 +438,7 @@ def _no_child_left():
 
 @pytest.mark.parametrize("check_ids", [None, ["T5.1", "T3.1", "T2.4"], ["T2.4", "T2.4"], []])
 def test_two_shards_report_what_one_shard_does(monkeypatch, check_ids):
-    for specs in (None, _standard_and_t31_specs(64)):
+    for specs in (None, roster_generate(64)[::-1]):
         _shards(monkeypatch, 1)
         one = _zero_ms(run_all(64, check_ids=check_ids, specs=specs))
         _shards(monkeypatch, 2)
@@ -455,45 +446,33 @@ def test_two_shards_report_what_one_shard_does(monkeypatch, check_ids):
         _no_child_left()
 
 
-def test_counterexamples_keep_each_rosters_order_across_shards(monkeypatch, bundle_of):
-    # T2.4 planted to fail on some groups of each shard, T3.1 on every product;
-    # the children inherit the planted checks through the fork
+def test_counterexamples_follow_the_one_roster_across_shards(monkeypatch, bundle_of):
+    # T2.4 planted to fail on some groups of each shard, T3.1 on every group
+    # it applies to; the children inherit the planted checks through the fork
     planted = dict(CHECKS_BY_ID)
     planted["T2.4"] = dataclasses.replace(
         planted["T2.4"], group_side=lambda b: b.group.order % 3 == 0)
     planted["T3.1"] = dataclasses.replace(planted["T3.1"], graph_side=lambda b: False)
     monkeypatch.setattr(theorems, "CHECKS_BY_ID", planted)
-    reports = {}
-    for w in (1, 2):
-        _shards(monkeypatch, w)
-        reports[w] = _zero_ms(run_all(64, check_ids=["T2.4", "T3.1"]))
-    _no_child_left()
-    assert reports[2] == reports[1]
-    t24, t31 = reports[1]
     standard = roster_generate(64)
-    failing = [s.serialize() for s in standard
-               if bundle_of(s).report.complete != (bundle_of(s).group.order % 3 == 0)]
-    assert len(failing) >= 2 and [c["spec"] for c in t24["counterexamples"]] == failing
-    # the products shared with the standard roster are built in its order, which is not T3.1's
-    products = serialized(CHECKS_BY_ID["T3.1"].roster(64))
-    shared = [s for s in products if s in set(serialized(standard))]
-    assert shared != [s for s in serialized(standard) if s in set(shared)]
-    assert [c["spec"] for c in t31["counterexamples"]] == products
-    # over a caller's specs, here the standard roster reversed with T3.1's
-    # products appended, both checks' counterexamples follow that list
-    specs = list(dict.fromkeys(standard[::-1] + CHECKS_BY_ID["T3.1"].roster(64)))
-    for w in (1, 2):
-        _shards(monkeypatch, w)
-        reports[w] = _zero_ms(run_all(64, check_ids=["T2.4", "T3.1"], specs=specs))
-    _no_child_left()
-    assert reports[2] == reports[1]
-    t24, t31 = reports[1]
-    failing = [s.serialize() for s in specs
-               if bundle_of(s).report.complete != (bundle_of(s).group.order % 3 == 0)]
-    applying = [s.serialize() for s in specs if planted["T3.1"].applies(bundle_of(s))]
-    assert len(applying) > len(products)
-    assert [c["spec"] for c in t24["counterexamples"]] == failing
-    assert [c["spec"] for c in t31["counterexamples"]] == applying
+    products = CHECKS_BY_ID["T3.1"].roster(64)
+    # the one roster (the standard roster, then T3.1's products), and a
+    # caller's specs (the standard roster reversed, then the products)
+    for specs in (None, list(dict.fromkeys(standard[::-1] + products))):
+        reports = {}
+        for w in (1, 2):
+            _shards(monkeypatch, w)
+            reports[w] = _zero_ms(run_all(64, check_ids=["T2.4", "T3.1"], specs=specs))
+        _no_child_left()
+        assert reports[2] == reports[1]
+        t24, t31 = reports[1]
+        order = list(dict.fromkeys(standard + products)) if specs is None else specs
+        failing = [s.serialize() for s in order
+                   if bundle_of(s).report.complete != (bundle_of(s).group.order % 3 == 0)]
+        applying = [s.serialize() for s in order if planted["T3.1"].applies(bundle_of(s))]
+        assert len(failing) >= 2 and len(applying) > len(products)
+        assert [c["spec"] for c in t24["counterexamples"]] == failing
+        assert [c["spec"] for c in t31["counterexamples"]] == applying
 
 
 @pytest.mark.parametrize("where", ["caller", "child"])
