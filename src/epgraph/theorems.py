@@ -11,16 +11,17 @@ new mathematics: each check encodes a proved statement.
 ``run_all`` is the one verify loop. It runs every selected check over
 one list of specs: a caller's, or else the standard roster followed by
 the coprime products T3.1 adds to it. Verification is group-major, with
-no bundle cache, over one job list: each distinct spec once, with every
-selected check. Each group is realized and its bundle built once, its
-checks run on it, and it is dropped before the next group's is built, so
-memory stays that of one group however long the roster. The jobs are
-split over the usable CPUs: job i goes to shard i mod w, the caller
-streams shard 0 and a forked child each other shard, and the shards'
-reports are summed, with the counterexamples put back in the list's
-order, so the output is the same for every w apart from ``ms``, the
-predicate time summed over shards. A process with a second live Python
-thread, or a platform without ``os.fork``, streams every job itself.
+no bundle cache, over each distinct spec of the list once, in order of
+first appearance, so ``tested`` counts groups. Each group is realized and
+its bundle built once, every selected check run on it, and it is dropped
+before the next group's is built, so memory stays that of one group
+however long the roster. The specs are split over the usable CPUs: spec
+i goes to shard i mod w, the caller streams shard 0 and a forked child
+each other shard, and the shards' reports are summed, with the
+counterexamples put back in the list's order, so the output is the same
+for every w apart from ``ms``, the predicate time summed over shards. A
+process with a second live Python thread, or a platform without
+``os.fork``, streams every spec itself.
 
 Every graph side but T2.1's reads a field of the bundle's lazy
 ``PropertyReport`` on its enhanced power graph (``bundle.report``) or on
@@ -57,13 +58,14 @@ from typing import Any, BinaryIO, Callable, Optional, Sequence
 
 from .cyclic import _generator_positions
 from .epg import EpgBundle, build_bundle
-from .errors import GroupParameterError
+from .errors import GroupParameterError, GroupSizeError
 from .groups import (
     has_unique_minimal_subgroup,
     is_generalized_quaternion,
     is_simple,
     prime_factors,
     prime_subgroup_counts,
+    table_cap,
 )
 from .specs import GroupSpec
 
@@ -234,12 +236,6 @@ def _no_cross_edges_between_equal_order_classes(bundle: EpgBundle) -> bool:
     return True
 
 
-def _is_power_of(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def _t53_applies(bundle: EpgBundle) -> bool:
     group = bundle.group
     return len(prime_factors(group.order)) >= 2 and len(prime_factors(len(group.center()))) == 1
@@ -260,7 +256,7 @@ def _t53_group_side(bundle: EpgBundle) -> bool:
     unmarked = {x for x, o in enumerate(group.orders) if o == p}.difference(center)
     for walk in group.taken:
         k = len(walk)
-        if k % p == 0 and not _is_power_of(k, p):
+        if k % p == 0 and len(prime_factors(k)) > 1:
             unmarked.difference_update(walk[j * (k // p) - 1] for j in range(1, p))
             if not unmarked:
                 return True
@@ -397,38 +393,33 @@ CHECKS: tuple[TheoremCheck, ...] = (
 
 CHECKS_BY_ID: dict[str, TheoremCheck] = {c.check_id: c for c in CHECKS}
 
-# one roster spec and the indices of the checks that read it
-_Job = tuple[GroupSpec, list[int]]
-
 
 def _stream(
-    checks: Sequence[TheoremCheck], jobs: Sequence[_Job], max_order: int
+    checks: Sequence[TheoremCheck], specs: Sequence[GroupSpec], max_order: int
 ) -> list[TheoremReport]:
-    """Build each job's bundle once, run the checks it names on it, drop it.
+    """Build each spec's bundle once, run every check on it, drop it.
 
     Reports follow ``checks`` one to one, with ``ms`` unrounded and
-    ``vacuous`` unset: ``_run`` settles both once the shards are summed.
-    ``ms`` covers each check's own predicates only; building the bundles
-    they read is not charged to any check, so the deleted graph, which a
-    bundle builds on first read, is read here first. A property field that
-    several checks read is decided once, on the bundle's report, and its
-    cost is charged to the first check that reads it. A report holds no
-    reference to its bundle, so each bundle is freed when dropped.
+    ``passed`` and ``vacuous`` unset: ``_run`` settles all three once the
+    shards are summed. ``ms`` covers each check's own predicates only;
+    building the bundles they read is not charged to any check, so the
+    deleted graph, which a bundle builds on first read, is read here first.
+    A property field that several checks read is decided once, on the
+    bundle's report, and its cost is charged to the first check that reads
+    it. A report holds no reference to its bundle, so each bundle is freed
+    when dropped.
     """
     reports = [TheoremReport(c.check_id, 0, 0, False) for c in checks]
-    for spec, indices in jobs:
+    for spec in specs:
         bundle = build_bundle(spec.realize(max_order=max_order))
         _ = bundle.deleted
-        for i in indices:
-            check, report = checks[i], reports[i]
+        for check, report in zip(checks, reports):
             start = time.perf_counter()
             if check.applies(bundle):
                 report.tested += 1
                 graph_value = check.graph_side(bundle)
                 group_value = check.group_side(bundle)
-                if graph_value == group_value:
-                    report.passed += 1
-                else:
+                if graph_value != group_value:
                     report.counterexamples.append(
                         Counterexample(spec.serialize(), graph_value, group_value)
                     )
@@ -438,7 +429,7 @@ def _stream(
 
 
 def _shard_count(jobs: int) -> int:
-    """One shard per usable CPU, at most one per job, and one where forking is unsafe.
+    """One shard per usable CPU, at most one per spec, and one where forking is unsafe.
 
     A process with a second live Python thread is never forked, and a
     platform without ``os.fork`` or ``os.sched_getaffinity`` runs one shard.
@@ -454,9 +445,9 @@ def _shard_count(jobs: int) -> int:
 
 
 def _fork_shard(
-    checks: Sequence[TheoremCheck], jobs: Sequence[_Job], max_order: int
+    checks: Sequence[TheoremCheck], specs: Sequence[GroupSpec], max_order: int
 ) -> tuple[int, BinaryIO]:
-    """Stream ``jobs`` in a forked child; returns its pid and the read end of its pipe.
+    """Stream ``specs`` in a forked child; returns its pid and the read end of its pipe.
 
     The child sends ``(reports, None, None)`` pickled, or ``(None, error,
     traceback text)`` for the exception that stopped it, and leaves by
@@ -471,7 +462,7 @@ def _fork_shard(
     try:
         os.close(read_end)
         try:
-            payload = pickle.dumps((_stream(checks, jobs, max_order), None, None))
+            payload = pickle.dumps((_stream(checks, specs, max_order), None, None))
         except BaseException as exc:
             payload = pickle.dumps((None, exc, traceback.format_exc()))
         with os.fdopen(write_end, "wb") as pipe:
@@ -482,7 +473,7 @@ def _fork_shard(
 
 
 def _stream_shards(
-    checks: Sequence[TheoremCheck], shards: Sequence[Sequence[_Job]], max_order: int
+    checks: Sequence[TheoremCheck], shards: Sequence[Sequence[GroupSpec]], max_order: int
 ) -> list[list[TheoremReport]]:
     """Stream shard 0 here and each other shard in a forked child, in parallel.
 
@@ -496,11 +487,11 @@ def _stream_shards(
     children: list[tuple[int, BinaryIO]] = []
     statuses: list[int] = []
     try:
-        for jobs in shards[1:]:
+        for specs in shards[1:]:
             try:
-                children.append(_fork_shard(checks, jobs, max_order))
+                children.append(_fork_shard(checks, specs, max_order))
             except OSError:  # out of processes or memory
-                here += jobs
+                here += specs
         parts = [_stream(checks, here, max_order)]
         payloads = [pipe.read() for _, pipe in children]
     finally:
@@ -525,18 +516,13 @@ def _stream_shards(
 def _run(
     checks: Sequence[TheoremCheck], specs: Sequence[GroupSpec], max_order: int
 ) -> list[TheoremReport]:
-    """Run every check over ``specs``.
+    """Run every check over each distinct spec of ``specs`` once.
 
-    The job list holds each distinct spec once, in order of first
-    appearance, with every check; a spec listed twice is checked twice. Job
-    i goes to shard i mod w, w from ``_shard_count``. The shards' reports
-    are summed, and each check's counterexamples put back in the order of
-    ``specs``.
+    The specs are taken in order of first appearance, and spec i goes to
+    shard i mod w, w from ``_shard_count``. The shards' reports are summed,
+    and each check's counterexamples put back in that order.
     """
-    by_spec: dict[GroupSpec, list[int]] = {}
-    for spec in specs:
-        by_spec.setdefault(spec, []).extend(range(len(checks)))
-    jobs = [(spec, sorted(indices)) for spec, indices in by_spec.items()]
+    jobs = list(dict.fromkeys(specs))
     w = _shard_count(len(jobs))
     parts = _stream_shards(checks, [jobs[k::w] for k in range(w)], max_order)
 
@@ -544,16 +530,14 @@ def _run(
     for part in parts:
         for report, got in zip(reports, part):
             report.tested += got.tested
-            report.passed += got.passed
             report.counterexamples += got.counterexamples
             report.ms += got.ms
     for report in reports:
+        report.passed = report.tested - len(report.counterexamples)
         report.vacuous = report.tested == 0
         report.ms = round(report.ms, 3)
     if any(report.counterexamples for report in reports):
-        place: dict[str, int] = {}
-        for p, spec in enumerate(specs):
-            place.setdefault(spec.serialize(), p)
+        place = {spec.serialize(): p for p, spec in enumerate(jobs)}
         for report in reports:
             report.counterexamples.sort(key=lambda c: place[c.spec])
     return reports
@@ -582,12 +566,19 @@ def run_all(
 
     Each group is realized under the order cap ``max_order``. Every selected
     check runs over the one list: ``specs``, or else the standard roster to
-    ``max_order`` followed by the coprime products that T3.1 adds, each
-    spec once. Each spec is built once for all the checks, one listed twice
-    is checked twice, and the counterexamples follow the list's order. No
-    check selected builds nothing.
+    ``max_order`` followed by the coprime products that T3.1 adds. Each
+    distinct spec of the list is built and checked once, and the
+    counterexamples follow the list's order. No check selected builds
+    nothing. Without ``specs``, a ``max_order`` above the int16 table cap
+    raises GroupSizeError before any group is built, since the roster
+    reaches it.
     """
     checks = CHECKS if check_ids is None else tuple(CHECKS_BY_ID[i] for i in check_ids)
     if not checks:
         return []
-    return _run(checks, _roster(max_order) if specs is None else specs, max_order)
+    if specs is None:
+        cap = table_cap(max_order)
+        if cap < max_order:
+            raise GroupSizeError(f"roster bound {max_order} exceeds the cap of {cap}")
+        specs = _roster(max_order)
+    return _run(checks, specs, max_order)

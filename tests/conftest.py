@@ -7,10 +7,11 @@ from epgraph.theorems import roster_generate
 # `--hypothesis-profile=ci` raises the random-graph tests of test_analysis.py
 # and test_planarity.py's certificate differential against networkx from 150
 # examples each (and test_analysis.py's roster of component reps against
-# networkx from order 48 to 256, and its cone-vertex sets against the table
-# from 64 to 256, test_epg.py's power and commuting graph
-# sandwich from 64 to 256 and its clique and independence numbers from 32
-# to 64),
+# networkx from order 48 to 256, its cone-vertex sets against the table
+# from 64 to 256 and its deleted-graph component counts against the
+# prime-order subgroup graph from 64 to 512, test_epg.py's power and
+# commuting graph sandwich from 64 to 256 and its clique and independence
+# numbers from 32 to 64),
 # test_cyclic.py's relabelled tables, test_cayley_io.py's roster texts and
 # law-oracle tables and test_specs.py's drawn spec round trips from 100,
 # test_groups.py's metacyclic and product reference tables and drawn

@@ -304,6 +304,52 @@ def table_cone_vertices(group) -> tuple[list[int], bool]:
     return cones, exists
 
 
+def prime_subgroup_graph_components(group) -> int:
+    """The components of Γ, from the table alone.
+
+    Γ's vertices are the subgroups of prime order, with <a> joined to <b>
+    when |a| != |b| and ab = ba. For |G| >= 2 the deleted graph has as many
+    components: each x != 1 is adjacent or equal to every element of prime
+    order in <x>; x ~ y makes <x, y> cyclic, so its prime-order subgroups
+    have distinct orders and commute; and a Γ edge gives ab, of order
+    |a||b|, adjacent to both a and b. The powers x, x^2, ... come from
+    repeated multiplication, so x != 1 has prime order p | |G| when x^p = 1;
+    each subgroup is named by its least member other than the identity,
+    commutation is t[a, b] == t[b, a], and union-find counts the components.
+    """
+    t = group.table
+    n = len(t)
+    assert (t[0] == np.arange(n)).all()  # the identity is element 0
+    primes = [p for p in range(2, n + 1) if n % p == 0 and is_prime(p)]
+    powers = [np.arange(n)]  # powers[k - 1][x] = x^k
+    for _ in range(2, max(primes, default=2)):
+        powers.append(t[powers[-1], np.arange(n)])
+    names: dict[int, int] = {}  # subgroup name -> its order
+    for p in primes:
+        of_order_p = np.nonzero(t[powers[p - 2], np.arange(n)] == 0)[0][1:]
+        for name in np.stack(powers[:p - 1])[:, of_order_p].min(axis=0).tolist():
+            names[name] = p
+    reps = list(names)
+    orders = np.array([names[r] for r in reps])
+    among = t[np.ix_(reps, reps)]
+    joined = np.triu((among == among.T) & (orders[:, None] != orders[None, :]))
+    parent = list(range(len(reps)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    components = len(reps)
+    for i, j in np.argwhere(joined).tolist():
+        a, b = root(i), root(j)
+        if a != b:
+            parent[a] = b
+            components -= 1
+    return components
+
+
 def _p_part(k: int, p: int) -> int:
     """The largest power of p dividing k."""
     part = 1

@@ -35,6 +35,7 @@ from helpers import (
     loop_bipartite_coloring,
     loop_find_cycle,
     networkx_component_reps,
+    prime_subgroup_graph_components,
     table_cone_vertices,
     verdict_or_none,
 )
@@ -359,6 +360,33 @@ def test_cone_vertices_are_the_central_elements_with_nested_p_parts():
         assert bool(cones) == exists, spec.serialize()
         with_cone += exists
     assert with_cone == {64: 128, 256: 548}[CONE_ROSTER_BOUND]
+
+
+# run_all's roster to 64 in tier-1; the ci profile takes it to 512
+COMPONENTS_ROSTER_BOUND = 512 if settings.default.max_examples >= 1000 else 64
+
+
+def test_deleted_graph_components_are_those_of_the_prime_order_subgroup_graph():
+    # T5.1-T5.3 read only whether the deleted graph is connected, and only
+    # on p-groups and groups with a non-trivial center; this counts its
+    # components on every group against Γ's, taken from the table alone
+    t51, t52, t53 = (theorems.CHECKS_BY_ID[i] for i in ("T5.1", "T5.2", "T5.3"))
+    counts = []
+    for spec in theorems._roster(COMPONENTS_ROSTER_BOUND):
+        bundle = build_bundle(spec.realize())
+        if bundle.group.order < 2:
+            continue
+        count = prime_subgroup_graph_components(bundle.group)
+        assert bundle.deleted_report.components == count, spec.serialize()
+        for check in (t51, t53):
+            if check.applies(bundle):
+                assert check.group_side(bundle) == (count == 1), (check.check_id, spec.serialize())
+        if t52.applies(bundle):
+            assert count == 1, spec.serialize()
+        counts.append(count)
+    disconnected = sum(count > 1 for count in counts)
+    assert (len(counts), disconnected, max(counts)) == {
+        64: (197, 68, 63), 512: (1518, 377, 511)}[COMPONENTS_ROSTER_BOUND]
 
 
 # -- property report -----------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from epgraph import cli, roster_generate
+from epgraph import cli, groups, roster_generate, theorems
 from epgraph.analysis import REPORT_FIELDS
 from epgraph.theorems import CHECKS_BY_ID
 
@@ -272,6 +272,22 @@ def test_verify_deterministic_output(capsys):
     _, first, _ = run_cli(["verify", "--theorem", "all", "--max-order", "16"], capsys)
     _, second, _ = run_cli(["verify", "--theorem", "all", "--max-order", "16"], capsys)
     assert normalized(first) == normalized(second)
+
+
+def test_verify_refuses_a_bound_over_the_cap_before_building(monkeypatch, capsys):
+    # with the table cap at 16, a bound of 17 is refused before any group of
+    # the roster is built, as 32769 is at the int16 cap
+    built, build_bundle = [], theorems.build_bundle
+
+    def recording(group):
+        built.append(group.spec.serialize())
+        return build_bundle(group)
+
+    monkeypatch.setattr(groups, "MAX_TABLE_ORDER", 16)
+    monkeypatch.setattr(theorems, "build_bundle", recording)
+    code, out, err = run_cli(["verify", "--theorem", "all", "--max-order", "17"], capsys)
+    assert code == 2 and out == "" and built == []
+    assert err == "epgraph: error: roster bound 17 exceeds the cap of 16\n"
 
 
 # -- ingest --------------------------------------------------------------------

@@ -22,6 +22,7 @@ from epgraph import (
     FiniteGroup,
     GroupError,
     GroupParameterError,
+    GroupSizeError,
     SimpleGraph,
     build_bundle,
     build_deleted,
@@ -31,6 +32,7 @@ from epgraph import (
     run_all,
 )
 import epgraph.epg as epg_module
+import epgraph.groups as groups_module
 from epgraph import theorems
 from epgraph.theorems import CHECKS, CHECKS_BY_ID, Counterexample, TheoremReport
 
@@ -396,12 +398,27 @@ def test_run_all_runs_each_decider_once_per_graph(one_shard, decider_graphs):
     assert calls and not twice, twice[:6]
 
 
-def test_run_all_checks_a_spec_listed_twice_twice(monkeypatch, one_shard):
+def test_run_all_checks_a_spec_listed_twice_once(monkeypatch, one_shard):
     built = _record_builds(monkeypatch)
     cyclic4 = parse_spec("cyclic:4")
     report = run_all(512, check_ids=["T2.4"], specs=[cyclic4, cyclic4])[0]
-    assert report.tested == report.passed == 2
-    assert built == ["cyclic:4"]  # built once, checked twice
+    assert report.tested == report.passed == 1  # tested counts groups
+    assert built == ["cyclic:4"]
+
+
+def test_run_all_refuses_a_roster_bound_over_the_cap_before_building(monkeypatch, one_shard):
+    # the roster reaches its bound, so a bound over the int16 table cap is
+    # refused before any group is built; with specs it is only the order cap
+    monkeypatch.setattr(groups_module, "MAX_TABLE_ORDER", 16)
+    built = _record_builds(monkeypatch)
+    with pytest.raises(GroupSizeError, match="roster bound 20 exceeds the cap of 16"):
+        run_all(20)
+    with pytest.raises(GroupSizeError, match="exceeds the cap"):
+        run_all(20, check_ids=["T2.4"])
+    assert built == []
+    assert run_all(20, check_ids=[]) == []
+    report = run_all(20, check_ids=["T2.4"], specs=[parse_spec("cyclic:16")])[0]
+    assert report.tested == report.passed == 1 and built == ["cyclic:16"]
 
 
 def test_run_all_over_no_specs_builds_nothing(monkeypatch, one_shard):
@@ -438,7 +455,8 @@ def _no_child_left():
 
 @pytest.mark.parametrize("check_ids", [None, ["T5.1", "T3.1", "T2.4"], ["T2.4", "T2.4"], []])
 def test_two_shards_report_what_one_shard_does(monkeypatch, check_ids):
-    for specs in (None, roster_generate(64)[::-1]):
+    roster = roster_generate(64)
+    for specs in (None, roster[::-1], roster[::-2] + roster[::3]):
         _shards(monkeypatch, 1)
         one = _zero_ms(run_all(64, check_ids=check_ids, specs=specs))
         _shards(monkeypatch, 2)
