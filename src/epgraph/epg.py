@@ -2,9 +2,9 @@
 
 Vertices are element indices; two distinct elements are adjacent iff some
 cyclic subgroup contains both, so the graph is the union of cliques over
-the cyclic subgroups, which are exactly the group's power walks. Every
-walk is a slice of a walk taken, a subgroup of its subgroup, so the
-cliques of the taken walks alone make the same graph. Both
+the cyclic subgroups, which are exactly the group's power walks. A walk
+whose generator already lies in an earlier walk lies in that walk whole,
+so its clique is already there and it is skipped. Both
 graphs share the group's ``orders`` tuple, from which only the exports
 derive vertex labels (``epgraph.simplegraph``). A bundle builds its
 identity-deleted graph and the property report on each graph on first
@@ -54,17 +54,21 @@ class EpgBundle:
 
 
 def build_epg(group: FiniteGroup) -> SimpleGraph:
-    """Union of cliques over the cyclic subgroups, read off the taken walks.
+    """Union of cliques over the cyclic subgroups, read off the walks.
 
-    Each taken walk's member mask is ORed into its members' rows; every
-    other walk is a slice of one of them, so its clique is already there.
-    Every element lies in a taken walk, so this sets every diagonal bit,
-    and one XOR per row clears the diagonal at the end.
+    Each walk's member mask is ORed into its members' rows, unless its
+    first element, which generates it, already has a nonzero row: then an
+    earlier walk ORed holds that generator, so it holds the whole subgroup
+    and its clique. The skip is exact in any walk order. Every element
+    lies in a walk, so this sets every diagonal bit, and one XOR per row
+    clears the diagonal at the end.
     """
     name = group.spec.display() if group.spec is not None else f"order-{group.order}"
     graph = SimpleGraph(group.order, orders=group.orders, name=name)
     rows = graph.rows
-    for walk in group.taken:
+    for walk in group.walks:
+        if rows[walk[0]]:
+            continue
         mask = 0
         for v in walk:
             mask |= 1 << v

@@ -21,9 +21,8 @@ table here is trusted: the one kind of untrusted table, a Cayley file's,
 has its group laws checked by its reader (``epgraph.cayley_io``) before it
 gets here. Building a group walks its powers once (``epgraph.cyclic``);
 the walks and the element orders are the group's cyclic structure:
-``epgraph.epg`` builds the enhanced power graph from the walks taken, of
-which every other walk is a slice, and T3.2, T3.3, T3.4 and T5.1 read the
-prime-order subgroup counts off the orders.
+``epgraph.epg`` builds the enhanced power graph from the walks, and T3.2,
+T3.3, T3.4 and T5.1 read the prime-order subgroup counts off the orders.
 """
 
 from __future__ import annotations
@@ -68,20 +67,19 @@ class FiniteGroup:
     distinct cyclic subgroup once: ``walks[c]`` is that subgroup in
     generation order g, g^2, ..., identity, and ``orders[x]`` is the order
     of x, so the generators of walk c are its members of order
-    ``len(walks[c])``. ``taken`` holds the walks stepped through a power at
-    a time, and the involution walks no longer one holds; every walk is a
-    slice ``t[s-1::s]`` of a taken walk t, so the taken walks' cliques make
-    the whole enhanced power graph. The constructor trusts ``table`` to be
-    a group; only the Cayley-file reader checks one.
+    ``len(walks[c])``. The walks come identity first, then each walked <x>
+    followed by the subgroups it hands down, then the involutions' walks.
+    The constructor trusts ``table`` to be a group; only the Cayley-file
+    reader checks one.
     """
 
-    __slots__ = ("order", "table", "orders", "walks", "taken", "spec", "_center")
+    __slots__ = ("order", "table", "orders", "walks", "spec", "_center")
 
     def __init__(self, table: np.ndarray, spec=None):
         self.order = int(table.shape[0])
         table.setflags(write=False)
         self.table = table
-        self.orders, self.walks, self.taken = _walk_cyclic_subgroups(table)
+        self.orders, self.walks = _walk_cyclic_subgroups(table)
         self.spec = spec
         self._center: Optional[tuple[int, ...]] = None
 

@@ -41,7 +41,7 @@ is some element of order |G|, T4.1's group side is the largest element
 order, T3.1 applies when some central z has order n coprime to |G|/n,
 T3.2, T3.3 and T5.1 read the prime-order subgroup counts, as T3.4's
 simplicity test does before any normal closure, and T5.3 marks the
-order-p elements of each taken walk whose length is not a power of p.
+order-p elements of each walk whose length is not a power of p.
 """
 
 from __future__ import annotations
@@ -244,17 +244,16 @@ def _t53_applies(bundle: EpgBundle) -> bool:
 def _t53_group_side(bundle: EpgBundle) -> bool:
     """Every non-central order-p element touches a non-p-element (p from the center).
 
-    An x of order p touches one exactly when x lies in a walk, and so in a
-    taken walk (of which every walk is a slice), whose length k is not a
-    power of p. Its order-p elements are ``walk[j * k / p - 1]``, 0 < j < p;
-    each such walk strikes its own off the non-central ones, and the side
-    holds when none is left. It reads the taken walks, never the graph.
+    An x of order p touches one exactly when x lies in a walk whose length
+    k is not a power of p. Its order-p elements are ``walk[j * k / p - 1]``,
+    0 < j < p; each such walk strikes its own off the non-central ones, and
+    the side holds when none is left. It reads the walks, never the graph.
     """
     group = bundle.group
     center = group.center()
     p = next(iter(prime_factors(len(center))))
     unmarked = {x for x, o in enumerate(group.orders) if o == p}.difference(center)
-    for walk in group.taken:
+    for walk in group.walks:
         k = len(walk)
         if k % p == 0 and len(prime_factors(k)) > 1:
             unmarked.difference_update(walk[j * (k // p) - 1] for j in range(1, p))

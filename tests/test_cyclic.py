@@ -20,8 +20,6 @@ from helpers import (
     brute_cyclic_subgroups,
     brute_lattice,
     cayley_file_text,
-    clique_edges,
-    graph_from_edges,
     is_prime,
     lattice_epg_rows,
     table_of,
@@ -70,29 +68,43 @@ def assert_lattice_matches_brute_force(group):
     assert prime_subgroup_counts(group) == {q: k for q, k in sizes.items() if is_prime(q)}
 
 
-def assert_walks_are_slices_of_taken_walks(group):
-    """Every walk is ``t[s-1::s]`` for a taken walk t, and the taken walks'
-    cliques give the brute-force enhanced power graph."""
-    slices = {t[s - 1::s] for t in group.taken for s in range(1, len(t) + 1) if len(t) % s == 0}
-    assert set(group.taken) <= set(group.walks)
-    assert set(group.walks) <= slices
-    taken_rows = graph_from_edges(group.order, clique_edges(*group.taken)).rows
-    assert taken_rows == lattice_epg_rows(group)
+def ored_walks(group):
+    """The walks whose first element lies in no earlier walk: the ones
+    ``build_epg`` ORs."""
+    seen: set[int] = set()
+    out = []
+    for walk in group.walks:
+        if walk[0] not in seen:
+            out.append(walk)
+        seen.update(walk)
+    return out
 
 
-def test_cyclic_group_takes_the_identity_and_one_generator():
+def assert_skipped_walks_lie_in_earlier_walks(group):
+    """A walk whose first element lies in an earlier walk is a subset of
+    that walk, and the graph ``build_epg`` makes by skipping such walks is
+    the brute-force enhanced power graph."""
+    for i, walk in enumerate(group.walks):
+        for earlier in group.walks[:i]:
+            if walk[0] in earlier:
+                assert set(walk) <= set(earlier)
+    assert build_bundle(group).epg.rows == lattice_epg_rows(group)
+
+
+def test_cyclic_group_ors_the_identity_and_one_generator():
     # the generator's walk hands every other subgroup down by slicing, the
     # involution's (256, 0) among them
     group = GroupSpec.cyclic(512).realize()
-    assert len(group.taken) == 2 and group.taken[0] == (0,)
-    assert len(group.taken[1]) == 512 and group.orders[group.taken[1][0]] == 512
+    ored = ored_walks(group)
+    assert len(ored) == 2 and ored[0] == (0,)
+    assert len(ored[1]) == 512 and group.orders[ored[1][0]] == 512
     assert len(group.walks) == 10  # one per divisor of 512
     assert (256, 0) in group.walks
 
 
-def test_walks_are_slices_of_taken_walks_over_roster(roster_groups_48):
+def test_skipped_walks_lie_in_earlier_walks_over_roster(roster_groups_48):
     for group in roster_groups_48:
-        assert_walks_are_slices_of_taken_walks(group)
+        assert_skipped_walks_lie_in_earlier_walks(group)
 
 
 def test_z6_subgroups():
@@ -162,6 +174,17 @@ def test_equal_order_subgroups_intersect_properly(roster_groups_48):
                     assert len(meet) < size
 
 
+# the walks build_epg ORs, of all the walks: dihedral:10 skips (r^5, e) and
+# the 5-walk, both inside the 10-walk of rotations
+_ORED_OF_WALKS = {
+    "product:" + ",".join(["cyclic:2"] * 6): (64, 64),
+    "dihedral:9": (11, 12),
+    "dihedral:10": (12, 14),
+    "dicyclic:4": (6, 8),
+    "metacyclic:7:3:2": (9, 9),
+}
+
+
 @pytest.mark.parametrize("text, involutions", [
     ("product:" + ",".join(["cyclic:2"] * 6), 63),  # every non-identity element
     ("dihedral:9", 9),  # the reflections only
@@ -171,17 +194,19 @@ def test_equal_order_subgroups_intersect_properly(roster_groups_48):
 ])
 def test_involution_walks_match_brute_force(text, involutions):
     # involutions are read off the table's diagonal, each as the walk
-    # (x, identity); the rest are walked one power at a time or sliced
-    # from a walk taken
+    # (x, identity), and their walks come last; the rest are walked one
+    # power at a time or sliced from a walk
     group = parse_spec(text).realize()
     assert_lattice_matches_brute_force(group)
     assert group.orders.count(2) == involutions
-    assert sorted(w for w in group.walks if len(w) == 2) == [
-        (x, 0) for x, o in enumerate(group.orders) if o == 2]
-    # an involution's walk is taken only when no longer taken walk holds it
-    held = {y for t in group.taken if len(t) > 2 for y in t}
-    assert sorted(t for t in group.taken if len(t) == 2) == [
-        (x, 0) for x, o in enumerate(group.orders) if o == 2 and x not in held]
+    assert group.walks[len(group.walks) - involutions:] == tuple(
+        (x, 0) for x, o in enumerate(group.orders) if o == 2)
+    # build_epg skips exactly the involutions' walks that a longer walk holds
+    longer = {y for w in group.walks if len(w) > 2 for y in w}
+    ored = ored_walks(group)
+    assert sorted(w for w in set(group.walks).difference(ored) if len(w) == 2) == [
+        (x, 0) for x, o in enumerate(group.orders) if o == 2 and x in longer]
+    assert (len(ored), len(group.walks)) == _ORED_OF_WALKS[text]
 
 
 def test_lattice_matches_brute_force_over_roster(roster_groups_64):
@@ -192,23 +217,38 @@ def test_lattice_matches_brute_force_over_roster(roster_groups_64):
 _ROSTER_64 = roster_generate(64)
 
 
+def relabelled_roster_group(data):
+    """A roster group of order <= 64 read back from its table with the
+    non-identity elements drawn into a new order."""
+    table = data.draw(st.sampled_from(_ROSTER_64)).realize().table
+    n = table.shape[0]
+    perm = np.array([0] + data.draw(st.permutations(range(1, n))), dtype=np.int64)
+    relabelled = np.empty_like(table)
+    relabelled[np.ix_(perm, perm)] = perm[table]
+    return ingest_cayley(cayley_file_text(relabelled.tolist()))
+
+
 # the hypothesis default in tier-1; the ci profile (conftest.py) draws 1000
 @given(st.data())
 @settings(max_examples=max(40, settings.default.max_examples), deadline=None)
 def test_lattice_matches_brute_force_on_relabelled_tables(data):
     # a relabelling fixing the identity makes index order differ from
     # construction order, so walks start from other generators and other
-    # walks are taken; every walk must still be a slice of a taken one, and
-    # the graph built from the taken walks the union of the brute-force
+    # walks are skipped; a skipped walk must still lie in an earlier one,
+    # and the graph built from the walks the union of the brute-force
     # maximal cliques
-    table = data.draw(st.sampled_from(_ROSTER_64)).realize().table
-    n = table.shape[0]
-    perm = np.array([0] + data.draw(st.permutations(range(1, n))), dtype=np.int64)
-    relabelled = np.empty_like(table)
-    relabelled[np.ix_(perm, perm)] = perm[table]
-    group = ingest_cayley(cayley_file_text(relabelled.tolist()))
+    group = relabelled_roster_group(data)
     assert_lattice_matches_brute_force(group)
-    assert_walks_are_slices_of_taken_walks(group)
-    bundle = build_bundle(group)
-    assert bundle.epg.rows == lattice_epg_rows(group)
-    assert CHECKS_BY_ID["T2.1"].graph_side(bundle)
+    assert_skipped_walks_lie_in_earlier_walks(group)
+    assert CHECKS_BY_ID["T2.1"].graph_side(build_bundle(group))
+
+
+@given(st.data())
+@settings(max_examples=max(40, settings.default.max_examples), deadline=None)
+def test_epg_skip_is_exact_in_any_walk_order_on_relabelled_tables(data):
+    # build_epg skips a walk whose first element, its generator, already
+    # has a row; in any order of the walks, that generator lies in a walk
+    # ORed before, which holds the whole subgroup
+    group = relabelled_roster_group(data)
+    group.walks = tuple(data.draw(st.permutations(group.walks)))
+    assert build_bundle(group).epg.rows == lattice_epg_rows(group)
