@@ -29,8 +29,6 @@ from .errors import (
 from .groups import (
     DEFAULT_MAX_ORDER,
     FiniteGroup,
-    has_unique_minimal_subgroup,
-    is_generalized_quaternion,
     is_simple,
     normal_closure,
     prime_subgroup_counts,
@@ -74,9 +72,7 @@ __all__ = [
     "cone_vertices",
     "find_cycle",
     "find_missing_edge",
-    "has_unique_minimal_subgroup",
     "ingest_cayley",
-    "is_generalized_quaternion",
     "is_simple",
     "normal_closure",
     "odd_degree_vertex",

@@ -21,8 +21,10 @@ table here is trusted: the one kind of untrusted table, a Cayley file's,
 has its group laws checked by its reader (``epgraph.cayley_io``) before it
 gets here. Building a group walks its powers once (``epgraph.cyclic``);
 the walks and the element orders are the group's cyclic structure:
-``epgraph.epg`` builds the enhanced power graph from the walks, and T3.2,
-T3.3, T3.4 and T5.1 read the prime-order subgroup counts off the orders.
+``epgraph.epg`` builds the enhanced power graph from the walks, and
+``prime_subgroup_counts`` reads the prime-order subgroup counts off the
+orders: the group sides of T3.2, T3.3 and T5.1 test that count, and
+``is_simple`` reads it before any normal closure.
 """
 
 from __future__ import annotations
@@ -105,13 +107,6 @@ class FiniteGroup:
             self._center = tuple(np.flatnonzero(sym).tolist())
         return self._center
 
-    def is_p_group(self) -> Optional[int]:
-        """The prime p when |G| is a p-power, else None (None for order 1)."""
-        factors = prime_factors(self.order)
-        if len(factors) == 1:
-            return next(iter(factors))
-        return None
-
 
 # -- table builders ----------------------------------------------------------
 # ``GroupSpec.realize`` is their one caller: it checks the parameter laws and
@@ -122,7 +117,7 @@ class FiniteGroup:
 _CHUNK = 1 << 16  # entries of a product's repeated rows per add, a cache-sized block
 
 
-def _run(n: int, copies: int = 2) -> np.ndarray:
+def _residues(n: int, copies: int = 2) -> np.ndarray:
     """0..n-1 written ``copies`` times in int16 (``arange(2 * n)`` would wrap
     at n = 2**15)."""
     a = np.arange(n, dtype=np.int16)
@@ -134,7 +129,7 @@ def _window(run: np.ndarray, n: int, start: int, step: int) -> np.ndarray:
 
     Its rows overlap in ``run``, so it is not C-contiguous and must be copied
     into a table, never wrapped as one; numpy checks that every entry lies
-    inside ``run``. Over ``_run(n)``, start 0 and step 1 give Z_n's table
+    inside ``run``. Over ``_residues(n)``, start 0 and step 1 give Z_n's table
     (i + j) mod n, and start n with step -1 gives (i - j) mod n.
     """
     return np.ndarray((n, n), np.int16, run, 2 * start, (2, 2 * step))
@@ -200,9 +195,9 @@ def metacyclic_table(m: int, n: int, k: int, t: int) -> np.ndarray:
     """
     order = m * n
     if n == 1:  # no shift to add: a copy, at a third of a broadcast add's fixed cost
-        return _window(_run(m), m, 0, 1).copy()
+        return _window(_residues(m), m, 0, 1).copy()
     shift = np.arange(0, order, m, dtype=np.int16)  # m*j, j < n; n >= 2, so the step m fits int16
-    run, shift = _run(m, 3), np.concatenate((shift, shift))  # m*((j1 + j2) mod n)
+    run, shift = _residues(m, 3), np.concatenate((shift, shift))  # m*((j1 + j2) mod n)
     out = np.empty((n, m, n, m), dtype=np.int16)  # [j1, i1, j2, i2]
     for j1 in range(n):
         c, cut = pow(k, j1, m), n - j1 if t else n
@@ -213,7 +208,7 @@ def metacyclic_table(m: int, n: int, k: int, t: int) -> np.ndarray:
 
 
 def _block(run: np.ndarray, m: int, c: int, start: int) -> np.ndarray:
-    """(i1 + c*i2 + start) mod m over ``run`` = ``_run(m, 3)``, 0 <= c, start < m:
+    """(i1 + c*i2 + start) mod m over ``run`` = ``_residues(m, 3)``, 0 <= c, start < m:
     a window for c = 1 or -1 (mod m), else the rising one, columns gathered."""
     if c == 1 % m:
         return _window(run, m, start, 1)
@@ -328,16 +323,3 @@ def prime_subgroup_counts(group: FiniteGroup) -> dict[int, int]:
     them meet only in the identity, so it is the order-p count over p - 1."""
     return {p: group.orders.count(p) // (p - 1) for p in prime_factors(group.order)}
 
-
-def has_unique_minimal_subgroup(group: FiniteGroup) -> bool:
-    """True iff exactly one prime-order subgroup exists.
-
-    Minimal subgroups are exactly the prime-order ones, so this equals
-    uniqueness of the minimal subgroup.
-    """
-    return sum(prime_subgroup_counts(group).values()) == 1
-
-
-def is_generalized_quaternion(group: FiniteGroup) -> bool:
-    """True iff the group is a non-abelian 2-group with a single order-2 subgroup."""
-    return not group.is_abelian() and prime_subgroup_counts(group) == {2: 1}

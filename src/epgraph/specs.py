@@ -342,7 +342,7 @@ def parse_spec(text: str) -> GroupSpec:
     Of the pieces between commas, one that opens with '(' is a generator of
     the piece before it; a product is a spec opening with "product:"."""
     if not isinstance(text, str):
-        raise SpecSyntaxError("empty group spec")
+        raise SpecSyntaxError(f"group spec must be a str, got {type(text).__name__}")
     factors: list[list[str]] = []  # a factor's text, then its further generators
     for piece in map(str.strip, text.split(",")):
         if factors and piece.startswith("("):

@@ -39,9 +39,11 @@ a spec, so a fault in graph construction cannot move both sides of a
 check together, and a check means the same on any group. T2.4's "cyclic"
 is some element of order |G|, T4.1's group side is the largest element
 order, T3.1 applies when some central z has order n coprime to |G|/n,
-T3.2, T3.3 and T5.1 read the prime-order subgroup counts, as T3.4's
-simplicity test does before any normal closure, and T5.3 marks the
-order-p elements of each walk whose length is not a power of p.
+the group sides of T3.2, T3.3 and T5.1 test ``prime_subgroup_counts``
+inline, which T3.4's simplicity test reads before any normal closure, and
+T5.3 marks the order-p elements of each walk whose length is not a power
+of p. T3.3's and T5.1's filters ask for a prime-power order, and T5.3's
+for two or more primes, by ``prime_factors`` of the order.
 """
 
 from __future__ import annotations
@@ -59,14 +61,7 @@ from typing import Any, BinaryIO, Callable, Optional, Sequence
 from .cyclic import _generator_positions
 from .epg import EpgBundle, build_bundle
 from .errors import GroupParameterError, GroupSizeError
-from .groups import (
-    has_unique_minimal_subgroup,
-    is_generalized_quaternion,
-    is_simple,
-    prime_factors,
-    prime_subgroup_counts,
-    table_cap,
-)
+from .groups import is_simple, prime_factors, prime_subgroup_counts, table_cap
 from .specs import GroupSpec
 
 # (order, degree, generators) for the fixed permutation-closure roster members
@@ -159,6 +154,12 @@ class TheoremCheck:
     only decides whether a check that tested no group makes ``verify`` exit
     1, as a vacuous "iff" check does. ``roster`` names the groups this
     check adds to the one roster.
+
+    The benchmark's tracer rebuilds every check with
+    ``dataclasses.replace`` on ``applies``, ``graph_side``, ``group_side``
+    and ``roster``, and labels its spans with the bundle's
+    ``group.spec``: so the fields keep their names, every predicate takes
+    the bundle as its one argument, and a bundle's group keeps its spec.
     """
 
     check_id: str
@@ -339,9 +340,10 @@ CHECKS: tuple[TheoremCheck, ...] = (
     TheoremCheck(
         "T3.3", "iff",
         "non-abelian p-group: cone vertex exists iff generalized quaternion",
-        lambda b: not b.group.is_abelian() and b.group.is_p_group() is not None,
+        lambda b: not b.group.is_abelian() and len(prime_factors(b.group.order)) == 1,
         lambda b: bool(b.report.cone_vertices),
-        lambda b: is_generalized_quaternion(b.group),
+        # a non-abelian p-group with one subgroup of order 2 is generalized quaternion
+        lambda b: prime_subgroup_counts(b.group) == {2: 1},
     ),
     TheoremCheck(
         "T3.4", "implies",
@@ -365,9 +367,10 @@ CHECKS: tuple[TheoremCheck, ...] = (
     TheoremCheck(
         "T5.1", "iff",
         "p-group: deleted graph connected iff the minimal subgroup is unique",
-        lambda b: b.group.is_p_group() is not None,
+        lambda b: len(prime_factors(b.group.order)) == 1,
         lambda b: b.deleted_report.connected,
-        lambda b: has_unique_minimal_subgroup(b.group),
+        # the minimal subgroups are those of prime order
+        lambda b: sum(prime_subgroup_counts(b.group).values()) == 1,
     ),
     TheoremCheck(
         "T5.2", "implies",
@@ -399,7 +402,7 @@ def _stream(
     """Build each spec's bundle once, run every check on it, drop it.
 
     Reports follow ``checks`` one to one, with ``ms`` unrounded and
-    ``passed`` and ``vacuous`` unset: ``_run`` settles all three once the
+    ``passed`` and ``vacuous`` unset: ``run_all`` settles all three once the
     shards are summed. ``ms`` covers each check's own predicates only;
     building the bundles they read is not charged to any check, so the
     deleted graph, which a bundle builds on first read, is read here first.
@@ -512,36 +515,6 @@ def _stream_shards(
     return parts
 
 
-def _run(
-    checks: Sequence[TheoremCheck], specs: Sequence[GroupSpec], max_order: int
-) -> list[TheoremReport]:
-    """Run every check over each distinct spec of ``specs`` once.
-
-    The specs are taken in order of first appearance, and spec i goes to
-    shard i mod w, w from ``_shard_count``. The shards' reports are summed,
-    and each check's counterexamples put back in that order.
-    """
-    jobs = list(dict.fromkeys(specs))
-    w = _shard_count(len(jobs))
-    parts = _stream_shards(checks, [jobs[k::w] for k in range(w)], max_order)
-
-    reports = [TheoremReport(c.check_id, 0, 0, False) for c in checks]
-    for part in parts:
-        for report, got in zip(reports, part):
-            report.tested += got.tested
-            report.counterexamples += got.counterexamples
-            report.ms += got.ms
-    for report in reports:
-        report.passed = report.tested - len(report.counterexamples)
-        report.vacuous = report.tested == 0
-        report.ms = round(report.ms, 3)
-    if any(report.counterexamples for report in reports):
-        place = {spec.serialize(): p for p, spec in enumerate(jobs)}
-        for report in reports:
-            report.counterexamples.sort(key=lambda c: place[c.spec])
-    return reports
-
-
 def _roster(max_order: int) -> list[GroupSpec]:
     """``roster_generate(max_order)`` and then every check's own groups, each spec once.
 
@@ -566,11 +539,12 @@ def run_all(
     Each group is realized under the order cap ``max_order``. Every selected
     check runs over the one list: ``specs``, or else the standard roster to
     ``max_order`` followed by the coprime products that T3.1 adds. Each
-    distinct spec of the list is built and checked once, and the
-    counterexamples follow the list's order. No check selected builds
-    nothing. Without ``specs``, a ``max_order`` above the int16 table cap
-    raises GroupSizeError before any group is built, since the roster
-    reaches it.
+    distinct spec of the list is built and checked once, in order of first
+    appearance: spec i goes to shard i mod w, w from ``_shard_count``, the
+    shards' reports are summed, and each check's counterexamples are put
+    back in the list's order. No check selected builds nothing. Without
+    ``specs``, a ``max_order`` above the int16 table cap raises
+    GroupSizeError before any group is built, since the roster reaches it.
     """
     checks = CHECKS if check_ids is None else tuple(CHECKS_BY_ID[i] for i in check_ids)
     if not checks:
@@ -580,4 +554,22 @@ def run_all(
         if cap < max_order:
             raise GroupSizeError(f"roster bound {max_order} exceeds the cap of {cap}")
         specs = _roster(max_order)
-    return _run(checks, specs, max_order)
+    jobs = list(dict.fromkeys(specs))
+    w = _shard_count(len(jobs))
+    parts = _stream_shards(checks, [jobs[k::w] for k in range(w)], max_order)
+
+    reports = [TheoremReport(c.check_id, 0, 0, False) for c in checks]
+    for part in parts:
+        for report, got in zip(reports, part):
+            report.tested += got.tested
+            report.counterexamples += got.counterexamples
+            report.ms += got.ms
+    for report in reports:
+        report.passed = report.tested - len(report.counterexamples)
+        report.vacuous = report.tested == 0
+        report.ms = round(report.ms, 3)
+    if any(report.counterexamples for report in reports):
+        place = {spec.serialize(): p for p, spec in enumerate(jobs)}
+        for report in reports:
+            report.counterexamples.sort(key=lambda c: place[c.spec])
+    return reports

@@ -17,6 +17,7 @@ from epgraph import (
     run_all,
     planarity_verdict,
 )
+from epgraph.groups import prime_factors
 from epgraph.theorems import CHECKS_BY_ID
 
 from helpers import brute_lattice, totient
@@ -116,15 +117,20 @@ def test_c07_nonabelian_2group_cone_iff_quaternion(bundle_of):
                   if s.family in ("dihedral", "metacyclic", "dicyclic")]
         report = run_all(512, check_ids=["T3.3"], specs=roster)[0]
         assert report.counterexamples == []
-        two_groups = {
-            spec.serialize()
+        two_groups = [
+            spec
             for spec in roster
-            if bundle_of(spec).group.is_p_group() == 2
+            if set(prime_factors(bundle_of(spec).group.order)) == {2}
             and not bundle_of(spec).group.is_abelian()
-        }
-        assert {f"dihedral:{m}" for m in (4, 8, 16, 32)} <= two_groups
-        assert {"metacyclic:8:2:3", "metacyclic:16:2:7", "metacyclic:32:2:15"} <= two_groups
-        assert {f"dicyclic:{m}" for m in (2, 4, 8, 16)} <= two_groups
+        ]
+        names = {spec.serialize() for spec in two_groups}
+        assert {f"dihedral:{m}" for m in (4, 8, 16, 32)} <= names
+        assert {"metacyclic:8:2:3", "metacyclic:16:2:7", "metacyclic:32:2:15"} <= names
+        assert {f"dicyclic:{m}" for m in (2, 4, 8, 16)} <= names
+        assert all(check.applies(bundle_of(spec)) for spec in two_groups)
+        # the group side holds exactly on the dicyclic 2-groups
+        quaternion = {s.serialize() for s in two_groups if check.group_side(bundle_of(s))}
+        assert quaternion == {f"dicyclic:{m}" for m in (2, 4, 8, 16)}
         positives = {
             spec.serialize()
             for spec in roster

@@ -235,6 +235,11 @@ def test_eulerian_examples():
     assert not report(bundle_for("metacyclic:3:2:2").epg).eulerian
 
 
+def test_negative_vertex_count_is_refused():
+    with pytest.raises(ValueError, match="vertex count must be >= 0, got -1"):
+        SimpleGraph(-1)
+
+
 def test_degenerate_conventions():
     empty = report(SimpleGraph(0))
     assert empty.connected

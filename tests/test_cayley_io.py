@@ -156,6 +156,7 @@ def test_parse_errors():
         "# only a comment\n\n": "empty file: no order line found",
         "2\n0 1\n": "expected 2 table rows, found 1",  # missing a row
         "2\n0 1\n1 x\n": "line 3: non-integer token",
+        "3x\n": "line 1: non-integer token",  # the order line keeps the grammar too
         "2\n0 1 0\n1 0\n": "line 2: expected 2 entries, got 3",  # wrong row length
         "2\n0 1\n1 0\n0 1\n": "line 4: more than 2 table rows",
         "2 3\n": "line 1: expected a single order, got [2, 3]",

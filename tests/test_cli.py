@@ -317,6 +317,14 @@ def test_ingest_oversize_rejected(tmp_path, capsys):
     assert "cap of 64" in err
 
 
+def test_ingest_malformed_order_line_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.cayley"
+    path.write_text("3x\n")
+    code, _, err = run_cli(["ingest", str(path)], capsys)
+    assert code == 2
+    assert "line 1: non-integer token" in err
+
+
 def test_ingest_huge_entry_is_closure_violation(tmp_path):
     # run as a process: an uncaught error would print a traceback and exit 1
     path = tmp_path / "huge.cayley"

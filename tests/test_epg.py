@@ -10,6 +10,7 @@ from hypothesis import settings
 import epgraph.epg as epg_module
 from epgraph import (
     GroupSpec,
+    SimpleGraph,
     adjacent_oracle,
     analyze,
     build_bundle,
@@ -326,3 +327,12 @@ def test_json_export_labels_are_element_and_order():
     assert data["edges"] == [[0, 1]]
     # the trivial group's deleted graph has no vertex and so no labels
     assert to_json_dict(bundle_for("cyclic:1").deleted)["labels"] is None
+
+
+def test_exports_of_a_graph_without_orders_label_bare_vertices():
+    graph = SimpleGraph(2)
+    graph.rows[:] = [0b10, 0b01]
+    assert to_json_dict(graph) == {"name": "", "vertices": 2, "labels": None, "edges": [[0, 1]]}
+    dot = to_dot(graph)
+    assert dot.startswith('graph "graph" {')
+    assert 'n0 [label="g0"];' in dot and 'n1 [label="g1"];' in dot and "n0 -- n1;" in dot

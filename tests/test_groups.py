@@ -16,9 +16,7 @@ from epgraph import (
     GroupSpec,
     adjacent_oracle,
     build_bundle,
-    has_unique_minimal_subgroup,
     ingest_cayley,
-    is_generalized_quaternion,
     is_simple,
     normal_closure,
     parse_spec,
@@ -26,6 +24,7 @@ from epgraph import (
     roster_generate,
 )
 from epgraph.cayley_io import cayley_table
+from epgraph.groups import prime_factors
 from epgraph.specs import _INT_FAMILIES
 from epgraph.theorems import CHECKS_BY_ID
 from helpers import (
@@ -136,7 +135,7 @@ def test_windows_at_the_int16_cap_do_not_wrap():
     # Z_32768's table would take 2 GiB: check the runs and their windows, which
     # are views, row and column at a time
     n = groups_module.MAX_TABLE_ORDER
-    run = groups_module._run(n)
+    run = groups_module._residues(n)
     assert run.dtype == np.int16 and run.tolist() == list(range(n)) * 2
     idx = np.arange(n)
     forward = groups_module._window(run, n, 0, 1)  # (i + j) mod n, Z_n's table
@@ -151,7 +150,7 @@ def test_windows_at_the_int16_cap_do_not_wrap():
         assert np.array_equal(reverse[:, i], (idx - i) % n)
     # dicyclic's largest run: Z_16384 three times, read back from 3m = 24576
     m = n // 4
-    run3 = groups_module._run(2 * m, 3)
+    run3 = groups_module._residues(2 * m, 3)
     assert run3.tolist() == list(range(2 * m)) * 3
     shifted = groups_module._window(run3, 2 * m, 3 * m, -1)  # (i - j + m) mod 2m
     for i in (0, 1, m, 2 * m - 1):
@@ -168,7 +167,7 @@ def test_blocks_at_the_int16_cap_do_not_wrap(text):
     spec = parse_spec(text)
     m, n, k, t = _INT_FAMILIES[spec.family].presentation(*spec.params)
     assert m * n == groups_module.MAX_TABLE_ORDER
-    run = groups_module._run(m, 3)
+    run = groups_module._residues(m, 3)
     assert run.tolist() == list(range(m)) * 3
     idx = np.arange(m)
     for j1 in sorted({0, 1, n - 1}):
@@ -575,6 +574,17 @@ def test_is_simple_trivial_group_errors():
 # -- prime-order subgroups ----------------------------------------------------------
 
 
+def test_prime_factors():
+    assert prime_factors(1) == {}
+    assert prime_factors(2) == {2: 1}
+    assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
+    assert prime_factors(2 ** 15) == {2: 15}
+    assert prime_factors(97 * 101) == {97: 1, 101: 1}
+    for n in (0, -4):
+        with pytest.raises(GroupParameterError, match=f"cannot factor {n}"):
+            prime_factors(n)
+
+
 def test_prime_order_subgroup_counts():
     assert prime_subgroup_counts(GroupSpec.dicyclic(2).realize()) == {2: 1}
     assert prime_subgroup_counts(GroupSpec.dihedral(4).realize()) == {2: 5}
@@ -584,19 +594,27 @@ def test_prime_order_subgroup_counts():
 
 
 def test_unique_minimal_subgroup():
-    assert has_unique_minimal_subgroup(GroupSpec.dicyclic(4).realize()) is True
-    assert has_unique_minimal_subgroup(GroupSpec.dihedral(8).realize()) is False
-    assert has_unique_minimal_subgroup(GroupSpec.cyclic(1).realize()) is False
+    # T5.1 applies to the p-groups, and its group side is a unique subgroup of prime order
+    t51 = CHECKS_BY_ID["T5.1"]
+    q16 = build_bundle(GroupSpec.dicyclic(4).realize())
+    assert t51.applies(q16) and t51.group_side(q16) is True
+    d16 = build_bundle(GroupSpec.dihedral(8).realize())
+    assert t51.applies(d16) and t51.group_side(d16) is False
+    trivial = build_bundle(GroupSpec.cyclic(1).realize())
+    assert not t51.applies(trivial) and t51.group_side(trivial) is False
 
 
 def test_prime_order_subgroups_match_subset_enumeration(roster_groups_48):
     # every p-group roster member: brute-force every candidate subset of size p
+    t51 = CHECKS_BY_ID["T5.1"]
     checked = 0
     for g in roster_groups_48:
-        if g.order >= 2 and g.is_p_group() is not None:
+        if len(prime_factors(g.order)) == 1:
             expected = brute_prime_order_subgroups(g)
             assert sum(prime_subgroup_counts(g).values()) == len(expected), g.spec.serialize()
-            assert has_unique_minimal_subgroup(g) == (len(expected) == 1)
+            bundle = build_bundle(g)
+            assert t51.applies(bundle)
+            assert t51.group_side(bundle) == (len(expected) == 1), g.spec.serialize()
             checked += 1
     assert checked >= 20
 
@@ -666,12 +684,13 @@ def test_abelian_shape_of_ingested_table_matches_spec_free_computation():
 
 
 def test_is_abelian_and_p_group():
+    # "a p-group" is an order with one prime factor
     z6 = GroupSpec.cyclic(6).realize()
-    assert z6.is_abelian() and z6.is_p_group() is None
+    assert z6.is_abelian() and len(prime_factors(z6.order)) == 2
     q8 = GroupSpec.dicyclic(2).realize()
-    assert not q8.is_abelian() and q8.is_p_group() == 2
+    assert not q8.is_abelian() and prime_factors(q8.order) == {2: 3}
     triv = GroupSpec.cyclic(1).realize()
-    assert triv.is_abelian() and triv.is_p_group() is None
+    assert triv.is_abelian() and prime_factors(triv.order) == {}
 
 
 def test_is_abelian_and_center_match_brute_center(roster_groups_64):
@@ -682,10 +701,17 @@ def test_is_abelian_and_center_match_brute_center(roster_groups_64):
         assert g.is_abelian() == (len(center) == g.order), g.spec.serialize()
 
 
+def t33_quaternion(group) -> bool:
+    """T3.3's filter and group side together: a non-abelian p-group with one
+    subgroup of order 2."""
+    bundle, check = build_bundle(group), CHECKS_BY_ID["T3.3"]
+    return check.applies(bundle) and check.group_side(bundle)
+
+
 def test_generalized_quaternion_detection():
-    assert is_generalized_quaternion(GroupSpec.dicyclic(4).realize()) is True
-    assert is_generalized_quaternion(GroupSpec.dihedral(8).realize()) is False
-    assert is_generalized_quaternion(GroupSpec.cyclic(8).realize()) is False
+    assert t33_quaternion(GroupSpec.dicyclic(4).realize()) is True
+    assert t33_quaternion(GroupSpec.dihedral(8).realize()) is False
+    assert t33_quaternion(GroupSpec.cyclic(8).realize()) is False
 
 
 @pytest.mark.parametrize("text, quaternion", [
@@ -695,17 +721,21 @@ def test_generalized_quaternion_detection():
     ("dicyclic:3", False), ("dihedral:4", False), ("metacyclic:8:2:3", False),
 ])
 def test_is_generalized_quaternion(text, quaternion):
-    assert is_generalized_quaternion(parse_spec(text).realize()) is quaternion
+    group = parse_spec(text).realize()
+    assert t33_quaternion(group) is quaternion
+    if text.startswith("cyclic"):
+        # the group side alone holds: T3.3's filter drops them as abelian
+        assert CHECKS_BY_ID["T3.3"].group_side(build_bundle(group)) is True
 
 
 def test_generalized_quaternion_across_families(roster_groups_48):
     for k in range(3, 7):
-        assert is_generalized_quaternion(GroupSpec.dicyclic(2 ** (k - 2)).realize()) is True
+        assert t33_quaternion(GroupSpec.dicyclic(2 ** (k - 2)).realize()) is True
     for g in (
         GroupSpec.metacyclic(16, 2, 7).realize(),     # semidihedral 32
         parse_spec("product:cyclic:2,cyclic:8").realize(),
     ):
-        assert is_generalized_quaternion(g) is False
+        assert t33_quaternion(g) is False
     # false on every dihedral, semidihedral, abelian, and odd-order roster member
     for g in roster_groups_48:
         family = g.spec.family
@@ -715,7 +745,14 @@ def test_generalized_quaternion_across_families(roster_groups_48):
             or g.order % 2 == 1
             or (family == "metacyclic" and g.spec.params[1] == 2)
         ):
-            assert is_generalized_quaternion(g) is False, g.spec.serialize()
+            assert t33_quaternion(g) is False, g.spec.serialize()
+    # among the non-abelian 2-groups, the group side holds exactly on the dicyclic ones
+    group_side = CHECKS_BY_ID["T3.3"].group_side
+    two_groups = [g for g in roster_groups_48
+                  if set(prime_factors(g.order)) == {2} and not g.is_abelian()]
+    assert {g.spec.family for g in two_groups} == {"dihedral", "dicyclic", "metacyclic"}
+    for g in two_groups:
+        assert group_side(build_bundle(g)) is (g.spec.family == "dicyclic"), g.spec.serialize()
 
 
 # -- validation ---------------------------------------------------------------------

@@ -143,12 +143,14 @@ def test_parse_rejects_malformed():
         "metacyclic:8:2",
         "metacyclic:5:2:2",       # congruence fails
         "perm:3:",
+        "perm:0:()",              # degree below 1
         "perm:3:(0 1",            # unbalanced
         "perm:3:(0 3)",           # out of range
         "perm:3:(0 1)(1 2)",      # repeated point
         "product:",
         "dihedral:1",
         "cyclic:2,cyclic:3",      # trailing content without product
+        "cyclic:3,(0 1)",         # a generator after a non-perm factor
         # integers are ASCII decimals, not whatever int() or \d reads
         "cyclic:1_0",             # digit-grouping underscore
         "cyclic:\u0663",          # Arabic-Indic digit three
@@ -161,6 +163,12 @@ def test_parse_rejects_malformed():
     ):
         with pytest.raises(SpecSyntaxError):
             parse_spec(bad)
+
+
+@pytest.mark.parametrize("value, kind", [(None, "NoneType"), (5, "int"), (b"cyclic:3", "bytes")])
+def test_parse_names_a_non_str_spec_type(value, kind):
+    with pytest.raises(SpecSyntaxError, match=f"group spec must be a str, got {kind}$"):
+        parse_spec(value)
 
 
 def test_negative_integer_keeps_its_law_message():
@@ -192,6 +200,7 @@ def test_spec_constructors_validate():
 
 
 @pytest.mark.parametrize("family, params", [
+    ("foo", ()),
     ("cyclic", (0,)),
     ("dihedral", (1,)),
     ("dicyclic", (1,)),
@@ -209,6 +218,7 @@ def test_spec_constructors_validate():
     ("perm", ()),
     ("perm", (3,)),
     ("perm", (3, ((1, 0, 2),), 4)),
+    ("perm", (3, ())),
     ("perm", (3.0, ((1, 0, 2),))),
     ("perm", (3, [(1, 0, 2)])),
     ("perm", (3, ((1.0, 0, 2),))),

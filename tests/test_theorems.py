@@ -564,6 +564,11 @@ def test_a_shard_that_cannot_fork_runs_in_the_caller(monkeypatch):
     assert _zero_ms(run_all(32)) == one
 
 
+def test_shard_count_is_one_without_sched_getaffinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert theorems._shard_count(10**6) == 1
+
+
 def test_shard_count_is_one_with_a_second_thread_alive():
     cpus = len(os.sched_getaffinity(0))
     assert theorems._shard_count(10**6) == cpus
