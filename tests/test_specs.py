@@ -200,7 +200,6 @@ def test_spec_constructors_validate():
 
 
 @pytest.mark.parametrize("family, params", [
-    ("foo", ()),
     ("cyclic", (0,)),
     ("dihedral", (1,)),
     ("dicyclic", (1,)),
@@ -218,7 +217,6 @@ def test_spec_constructors_validate():
     ("perm", ()),
     ("perm", (3,)),
     ("perm", (3, ((1, 0, 2),), 4)),
-    ("perm", (3, ())),
     ("perm", (3.0, ((1, 0, 2),))),
     ("perm", (3, [(1, 0, 2)])),
     ("perm", (3, ((1.0, 0, 2),))),
@@ -234,6 +232,9 @@ def test_spec_constructors_validate():
     ("file", ("a ",)),
     ("file", ("\r",)),
     ("file", ("a,b",)),
+    # an unknown family, and a perm with no generators
+    ("foo", ()),
+    ("perm", (3, ())),
 ])
 def test_raw_spec_checks_laws_when_made(family, params):
     # the laws and the parameter count live in GroupSpec itself, so a spec
